@@ -4,11 +4,13 @@
  * FaultPlans.
  *
  * Each trial installs FaultPlan::randomized(seed_base + trial,
- * intensity) on a small S1 host, profiles, runs the attempt loop, and
- * prints one line with the trial's status, retry/degradation counters
- * and the number of faults the injector fired. Every line is fully
- * reproducible from its plan seed, so a failing nightly run can be
- * replayed locally with --seed-base=<seed> --trials=1.
+ * intensity) on a small S1 host, profiles, runs the campaign through
+ * runAttempts() (every attempt a forked trial world, checkpointed
+ * when --checkpoint-every is set), and prints one line with the
+ * campaign's status, retry/degradation counters and the number of
+ * faults the trial injectors fired. Every line is fully reproducible
+ * from its plan seed, so a failing nightly run can be replayed locally
+ * with --seed-base=<seed> --trials=1.
  *
  * The exit code is non-zero only when a trial violates the degradation
  * contract (aborts instead of returning a partial-result Status); a
@@ -120,8 +122,7 @@ main(int argc, char **argv)
     // whole soak, not just the report assembly.
     JsonReport report("bench_fault_soak");
     analysis::TextTable table({"Plan seed", "Status", "Degraded",
-                               "Attempts", "Retries", "Reprofiles",
-                               "Faults fired"});
+                               "Attempts", "Retries", "Faults fired"});
     unsigned successes = 0;
     unsigned degraded = 0;
     uint64_t faults_total = 0;
@@ -137,23 +138,19 @@ main(int argc, char **argv)
         attack::HyperHammerAttack attack(host, soakVmConfig(),
                                          host.dram().mapping(), acfg);
         attack.profilePhase();
-        attack::AttackResult result;
+        // Attempts are pure per-index trials, so a checkpointed run
+        // killed here and resumed with --resume reproduces the
+        // straight run's table bit for bit.
+        snapshot::CheckpointPolicy policy;
         if (soak.checkpointEvery > 0) {
-            // Checkpointed campaigns go through the Monte-Carlo
-            // engine: attempts are pure per-index trials, so a run
-            // killed here and resumed with --resume reproduces the
-            // straight run's table bit for bit.
-            snapshot::CheckpointPolicy policy;
             policy.path = soak.checkpointPath + "_s" +
                 std::to_string(plan_seed);
             policy.everyTrials = soak.checkpointEvery;
             policy.resume = soak.resume;
             policy.stopAfterTrials = soak.killAt;
-            result = attack.runAttempts(acfg.maxAttempts, opts.threads,
-                                        policy);
-        } else {
-            result = attack.run();
         }
+        const attack::AttackResult result =
+            attack.runAttempts(acfg.maxAttempts, opts.threads, policy);
 
         uint64_t retries = 0;
         for (const attack::AttemptOutcome &outcome : result.outcomes)
@@ -167,7 +164,6 @@ main(int argc, char **argv)
             result.degraded ? "yes" : "no",
             std::to_string(result.attempts),
             std::to_string(retries),
-            std::to_string(result.reprofiles),
             std::to_string(result.faultsInjected),
         });
     }

@@ -5,7 +5,9 @@
  * Builds an S1-style host at 2 GB, spawns a 1.625 GB attacker VM,
  * profiles its memory for exploitable Rowhammer bits, and runs the
  * steer-hammer-escalate loop until the VM reads a secret planted in
- * host kernel memory. All reported times are virtual (simulated).
+ * host kernel memory. Each attempt is a trial in its own forked copy
+ * of the host, with a freshly spawned VM and its own planted secret.
+ * All reported times are virtual (simulated).
  *
  * Like the real attack, each attempt succeeds only with small
  * probability (Section 5.3.1); the default attempt budget usually
@@ -74,7 +76,8 @@ main(int argc, char **argv)
     }
 
     std::printf("[2/3] attack loop (steer, hammer, escalate)...\n");
-    const attack::AttackResult result = attack.run();
+    const attack::AttackResult result =
+        attack.runAttempts(attack_cfg.maxAttempts, 0);
 
     std::printf("[3/3] result: %s after %u attempts, %s (virtual), "
                 "avg %.1f s/attempt\n",
@@ -83,9 +86,9 @@ main(int argc, char **argv)
                 base::SimClock::format(result.totalTime).c_str(),
                 result.avgAttemptSeconds());
     if (result.success) {
-        std::printf("      the VM read the hypervisor secret at host "
-                    "PA %#llx through its own page tables\n",
-                    (unsigned long long)attack.secretAddress().value());
+        std::printf("      attempt %u read the hypervisor secret of "
+                    "its host through the VM's own page tables\n",
+                    result.attempts);
     } else {
         uint64_t flips = 0;
         for (const attack::AttemptOutcome &o : result.outcomes)

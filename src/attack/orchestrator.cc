@@ -110,7 +110,6 @@ HyperHammerAttack::plantSecret(sys::HostSystem &on_host)
 
 HyperHammerAttack::~HyperHammerAttack()
 {
-    machine.reset();
     if (secretFrame != kInvalidPfn) {
         host.dram().backend().clearPage(secretFrame);
         host.buddy().freePages(secretFrame, 0);
@@ -120,7 +119,10 @@ HyperHammerAttack::~HyperHammerAttack()
 ProfileResult
 HyperHammerAttack::profilePhase()
 {
-    machine = host.createVm(vmCfg);
+    // The profiling VM dies with this call: every trial spawns its own
+    // VM in its own forked world, so nothing could reuse it.
+    const std::unique_ptr<vm::VirtualMachine> machine =
+        host.createVm(vmCfg);
 
     MemoryProfiler profiler(*machine, host.clock(), mapping,
                             cfg.profiler);
@@ -235,12 +237,6 @@ HyperHammerAttack::relocateTargets(vm::VirtualMachine &current) const
 }
 
 AttemptOutcome
-HyperHammerAttack::attemptOnce(vm::VirtualMachine &current)
-{
-    return attemptIn(host, current, secretAddr, secret);
-}
-
-AttemptOutcome
 HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
                              vm::VirtualMachine &current,
                              HostPhysAddr secret_addr,
@@ -250,14 +246,33 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
     fault::FaultInjector *injector = on_host.faults();
     const uint64_t fired_before =
         injector != nullptr ? injector->totalFired() : 0;
-    const base::SimTime start = on_host.clock().now();
 
     const std::vector<VulnerableBit> targets = relocateTargets(current);
     outcome.bitsTargeted = static_cast<unsigned>(targets.size());
-    if (targets.empty()) {
-        outcome.duration = on_host.clock().now() - start;
+    if (targets.empty())
         return outcome;
-    }
+
+    // Redo a phase while it reports newly detected faults, with
+    // exponential backoff in virtual time. Retries are keyed on
+    // *detected* faults (misses, refused unplugs, lost flips), never on
+    // probabilistic outcomes, so with a null injector this is the exact
+    // pre-fault call sequence.
+    const auto retry_phase = [&](const auto &detected, const auto &redo) {
+        if (injector == nullptr)
+            return;
+        base::SimTime backoff = cfg.retryBackoff;
+        uint64_t new_faults = detected();
+        for (unsigned r = 0; r < cfg.maxPhaseRetries && new_faults > 0;
+             ++r) {
+            on_host.clock().advance(backoff);
+            outcome.backoffTime += backoff;
+            backoff *= 2;
+            ++outcome.retries;
+            const uint64_t before = detected();
+            redo();
+            new_faults = detected() - before;
+        }
+    };
 
     PageSteering steering(current, on_host.clock(), cfg.steering,
                           injector);
@@ -266,30 +281,13 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
         : current.memorySize(); // everything that remains
 
     // The steer() sequence, inlined so the release step can retry.
-    // Retries are keyed on *detected* faults (misses / refused
-    // unplugs), never on probabilistic outcomes, so with a null
-    // injector this is the exact pre-fault call sequence.
     SteeringResult steered;
     const base::SimTime steer_start = on_host.clock().now();
     steered.iovaMappings = steering.exhaustNoisePages();
     steering.releaseVulnerable(targets, steered);
-    if (injector != nullptr) {
-        base::SimTime backoff = cfg.retryBackoff;
-        uint64_t new_faults =
-            steered.steerMisses + steered.failedUnplugs;
-        for (unsigned r = 0; r < cfg.maxPhaseRetries && new_faults > 0;
-             ++r) {
-            on_host.clock().advance(backoff);
-            outcome.backoffTime += backoff;
-            backoff *= 2;
-            ++outcome.retries;
-            const uint64_t before =
-                steered.steerMisses + steered.failedUnplugs;
-            steering.releaseVulnerable(targets, steered);
-            new_faults =
-                steered.steerMisses + steered.failedUnplugs - before;
-        }
-    }
+    retry_phase(
+        [&] { return steered.steerMisses + steered.failedUnplugs; },
+        [&] { steering.releaseVulnerable(targets, steered); });
     std::unordered_set<uint64_t> excluded;
     for (const GuestPhysAddr &hp : steered.releasedHugePages)
         excluded.insert(hp.value());
@@ -303,20 +301,8 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
                         injector);
     exploiter.markPages(current.hugePageGpas());
     exploiter.hammerTargets(targets);
-    if (injector != nullptr) {
-        base::SimTime backoff = cfg.retryBackoff;
-        uint64_t new_lost = exploiter.lostFlips();
-        for (unsigned r = 0; r < cfg.maxPhaseRetries && new_lost > 0;
-             ++r) {
-            on_host.clock().advance(backoff);
-            outcome.backoffTime += backoff;
-            backoff *= 2;
-            ++outcome.retries;
-            const uint64_t before = exploiter.lostFlips();
-            exploiter.hammerTargets(targets);
-            new_lost = exploiter.lostFlips() - before;
-        }
-    }
+    retry_phase([&] { return exploiter.lostFlips(); },
+                [&] { exploiter.hammerTargets(targets); });
 
     const std::vector<GuestPhysAddr> changed =
         exploiter.detectMappingChanges();
@@ -337,84 +323,9 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
         }
     }
 
-    outcome.duration = on_host.clock().now() - start;
     if (injector != nullptr)
         outcome.faultsFired = injector->totalFired() - fired_before;
     return outcome;
-}
-
-AttackResult
-HyperHammerAttack::run()
-{
-    AttackResult result;
-    const base::SimTime run_start = host.clock().now();
-    // No exploitable bits (profilePhase() not run, or a fault-heavy
-    // profile came back empty): degrade to a partial result instead
-    // of asserting.
-    if (bits.empty()) {
-        result.status = base::ErrorCode::NotFound;
-        result.degraded = true;
-        if (host.faults() != nullptr)
-            result.faultsInjected = host.faults()->totalFired();
-        return result;
-    }
-
-    unsigned empty_streak = 0;
-    for (unsigned attempt = 0; attempt < cfg.maxAttempts; ++attempt) {
-        const base::SimTime attempt_start = host.clock().now();
-        if (!machine)
-            machine = host.createVm(vmCfg);
-        AttemptOutcome outcome = attemptOnce(*machine);
-        // An attempt's cost includes the VM (re)spawn, which dominates
-        // in practice (Table 3's ~4 min average).
-        outcome.duration = host.clock().now() - attempt_start;
-        ++result.attempts;
-        result.outcomes.push_back(outcome);
-        // Demotion is irreversible: the VM must respawn either way.
-        machine.reset();
-        if (outcome.success) {
-            result.success = true;
-            break;
-        }
-        // Re-profiling fallback: only under fault injection (so the
-        // fault-free path is untouched), and only after several
-        // consecutive attempts found none of the profiled cells.
-        if (host.faults() != nullptr) {
-            empty_streak =
-                outcome.bitsTargeted == 0 ? empty_streak + 1 : 0;
-            if (empty_streak >= cfg.reprofileAfterEmpty) {
-                ++result.reprofiles;
-                empty_streak = 0;
-                base::inform("attack: lost the exploitable cells; "
-                             "re-profiling");
-                (void)profilePhase();
-                if (bits.empty()) {
-                    result.status = base::ErrorCode::NotFound;
-                    result.degraded = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    for (const AttemptOutcome &outcome : result.outcomes)
-        result.stats.add(outcome);
-    // Includes VM respawn time, which dominates real attempts.
-    result.totalTime = host.clock().now() - run_start;
-    if (result.success)
-        result.status = base::Status::success();
-    else if (result.status.ok())
-        result.status = base::ErrorCode::LimitExceeded;
-    if (host.faults() != nullptr)
-        result.faultsInjected = host.faults()->totalFired();
-    // Degraded means "ended without escalation while faults were
-    // interfering" -- a fault-free LimitExceeded is just a failed
-    // attack, not a degraded one.
-    if (result.success)
-        result.degraded = false;
-    else if (result.faultsInjected > 0)
-        result.degraded = true;
-    return result;
 }
 
 AttemptOutcome
@@ -424,9 +335,8 @@ HyperHammerAttack::runTrial(uint64_t trial) const
     // dram.seed is kept, so the forked DIMM has the
     // identical fault map and the host-physical profile remains valid;
     // the top-level seed moves to a per-trial stream, giving each
-    // trial its own boot-noise and free-list history -- the parallel
-    // analogue of the churn that makes serial respawns independent
-    // samples rather than replays.
+    // trial its own boot-noise and free-list history, so respawns are
+    // independent samples rather than replays.
     sys::SystemConfig trial_cfg = host.config();
     trial_cfg.seed = base::SeedSequence(host.config().seed).seed(trial);
     HH_ASSERT(trialTemplate != nullptr);
@@ -440,16 +350,10 @@ HyperHammerAttack::runTrial(uint64_t trial) const
         trial_host.createVm(vmCfg);
     AttemptOutcome outcome =
         attemptIn(trial_host, *current, planted.addr, planted.value);
-    // Like serial attempts, the cost includes the VM spawn, which
-    // dominates in practice (Table 3's ~4 min average).
+    // An attempt's cost includes the VM spawn, which dominates in
+    // practice (Table 3's ~4 min average).
     outcome.duration = trial_host.clock().now() - start;
     return outcome;
-}
-
-AttackResult
-HyperHammerAttack::runAttempts(unsigned attempts, unsigned threads)
-{
-    return runAttempts(attempts, threads, snapshot::CheckpointPolicy{});
 }
 
 void
@@ -503,7 +407,10 @@ HyperHammerAttack::campaignFingerprint() const
     w.u32(cfg.maxAttempts);
     w.u32(cfg.maxPhaseRetries);
     w.u64(cfg.retryBackoff);
-    w.u32(cfg.reprofileAfterEmpty);
+    // The slot of the retired re-profiling knob, written at its last
+    // default: checkpoints, shard manifests, dispatch ledgers and the
+    // benchmark's reference tables pin fingerprints taken with it.
+    w.u32(3);
     w.boolean(cfg.exploit.combinedHammer);
     // The host-physical profile folds in every remaining tunable that
     // shaped it (profiler config, DRAM fault map, boot noise), so the
@@ -640,8 +547,6 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     const uint64_t total = end - begin;
     if (threads == 0)
         threads = base::ThreadPool::defaultThreads();
-    // Trials own their hosts; the profiling VM is not reusable here.
-    machine.reset();
 
     TrialRangeResult range;
     // Outcomes accumulate as the completed range prefix, already

@@ -2,13 +2,15 @@
  * @file
  * End-to-end HyperHammer attack orchestration (Sections 4 and 5.3).
  *
- * The attack is probabilistic: each attempt profiles (or relocates a
- * reusable profile), steers, hammers, and checks for escalation; on
- * failure the hugepage demotions are irreversible, so the VM must be
- * torn down and respawned for the next attempt. The orchestrator runs
- * that loop, reproduces the paper's profiling-reuse oracle (a debug
- * hypercall translating GPA to HPA, Section 5.3.2) and records the
- * Table 3 statistics.
+ * The attack is probabilistic: the attacker profiles once, then each
+ * attempt relocates that reusable profile, steers, hammers, and checks
+ * for escalation; on failure the hugepage demotions are irreversible,
+ * so the VM must be torn down and respawned for the next attempt. The
+ * orchestrator runs every attempt as an independent trial in a world
+ * forked from a shared template (runTrialRange, folded by
+ * aggregateOutcomes), reproduces the paper's profiling-reuse oracle (a
+ * debug hypercall translating GPA to HPA, Section 5.3.2) and records
+ * the Table 3 statistics.
  */
 
 #ifndef HYPERHAMMER_ATTACK_ORCHESTRATOR_H
@@ -43,7 +45,10 @@ struct AttackConfig
      * hugepage (the paper uses all memory not released).
      */
     uint64_t sprayBytes = 0;
-    /** Give up after this many attempts. */
+    /**
+     * Attempt budget of a campaign, the @c attempts callers pass to
+     * runAttempts(); it is part of the campaign fingerprint.
+     */
     unsigned maxAttempts = 1'000;
     /**
      * Per-phase retries when injected faults are detected (lost flips
@@ -54,11 +59,6 @@ struct AttackConfig
     unsigned maxPhaseRetries = 3;
     /** Initial retry backoff (virtual time); doubles per retry. */
     base::SimTime retryBackoff = 10 * base::kMillisecond;
-    /**
-     * Consecutive attempts with zero relocatable targets (under fault
-     * injection) before run() falls back to re-profiling.
-     */
-    unsigned reprofileAfterEmpty = 3;
     ProfilerConfig profiler;
     SteeringConfig steering;
     ExploitConfig exploit;
@@ -133,22 +133,21 @@ struct AttackResult
     bool success = false;
     unsigned attempts = 0;
     base::SimTime totalTime = 0;
-    base::SimTime profilingTime = 0;
     std::vector<AttemptOutcome> outcomes;
     /** Merged per-attempt statistics over @ref outcomes. */
     BatchAggregates stats;
     /**
-     * How the run ended: Ok on escalation, LimitExceeded when
-     * maxAttempts ran out, NotFound when no exploitable bits remained
-     * (even after re-profiling). A non-Ok status still carries the
-     * partial outcomes -- the attack degrades, it does not abort.
+     * How the run ended: Ok on escalation, LimitExceeded when the
+     * attempt budget ran out, NotFound when the profile held no
+     * exploitable bits (no trial runs then), Busy when a
+     * stopAfterTrials stop interrupted it. A non-Ok status still
+     * carries the partial outcomes -- the attack degrades, it does not
+     * abort.
      */
     base::Status status = base::Status::success();
     /** True when the run ended early on a degraded path. */
     bool degraded = false;
-    /** Re-profiling fallbacks taken during run(). */
-    unsigned reprofiles = 0;
-    /** Total faults the host injector fired across the run. */
+    /** Total faults the trial injectors fired across the run. */
     uint64_t faultsInjected = 0;
     /** Trials restored from a checkpoint rather than re-run. */
     unsigned resumedTrials = 0;
@@ -188,7 +187,8 @@ base::SimTime expectedEndToEndTime(base::SimTime full_profile_time,
                                    unsigned expected_attempts);
 
 /**
- * Runs the full attack loop against one host.
+ * Runs the full attack against one host: profilePhase() on the host
+ * itself, then every attempt as a trial in its own forked world.
  */
 class HyperHammerAttack
 {
@@ -207,49 +207,47 @@ class HyperHammerAttack
     ~HyperHammerAttack();
 
     /**
-     * Profile a freshly spawned VM and store the result in
-     * host-physical terms for reuse across respawns. Must run before
-     * run(). Returns the attacker-visible profile.
+     * Profile a freshly spawned VM on the host and store the result in
+     * host-physical terms for reuse by every trial. The VM is torn
+     * down before returning: trials spawn their own. Must run before
+     * runAttempts()/runTrialRange(). Returns the attacker-visible
+     * profile.
      */
     ProfileResult profilePhase();
 
-    /** Run attempts until escalation succeeds or maxAttempts. */
-    AttackResult run();
-
     /**
-     * Monte-Carlo batch: up to @p attempts independent trials on up to
-     * @p threads worker threads (0 = hardware concurrency).
+     * The whole-campaign driver: up to @p attempts independent trials
+     * [0, attempts) via runTrialRange() on up to @p threads worker
+     * threads (0 = hardware concurrency), folded by
+     * aggregateOutcomes(). An empty host profile ends the campaign
+     * with NotFound before any trial runs. Requires profilePhase()
+     * first.
      *
-     * Every trial runs against its own cloned host -- same DRAM
+     * Every trial runs against its own forked host -- same DRAM
      * geometry and fault seed (so the reusable host-physical profile
      * stays valid) but a per-trial boot-noise stream derived with
-     * base::SeedSequence, the parallel analogue of the free-list
-     * shuffling that makes serial respawns independent samples.
+     * base::SeedSequence, which makes respawns independent samples.
      * Outcomes and aggregates are merged in trial order and truncated
      * at the first success, exactly where a sequential loop would have
      * stopped, so the result is bitwise-identical for any thread
-     * count. Requires profilePhase() first.
-     */
-    AttackResult runAttempts(unsigned attempts, unsigned threads);
-
-    /**
-     * runAttempts() with crash-safe checkpointing: trials run in
-     * blocks of @p policy.everyTrials; after each block the completed
-     * outcome prefix is written atomically (temp + fsync + rename,
-     * previous checkpoint rotated to "<path>.prev"). With
-     * policy.resume the campaign first restores the newest valid
-     * checkpoint -- falling back to the rotated file when the primary
-     * is corrupt -- and re-runs nothing it already completed.
+     * count.
      *
-     * Trials are pure functions of (configuration, trial index), so
-     * the merged result is bitwise-identical to an uncheckpointed run
-     * for any block size, thread count or kill/resume history; a
-     * checkpoint from a different configuration is rejected by
-     * fingerprint. A stopAfterTrials stop returns a Busy status with
-     * the partial outcomes.
+     * @p policy adds crash-safe checkpointing: trials run in blocks of
+     * policy.everyTrials; after each block the completed outcome
+     * prefix is written atomically (temp + fsync + rename, previous
+     * checkpoint rotated to "<path>.prev"). With policy.resume the
+     * campaign first restores the newest valid checkpoint -- falling
+     * back to the rotated file when the primary is corrupt -- and
+     * re-runs nothing it already completed. Trials are pure functions
+     * of (configuration, trial index), so the merged result is
+     * bitwise-identical to an uncheckpointed run for any block size,
+     * thread count or kill/resume history; a checkpoint from a
+     * different configuration is rejected by fingerprint. A
+     * stopAfterTrials stop returns a Busy status with the partial
+     * outcomes.
      */
     AttackResult runAttempts(unsigned attempts, unsigned threads,
-                             const snapshot::CheckpointPolicy &policy);
+                             const snapshot::CheckpointPolicy &policy = {});
 
     /**
      * Run the contiguous trial range [begin, end) of a campaign:
@@ -278,10 +276,10 @@ class HyperHammerAttack
      * @p outcomes at the first success (idempotent on already
      * truncated prefixes), folds BatchAggregates in trial order and
      * derives success/attempts/status/degraded exactly like a
-     * sequential run. Both runAttempts() overloads and
-     * shard::mergeShards() funnel through here, which is what makes
-     * "bitwise-identical at any shard count x thread count" a single
-     * code path rather than a test-enforced coincidence.
+     * sequential run. runAttempts() and shard::mergeShards() funnel
+     * through here, which is what makes "bitwise-identical at any
+     * shard count x thread count" a single code path rather than a
+     * test-enforced coincidence.
      * resumedTrials is left 0 -- range/shard bookkeeping belongs to
      * the caller.
      */
@@ -298,9 +296,11 @@ class HyperHammerAttack
     uint64_t campaignFingerprint() const;
 
     /**
-     * The hypervisor secret the attack tries to read: a host kernel
-     * page containing a magic value, planted at construction. Success
-     * means the attacker read it through its own address space.
+     * The hypervisor secret planted in the primary host's kernel
+     * memory at construction (a page holding a magic value). Trials
+     * never read this one: each plants its own secret in its forked
+     * host, at an address of its own, and succeeds when the attacker
+     * reads that secret through its own address space.
      */
     HostPhysAddr secretAddress() const { return secretAddr; }
     uint64_t secretValue() const { return secret; }
@@ -340,12 +340,9 @@ class HyperHammerAttack
     HostPhysAddr secretAddr{0};
     uint64_t secret = 0;
 
-    /** VM kept alive between profilePhase() and the first attempt. */
-    std::unique_ptr<vm::VirtualMachine> machine;
-
     /**
      * Pristine un-booted world every trial forks from, built lazily
-     * on the first runAttempts() call and shared (read-only) by all
+     * on the first runTrialRange() call and shared (read-only) by all
      * worker threads. mutable because runTrial() is const and must be
      * able to rely on it.
      */
@@ -369,19 +366,17 @@ class HyperHammerAttack
     std::vector<VulnerableBit>
     relocateTargets(vm::VirtualMachine &machine) const;
 
-    /** One steering + hammer + detect + escalate attempt. */
-    AttemptOutcome attemptOnce(vm::VirtualMachine &machine);
-
     /**
-     * The same attempt against an arbitrary host (the trial engine
-     * passes per-trial clones; run() passes the primary host).
+     * One steering + hammer + detect + escalate attempt of @p machine
+     * against its host @p on_host, a trial's forked world. The caller
+     * sets the outcome's duration, which includes the VM spawn.
      */
     AttemptOutcome attemptIn(sys::HostSystem &on_host,
                              vm::VirtualMachine &machine,
                              HostPhysAddr secret_addr,
                              uint64_t secret_value) const;
 
-    /** One self-contained trial: clone host, spawn VM, attempt. */
+    /** One self-contained trial: fork host, spawn VM, attempt. */
     AttemptOutcome runTrial(uint64_t trial) const;
 
     /**

@@ -59,14 +59,10 @@ diffAttackResults(const attack::AttackResult &a,
         out.push_back("attempts");
     if (a.totalTime != b.totalTime)
         out.push_back("totalTime");
-    if (a.profilingTime != b.profilingTime)
-        out.push_back("profilingTime");
     if (a.status != b.status)
         out.push_back("status");
     if (a.degraded != b.degraded)
         out.push_back("degraded");
-    if (a.reprofiles != b.reprofiles)
-        out.push_back("reprofiles");
     if (a.faultsInjected != b.faultsInjected)
         out.push_back("faultsInjected");
     if (a.outcomes.size() != b.outcomes.size()) {

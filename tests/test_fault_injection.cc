@@ -519,8 +519,8 @@ expectOutcomeEq(const attack::AttemptOutcome &a,
 TEST(FaultOrchestrator, EmptyPlanBuildsNoInjectorAndChangesNothing)
 {
     // A host configured with an explicitly empty plan is the null-plan
-    // fast path: no injector exists and a full run is identical to a
-    // host that never heard of fault injection.
+    // fast path: no injector exists and a full campaign is identical
+    // to one on a host that never heard of fault injection.
     sys::HostSystem plain(hostConfig());
     sys::HostSystem with_empty(hostConfig().withFaults(fault::FaultPlan{}));
     EXPECT_EQ(plain.faults(), nullptr);
@@ -531,7 +531,7 @@ TEST(FaultOrchestrator, EmptyPlanBuildsNoInjectorAndChangesNothing)
                                          host.dram().mapping(),
                                          attackConfig(2));
         (void)attack.profilePhase();
-        return attack.run();
+        return attack.runAttempts(2, 2);
     };
     const attack::AttackResult a = run_one(plain);
     const attack::AttackResult b = run_one(with_empty);
@@ -540,7 +540,6 @@ TEST(FaultOrchestrator, EmptyPlanBuildsNoInjectorAndChangesNothing)
     EXPECT_EQ(a.totalTime, b.totalTime);
     EXPECT_EQ(a.faultsInjected, 0u);
     EXPECT_EQ(b.faultsInjected, 0u);
-    EXPECT_EQ(a.reprofiles, 0u);
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (size_t i = 0; i < a.outcomes.size(); ++i) {
         expectOutcomeEq(a.outcomes[i], b.outcomes[i]);
@@ -556,7 +555,8 @@ TEST(FaultOrchestrator, RunWithoutProfileDegradesInsteadOfAborting)
     attack::HyperHammerAttack attack(host, vmConfig(),
                                      host.dram().mapping(),
                                      attackConfig(2));
-    const attack::AttackResult result = attack.run(); // no profilePhase()
+    // No profilePhase(): the empty profile ends the campaign.
+    const attack::AttackResult result = attack.runAttempts(2, 2);
     EXPECT_FALSE(result.success);
     EXPECT_TRUE(result.degraded);
     EXPECT_EQ(result.status.error(), base::ErrorCode::NotFound);
@@ -566,7 +566,7 @@ TEST(FaultOrchestrator, RunWithoutProfileDegradesInsteadOfAborting)
 TEST(FaultOrchestrator, SteerMissesTriggerRetriesAndPartialResult)
 {
     // Every release misses: the release phase retries with backoff,
-    // then the run completes degraded instead of aborting.
+    // then the campaign completes degraded instead of aborting.
     fault::FaultPlan plan;
     plan.seed = 3;
     plan.add(entry(fault::FaultSite::SteerRelease,
@@ -578,7 +578,7 @@ TEST(FaultOrchestrator, SteerMissesTriggerRetriesAndPartialResult)
                                      attackConfig(2));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const attack::AttackResult result = attack.run();
+    const attack::AttackResult result = attack.runAttempts(2, 2);
 
     EXPECT_FALSE(result.success);
     EXPECT_TRUE(result.degraded);
@@ -607,55 +607,13 @@ TEST(FaultOrchestrator, LostFlipsTriggerHammerRetries)
                                      attackConfig(1));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const attack::AttackResult result = attack.run();
+    const attack::AttackResult result = attack.runAttempts(1, 1);
     EXPECT_FALSE(result.success);
     ASSERT_EQ(result.outcomes.size(), 1u);
     const attack::AttemptOutcome &outcome = result.outcomes[0];
     ASSERT_GT(outcome.bitsTargeted, 0u);
     EXPECT_GT(outcome.retries, 0u);
     EXPECT_GT(outcome.faultsFired, 0u);
-}
-
-TEST(FaultOrchestrator, ReprofilesWhenRespawnedVmsLoseTheCells)
-{
-    // Pass 1 (measurement): an inert plan whose injector only counts.
-    // K = mm.alloc_pages occurrences up to the end of profiling.
-    const uint64_t never = ~0ull;
-    fault::FaultPlan inert;
-    inert.add(entry(fault::FaultSite::MmAlloc,
-                    fault::FaultKind::AllocFail, never, 0));
-    uint64_t k = 0;
-    {
-        sys::HostSystem host(hostConfig(7, 8.0).withFaults(inert));
-        attack::HyperHammerAttack attack(host, vmConfig(),
-                                         host.dram().mapping(),
-                                         attackConfig(4));
-        (void)attack.profilePhase();
-        k = host.faults()->occurrences(fault::FaultSite::MmAlloc);
-        ASSERT_GT(k, 0u);
-    }
-    // Pass 2: same host, but every guest-memory allocation after the
-    // profiling phase fails -- respawned VMs boot without RAM, so no
-    // attempt can relocate any cell and run() falls back to
-    // re-profiling, which also comes back empty: NotFound, degraded.
-    fault::FaultPlan starve;
-    starve.add(entry(fault::FaultSite::MmAlloc,
-                     fault::FaultKind::AllocFail, k, 0, 1, 1.0,
-                     static_cast<uint64_t>(mm::PageUse::GuestMemory)));
-    attack::AttackConfig cfg = attackConfig(4);
-    cfg.reprofileAfterEmpty = 1;
-    sys::HostSystem host(hostConfig(7, 8.0).withFaults(starve));
-    attack::HyperHammerAttack attack(host, vmConfig(),
-                                     host.dram().mapping(), cfg);
-    (void)attack.profilePhase();
-    ASSERT_GT(attack.hostProfile().size(), 0u)
-        << "profiling must be unaffected below occurrence K";
-    const attack::AttackResult result = attack.run();
-    EXPECT_FALSE(result.success);
-    EXPECT_TRUE(result.degraded);
-    EXPECT_GE(result.reprofiles, 1u);
-    EXPECT_EQ(result.status.error(), base::ErrorCode::NotFound);
-    EXPECT_GT(result.faultsInjected, 0u);
 }
 
 TEST(FaultOrchestrator, RunAttemptsBitwiseIdenticalAcrossThreadCounts)

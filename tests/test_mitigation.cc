@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mitigate/matrix.h"
 
 namespace hh::mitigate {
@@ -107,8 +109,8 @@ domainAt(const mm::BuddyAllocator &buddy, Pfn pfn)
 }
 
 // Siloz separation, checked structurally against the frame database
-// rather than through campaign outcomes: after a defended world has
-// spawned and profiled a VM, every EPT page sits in the dedicated Ept
+// rather than through campaign outcomes: while a defended world runs a
+// VM (after profiling one), every EPT page sits in the dedicated Ept
 // domain, every guest frame in a Guest domain, and the guard bands
 // between them hold only sacrificial guard rows.
 TEST(SilozSeparation, EptAndGuestFramesInDisjointDomains)
@@ -129,6 +131,9 @@ TEST(SilozSeparation, EptAndGuestFramesInDisjointDomains)
                                        spec.attack);
     campaign.attachDefenses(&*set);
     (void)campaign.profilePhase();
+    // profilePhase() tears its VM down; inspect a live one.
+    const std::unique_ptr<vm::VirtualMachine> machine =
+        host.createVm(vm_cfg);
 
     const mm::BuddyAllocator &buddy = host.buddy();
     uint64_t ept_frames = 0;

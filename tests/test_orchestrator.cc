@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the end-to-end orchestrator: the profiling phase and its
- * host-physical record conversion, the attempt loop with VM respawn,
- * the expected-time model (Section 5.3.3), and the countermeasure's
- * end-to-end effect.
+ * host-physical record conversion, the attempt loop with one VM spawn
+ * per trial, the expected-time model (Section 5.3.3), and the
+ * countermeasure's end-to-end effect.
  */
 
 #include <gtest/gtest.h>
@@ -66,8 +66,22 @@ TEST(Orchestrator, ProfilePhaseBuildsHostRecords)
     sys::HostSystem host(hostConfig());
     HyperHammerAttack attack(host, vmConfig(),
                              host.dram().mapping(), attackConfig());
+    const uint64_t free_before = host.buddy().freePages();
     const ProfileResult profile = attack.profilePhase();
     EXPECT_GT(profile.totalFlips(), 0u);
+
+    // The profiling VM is torn down before profilePhase() returns: no
+    // guest or table frame survives and every frame it took is free.
+    const mm::BuddyAllocator &buddy = host.buddy();
+    uint64_t vm_frames = 0;
+    for (Pfn pfn = 0; pfn < buddy.totalPages(); ++pfn) {
+        const mm::PageUse use = buddy.frame(pfn).use;
+        vm_frames += use == mm::PageUse::GuestMemory
+            || use == mm::PageUse::EptPage
+            || use == mm::PageUse::IoptPage;
+    }
+    EXPECT_EQ(vm_frames, 0u);
+    EXPECT_EQ(buddy.freePages(), free_before);
 
     // Records correspond to exploitable+releasable bits only, are in
     // host-physical terms, and are sorted stable-first.
@@ -105,13 +119,12 @@ TEST(Orchestrator, RunExecutesAttemptsAndRespawns)
     HyperHammerAttack attack(host, vmConfig(),
                              host.dram().mapping(), attackConfig(3));
     (void)attack.profilePhase();
-    const AttackResult result = attack.run();
+    const AttackResult result = attack.runAttempts(3, 2);
     EXPECT_EQ(result.attempts, result.success ? result.attempts : 3u);
     EXPECT_EQ(result.outcomes.size(), result.attempts);
-    // Every attempt after the first pays the VM respawn (the first
-    // reuses the profiling VM, whose spawn was charged to profiling).
-    for (size_t i = 1; i < result.outcomes.size(); ++i)
-        EXPECT_GT(result.outcomes[i].duration, 10 * base::kSecond);
+    // Every attempt pays its own VM spawn.
+    for (const AttemptOutcome &outcome : result.outcomes)
+        EXPECT_GT(outcome.duration, 10 * base::kSecond);
     EXPECT_GT(result.totalTime, 0u);
     EXPECT_GT(result.avgAttemptSeconds(), 10.0);
 }
@@ -123,7 +136,7 @@ TEST(Orchestrator, AttemptsReleaseAndSprayWhenTargetsRelocate)
                              host.dram().mapping(), attackConfig(6));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const AttackResult result = attack.run();
+    const AttackResult result = attack.runAttempts(6, 2);
     uint64_t total_targeted = 0;
     uint64_t total_demotions = 0;
     for (const AttemptOutcome &outcome : result.outcomes) {
@@ -144,7 +157,7 @@ TEST(Orchestrator, QuarantineStopsTheAttack)
     HyperHammerAttack attack(host, vm_cfg, host.dram().mapping(),
                              attackConfig(3));
     (void)attack.profilePhase();
-    const AttackResult result = attack.run();
+    const AttackResult result = attack.runAttempts(3, 2);
     EXPECT_FALSE(result.success);
     for (const AttemptOutcome &outcome : result.outcomes)
         EXPECT_EQ(outcome.releasedSubBlocks, 0u);
@@ -161,7 +174,7 @@ TEST(Orchestrator, BatchCappedBySprayBudget)
     HyperHammerAttack attack(host, vmConfig(),
                              host.dram().mapping(), cfg);
     (void)attack.profilePhase();
-    const AttackResult result = attack.run();
+    const AttackResult result = attack.runAttempts(2, 2);
     for (const AttemptOutcome &outcome : result.outcomes)
         EXPECT_LE(outcome.bitsTargeted, 1u);
 }

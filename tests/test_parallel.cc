@@ -314,19 +314,5 @@ TEST(RunAttempts, TrialsAreIndependentSamples)
     }
 }
 
-TEST(RunAttempts, SerialRunAlsoPopulatesAggregates)
-{
-    sys::HostSystem host(trialHostConfig());
-    attack::HyperHammerAttack attack(host, trialVmConfig(),
-                                     host.dram().mapping(),
-                                     trialAttackConfig());
-    (void)attack.profilePhase();
-    attack::AttackConfig cfg = trialAttackConfig();
-    (void)cfg;
-    const attack::AttackResult result = attack.run();
-    EXPECT_EQ(result.stats.attemptSeconds.count(),
-              result.outcomes.size());
-}
-
 } // namespace
 } // namespace hh

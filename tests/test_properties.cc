@@ -413,7 +413,8 @@ TEST(SeedSweep, AttackSuccessIsMonotoneInExploitableCells)
                                              atk_cfg);
             (void)attack.profilePhase();
             EXPECT_TRUE(attack.hostProfile().empty());
-            const attack::AttackResult result = attack.run();
+            const attack::AttackResult result =
+                attack.runAttempts(atk_cfg.maxAttempts, 2);
             EXPECT_FALSE(result.success);
             EXPECT_TRUE(result.degraded);
             EXPECT_EQ(result.status.error(), base::ErrorCode::NotFound);
@@ -427,7 +428,8 @@ TEST(SeedSweep, AttackSuccessIsMonotoneInExploitableCells)
                                              host.dram().mapping(),
                                              atk_cfg);
             (void)attack.profilePhase();
-            const attack::AttackResult result = attack.run();
+            const attack::AttackResult result =
+                attack.runAttempts(atk_cfg.maxAttempts, 2);
             if (scale == 2.0) {
                 cells_low += attack.hostProfile().size();
                 success_low += result.success ? 1 : 0;

@@ -304,14 +304,12 @@ printResult(uint64_t fingerprint, unsigned trials,
     std::printf("campaign fingerprint=%016llx trials=%u\n",
                 static_cast<unsigned long long>(fingerprint), trials);
     std::printf("result success=%d attempts=%u status=%s degraded=%d "
-                "reprofiles=%u faultsInjected=%llu totalTime=%llu "
-                "profilingTime=%llu\n",
+                "faultsInjected=%llu totalTime=%llu\n",
                 result.success ? 1 : 0, result.attempts,
                 base::errorName(result.status.error()),
-                result.degraded ? 1 : 0, result.reprofiles,
+                result.degraded ? 1 : 0,
                 static_cast<unsigned long long>(result.faultsInjected),
-                static_cast<unsigned long long>(result.totalTime),
-                static_cast<unsigned long long>(result.profilingTime));
+                static_cast<unsigned long long>(result.totalTime));
     printStats("attemptSeconds", result.stats.attemptSeconds);
     printStats("bitsTargeted", result.stats.bitsTargeted);
     printStats("releasedSubBlocks", result.stats.releasedSubBlocks);
@@ -340,10 +338,8 @@ int
 cmdSingle(const SweepOptions &opts)
 {
     Campaign campaign = buildCampaign(opts);
-    snapshot::CheckpointPolicy policy;
     const attack::AttackResult result =
-        campaign.attack->runAttempts(opts.trials, opts.threads,
-                                     policy);
+        campaign.attack->runAttempts(opts.trials, opts.threads);
     printResult(campaign.attack->campaignFingerprint(), opts.trials,
                 result);
     return 0;
