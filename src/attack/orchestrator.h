@@ -25,7 +25,6 @@
 #include "attack/profiler.h"
 #include "attack/types.h"
 #include "base/archive.h"
-#include "base/stats.h"
 #include "snapshot/checkpoint_policy.h"
 #include "sys/host_system.h"
 
@@ -90,28 +89,8 @@ struct AttemptOutcome
     base::SimTime backoffTime = 0;
     /** Faults the host injector fired during this attempt. */
     uint64_t faultsFired = 0;
-};
 
-/**
- * Mergeable per-attempt aggregates (the Table 3 columns). Each trial
- * produces its own instance; the engine folds them together in trial
- * order, so the merged numbers are bitwise-identical for any thread
- * count.
- */
-struct BatchAggregates
-{
-    base::RunningStats attemptSeconds;
-    base::RunningStats bitsTargeted;
-    base::RunningStats releasedSubBlocks;
-    base::RunningStats demotions;
-    base::RunningStats changedPages;
-    base::RunningStats epteCandidates;
-    base::RunningStats retries;
-
-    /** Fold one attempt in. */
-    void add(const AttemptOutcome &outcome);
-    /** Fold another aggregate in (RunningStats::merge per metric). */
-    void merge(const BatchAggregates &other);
+    bool operator==(const AttemptOutcome &) const = default;
 };
 
 /**
@@ -127,15 +106,17 @@ void writeOutcome(base::ArchiveWriter &w, const AttemptOutcome &outcome);
 /** Read one outcome in writeOutcome() order. */
 AttemptOutcome readOutcome(base::ArchiveReader &r);
 
-/** Aggregate result of an attack run (the Table 3 row). */
+/**
+ * Result of an attack run (the Table 3 row). @ref outcomes is the
+ * campaign's only per-attempt record; readers derive means and rates
+ * from it.
+ */
 struct AttackResult
 {
     bool success = false;
     unsigned attempts = 0;
     base::SimTime totalTime = 0;
     std::vector<AttemptOutcome> outcomes;
-    /** Merged per-attempt statistics over @ref outcomes. */
-    BatchAggregates stats;
     /**
      * How the run ended: Ok on escalation, LimitExceeded when the
      * attempt budget ran out, NotFound when the profile held no
@@ -227,10 +208,9 @@ class HyperHammerAttack
      * geometry and fault seed (so the reusable host-physical profile
      * stays valid) but a per-trial boot-noise stream derived with
      * base::SeedSequence, which makes respawns independent samples.
-     * Outcomes and aggregates are merged in trial order and truncated
-     * at the first success, exactly where a sequential loop would have
-     * stopped, so the result is bitwise-identical for any thread
-     * count.
+     * Outcomes are merged in trial order and truncated at the first
+     * success, exactly where a sequential loop would have stopped, so
+     * the result is bitwise-identical for any thread count.
      *
      * @p policy adds crash-safe checkpointing: trials run in blocks of
      * policy.everyTrials; after each block the completed outcome
@@ -261,11 +241,9 @@ class HyperHammerAttack
      * resumed shard rejects artifacts from a different range, and
      * policy.stopAfterTrials counts range-relative completions.
      *
-     * This is the shard entry point -- callers other than
-     * runAttempts() and hh::shard must merge the returned outcomes
-     * through aggregateOutcomes()/shard::mergeShards(), never by
-     * folding BatchAggregates directly (enforced by the
-     * shard-merge-only lint rule). Requires profilePhase() first.
+     * This is the shard entry point -- callers merge the returned
+     * outcomes through aggregateOutcomes() or shard::mergeShards().
+     * Requires profilePhase() first.
      */
     TrialRangeResult
     runTrialRange(uint64_t begin, uint64_t end, unsigned threads,
@@ -274,12 +252,12 @@ class HyperHammerAttack
     /**
      * The sanctioned outcome -> AttackResult merge: truncates
      * @p outcomes at the first success (idempotent on already
-     * truncated prefixes), folds BatchAggregates in trial order and
-     * derives success/attempts/status/degraded exactly like a
-     * sequential run. runAttempts() and shard::mergeShards() funnel
-     * through here, which is what makes "bitwise-identical at any
-     * shard count x thread count" a single code path rather than a
-     * test-enforced coincidence.
+     * truncated prefixes), sums the integer totals and derives
+     * success/attempts/status/degraded exactly like a sequential run.
+     * runAttempts() and shard::mergeShards() funnel through here,
+     * which is what makes "bitwise-identical at any shard count x
+     * thread count" a single code path rather than a test-enforced
+     * coincidence.
      * resumedTrials is left 0 -- range/shard bookkeeping belongs to
      * the caller.
      */

@@ -155,7 +155,6 @@ PageSteering::steer(const std::vector<VulnerableBit> &targets,
         excluded.insert(hp.value());
 
     result.demotions = sprayEptes(spray_bytes, excluded);
-    result.sprayedBytes = result.demotions * kHugePageSize;
     result.elapsed = clock.now() - start;
     return result;
 }

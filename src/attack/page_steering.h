@@ -49,7 +49,6 @@ struct SteeringResult
     uint64_t releasedSubBlocks = 0;
     /** Hugepages demoted by the spray == EPT pages created by it. */
     uint64_t demotions = 0;
-    uint64_t sprayedBytes = 0;
     base::SimTime elapsed = 0;
     /** Releases skipped by injected steering misses. */
     uint64_t steerMisses = 0;

@@ -1,229 +1,15 @@
 /**
  * @file
- * Statistics accumulators used by the evaluation harness: running
- * mean/stddev/min/max, fixed-bucket histograms, and time-series samplers
- * for the Figure 3 style plots.
+ * Time-series samplers for the Figure 3 style plots.
  */
 
 #ifndef HYPERHAMMER_BASE_STATS_H
 #define HYPERHAMMER_BASE_STATS_H
 
-#include <bit>
-#include <cmath>
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/log.h"
-
 namespace hh::base {
-
-/**
- * Welford running accumulator: numerically stable mean and variance with
- * O(1) state.
- */
-class RunningStats
-{
-  public:
-    /** Add one sample. */
-    void
-    add(double x)
-    {
-        ++n;
-        const double delta = x - meanValue;
-        meanValue += delta / static_cast<double>(n);
-        m2 += delta * (x - meanValue);
-        if (x < minValue || n == 1)
-            minValue = x;
-        if (x > maxValue || n == 1)
-            maxValue = x;
-        total += x;
-    }
-
-    /** Number of samples. */
-    uint64_t count() const { return n; }
-    /** Sum of all samples. */
-    double sum() const { return total; }
-    /** Arithmetic mean; 0 when empty. */
-    double mean() const { return meanValue; }
-    /** Population variance; 0 when fewer than two samples. */
-    double
-    variance() const
-    {
-        return n > 1 ? m2 / static_cast<double>(n) : 0.0;
-    }
-    /** Population standard deviation. */
-    double stddev() const { return std::sqrt(variance()); }
-    /** Minimum sample; 0 when empty. */
-    double min() const { return n ? minValue : 0.0; }
-    /** Maximum sample; 0 when empty. */
-    double max() const { return n ? maxValue : 0.0; }
-
-    /**
-     * Fold another accumulator in, as if its samples had been add()ed
-     * here (Chan et al.'s parallel variance combination). The result
-     * depends only on the two operands, so merging per-trial
-     * accumulators in trial order yields bitwise-identical statistics
-     * regardless of how many threads produced them.
-     */
-    void
-    merge(const RunningStats &other)
-    {
-        if (other.n == 0)
-            return;
-        if (n == 0) {
-            *this = other;
-            return;
-        }
-        const double combined = static_cast<double>(n + other.n);
-        const double delta = other.meanValue - meanValue;
-        m2 += other.m2
-            + delta * delta * static_cast<double>(n)
-                * static_cast<double>(other.n) / combined;
-        meanValue += delta * static_cast<double>(other.n) / combined;
-        n += other.n;
-        total += other.total;
-        if (other.minValue < minValue)
-            minValue = other.minValue;
-        if (other.maxValue > maxValue)
-            maxValue = other.maxValue;
-    }
-
-    /** Reset to empty. */
-    void
-    reset()
-    {
-        n = 0;
-        meanValue = m2 = total = minValue = maxValue = 0.0;
-    }
-
-    /**
-     * The exact internal accumulator words. Snapshots persist these
-     * (doubles as IEEE-754 bit patterns) so a resumed run continues the
-     * Welford recurrence from the identical numeric state, and the
-     * resume-identity verifier compares them bit-for-bit.
-     */
-    struct Raw
-    {
-        uint64_t n = 0;
-        double mean = 0.0;
-        double m2 = 0.0;
-        double total = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-    };
-
-    Raw
-    raw() const
-    {
-        return Raw{n, meanValue, m2, total, minValue, maxValue};
-    }
-
-    void
-    restore(const Raw &r)
-    {
-        n = r.n;
-        meanValue = r.mean;
-        m2 = r.m2;
-        total = r.total;
-        minValue = r.min;
-        maxValue = r.max;
-    }
-
-    /**
-     * Bit-level equality of the accumulator state (NaN-safe, and
-     * stricter than operator== on doubles: -0.0 != +0.0 here). This is
-     * the comparison resume-identity verification needs -- "the same
-     * statistics" means the same bits, not approximately equal values.
-     */
-    bool
-    bitwiseEqual(const RunningStats &other) const
-    {
-        const auto bits = [](double d) {
-            return std::bit_cast<uint64_t>(d);
-        };
-        return n == other.n && bits(meanValue) == bits(other.meanValue)
-            && bits(m2) == bits(other.m2)
-            && bits(total) == bits(other.total)
-            && bits(minValue) == bits(other.minValue)
-            && bits(maxValue) == bits(other.maxValue);
-    }
-
-  private:
-    uint64_t n = 0;
-    double meanValue = 0.0;
-    double m2 = 0.0;
-    double total = 0.0;
-    double minValue = 0.0;
-    double maxValue = 0.0;
-};
-
-/**
- * Fixed-width-bucket histogram over [lo, hi); samples outside the range
- * land in saturating under/overflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, size_t buckets)
-        : lo(lo), hi(hi), counts(buckets, 0)
-    {}
-
-    /** Add one sample. */
-    void
-    add(double x)
-    {
-        ++n;
-        if (x < lo) {
-            ++underflow;
-        } else if (x >= hi) {
-            ++overflow;
-        } else {
-            const double frac = (x - lo) / (hi - lo);
-            const auto idx = static_cast<size_t>(
-                frac * static_cast<double>(counts.size()));
-            ++counts[idx < counts.size() ? idx : counts.size() - 1];
-        }
-    }
-
-    uint64_t count() const { return n; }
-    uint64_t bucket(size_t i) const { return counts[i]; }
-    size_t buckets() const { return counts.size(); }
-    uint64_t underflowCount() const { return underflow; }
-    uint64_t overflowCount() const { return overflow; }
-
-    /** Lower edge of bucket @p i. */
-    double
-    bucketLow(size_t i) const
-    {
-        return lo + (hi - lo) * static_cast<double>(i)
-            / static_cast<double>(counts.size());
-    }
-
-    /**
-     * Fold another histogram with the same geometry in; bucket counts
-     * are integers, so the merge is exact and order-independent.
-     */
-    void
-    merge(const Histogram &other)
-    {
-        HH_ASSERT(lo == other.lo && hi == other.hi
-                  && counts.size() == other.counts.size());
-        for (size_t i = 0; i < counts.size(); ++i)
-            counts[i] += other.counts[i];
-        n += other.n;
-        underflow += other.underflow;
-        overflow += other.overflow;
-    }
-
-  private:
-    double lo;
-    double hi;
-    std::vector<uint64_t> counts;
-    uint64_t n = 0;
-    uint64_t underflow = 0;
-    uint64_t overflow = 0;
-};
 
 /**
  * A (x, y) time series, e.g. "noise pages vs. number of IOVA mappings"
@@ -242,14 +28,6 @@ class Series
     explicit Series(std::string name) : seriesName(std::move(name)) {}
 
     void add(double x, double y) { points.push_back({x, y}); }
-
-    /** Append another series' points (time-series batch merge). */
-    void
-    merge(const Series &other)
-    {
-        points.insert(points.end(), other.points.begin(),
-                      other.points.end());
-    }
 
     const std::string &name() const { return seriesName; }
     const std::vector<Point> &data() const { return points; }

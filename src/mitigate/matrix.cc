@@ -1,8 +1,6 @@
 #include "matrix.h"
 
 #include "base/log.h"
-#include "shard/shard.h"
-#include "snapshot/checkpoint_policy.h"
 
 namespace hh::mitigate {
 
@@ -88,41 +86,27 @@ runCell(const MatrixSpec &spec, const sys::SystemConfig &host_base,
     cell.overhead = set.overhead();
     cell.campaignFingerprint = campaign.campaignFingerprint();
 
-    // The campaign funnels through the sharded trial engine even for
-    // shards=1, so a cell is the same pure function of (config,
-    // trials) at any thread count x shard count -- the matrix
-    // identity test compares fingerprints across both axes.
-    std::vector<shard::ShardResult> pieces;
-    for (const shard::ShardRange &range :
-         shard::planShards(spec.trials, spec.shards)) {
-        attack::TrialRangeResult ran = campaign.runTrialRange(
-            range.begin, range.end, spec.threads,
-            snapshot::CheckpointPolicy{});
-        shard::ShardResult piece;
-        piece.manifest.campaignFingerprint =
-            cell.campaignFingerprint;
-        piece.manifest.totalTrials = spec.trials;
-        piece.manifest.range = range;
-        piece.outcomes = std::move(ran.outcomes);
-        pieces.push_back(std::move(piece));
-    }
-    auto merged = shard::mergeShards(std::move(pieces));
-    if (!merged)
-        return merged.error();
+    // Trials run even on an empty profile, through the same trial
+    // range + fold as runAttempts(), so a cell is the same pure
+    // function of (config, trials) at any thread count -- the matrix
+    // identity test compares fingerprints across thread counts.
+    const attack::AttackResult merged =
+        attack::HyperHammerAttack::aggregateOutcomes(
+            campaign.runTrialRange(0, spec.trials, spec.threads, {})
+                .outcomes);
 
-    cell.success = merged->success;
-    cell.attempts = merged->attempts;
-    cell.releasedSubBlocks = static_cast<uint64_t>(
-        merged->stats.releasedSubBlocks.sum());
-    cell.flippedMappings = static_cast<uint64_t>(
-        merged->stats.changedPages.sum());
-    cell.epteCandidates = static_cast<uint64_t>(
-        merged->stats.epteCandidates.sum());
-    cell.successRate = merged->attempts > 0
-        ? (merged->success ? 1.0 : 0.0)
-            / static_cast<double>(merged->attempts)
+    cell.success = merged.success;
+    cell.attempts = merged.attempts;
+    for (const attack::AttemptOutcome &outcome : merged.outcomes) {
+        cell.releasedSubBlocks += outcome.releasedSubBlocks;
+        cell.flippedMappings += outcome.changedPages;
+        cell.epteCandidates += outcome.epteCandidates;
+    }
+    cell.successRate = merged.attempts > 0
+        ? (merged.success ? 1.0 : 0.0)
+            / static_cast<double>(merged.attempts)
         : 0.0;
-    cell.avgAttemptSeconds = merged->avgAttemptSeconds();
+    cell.avgAttemptSeconds = merged.avgAttemptSeconds();
     return cell;
 }
 

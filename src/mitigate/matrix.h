@@ -5,9 +5,9 @@
  *
  * A cell applies a DefenseSet's config transforms, constructs the
  * defended host, profiles once, and runs the campaign through the
- * sharded trial engine (`runTrialRange` + `shard::mergeShards`), so
- * every cell inherits the engine's identity guarantee: the matrix is
- * bitwise-identical at any thread count x shard count, and
+ * trial engine (`runTrialRange` + `aggregateOutcomes`), so every cell
+ * inherits the engine's identity guarantee: the matrix is
+ * bitwise-identical at any thread count, and
  * MatrixResult::fingerprint() collapses that into one comparable
  * word.
  */
@@ -42,8 +42,6 @@ struct MatrixSpec
     uint64_t trials = 16;
     /** Worker threads per campaign (identity holds for any value). */
     unsigned threads = 1;
-    /** Shards per campaign (identity holds for any value). */
-    unsigned shards = 1;
 };
 
 /** One cell's outcome. */

@@ -7,47 +7,6 @@
 
 namespace hh::snapshot {
 
-namespace {
-
-void
-diffStats(std::vector<std::string> &out, const std::string &name,
-          const base::RunningStats &a, const base::RunningStats &b)
-{
-    if (!a.bitwiseEqual(b))
-        out.push_back("stats." + name);
-}
-
-void
-diffOutcome(std::vector<std::string> &out, size_t index,
-            const attack::AttemptOutcome &a,
-            const attack::AttemptOutcome &b)
-{
-    const std::string prefix =
-        "outcomes[" + std::to_string(index) + "].";
-    if (a.success != b.success)
-        out.push_back(prefix + "success");
-    if (a.bitsTargeted != b.bitsTargeted)
-        out.push_back(prefix + "bitsTargeted");
-    if (a.releasedSubBlocks != b.releasedSubBlocks)
-        out.push_back(prefix + "releasedSubBlocks");
-    if (a.demotions != b.demotions)
-        out.push_back(prefix + "demotions");
-    if (a.changedPages != b.changedPages)
-        out.push_back(prefix + "changedPages");
-    if (a.epteCandidates != b.epteCandidates)
-        out.push_back(prefix + "epteCandidates");
-    if (a.duration != b.duration)
-        out.push_back(prefix + "duration");
-    if (a.retries != b.retries)
-        out.push_back(prefix + "retries");
-    if (a.backoffTime != b.backoffTime)
-        out.push_back(prefix + "backoffTime");
-    if (a.faultsFired != b.faultsFired)
-        out.push_back(prefix + "faultsFired");
-}
-
-} // namespace
-
 std::vector<std::string>
 diffAttackResults(const attack::AttackResult &a,
                   const attack::AttackResult &b)
@@ -68,21 +27,11 @@ diffAttackResults(const attack::AttackResult &a,
     if (a.outcomes.size() != b.outcomes.size()) {
         out.push_back("outcomes.size");
     } else {
-        for (size_t i = 0; i < a.outcomes.size(); ++i)
-            diffOutcome(out, i, a.outcomes[i], b.outcomes[i]);
+        for (size_t i = 0; i < a.outcomes.size(); ++i) {
+            if (a.outcomes[i] != b.outcomes[i])
+                out.push_back("outcomes[" + std::to_string(i) + "]");
+        }
     }
-    diffStats(out, "attemptSeconds", a.stats.attemptSeconds,
-              b.stats.attemptSeconds);
-    diffStats(out, "bitsTargeted", a.stats.bitsTargeted,
-              b.stats.bitsTargeted);
-    diffStats(out, "releasedSubBlocks", a.stats.releasedSubBlocks,
-              b.stats.releasedSubBlocks);
-    diffStats(out, "demotions", a.stats.demotions, b.stats.demotions);
-    diffStats(out, "changedPages", a.stats.changedPages,
-              b.stats.changedPages);
-    diffStats(out, "epteCandidates", a.stats.epteCandidates,
-              b.stats.epteCandidates);
-    diffStats(out, "retries", a.stats.retries, b.stats.retries);
     return out;
 }
 

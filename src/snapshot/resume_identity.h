@@ -8,9 +8,9 @@
  * checkpoint produces a result bitwise-identical to a straight run.
  * This verifier enforces the promise: it runs the same campaign twice
  * -- once straight, once checkpointed + killed + resumed -- and diffs
- * every field of the two AttackResults, down to the IEEE-754 bit
- * patterns of the Welford aggregates. Any difference is reported by
- * name, so a regression points directly at the field that diverged.
+ * the two AttackResults: every campaign total and every attempt
+ * record. Any difference is reported by name, so a regression points
+ * directly at the field or attempt that diverged.
  */
 
 #ifndef HYPERHAMMER_SNAPSHOT_RESUME_IDENTITY_H
@@ -49,7 +49,7 @@ struct ResumeIdentityReport
     bool killedMidway = false;
     /** Trials the resumed run restored instead of re-running. */
     unsigned resumedTrials = 0;
-    /** Named mismatches, e.g. "stats.attemptSeconds" (empty if none). */
+    /** Named mismatches, e.g. "outcomes[2]" (empty if none). */
     std::vector<std::string> mismatches;
 };
 
@@ -67,8 +67,8 @@ verifyResumeIdentity(const sys::SystemConfig &host_cfg,
                      const ResumeIdentityOptions &options);
 
 /**
- * Diff two AttackResults field by field (doubles compared as bit
- * patterns). Returns the named mismatches; empty means identical.
+ * Diff two AttackResults: each total by name, each attempt record as
+ * "outcomes[i]". Returns the named mismatches; empty means identical.
  * Exposed separately so the CI kill/resume soak can compare results
  * recomputed in different processes.
  */

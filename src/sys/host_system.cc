@@ -131,32 +131,6 @@ HostSystem::HostSystem(TemplateTag, SystemConfig config)
     pristineTemplate = true;
 }
 
-HostSystem::HostSystem(CloneTag, const HostSystem &src)
-    : cfg(src.cfg),
-      rng(src.rng),
-      nextVmId(src.nextVmId),
-      pristineTemplate(src.pristineTemplate),
-      residentKernelPages(src.residentKernelPages),
-      pageCachePages(src.pageCachePages)
-{
-    simClock.advance(src.simClock.now());
-    if (src.injector) {
-        // Rebuild from the plan, then adopt the source's cursors so
-        // the clone's fault stream continues where the original's is.
-        injector = std::make_unique<fault::FaultInjector>(
-            cfg.faults, base::mix64(cfg.seed, cfg.faults.seed));
-        base::ArchiveWriter w;
-        src.injector->saveState(w);
-        base::ArchiveReader r(w.buffer());
-        const base::Status st = injector->loadState(r);
-        HH_ASSERT(st.ok());
-    }
-    dramSys = dram::DramSystem::forkFrom(*src.dramSys, simClock);
-    dramSys->setFaultInjector(injector.get());
-    allocator = mm::BuddyAllocator::forkFrom(*src.allocator);
-    allocator->setFaultInjector(injector.get());
-}
-
 HostSystem::HostSystem(TrialTag, const HostSystem &tmpl,
                        const SystemConfig &trial_cfg)
     : cfg(trial_cfg), rng(base::mix64(cfg.seed, 0x4057))
@@ -191,12 +165,6 @@ HostSystem::forkTrial(const HostSystem &tmpl,
                       const SystemConfig &trial_cfg)
 {
     return std::make_unique<HostSystem>(TrialTag{}, tmpl, trial_cfg);
-}
-
-std::unique_ptr<HostSystem>
-HostSystem::fork() const
-{
-    return std::make_unique<HostSystem>(CloneTag{}, *this);
 }
 
 void

@@ -94,10 +94,8 @@ struct SystemConfig
 class HostSystem
 {
   private:
-    /** Restrict the template/clone/trial ctors to the static makers. */
+    /** Restrict the template/trial ctors to the static makers. */
     struct TemplateTag
-    {};
-    struct CloneTag
     {};
     struct TrialTag
     {};
@@ -106,7 +104,7 @@ class HostSystem
     explicit HostSystem(SystemConfig config);
     ~HostSystem();
 
-    /** Deep copies are banned: clone via fork() / forkTrial(). */
+    /** Deep copies are banned: worlds fork via forkTrial(). */
     HostSystem(const HostSystem &) = delete;
     HostSystem &operator=(const HostSystem &) = delete;
 
@@ -142,28 +140,11 @@ class HostSystem
     static std::unique_ptr<HostSystem>
     forkTrial(const HostSystem &tmpl, const SystemConfig &trial_cfg);
 
-    /**
-     * Copy-on-write clone of this (booted) host: same config, same
-     * seed, same state -- the forked world diverges from the original
-     * only through its own subsequent writes. Costs O(overlay pages);
-     * call freezeMemory() first to make the memory share O(1). VMs
-     * are owned by callers and do not travel with the fork.
-     */
-    std::unique_ptr<HostSystem> fork() const;
-
-    /**
-     * Publish the memory backend's current contents as the shared
-     * immutable template so subsequent fork()s share rather than copy
-     * them. Idempotent; O(touched pages).
-     */
-    void freezeMemory() { dramSys->backend().freeze(); }
-
     /** True for hosts built by makeForkTemplate() (never booted). */
     bool isPristineTemplate() const { return pristineTemplate; }
 
     /** Tag ctors backing the static makers; tags are private. */
     HostSystem(TemplateTag, SystemConfig config);
-    HostSystem(CloneTag, const HostSystem &src);
     HostSystem(TrialTag, const HostSystem &tmpl,
                const SystemConfig &trial_cfg);
     /// @}

@@ -1,5 +1,5 @@
-// hh-lint fixture for float-accumulation: order-sensitive rounding
-// belongs in base/stats.h (Welford/Chan), nowhere else.
+// hh-lint fixture for float-accumulation: accumulate integers and
+// convert once; a floating-point running sum rounds order-sensitively.
 
 double
 unstableSum(const double *values, int count)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for hh::base: bit operations, RNG, clock, status types and
- * statistics accumulators.
+ * the Series sampler.
  */
 
 #include <gtest/gtest.h>
@@ -235,38 +235,6 @@ TEST(Expected, ValueAndError)
     EXPECT_EQ(bad.valueOr(-1), -1);
 }
 
-TEST(RunningStats, MeanAndVariance)
-{
-    RunningStats stats;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        stats.add(x);
-    EXPECT_EQ(stats.count(), 8u);
-    EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(stats.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(stats.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-    EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
-    stats.reset();
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-}
-
-TEST(Histogram, Buckets)
-{
-    Histogram hist(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        hist.add(i + 0.5);
-    hist.add(-1.0);
-    hist.add(11.0);
-    EXPECT_EQ(hist.count(), 12u);
-    for (size_t i = 0; i < 10; ++i)
-        EXPECT_EQ(hist.bucket(i), 1u);
-    EXPECT_EQ(hist.underflowCount(), 1u);
-    EXPECT_EQ(hist.overflowCount(), 1u);
-    EXPECT_DOUBLE_EQ(hist.bucketLow(3), 3.0);
-}
-
 TEST(Series, AppendAndRead)
 {
     Series series("noise");
@@ -344,21 +312,6 @@ TEST(RngSnapshot, SaveLoadResumesExactStream)
     resumed.loadState(state);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(resumed(), tail[static_cast<size_t>(i)]);
-}
-
-TEST(StatsSnapshot, RawRestoreIsBitwiseEqual)
-{
-    RunningStats stats;
-    stats.add(1.5);
-    stats.add(-2.25);
-    stats.add(1e9);
-
-    RunningStats restored;
-    restored.restore(stats.raw());
-    EXPECT_TRUE(stats.bitwiseEqual(restored));
-
-    restored.add(0.5);
-    EXPECT_FALSE(stats.bitwiseEqual(restored));
 }
 
 } // namespace

@@ -14,8 +14,8 @@ Rules (see docs/static_analysis.md for the rationale and how to add one):
   unordered-iteration range-for over unordered_{map,set}: order is
                       implementation-defined, so anything built from it
                       is not reproducible
-  float-accumulation  float/double compound accumulation outside
-                      src/base/stats.h (order-sensitive rounding)
+  float-accumulation  float/double compound accumulation
+                      (order-sensitive rounding; accumulate integers)
   missing-nodiscard   Status/Expected-returning declarations in headers
                       without [[nodiscard]]
   naked-new           raw new/delete (ownership must be RAII)
@@ -69,7 +69,7 @@ RULES = {
                            "implementation-defined; iterate a sorted copy "
                            "or a deterministic index instead",
     "float-accumulation": "order-sensitive floating-point accumulation; "
-                          "use base::RunningStats (src/base/stats.h)",
+                          "accumulate integers, convert once",
     "missing-nodiscard": "Status/Expected return silently discardable; "
                          "declare it [[nodiscard]]",
     "naked-new": "raw new/delete; use std::make_unique / containers "
@@ -83,17 +83,13 @@ RULES = {
     "no-deep-world-copy": "world-state types clone via their CoW fork "
                           "paths (fork()/forkTrial()/forkFrom()); "
                           "declare the copy constructor = delete",
-    "shard-merge-only": "campaign outcome aggregation outside the "
-                        "sanctioned merge path; fold outcomes through "
-                        "HyperHammerAttack::aggregateOutcomes / "
-                        "shard::mergeShards so sharded and "
-                        "single-process results stay bitwise-identical",
     "bad-waiver": "hh-lint waiver without a `-- justification`",
 }
 
 # Stable rule identifiers for the shared machine-readable report format
 # (REPORT_SCHEMA below). IDs are append-only: a retired rule's ID is
 # never reused, so downstream consumers can key on them forever.
+# HHL010 is retired; it policed an aggregate type that no longer exists.
 RULE_IDS = {
     "raw-rand": "HHL001",
     "wall-clock": "HHL002",
@@ -104,7 +100,6 @@ RULE_IDS = {
     "fault-site": "HHL007",
     "snapshot-version": "HHL008",
     "no-deep-world-copy": "HHL009",
-    "shard-merge-only": "HHL010",
     "bad-waiver": "HHL011",
 }
 
@@ -175,15 +170,6 @@ CLASS_NAME_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
 WORLD_COPY_RE = re.compile(
     r"\b(HostSystem|DramSystem|BuddyAllocator|MemoryBackend|FrameStore)"
     r"\s*\(\s*(?:const\s+)?(?:\w+\s*::\s*)*\1\s*&(?!&)")
-# Campaign outcome aggregation is a single code path
-# (HyperHammerAttack::aggregateOutcomes, reached directly or through
-# shard::mergeShards); folding BatchAggregates by hand -- a local
-# accumulator's .add()/.merge(), or mutating an AttackResult's .stats
-# -- forks the merge semantics and silently breaks the sharded-vs-
-# single-process bitwise identity.
-BATCH_AGG_DECL_RE = re.compile(r"\bBatchAggregates\s+(\w+)\s*[;{=(]")
-STATS_MUTATE_RE = re.compile(
-    r"\.\s*stats\s*\.\s*(?:add|merge)\s*\(")
 
 
 def strip_code(text):
@@ -430,12 +416,6 @@ def lint_file(path, enabled_for, fault_registry=None, site_uses=None,
         alt = "|".join(re.escape(n) for n in sorted(float_names))
         float_accum_re = re.compile(
             r"(?<![\w.])(?:" + alt + r")\s*[+\-]=")
-    agg_names = collect_names(BATCH_AGG_DECL_RE, texts)
-    agg_mutate_re = None
-    if agg_names:
-        alt = "|".join(re.escape(n) for n in sorted(agg_names))
-        agg_mutate_re = re.compile(
-            r"(?<![\w.])(?:" + alt + r")\s*\.\s*(?:add|merge)\s*\(")
 
     scan_fault_points(path, texts[0], waivers, enabled_for,
                       fault_registry, site_uses, findings)
@@ -463,9 +443,6 @@ def lint_file(path, enabled_for, fault_registry=None, site_uses=None,
             check("naked-new", lineno, True)
         if WORLD_COPY_RE.search(line) and "delete" not in line:
             check("no-deep-world-copy", lineno, True)
-        if (STATS_MUTATE_RE.search(line)
-                or (agg_mutate_re and agg_mutate_re.search(line))):
-            check("shard-merge-only", lineno, True)
         if is_header and NODISCARD_DECL_RE.match(line):
             prev = stripped_lines[lineno - 2] if lineno >= 2 else ""
             if "[[nodiscard]]" not in line and "[[nodiscard]]" not in prev:

@@ -41,9 +41,9 @@
  *
  * The dump deliberately excludes resumedTrials (bookkeeping of *how*
  * a result was computed, not *what* it is -- the same masking
- * snapshot::verifyResumeIdentity applies) and renders every double as
- * its IEEE-754 bit pattern: a byte-equal dump means a bitwise-equal
- * result.
+ * snapshot::verifyResumeIdentity applies). Everything else is an
+ * integer -- the campaign totals and every outcome record -- so a
+ * byte-equal dump means a bitwise-equal result.
  */
 
 #include <cstdio>
@@ -51,8 +51,6 @@
 #include <cstring>
 #include <string>
 #include <vector>
-
-#include <bit>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -276,26 +274,6 @@ buildCampaign(const SweepOptions &opts)
     return campaign;
 }
 
-uint64_t
-bits64(double x)
-{
-    return std::bit_cast<uint64_t>(x);
-}
-
-void
-printStats(const char *name, const base::RunningStats &stats)
-{
-    const base::RunningStats::Raw raw = stats.raw();
-    std::printf("stat %s n=%llu mean=%016llx m2=%016llx "
-                "total=%016llx min=%016llx max=%016llx\n",
-                name, static_cast<unsigned long long>(raw.n),
-                static_cast<unsigned long long>(bits64(raw.mean)),
-                static_cast<unsigned long long>(bits64(raw.m2)),
-                static_cast<unsigned long long>(bits64(raw.total)),
-                static_cast<unsigned long long>(bits64(raw.min)),
-                static_cast<unsigned long long>(bits64(raw.max)));
-}
-
 /** The canonical dump `single` and the merge paths all print. */
 void
 printResult(uint64_t fingerprint, unsigned trials,
@@ -310,13 +288,6 @@ printResult(uint64_t fingerprint, unsigned trials,
                 result.degraded ? 1 : 0,
                 static_cast<unsigned long long>(result.faultsInjected),
                 static_cast<unsigned long long>(result.totalTime));
-    printStats("attemptSeconds", result.stats.attemptSeconds);
-    printStats("bitsTargeted", result.stats.bitsTargeted);
-    printStats("releasedSubBlocks", result.stats.releasedSubBlocks);
-    printStats("demotions", result.stats.demotions);
-    printStats("changedPages", result.stats.changedPages);
-    printStats("epteCandidates", result.stats.epteCandidates);
-    printStats("retries", result.stats.retries);
     for (size_t i = 0; i < result.outcomes.size(); ++i) {
         const attack::AttemptOutcome &o = result.outcomes[i];
         std::printf(
