@@ -30,7 +30,7 @@ DramSystem::DramSystem(ForkTag, const DramSystem &src,
                        base::SimClock &clock)
     : cfg(src.cfg),
       clock(clock),
-      data(src.data.fork()),
+      data(src.cfg.totalBytes),
       faults(src.faults),
       weakRows(src.weakRows),
       trr(src.trr),
@@ -40,7 +40,10 @@ DramSystem::DramSystem(ForkTag, const DramSystem &src,
       flipCount(src.flipCount),
       eccCorrected(src.eccCorrected),
       trrSuppressed(src.trrSuppressed)
-{}
+{
+    // The fork starts from empty memory, so the source must hold none.
+    HH_ASSERT(src.data.touchedPages() == 0);
+}
 
 RowId
 DramSystem::maxRowId() const

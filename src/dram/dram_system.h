@@ -109,10 +109,11 @@ class DramSystem
     DramSystem(DramConfig config, base::SimClock &clock);
 
     /**
-     * Copy-on-write fork constructor (reachable only through
-     * forkFrom(): ForkTag is private). Shares the immutable fault
-     * oracle and weak-row index, forks the data backend page-wise,
-     * and copies the open-row registers, counters and rng cursor.
+     * Fork constructor (reachable only through forkFrom(): ForkTag is
+     * private). Shares the immutable fault oracle and weak-row index,
+     * starts from an empty data backend, and copies the open-row
+     * registers, counters and rng cursor. The source's memory must be
+     * empty (asserted): only a never-booted fork template is forked.
      * The fork starts with no fault injector installed.
      */
     DramSystem(ForkTag, const DramSystem &src, base::SimClock &clock);
@@ -122,8 +123,8 @@ class DramSystem
     DramSystem &operator=(const DramSystem &) = delete;
 
     /**
-     * A copy-on-write clone of @p src ticking @p clock. O(overlay
-     * pages); call src.backend().freeze() first to make it O(1).
+     * A clone of the never-written device @p src ticking @p clock.
+     * The fault oracle is shared and memory starts empty.
      */
     static std::unique_ptr<DramSystem>
     forkFrom(const DramSystem &src, base::SimClock &clock)

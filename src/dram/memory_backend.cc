@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/container_util.h"
 #include "base/log.h"
 
 namespace hh::dram {
@@ -27,6 +26,11 @@ struct IdxLess
 
 } // namespace
 
+MemoryBackend::MemoryBackend(uint64_t total_bytes)
+    : totalBytes(total_bytes),
+      chunks((pageCount() + kChunkPages - 1) / kChunkPages)
+{}
+
 std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
 MemoryBackend::PageData::find(uint16_t idx) const
 {
@@ -40,90 +44,75 @@ MemoryBackend::PageData::find(uint16_t idx) const
 const MemoryBackend::PageData *
 MemoryBackend::lookup(Pfn pfn) const
 {
-    if (const auto it = pages.find(pfn); it != pages.end())
-        return it->second.erased ? nullptr : &it->second;
-    if (shared) {
-        if (const auto it = shared->find(pfn); it != shared->end())
-            return &it->second;
-    }
-    return nullptr;
+    const Chunk *chunk = chunks[pfn / kChunkPages].get();
+    return chunk != nullptr ? &(*chunk)[pfn % kChunkPages] : nullptr;
 }
 
 MemoryBackend::PageData &
 MemoryBackend::mutablePage(Pfn pfn)
 {
-    if (const auto it = pages.find(pfn); it != pages.end()) {
-        if (it->second.erased)
-            it->second = PageData{};
-        return it->second;
+    std::unique_ptr<Chunk> &chunk = chunks[pfn / kChunkPages];
+    if (!chunk)
+        chunk = std::make_unique<Chunk>();
+    PageData &slot = (*chunk)[pfn % kChunkPages];
+    if (!slot.present) {
+        slot.present = true;
+        ++touched;
     }
-    PageData &page = pages[pfn];
-    if (shared) {
-        if (const auto it = shared->find(pfn); it != shared->end())
-            page = it->second; // unshare: copy this one page up
-    }
-    return page;
+    return slot;
 }
 
 uint64_t
 MemoryBackend::read64(HostPhysAddr addr) const
 {
     HH_ASSERT(contains(addr));
-    const PageData *page = lookup(addr.pfn());
-    if (page == nullptr)
+    const PageData *slot = lookup(addr.pfn());
+    if (slot == nullptr)
         return 0;
-    const auto ov = page->find(wordIndex(addr));
-    return ov != page->overrides.end() ? ov->second : page->fill;
+    const auto ov = slot->find(wordIndex(addr));
+    return ov != slot->overrides.end() ? ov->second : slot->fill;
 }
 
 void
 MemoryBackend::write64(HostPhysAddr addr, uint64_t value)
 {
     HH_ASSERT(contains(addr));
-    PageData &page = mutablePage(addr.pfn());
+    PageData &slot = mutablePage(addr.pfn());
     const uint16_t idx = wordIndex(addr);
-    auto it = std::lower_bound(page.overrides.begin(),
-                               page.overrides.end(), idx, IdxLess{});
-    const bool present =
-        it != page.overrides.end() && it->first == idx;
-    if (value == page.fill) {
-        if (present)
-            page.overrides.erase(it);
-    } else if (present) {
-        it->second = value;
-    } else {
-        page.overrides.insert(it, {idx, value});
-    }
+    auto it = std::lower_bound(slot.overrides.begin(),
+                               slot.overrides.end(), idx, IdxLess{});
+    if (it != slot.overrides.end() && it->first == idx)
+        it->second = value; // may now equal the fill; the slot stays
+    else if (value != slot.fill)
+        slot.overrides.insert(it, {idx, value});
 }
 
 void
 MemoryBackend::clearPage(Pfn pfn)
 {
-    if (shared && shared->count(pfn) != 0) {
-        // The template still carries this page; shadow it with a
-        // tombstone so the shared data stays untouched.
-        PageData &page = pages[pfn];
-        page = PageData{};
-        page.erased = true;
+    HH_ASSERT(pfn < pageCount());
+    Chunk *chunk = chunks[pfn / kChunkPages].get();
+    if (chunk == nullptr)
         return;
-    }
-    pages.erase(pfn);
+    PageData &slot = (*chunk)[pfn % kChunkPages];
+    if (slot.present)
+        --touched;
+    slot = PageData{};
 }
 
 void
 MemoryBackend::fillPage(Pfn pfn, uint64_t pattern)
 {
-    HH_ASSERT(pfn * kPageSize < totalBytes);
+    HH_ASSERT(pfn < pageCount());
     if (pattern == 0) {
         // Identical to untouched memory; reclaim the metadata.
         clearPage(pfn);
         return;
     }
-    PageData &page = pages[pfn];
-    page.fill = pattern;
-    page.erased = false;
-    page.overrides.clear();
-    page.overrides.shrink_to_fit();
+    PageData &slot = mutablePage(pfn);
+    slot.fill = pattern;
+    slot.overrides.clear();
+    slot.overrides.shrink_to_fit();
 }
 
 uint64_t
@@ -138,98 +127,57 @@ MemoryBackend::flipBit(HostPhysAddr addr, unsigned bit_in_word)
 std::vector<uint16_t>
 MemoryBackend::mismatchedWords(Pfn pfn, uint64_t expected_fill) const
 {
+    HH_ASSERT(pfn < pageCount());
     std::vector<uint16_t> mismatches;
-    const PageData *it = lookup(pfn);
-    if (it == nullptr) {
-        // Untouched memory reads as zero everywhere.
-        if (expected_fill != 0) {
-            mismatches.resize(kPageSize / 8);
-            for (uint16_t i = 0; i < kPageSize / 8; ++i)
-                mismatches[i] = i;
-        }
-        return mismatches;
-    }
-    const PageData &page = *it;
-    if (page.fill == expected_fill) {
+    static const PageData kUntouched;
+    const PageData *found = lookup(pfn);
+    const PageData &slot = found != nullptr ? *found : kUntouched;
+    if (slot.fill == expected_fill) {
         // Only overridden words can mismatch.
-        for (const auto &[idx, value] : page.overrides) {
+        for (const auto &[idx, value] : slot.overrides) {
             if (value != expected_fill)
                 mismatches.push_back(idx);
         }
-    } else {
-        // Every word mismatches unless overridden back to expected.
-        auto ov = page.overrides.begin();
-        for (uint16_t i = 0; i < kPageSize / 8; ++i) {
-            while (ov != page.overrides.end() && ov->first < i)
-                ++ov;
-            const uint64_t value =
-                (ov != page.overrides.end() && ov->first == i)
-                    ? ov->second : page.fill;
-            if (value != expected_fill)
-                mismatches.push_back(i);
-        }
+        return mismatches;
+    }
+    // Every word mismatches unless overridden back to expected.
+    auto ov = slot.overrides.begin();
+    for (uint16_t i = 0; i < kPageSize / 8; ++i) {
+        const bool overridden =
+            ov != slot.overrides.end() && ov->first == i;
+        const uint64_t value = overridden ? ov->second : slot.fill;
+        if (overridden)
+            ++ov;
+        if (value != expected_fill)
+            mismatches.push_back(i);
     }
     return mismatches;
 }
 
 void
-MemoryBackend::freeze()
-{
-    PageMap merged;
-    if (shared)
-        merged = *shared;
-    for (auto &[pfn, page] : pages) {
-        if (page.erased)
-            merged.erase(pfn);
-        else
-            merged[pfn] = std::move(page);
-    }
-    shared = std::make_shared<const PageMap>(std::move(merged));
-    pages.clear();
-}
-
-MemoryBackend
-MemoryBackend::fork() const
-{
-    MemoryBackend forked(totalBytes);
-    forked.shared = shared;
-    forked.pages = pages;
-    return forked;
-}
-
-std::vector<Pfn>
-MemoryBackend::mergedPfns() const
-{
-    std::vector<Pfn> pfns;
-    pfns.reserve(pages.size() + (shared ? shared->size() : 0));
-    for (const auto &[pfn, page] : pages) {
-        if (!page.erased)
-            pfns.push_back(pfn);
-    }
-    if (shared) {
-        for (const auto &[pfn, page] : *shared) {
-            if (pages.count(pfn) == 0)
-                pfns.push_back(pfn);
-        }
-    }
-    std::sort(pfns.begin(), pfns.end());
-    return pfns;
-}
-
-void
 MemoryBackend::saveState(base::ArchiveWriter &w) const
 {
-    const std::vector<Pfn> pfns = mergedPfns();
-    w.u64(pfns.size());
-    for (Pfn pfn : pfns) {
-        const PageData *page = lookup(pfn);
-        HH_ASSERT(page != nullptr);
-        w.u64(pfn);
-        w.u64(page->fill);
-        w.u64(page->overrides.size());
-        for (const auto &[idx, value] : page->overrides) {
-            w.u16(idx);
-            w.u64(value);
+    w.u64(touched);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+        if (!chunks[c])
+            continue;
+        for (size_t s = 0; s < kChunkPages; ++s) {
+            const PageData &slot = (*chunks[c])[s];
+            if (!slot.present)
+                continue;
+            w.u64(c * kChunkPages + s);
+            w.u64(slot.fill);
+            const auto differs = [&slot](const auto &entry) {
+                return entry.second != slot.fill;
+            };
+            w.u64(static_cast<uint64_t>(std::count_if(
+                slot.overrides.begin(), slot.overrides.end(), differs)));
+            for (const auto &entry : slot.overrides) {
+                if (differs(entry)) {
+                    w.u16(entry.first);
+                    w.u64(entry.second);
+                }
+            }
         }
     }
 }
@@ -237,19 +185,26 @@ MemoryBackend::saveState(base::ArchiveWriter &w) const
 base::Status
 MemoryBackend::loadState(base::ArchiveReader &r)
 {
-    PageMap loaded;
+    std::vector<std::unique_ptr<Chunk>> loaded(chunks.size());
     const uint64_t page_count = r.count(16);
-    loaded.reserve(page_count);
+    Pfn prev_pfn = 0;
     for (uint64_t i = 0; i < page_count && r.ok(); ++i) {
         const Pfn pfn = r.u64();
-        if (pfn * kPageSize >= totalBytes) {
+        // saveState() writes each in-range frame once, in PFN order: a
+        // repeated PFN would append unsorted overrides to its slot.
+        if (pfn >= pageCount() || (i > 0 && pfn <= prev_pfn)) {
             r.fail();
             break;
         }
-        PageData &page = loaded[pfn];
-        page.fill = r.u64();
+        prev_pfn = pfn;
+        std::unique_ptr<Chunk> &chunk = loaded[pfn / kChunkPages];
+        if (!chunk)
+            chunk = std::make_unique<Chunk>();
+        PageData &slot = (*chunk)[pfn % kChunkPages];
+        slot.present = true;
+        slot.fill = r.u64();
         const uint64_t override_count = r.count(10);
-        page.overrides.reserve(override_count);
+        slot.overrides.reserve(override_count);
         uint32_t prev_idx = 0;
         for (uint64_t j = 0; j < override_count && r.ok(); ++j) {
             const uint16_t idx = r.u16();
@@ -261,15 +216,13 @@ MemoryBackend::loadState(base::ArchiveReader &r)
                 break;
             }
             prev_idx = idx;
-            page.overrides.emplace_back(idx, value);
+            slot.overrides.emplace_back(idx, value);
         }
     }
     if (!r.ok())
         return r.status();
-    // The loaded stream is the complete logical state: it replaces the
-    // overlay and detaches from any shared template.
-    pages = std::move(loaded);
-    shared.reset();
+    chunks = std::move(loaded);
+    touched = page_count;
     return base::Status::success();
 }
 

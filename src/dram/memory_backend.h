@@ -1,32 +1,29 @@
 /**
  * @file
- * Sparse physical-memory data store with copy-on-write forking.
+ * Sparse physical-memory data store indexed by page frame number.
  *
  * Simulating multi-gigabyte hosts must not cost multi-gigabyte buffers.
  * The attack only cares about a few content classes: whole pages filled
  * with a hammer pattern, pages carrying an 8-byte magic marker, and EPT /
  * IOPT pages with real 64-bit entries. The backend therefore stores each
- * touched page as a uniform 64-bit fill value plus a sparse word-override
- * map, which makes "fill 12 GB with 0xff" an O(pages) metadata operation
- * and keeps page-table pages exact.
+ * touched page as a uniform 64-bit fill value plus a sparse, sorted list
+ * of word overrides, which makes "fill 12 GB with 0xff" an O(pages)
+ * metadata operation and keeps page-table pages exact.
  *
- * Forking (the Monte-Carlo trial engine's clone path) is page-granular
- * copy-on-write: freeze() publishes the current contents as an immutable
- * shared template, and fork() produces a backend that references the
- * template and keeps its own private overlay. Reads fall through
- * overlay -> template -> zero; the first write to a template page copies
- * that one page into the overlay (write-time unsharing). Clearing a
- * template page records a tombstone in the overlay, so no fork can ever
- * mutate the shared template -- and forking costs O(overlay pages), not
- * O(memory).
+ * Pages live in a chunk table: one pointer per 2 MiB of physical memory,
+ * sized at construction, each chunk holding the slots of its 512 pages
+ * and allocated on the first write into it. A lookup is two array
+ * indexes; nothing hashes or rehashes. Every world owns its backend
+ * outright: a forked trial world starts from an empty one (the pristine
+ * fork template never boots, so it never holds a word).
  */
 
 #ifndef HYPERHAMMER_DRAM_MEMORY_BACKEND_H
 #define HYPERHAMMER_DRAM_MEMORY_BACKEND_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,14 +39,11 @@ namespace hh::dram {
 class MemoryBackend
 {
   public:
-    explicit MemoryBackend(uint64_t total_bytes) : totalBytes(total_bytes)
-    {}
+    explicit MemoryBackend(uint64_t total_bytes);
 
-    /** Deep copies are banned: clone worlds via freeze() + fork(). */
+    /** Deep copies are banned: each world builds its own backend. */
     MemoryBackend(const MemoryBackend &) = delete;
     MemoryBackend &operator=(const MemoryBackend &) = delete;
-    MemoryBackend(MemoryBackend &&) = default;
-    MemoryBackend &operator=(MemoryBackend &&) = default;
 
     /** Size of the backed physical address space. */
     uint64_t size() const { return totalBytes; }
@@ -83,52 +77,19 @@ class MemoryBackend
                                           uint64_t expected_fill) const;
 
     /**
-     * Number of *overlay* frames carrying private data (fill,
-     * overrides, or a tombstone over a template page). Frames served
-     * unmodified from the shared template are not counted: the value
-     * measures what this fork privately owns, which is both the
-     * capacity-test metric and the clone cost of fork().
+     * Number of frames carrying data: a write (of any value) or a
+     * non-zero fill adds a frame, clearPage() or a zero fill removes
+     * it.
      */
-    size_t touchedPages() const { return pages.size(); }
+    size_t touchedPages() const { return touched; }
 
-    /** Frames in the shared template (0 when never frozen). */
-    size_t templatePages() const { return shared ? shared->size() : 0; }
-
-    /** Drop all contents, template reference included. */
-    void
-    clear()
-    {
-        pages.clear();
-        shared.reset();
-    }
-
-    /**
-     * Drop the contents of one frame (reads revert to zero). On a
-     * forked backend this shadows the template page with a tombstone;
-     * the template itself is never modified.
-     */
+    /** Drop the contents of one frame (reads revert to zero). */
     void clearPage(Pfn pfn);
 
     /**
-     * Publish the current contents (template plus overlay, merged) as
-     * a new immutable shared template and empty the overlay. After
-     * freezing, fork() is O(1) and every mutation unshares at page
-     * granularity. Costs O(touched pages); idempotent.
-     */
-    void freeze();
-
-    /**
-     * A copy-on-write clone: shares this backend's template (if any)
-     * and duplicates only the private overlay. Call freeze() first to
-     * make the overlay empty and the fork O(1).
-     */
-    MemoryBackend fork() const;
-
-    /**
-     * Serialize all pages carrying data (in sorted-Pfn order). The
-     * merged template/overlay view is traversed in place -- forked
-     * state is never materialized -- and the byte stream is identical
-     * to what a flat backend of the same logical contents writes.
+     * Serialize all frames carrying data, in PFN order. Override slots
+     * that hold their page's fill value are skipped, so the stream
+     * depends only on the logical contents.
      */
     void saveState(base::ArchiveWriter &w) const;
 
@@ -136,6 +97,9 @@ class MemoryBackend
     [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
 
   private:
+    /** Frames per chunk: one 2 MiB hugepage's worth. */
+    static constexpr uint64_t kChunkPages = kPagesPerHugePage;
+
     struct PageData
     {
         /** Value of every word not present in overrides. */
@@ -144,44 +108,43 @@ class MemoryBackend
          * Word-index (0..511) -> value exceptions, kept sorted. A
          * vector beats a hash map here: pages typically carry zero or
          * a handful of overrides, and multi-gigabyte fills must stay
-         * at ~tens of bytes per page.
+         * at ~tens of bytes per page. A word written back to the fill
+         * value keeps its slot (holding the fill), so zeroing a full
+         * table page never shifts the vector.
          */
         std::vector<std::pair<uint16_t, uint64_t>> overrides;
-        /**
-         * Overlay-only tombstone: this fork cleared a page the shared
-         * template still carries. Reads see zero; saveState() skips
-         * the page entirely (matching a flat backend's erase).
-         */
-        bool erased = false;
+        /** Frame carries data (counted by touchedPages()). */
+        bool present = false;
 
         /** Iterator to the override for @p idx, or end(). */
         std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
         find(uint16_t idx) const;
     };
 
-    using PageMap = std::unordered_map<Pfn, PageData>;
+    /**
+     * The slots of one chunk's frames. An absent slot is always a
+     * default PageData: zero fill, no overrides, not present.
+     */
+    using Chunk = std::array<PageData, kChunkPages>;
+
+    /** Number of 4 KB frames in the address space. */
+    uint64_t pageCount() const { return totalBytes / kPageSize; }
 
     /**
-     * Effective page for reads: overlay wins (tombstones read as
-     * absent), then the template, then nullptr (= all-zero).
+     * Slot of @p pfn for reads, or nullptr when its chunk was never
+     * written (every word reads as zero).
      */
     const PageData *lookup(Pfn pfn) const;
 
-    /**
-     * Overlay entry for writes, copying the template page up on first
-     * touch (write-time unsharing) and reviving tombstones as empty
-     * pages.
-     */
+    /** Slot of @p pfn for writes, allocating its chunk on first use. */
     PageData &mutablePage(Pfn pfn);
 
-    /** Sorted PFNs of the merged view, tombstoned pages excluded. */
-    std::vector<Pfn> mergedPfns() const;
-
-    uint64_t totalBytes;
-    /** Private overlay: every page this instance has touched. */
-    PageMap pages;
-    /** Immutable shared template (null until the first freeze()). */
-    std::shared_ptr<const PageMap> shared;
+    /** Construction-time geometry; loadState() keeps it. */
+    const uint64_t totalBytes;
+    /** One entry per 2 MiB; null until the chunk's first write. */
+    std::vector<std::unique_ptr<Chunk>> chunks;
+    /** Present slots across all chunks. */
+    size_t touched = 0;
 };
 
 } // namespace hh::dram

@@ -67,8 +67,14 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * one counter/RNG block per registered site, so its payload grew),
  * and the supervisor's ledger joined the archive family under
  * kLedgerMagic. Pre-dispatch artifacts are rejected by version.
+ *
+ * v6: the pfn-indexed memory backend. The byte stream is unchanged
+ * (saveState() walks the chunk table in PFN order and skips override
+ * slots that hold their page's fill value), but the producer was
+ * rewritten and loadState() now rejects out-of-range and repeated
+ * PFNs, so v5 snapshots are retired rather than trusted.
  */
-constexpr uint32_t kSnapshotFormatVersion = 5;
+constexpr uint32_t kSnapshotFormatVersion = 6;
 
 } // namespace hh::snapshot
 

@@ -127,7 +127,6 @@ HostSystem::HostSystem(TemplateTag, SystemConfig config)
     buddy_cfg.totalPages = cfg.dram.totalBytes / kPageSize;
     buddy_cfg.layout = cfg.domains;
     allocator = std::make_unique<mm::BuddyAllocator>(buddy_cfg);
-    dramSys->backend().freeze();
     pristineTemplate = true;
 }
 

@@ -113,8 +113,8 @@ class HostSystem
 
     /**
      * Build a *pristine* trial template: constructed exactly like
-     * HostSystem(config) but stopping before bootHost(), with the
-     * memory backend frozen. The template captures every piece of
+     * HostSystem(config) but stopping before bootHost(), so its memory
+     * backend holds no page. The template captures every piece of
      * world state that is invariant across trial seeds -- the DRAM
      * geometry, the seed-derived fault oracle and weak-row index, the
      * frame database and initial free lists -- and shares them with

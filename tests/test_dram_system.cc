@@ -276,6 +276,18 @@ TEST_F(DramSystemTest, ScanPageFindsFlips)
     EXPECT_EQ(words[0], 2u);
 }
 
+TEST(DramSystemDeath, ForkOfWrittenMemoryPanics)
+{
+    // A fork starts from empty memory; forking a device whose memory
+    // holds a page would silently drop it.
+    base::SimClock clock;
+    DramSystem dram(testConfig(), clock);
+    dram.write64(HostPhysAddr(kPageSize), 1);
+    base::SimClock fork_clock;
+    EXPECT_DEATH((void)DramSystem::forkFrom(dram, fork_clock),
+                 "assertion");
+}
+
 TEST(EccModel, Classification)
 {
     EccModel off(EccConfig{false});

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the sparse memory backend: fill/override semantics,
- * bit flips, and the mismatch scanner the profiler relies on.
+ * bit flips, the mismatch scanner the profiler relies on, and the
+ * saved stream.
  */
 
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "dram/memory_backend.h"
 
@@ -160,133 +159,82 @@ stateBytes(const MemoryBackend &mem)
     return w.buffer();
 }
 
-TEST(MemoryBackendCow, FreezePublishesTemplate)
+TEST(MemoryBackend, WritingFillValueKeepsSavedStreamCanonical)
 {
+    MemoryBackend overridden(1_MiB);
+    overridden.fillPage(4, 0x44);
+    overridden.write64(HostPhysAddr(4 * kPageSize + 16), 0x99);
+    overridden.write64(HostPhysAddr(4 * kPageSize + 16), 0x44);
+    MemoryBackend plain(1_MiB);
+    plain.fillPage(4, 0x44);
+    EXPECT_EQ(overridden.read64(HostPhysAddr(4 * kPageSize + 16)), 0x44u);
+    EXPECT_EQ(stateBytes(overridden), stateBytes(plain));
+}
+
+TEST(MemoryBackend, ZeroingFullTablePageFrontToBack)
+{
+    // The EPT unmap path: a full table page zeroed in ascending order.
     MemoryBackend mem(1_MiB);
-    mem.fillPage(0, 0x11);
-    mem.fillPage(5, 0x55);
-    mem.write64(HostPhysAddr(5 * kPageSize + 8), 0x99);
-    EXPECT_EQ(mem.touchedPages(), 2u);
-    mem.freeze();
-    // Contents unchanged, but now served from the shared template.
+    const Pfn pfn = 9;
+    for (uint64_t w = 0; w < 512; ++w)
+        mem.write64(HostPhysAddr(pfn * kPageSize + w * 8), w + 1);
+    for (uint64_t w = 0; w < 512; ++w)
+        mem.write64(HostPhysAddr(pfn * kPageSize + w * 8), 0);
+    for (uint64_t w = 0; w < 512; ++w)
+        EXPECT_EQ(mem.read64(HostPhysAddr(pfn * kPageSize + w * 8)), 0u);
+    EXPECT_TRUE(mem.mismatchedWords(pfn, 0).empty());
+    EXPECT_EQ(mem.touchedPages(), 1u);
+    MemoryBackend once(1_MiB);
+    once.write64(HostPhysAddr(pfn * kPageSize), 0);
+    EXPECT_EQ(stateBytes(mem), stateBytes(once));
+}
+
+/** One page record as saveState() lays it out: one override. */
+void
+writePageRecord(base::ArchiveWriter &w, Pfn pfn, uint16_t idx,
+                uint64_t value)
+{
+    w.u64(pfn);
+    w.u64(0x55); // fill
+    w.u64(1);
+    w.u16(idx);
+    w.u64(value);
+}
+
+TEST(MemoryBackend, LoadRejectsPfnPastEnd)
+{
+    // pfn * kPageSize wraps to 0 for this PFN: the bound must not
+    // multiply.
+    base::ArchiveWriter w;
+    w.u64(1);
+    writePageRecord(w, Pfn(1) << 52, 0, 0x1);
+    MemoryBackend mem(1_MiB);
+    base::ArchiveReader r(w.buffer());
+    EXPECT_FALSE(mem.loadState(r).ok());
     EXPECT_EQ(mem.touchedPages(), 0u);
-    EXPECT_EQ(mem.templatePages(), 2u);
-    EXPECT_EQ(mem.read64(HostPhysAddr(0)), 0x11u);
-    EXPECT_EQ(mem.read64(HostPhysAddr(5 * kPageSize + 8)), 0x99u);
-    mem.freeze(); // idempotent
-    EXPECT_EQ(mem.templatePages(), 2u);
 }
 
-TEST(MemoryBackendCow, ForkIsCheapAndEqual)
+TEST(MemoryBackend, LoadRejectsRepeatedPfn)
 {
+    // A second record for PFN 5 would append word 3 after word 7.
+    base::ArchiveWriter w;
+    w.u64(2);
+    writePageRecord(w, 5, 7, 0x1);
+    writePageRecord(w, 5, 3, 0x2);
     MemoryBackend mem(1_MiB);
-    mem.fillPage(1, 0xab);
-    mem.write64(HostPhysAddr(kPageSize + 64), 7);
-    mem.freeze();
-    const MemoryBackend forked = mem.fork();
-    EXPECT_EQ(forked.touchedPages(), 0u); // O(1): overlay empty
-    EXPECT_EQ(forked.templatePages(), 1u);
-    EXPECT_EQ(stateBytes(forked), stateBytes(mem));
-}
-
-TEST(MemoryBackendCow, WriteUnsharesOnePage)
-{
-    MemoryBackend mem(1_MiB);
-    mem.fillPage(0, 0x11);
-    mem.fillPage(1, 0x22);
-    mem.freeze();
-    MemoryBackend forked = mem.fork();
-    forked.write64(HostPhysAddr(8), 0xff);
-    // The fork copied up exactly the written page...
-    EXPECT_EQ(forked.touchedPages(), 1u);
-    EXPECT_EQ(forked.read64(HostPhysAddr(8)), 0xffu);
-    EXPECT_EQ(forked.read64(HostPhysAddr(0)), 0x11u);
-    // ...and the template (and its other reader) never saw the write.
-    EXPECT_EQ(mem.read64(HostPhysAddr(8)), 0x11u);
+    base::ArchiveReader r(w.buffer());
+    EXPECT_FALSE(mem.loadState(r).ok());
     EXPECT_EQ(mem.touchedPages(), 0u);
 }
 
-TEST(MemoryBackendCow, ClearPageTombstonesTemplatePage)
+TEST(MemoryBackendDeath, OutOfRangePfnPanics)
 {
+    // 1 MiB is 256 frames inside one 512-slot chunk: PFN 300 has a
+    // slot in the chunk but no frame behind it.
     MemoryBackend mem(1_MiB);
-    mem.fillPage(3, 0x77);
-    mem.freeze();
-    MemoryBackend forked = mem.fork();
-    forked.clearPage(3);
-    // Reads revert to zero; the tombstone is private overlay state.
-    EXPECT_EQ(forked.read64(HostPhysAddr(3 * kPageSize)), 0u);
-    EXPECT_EQ(forked.touchedPages(), 1u);
-    EXPECT_EQ(mem.read64(HostPhysAddr(3 * kPageSize)), 0x77u);
-    // saveState() skips the tombstoned page, exactly like a flat
-    // backend that erased it.
-    const MemoryBackend empty(1_MiB);
-    EXPECT_EQ(stateBytes(forked), stateBytes(empty));
-    // Re-filling revives the page without disturbing the template.
-    forked.fillPage(3, 0x88);
-    EXPECT_EQ(forked.read64(HostPhysAddr(3 * kPageSize)), 0x88u);
-    EXPECT_EQ(mem.read64(HostPhysAddr(3 * kPageSize)), 0x77u);
-}
-
-TEST(MemoryBackendCow, ClearPageOnOverlayReclaimsMetadata)
-{
-    MemoryBackend mem(1_MiB);
-    mem.freeze(); // empty template: clears must not tombstone
-    MemoryBackend forked = mem.fork();
-    forked.fillPage(2, 0x42);
-    EXPECT_EQ(forked.touchedPages(), 1u);
-    forked.clearPage(2);
-    EXPECT_EQ(forked.touchedPages(), 0u);
-}
-
-TEST(MemoryBackendCow, SaveStateMatchesFlatBackend)
-{
-    // The same logical writes through a fork chain and through a flat
-    // backend must serialize to identical bytes.
-    MemoryBackend flat(1_MiB);
-    MemoryBackend chain(1_MiB);
-    chain.fillPage(0, 0x11);
-    chain.freeze();
-    MemoryBackend forked = chain.fork();
-    for (MemoryBackend *mem : {&flat, &forked}) {
-        if (mem == &flat)
-            mem->fillPage(0, 0x11);
-        mem->write64(HostPhysAddr(16), 0xaa);
-        mem->fillPage(9, 0x99);
-        mem->clearPage(9);
-        mem->fillPage(4, 0x44);
-    }
-    EXPECT_EQ(stateBytes(forked), stateBytes(flat));
-}
-
-TEST(MemoryBackendCow, ConcurrentForksAreIndependent)
-{
-    MemoryBackend mem(1_MiB);
-    mem.fillPage(0, 0x5a);
-    mem.freeze();
-    // Many forks mutate the SAME template page concurrently; each must
-    // see only its own write (write-time unsharing is per fork).
-    constexpr int kForks = 8;
-    std::vector<MemoryBackend> forks;
-    forks.reserve(kForks);
-    for (int i = 0; i < kForks; ++i)
-        forks.push_back(mem.fork());
-    std::vector<std::thread> threads;
-    threads.reserve(kForks);
-    for (int i = 0; i < kForks; ++i) {
-        threads.emplace_back([&forks, i] {
-            forks[static_cast<size_t>(i)].write64(
-                HostPhysAddr(8), static_cast<uint64_t>(i) + 1);
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    for (int i = 0; i < kForks; ++i) {
-        EXPECT_EQ(forks[static_cast<size_t>(i)].read64(HostPhysAddr(8)),
-                  static_cast<uint64_t>(i) + 1);
-        EXPECT_EQ(forks[static_cast<size_t>(i)].read64(HostPhysAddr(0)),
-                  0x5au);
-    }
-    EXPECT_EQ(mem.read64(HostPhysAddr(8)), 0x5au);
+    EXPECT_DEATH(mem.clearPage(300), "assertion");
+    EXPECT_DEATH(mem.fillPage(300, 0xff), "assertion");
+    EXPECT_DEATH((void)mem.mismatchedWords(256, 0), "assertion");
 }
 
 } // namespace
