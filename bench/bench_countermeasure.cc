@@ -32,15 +32,8 @@ hostConfig(const Options &opts)
 void
 quarantineRows(const Options &opts, analysis::TextTable &table)
 {
-    // Both rows run on identically configured hosts: fork one template
-    // world per row instead of re-constructing it from scratch.
-    const sys::SystemConfig cfg = hostConfig(opts);
-    const std::unique_ptr<const sys::HostSystem> template_world =
-        sys::HostSystem::makeForkTemplate(cfg);
     for (const bool quarantine : {false, true}) {
-        const std::unique_ptr<sys::HostSystem> forked =
-            sys::HostSystem::forkTrial(*template_world, cfg);
-        sys::HostSystem &host = *forked;
+        sys::HostSystem host(hostConfig(opts));
         vm::VmConfig vm_cfg = paperVmConfig(host.config());
         vm_cfg.quarantine.enabled = quarantine;
         auto machine = host.createVm(vm_cfg);

@@ -70,23 +70,13 @@ runSystem(const std::string &name, const Options &opts)
     analysis::TextTable table({"Setting", "S", "B", "N", "E", "R",
                                "R_N", "R_E", "R_N paper", "R_E paper"});
 
-    // All five cells run on identically configured hosts: build the
-    // world once and fork it per cell instead of re-constructing it
-    // (forkTrial with the template's own seed reproduces a fresh
-    // HostSystem bit for bit; the E3 golden trace gates this).
-    const std::unique_ptr<const sys::HostSystem> template_world =
-        sys::HostSystem::makeForkTemplate(cfg);
-
     for (size_t i = 0; i < cells.size(); ++i) {
         const Cell &cell = cells[i];
         const unsigned blocks = opts.quick
             ? std::max(1u, cell.blocks / 4) : cell.blocks;
 
-        const std::unique_ptr<sys::HostSystem> forked =
-            sys::HostSystem::forkTrial(*template_world, cfg);
-        sys::HostSystem &host = *forked;
+        sys::HostSystem host(cfg);
         auto machine = host.createVm(paperVmConfig(cfg));
-        const uint16_t vm_id = machine->id();
 
         // Step 1: exhaust noise pages.
         attack::SteeringConfig steer_cfg;
@@ -143,7 +133,6 @@ runSystem(const std::string &name, const Options &opts)
             analysis::formatPercent(paper[i].rn),
             analysis::formatPercent(paper[i].re),
         });
-        (void)vm_id;
     }
     std::printf("%s\n", table.render().c_str());
 }

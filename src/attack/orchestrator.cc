@@ -255,7 +255,7 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
         ? cfg.sprayBytes
         : current.memorySize(); // everything that remains
 
-    // The steer() sequence, inlined so the release step can retry.
+    // Steering's three steps, with a retry on the release step.
     SteeringResult steered;
     steering.exhaustNoisePages();
     steering.releaseVulnerable(targets, steered);

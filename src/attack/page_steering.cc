@@ -136,27 +136,4 @@ PageSteering::sprayEptes(uint64_t budget_bytes,
     return demotions;
 }
 
-SteeringResult
-PageSteering::steer(const std::vector<VulnerableBit> &targets,
-                    uint64_t spray_bytes)
-{
-    SteeringResult result;
-    const base::SimTime start = clock.now();
-
-    result.iovaMappings = exhaustNoisePages();
-    releaseVulnerable(targets, result);
-
-    // Never demote the hugepages we still need as aggressors? Not
-    // necessary: demotion changes EPT granularity, not page placement,
-    // so aggressor rows stay hammerable. Released hugepages are gone
-    // from the address space and skip themselves (execute() faults).
-    std::unordered_set<uint64_t> excluded;
-    for (const GuestPhysAddr &hp : result.releasedHugePages)
-        excluded.insert(hp.value());
-
-    result.demotions = sprayEptes(spray_bytes, excluded);
-    result.elapsed = clock.now() - start;
-    return result;
-}
-
 } // namespace hh::attack

@@ -49,7 +49,6 @@ struct SteeringResult
     uint64_t releasedSubBlocks = 0;
     /** Hugepages demoted by the spray == EPT pages created by it. */
     uint64_t demotions = 0;
-    base::SimTime elapsed = 0;
     /** Releases skipped by injected steering misses. */
     uint64_t steerMisses = 0;
     /** Unplug requests the device refused (Busy, quarantine, ...). */
@@ -100,10 +99,6 @@ class PageSteering
      */
     uint64_t sprayEptes(uint64_t budget_bytes,
                         const std::unordered_set<uint64_t> &excluded);
-
-    /** Run all three steps for @p targets, spraying @p spray_bytes. */
-    SteeringResult steer(const std::vector<VulnerableBit> &targets,
-                         uint64_t spray_bytes);
 
   private:
     vm::VirtualMachine &machine;

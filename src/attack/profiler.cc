@@ -261,8 +261,7 @@ MemoryProfiler::profile(const std::vector<GuestPhysAddr> &region)
                 if (done)
                     break;
                 for (const auto &pair : aggressorCandidates(hp, top)) {
-                    auto events =
-                        machine.hammerCollect(pair, cfg.hammerRounds);
+                    auto events = machine.hammer(pair, cfg.hammerRounds);
                     ++result.combinations;
                     // The real attacker follows every combination
                     // with a scan of all other 2 MB regions (Section

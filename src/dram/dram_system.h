@@ -161,6 +161,34 @@ class DramSystem
     /// @}
 
     /**
+     * @name Page-table entries
+     *
+     * The one accessor through which every EPT and IOPT walk reads and
+     * writes entry @p index of the table page @p table. A table frame
+     * past physical memory (a table pointer corrupted by a flip or an
+     * injected read corruption) reads as a zero, i.e. not-present,
+     * entry and drops writes: real hardware raises a misconfiguration
+     * there instead of making a wild access. Defined here so the walks
+     * inline it.
+     */
+    /// @{
+    uint64_t
+    readEntry(Pfn table, unsigned index)
+    {
+        return table < pageCount()
+            ? read64(HostPhysAddr(table * kPageSize + index * 8ull))
+            : 0;
+    }
+
+    void
+    writeEntry(Pfn table, unsigned index, uint64_t entry)
+    {
+        if (table < pageCount())
+            write64(HostPhysAddr(table * kPageSize + index * 8ull), entry);
+    }
+    /// @}
+
+    /**
      * Timed access: models the row-buffer state machine and returns the
      * latency of this particular access. Alternating accesses to two
      * addresses in the same bank but different rows see the conflict

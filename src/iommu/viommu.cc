@@ -73,65 +73,65 @@ IoPageTable::allocTablePage()
     return page;
 }
 
+base::Expected<Pfn>
+IoPageTable::walk(IoVirtAddr iova, bool create)
+{
+    Pfn table = root;
+    for (unsigned level = kIoptLevels; level > 1; --level) {
+        const unsigned idx = index(iova, level);
+        uint64_t entry = dram.readEntry(table, idx);
+        if (!present(entry)) {
+            if (!create)
+                return base::ErrorCode::NotFound;
+            auto next = allocTablePage();
+            if (!next)
+                return next.error();
+            entry = makeEntry(*next);
+            dram.writeEntry(table, idx, entry);
+        }
+        table = frameOf(entry);
+    }
+    return table;
+}
+
 base::Status
 IoPageTable::map(IoVirtAddr iova, HostPhysAddr hpa)
 {
     if (!hpa.pageAligned() || iova.pageOffset() != 0)
         return base::ErrorCode::InvalidArgument;
-    Pfn table = root;
-    for (unsigned level = kIoptLevels; level > 1; --level) {
-        const unsigned idx = index(iova, level);
-        uint64_t entry = dram.read64(entryAddr(table, idx));
-        if (!present(entry)) {
-            auto next = allocTablePage();
-            if (!next)
-                return next.error();
-            entry = makeEntry(*next);
-            dram.write64(entryAddr(table, idx), entry);
-        }
-        table = frameOf(entry);
-    }
+    auto leaf = walk(iova, true);
+    if (!leaf)
+        return leaf.error();
     const unsigned idx = index(iova, 1);
-    if (present(dram.read64(entryAddr(table, idx))))
+    if (present(dram.readEntry(*leaf, idx)))
         return base::ErrorCode::Exists;
-    dram.write64(entryAddr(table, idx), makeEntry(hpa.pfn()));
+    dram.writeEntry(*leaf, idx, makeEntry(hpa.pfn()));
     return base::Status::success();
 }
 
 base::Status
 IoPageTable::unmap(IoVirtAddr iova)
 {
-    Pfn table = root;
-    for (unsigned level = kIoptLevels; level > 1; --level) {
-        const uint64_t entry =
-            dram.read64(entryAddr(table, index(iova, level)));
-        if (!present(entry))
-            return base::ErrorCode::NotFound;
-        table = frameOf(entry);
-    }
+    auto leaf = walk(iova, false);
+    if (!leaf)
+        return leaf.error();
     const unsigned idx = index(iova, 1);
-    if (!present(dram.read64(entryAddr(table, idx))))
+    if (!present(dram.readEntry(*leaf, idx)))
         return base::ErrorCode::NotFound;
-    dram.write64(entryAddr(table, idx), 0);
+    dram.writeEntry(*leaf, idx, 0);
     return base::Status::success();
 }
 
 base::Expected<HostPhysAddr>
-IoPageTable::translate(IoVirtAddr iova) const
+IoPageTable::translate(IoVirtAddr iova)
 {
-    Pfn table = root;
-    for (unsigned level = kIoptLevels; level >= 1; --level) {
-        const uint64_t entry =
-            dram.read64(entryAddr(table, index(iova, level)));
-        if (!present(entry))
-            return base::ErrorCode::NotFound;
-        if (level == 1) {
-            return HostPhysAddr((frameOf(entry) << kPageShift)
-                                + iova.pageOffset());
-        }
-        table = frameOf(entry);
-    }
-    return base::ErrorCode::NotFound;
+    auto leaf = walk(iova, false);
+    if (!leaf)
+        return leaf.error();
+    const uint64_t entry = dram.readEntry(*leaf, index(iova, 1));
+    if (!present(entry))
+        return base::ErrorCode::NotFound;
+    return HostPhysAddr((frameOf(entry) << kPageShift) + iova.pageOffset());
 }
 
 VfioContainer::VfioContainer(dram::DramSystem &dram,
@@ -183,6 +183,9 @@ VfioContainer::dmaRead64(GroupId group, IoVirtAddr iova)
     auto hpa = groups[group].table->translate(iova);
     if (!hpa)
         return hpa.error();
+    // A corrupted leaf can point past physical memory: the DMA faults.
+    if (!dram.backend().contains(*hpa))
+        return base::ErrorCode::Fault;
     return dram.read64(*hpa);
 }
 
@@ -194,6 +197,8 @@ VfioContainer::dmaWrite64(GroupId group, IoVirtAddr iova, uint64_t value)
     auto hpa = groups[group].table->translate(iova);
     if (!hpa)
         return base::Status(hpa.error());
+    if (!dram.backend().contains(*hpa))
+        return base::ErrorCode::Fault;
     dram.write64(*hpa, value);
     return base::Status::success();
 }

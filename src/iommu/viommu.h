@@ -77,7 +77,7 @@ class IoPageTable
     [[nodiscard]] base::Status unmap(IoVirtAddr iova);
 
     /** Translate an IOVA. */
-    [[nodiscard]] base::Expected<HostPhysAddr> translate(IoVirtAddr iova) const;
+    [[nodiscard]] base::Expected<HostPhysAddr> translate(IoVirtAddr iova);
 
     /** Number of IOPT table pages allocated so far. */
     uint64_t tablePageCount() const { return tablePages.size(); }
@@ -98,11 +98,11 @@ class IoPageTable
 
     [[nodiscard]] base::Expected<Pfn> allocTablePage();
 
-    static HostPhysAddr
-    entryAddr(Pfn table, unsigned index)
-    {
-        return HostPhysAddr(table * kPageSize + index * 8ull);
-    }
+    /**
+     * The one walk: the leaf table covering @p iova. Missing tables
+     * are allocated with @p create and NotFound without it.
+     */
+    [[nodiscard]] base::Expected<Pfn> walk(IoVirtAddr iova, bool create);
 
     static unsigned
     index(IoVirtAddr iova, unsigned level)

@@ -54,39 +54,32 @@ Mmu::allocTablePage()
     return page;
 }
 
-EptEntry
-Mmu::readEntry(Pfn table, unsigned index) const
-{
-    // A corrupted table pointer (rowhammer flip or injected read
-    // corruption during the walk) can point beyond physical memory;
-    // real hardware raises an EPT misconfiguration there, which we
-    // model as a non-present entry rather than a wild read.
-    if (table >= dram.pageCount())
-        return EptEntry();
-    return EptEntry(dram.read64(entryAddr(table, index)));
-}
-
-void
-Mmu::writeEntry(Pfn table, unsigned index, EptEntry entry)
-{
-    if (table >= dram.pageCount())
-        return;
-    dram.write64(entryAddr(table, index), entry.raw());
-}
-
-base::Expected<Pfn>
-Mmu::walkToLevel(GuestPhysAddr gpa, unsigned target_level, bool create)
+base::Expected<Mmu::Slot>
+Mmu::walk(GuestPhysAddr gpa, unsigned stop) const
 {
     Pfn table = root;
-    for (unsigned level = kEptLevels; level > target_level; --level) {
+    for (unsigned level = kEptLevels;; --level) {
+        const unsigned index = eptIndex(gpa, level);
+        const EptEntry entry = readEntry(table, index);
+        if (!entry.present())
+            return base::ErrorCode::NotFound;
+        if (level == stop || (level == 2 && entry.largePage()))
+            return Slot{table, index, level, entry};
+        table = entry.frame();
+    }
+}
+
+base::Status
+Mmu::mapLeaf(GuestPhysAddr gpa, unsigned leaf_level, EptEntry leaf)
+{
+    Pfn table = root;
+    for (unsigned level = kEptLevels; level > leaf_level; --level) {
         const unsigned index = eptIndex(gpa, level);
         EptEntry entry = readEntry(table, index);
         if (!entry.present()) {
-            if (!create)
-                return base::ErrorCode::NotFound;
             auto next = allocTablePage();
             if (!next)
-                return base::ErrorCode::NoMemory;
+                return next.error();
             entry = EptEntry::table(*next);
             writeEntry(table, index, entry);
         } else if (level == 2 && entry.largePage()) {
@@ -95,7 +88,11 @@ Mmu::walkToLevel(GuestPhysAddr gpa, unsigned target_level, bool create)
         }
         table = entry.frame();
     }
-    return table;
+    const unsigned index = eptIndex(gpa, leaf_level);
+    if (readEntry(table, index).present())
+        return base::ErrorCode::Exists;
+    writeEntry(table, index, leaf);
+    return base::Status::success();
 }
 
 base::Status
@@ -103,16 +100,9 @@ Mmu::map2m(GuestPhysAddr gpa, HostPhysAddr hpa)
 {
     if (!gpa.hugePageAligned() || !hpa.hugePageAligned())
         return base::ErrorCode::InvalidArgument;
-    auto pd = walkToLevel(gpa, 2, true);
-    if (!pd)
-        return pd.error();
-    const unsigned index = eptIndex(gpa, 2);
-    if (readEntry(*pd, index).present())
-        return base::ErrorCode::Exists;
     // Under the iTLB-Multihit countermeasure every hugepage mapping is
     // created non-executable (Section 4.2.3, "Countermeasure").
-    writeEntry(*pd, index, EptEntry::leaf2m(hpa.pfn(), !cfg.nxHugePages));
-    return base::Status::success();
+    return mapLeaf(gpa, 2, EptEntry::leaf2m(hpa.pfn(), !cfg.nxHugePages));
 }
 
 base::Status
@@ -120,46 +110,16 @@ Mmu::map4k(GuestPhysAddr gpa, HostPhysAddr hpa, bool exec)
 {
     if (!gpa.pageAligned() || !hpa.pageAligned())
         return base::ErrorCode::InvalidArgument;
-    auto pd = walkToLevel(gpa, 2, true);
-    if (!pd)
-        return pd.error();
-    const unsigned pd_index = eptIndex(gpa, 2);
-    EptEntry pde = readEntry(*pd, pd_index);
-    if (pde.present() && pde.largePage())
-        return base::ErrorCode::Exists;
-    if (!pde.present()) {
-        auto pt = allocTablePage();
-        if (!pt)
-            return pt.error();
-        pde = EptEntry::table(*pt);
-        writeEntry(*pd, pd_index, pde);
-    }
-    const unsigned pt_index = eptIndex(gpa, 1);
-    if (readEntry(pde.frame(), pt_index).present())
-        return base::ErrorCode::Exists;
-    writeEntry(pde.frame(), pt_index, EptEntry::leaf4k(hpa.pfn(), exec));
-    return base::Status::success();
+    return mapLeaf(gpa, 1, EptEntry::leaf4k(hpa.pfn(), exec));
 }
 
 base::Status
 Mmu::unmap(GuestPhysAddr gpa)
 {
-    auto pd = walkToLevel(gpa, 2, false);
-    if (!pd)
-        return base::Status(pd.error());
-
-    const unsigned pd_index = eptIndex(gpa, 2);
-    EptEntry pde = readEntry(*pd, pd_index);
-    if (!pde.present())
-        return base::ErrorCode::NotFound;
-    if (pde.largePage()) {
-        writeEntry(*pd, pd_index, EptEntry());
-        return base::Status::success();
-    }
-    const unsigned pt_index = eptIndex(gpa, 1);
-    if (!readEntry(pde.frame(), pt_index).present())
-        return base::ErrorCode::NotFound;
-    writeEntry(pde.frame(), pt_index, EptEntry());
+    auto leaf = walk(gpa);
+    if (!leaf)
+        return base::Status(leaf.error());
+    writeEntry(leaf->table, leaf->index, EptEntry());
     return base::Status::success();
 }
 
@@ -168,90 +128,61 @@ Mmu::unmapHugeRange(GuestPhysAddr gpa)
 {
     if (!gpa.hugePageAligned())
         return base::ErrorCode::InvalidArgument;
-    auto pd = walkToLevel(gpa, 2, false);
+    auto pd = walk(gpa, 2);
     if (!pd)
         return base::Status(pd.error());
-    const unsigned pd_index = eptIndex(gpa, 2);
-    const EptEntry pde = readEntry(*pd, pd_index);
-    if (!pde.present())
-        return base::ErrorCode::NotFound;
-    if (pde.largePage()) {
-        writeEntry(*pd, pd_index, EptEntry());
+    if (pd->entry.largePage()) {
+        writeEntry(pd->table, pd->index, EptEntry());
         return base::Status::success();
     }
     for (unsigned i = 0; i < kEntriesPerTable; ++i)
-        writeEntry(pde.frame(), i, EptEntry());
+        writeEntry(pd->entry.frame(), i, EptEntry());
     return base::Status::success();
 }
 
 base::Expected<HostPhysAddr>
 Mmu::translate(GuestPhysAddr gpa) const
 {
-    Pfn table = root;
-    for (unsigned level = kEptLevels; level >= 1; --level) {
-        const EptEntry entry = readEntry(table, eptIndex(gpa, level));
-        if (!entry.present())
-            return base::ErrorCode::NotFound;
-        if (level == 2 && entry.largePage()) {
-            return HostPhysAddr((entry.frame() << kPageShift)
-                                + gpa.hugePageOffset());
-        }
-        if (level == 1) {
-            return HostPhysAddr((entry.frame() << kPageShift)
-                                + gpa.pageOffset());
-        }
-        table = entry.frame();
-    }
-    return base::ErrorCode::NotFound;
+    auto leaf = walk(gpa);
+    if (!leaf)
+        return leaf.error();
+    return HostPhysAddr(
+        (leaf->entry.frame() << kPageShift)
+        + (leaf->level == 2 ? gpa.hugePageOffset() : gpa.pageOffset()));
 }
 
 base::Expected<EptEntry>
 Mmu::leafEntry(GuestPhysAddr gpa) const
 {
-    Pfn table = root;
-    for (unsigned level = kEptLevels; level >= 1; --level) {
-        const EptEntry entry = readEntry(table, eptIndex(gpa, level));
-        if (!entry.present())
-            return base::ErrorCode::NotFound;
-        if ((level == 2 && entry.largePage()) || level == 1)
-            return entry;
-        table = entry.frame();
-    }
-    return base::ErrorCode::NotFound;
+    auto leaf = walk(gpa);
+    if (!leaf)
+        return leaf.error();
+    return leaf->entry;
 }
 
-std::vector<Pfn>
-Mmu::leafFrames(GuestPhysAddr base) const
+void
+Mmu::leafFrames(GuestPhysAddr base, LeafFrames &frames) const
 {
-    std::vector<Pfn> frames(kEntriesPerTable, kInvalidPfn);
     HH_ASSERT(base.hugePageAligned());
-    // Walk the upper levels once.
-    Pfn table = root;
-    for (unsigned level = kEptLevels; level > 2; --level) {
-        const EptEntry entry = readEntry(table, eptIndex(base, level));
-        if (!entry.present())
-            return frames;
-        table = entry.frame();
-    }
-    const EptEntry pde = readEntry(table, eptIndex(base, 2));
-    if (!pde.present())
-        return frames;
+    frames.fill(kInvalidPfn);
+    const auto pd = walk(base, 2);
+    if (!pd)
+        return;
+    const EptEntry pde = pd->entry;
     if (pde.largePage()) {
         for (unsigned i = 0; i < kEntriesPerTable; ++i)
             frames[i] = pde.frame() + i;
-        return frames;
+        return;
     }
     for (unsigned i = 0; i < kEntriesPerTable; ++i) {
         const EptEntry pte = readEntry(pde.frame(), i);
         if (pte.present())
             frames[i] = pte.frame();
     }
-    return frames;
 }
 
 base::Status
-Mmu::demote(GuestPhysAddr gpa, Pfn pd_table, unsigned pd_index,
-            EptEntry pd_entry)
+Mmu::demote(const Slot &pd)
 {
     // The countermeasure splits the hugepage: a fresh EPT page is
     // allocated (this is the primitive Page Steering harvests) and
@@ -259,10 +190,10 @@ Mmu::demote(GuestPhysAddr gpa, Pfn pd_table, unsigned pd_index,
     auto pt = allocTablePage();
     if (!pt)
         return pt.error();
-    const Pfn base_frame = pd_entry.frame();
+    const Pfn base_frame = pd.entry.frame();
     for (unsigned i = 0; i < kEntriesPerTable; ++i)
         writeEntry(*pt, i, EptEntry::leaf4k(base_frame + i, true));
-    writeEntry(pd_table, pd_index, EptEntry::table(*pt));
+    writeEntry(pd.table, pd.index, EptEntry::table(*pt));
     ++demotionCount;
 
     // Split bookkeeping: rmap array, kvm_mmu_page, page tracking --
@@ -282,7 +213,6 @@ Mmu::demote(GuestPhysAddr gpa, Pfn pd_table, unsigned pd_index,
         if (meta)
             metadataPages.push_back(*meta);
     }
-    (void)gpa;
     return base::Status::success();
 }
 
@@ -306,55 +236,36 @@ Mmu::execDuringPageSizeChange(GuestPhysAddr gpa)
 base::Status
 Mmu::splitHugePage(GuestPhysAddr gpa)
 {
-    auto pd = walkToLevel(gpa, 2, false);
+    auto pd = walk(gpa, 2);
     if (!pd)
         return base::Status(pd.error());
-    const unsigned pd_index = eptIndex(gpa, 2);
-    const EptEntry pde = readEntry(*pd, pd_index);
-    if (!pde.present())
-        return base::ErrorCode::NotFound;
-    if (!pde.largePage())
+    if (!pd->entry.largePage())
         return base::Status::success(); // already 4 KB granular
-    return demote(gpa, *pd, pd_index, pde);
+    return demote(*pd);
 }
 
-/** Walk to the PT entry covering a 4 KB-mapped gpa. */
 base::Status
 Mmu::setLeafWritable(GuestPhysAddr gpa, bool writable)
 {
-    auto pd = walkToLevel(gpa, 2, false);
-    if (!pd)
-        return base::Status(pd.error());
-    const EptEntry pde = readEntry(*pd, eptIndex(gpa, 2));
-    if (!pde.present() || pde.largePage())
+    auto leaf = walk(gpa);
+    if (!leaf || leaf->level != 1)
         return base::ErrorCode::NotFound;
-    const unsigned pt_index = eptIndex(gpa, 1);
-    const EptEntry pte = readEntry(pde.frame(), pt_index);
-    if (!pte.present())
-        return base::ErrorCode::NotFound;
-    const uint64_t raw = writable
-        ? pte.raw() | kEptWrite : pte.raw() & ~uint64_t{kEptWrite};
-    writeEntry(pde.frame(), pt_index, EptEntry(raw));
+    const uint64_t raw = writable ? leaf->entry.raw() | kEptWrite
+                                  : leaf->entry.raw() & ~uint64_t{kEptWrite};
+    writeEntry(leaf->table, leaf->index, EptEntry(raw));
     return base::Status::success();
 }
 
 base::Status
 Mmu::remapLeaf4k(GuestPhysAddr gpa, Pfn frame, bool writable)
 {
-    auto pd = walkToLevel(gpa, 2, false);
-    if (!pd)
-        return base::Status(pd.error());
-    const EptEntry pde = readEntry(*pd, eptIndex(gpa, 2));
-    if (!pde.present() || pde.largePage())
+    auto leaf = walk(gpa);
+    if (!leaf || leaf->level != 1)
         return base::ErrorCode::NotFound;
-    const unsigned pt_index = eptIndex(gpa, 1);
-    const EptEntry pte = readEntry(pde.frame(), pt_index);
-    if (!pte.present())
-        return base::ErrorCode::NotFound;
-    EptEntry fresh = EptEntry::leaf4k(frame, pte.executable());
+    EptEntry fresh = EptEntry::leaf4k(frame, leaf->entry.executable());
     if (!writable)
         fresh = EptEntry(fresh.raw() & ~uint64_t{kEptWrite});
-    writeEntry(pde.frame(), pt_index, fresh);
+    writeEntry(leaf->table, leaf->index, fresh);
     return base::Status::success();
 }
 
@@ -362,51 +273,38 @@ AccessResult
 Mmu::access(GuestPhysAddr gpa, Access type)
 {
     AccessResult result;
-    Pfn table = root;
-    for (unsigned level = kEptLevels; level >= 1; --level) {
-        const unsigned index = eptIndex(gpa, level);
-        const EptEntry entry = readEntry(table, index);
-        if (!entry.present()) {
-            result.status = base::ErrorCode::NotFound;
-            return result;
-        }
-        const bool leaf = (level == 2 && entry.largePage()) || level == 1;
-        if (!leaf) {
-            table = entry.frame();
-            continue;
-        }
-        if (type == Access::Write && !entry.writable()) {
-            result.status = base::ErrorCode::Denied;
-            return result;
-        }
-        if (type == Access::Exec && !entry.executable()) {
-            if (level == 2 && cfg.nxHugePages) {
-                // iTLB-Multihit countermeasure: demote and retry.
-                const base::Status st = demote(gpa, table, index, entry);
-                if (!st.ok()) {
-                    result.status = st;
-                    return result;
-                }
-                result.demotedHugePage = true;
-                auto hpa = translate(gpa);
-                if (!hpa) {
-                    result.status = hpa.error();
-                    return result;
-                }
-                result.status = base::Status::success();
-                result.hpa = *hpa;
-                return result;
-            }
-            result.status = base::ErrorCode::Denied;
-            return result;
-        }
-        result.status = base::Status::success();
-        result.hpa = HostPhysAddr(
-            (entry.frame() << kPageShift)
-            + (level == 2 ? gpa.hugePageOffset() : gpa.pageOffset()));
+    auto leaf = walk(gpa);
+    if (!leaf) {
+        result.status = leaf.error();
         return result;
     }
-    result.status = base::ErrorCode::NotFound;
+    const EptEntry entry = leaf->entry;
+    if (type == Access::Write && !entry.writable()) {
+        result.status = base::ErrorCode::Denied;
+        return result;
+    }
+    if (type == Access::Exec && !entry.executable()) {
+        if (leaf->level != 2 || !cfg.nxHugePages) {
+            result.status = base::ErrorCode::Denied;
+            return result;
+        }
+        // iTLB-Multihit countermeasure: demote and retry.
+        result.status = demote(*leaf);
+        if (!result.status.ok())
+            return result;
+        result.demotedHugePage = true;
+        auto hpa = translate(gpa);
+        if (!hpa) {
+            result.status = hpa.error();
+            return result;
+        }
+        result.hpa = *hpa;
+        return result;
+    }
+    result.status = base::Status::success();
+    result.hpa = HostPhysAddr(
+        (entry.frame() << kPageShift)
+        + (leaf->level == 2 ? gpa.hugePageOffset() : gpa.pageOffset()));
     return result;
 }
 

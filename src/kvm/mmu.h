@@ -13,6 +13,7 @@
 #ifndef HYPERHAMMER_KVM_MMU_H
 #define HYPERHAMMER_KVM_MMU_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -185,14 +186,17 @@ class Mmu
      */
     [[nodiscard]] base::Expected<EptEntry> leafEntry(GuestPhysAddr gpa) const;
 
+    /** Host frames of the 512 pages of one 2 MB range. */
+    using LeafFrames = std::array<Pfn, kEntriesPerTable>;
+
     /**
      * Resolve the host frame of every 4 KB page in the 2 MB-aligned
-     * range starting at @p base. Walks the upper levels once and then
-     * streams the 512 leaves -- the honest equivalent of a guest
-     * touching each page with a warm TLB. Entries that are not present
-     * yield kInvalidPfn.
+     * range starting at @p base into the caller's @p frames. Walks the
+     * upper levels once and then streams the 512 leaves -- the honest
+     * equivalent of a guest touching each page with a warm TLB.
+     * Entries that are not present yield kInvalidPfn.
      */
-    std::vector<Pfn> leafFrames(GuestPhysAddr base) const;
+    void leafFrames(GuestPhysAddr base, LeafFrames &frames) const;
 
     /** Serialize root/table/metadata frames, counters and RNG cursor. */
     void saveState(base::ArchiveWriter &w) const;
@@ -225,26 +229,44 @@ class Mmu
     /** Allocate one zeroed EPT table page (order-0 UNMOVABLE). */
     [[nodiscard]] base::Expected<Pfn> allocTablePage();
 
-    /** Address of entry @p index in table page @p table. */
-    static HostPhysAddr
-    entryAddr(Pfn table, unsigned index)
+    EptEntry
+    readEntry(Pfn table, unsigned index) const
     {
-        return HostPhysAddr(table * kPageSize + index * 8ull);
+        return EptEntry(dram.readEntry(table, index));
     }
 
-    EptEntry readEntry(Pfn table, unsigned index) const;
-    void writeEntry(Pfn table, unsigned index, EptEntry entry);
+    void
+    writeEntry(Pfn table, unsigned index, EptEntry entry)
+    {
+        dram.writeEntry(table, index, entry.raw());
+    }
+
+    /** An entry a walk stopped at, and where it lives. */
+    struct Slot
+    {
+        Pfn table;
+        unsigned index;
+        unsigned level;
+        EptEntry entry;
+    };
 
     /**
-     * Walk to the PD level (level 2), allocating intermediate tables
-     * when @p create is set. Returns the PD table frame.
+     * The one lookup walk: read one entry per level from the root down
+     * and stop at a 2 MB leaf or at level @p stop. NotFound when an
+     * entry on the way, the last one included, is not present.
      */
-    [[nodiscard]] base::Expected<Pfn> walkToLevel(GuestPhysAddr gpa, unsigned level,
-                                    bool create);
+    [[nodiscard]] base::Expected<Slot> walk(GuestPhysAddr gpa,
+                                            unsigned stop = 1) const;
 
-    /** Demote the 2 MB leaf at @p gpa into 4 KB mappings. */
-    [[nodiscard]] base::Status demote(GuestPhysAddr gpa, Pfn pd_table, unsigned pd_index,
-                        EptEntry pd_entry);
+    /**
+     * The one allocating walk: install @p leaf at level @p leaf_level
+     * for @p gpa, allocating the tables missing above it.
+     */
+    [[nodiscard]] base::Status mapLeaf(GuestPhysAddr gpa, unsigned leaf_level,
+                                       EptEntry leaf);
+
+    /** Demote the 2 MB leaf in @p pd into 4 KB mappings. */
+    [[nodiscard]] base::Status demote(const Slot &pd);
 };
 
 } // namespace hh::kvm

@@ -194,18 +194,10 @@ VirtualMachine::write64(GuestPhysAddr gpa, uint64_t value)
 base::Status
 VirtualMachine::fillHugePage(GuestPhysAddr gpa, uint64_t pattern)
 {
-    if (!gpa.hugePageAligned())
-        return base::ErrorCode::InvalidArgument;
-    const std::vector<Pfn> frames = eptMmu->leafFrames(gpa);
-    bool any = false;
-    for (Pfn pfn : frames) {
-        if (pfn == kInvalidPfn || pfn >= dram.pageCount())
-            continue;
-        dram.fillPage(pfn, pattern);
-        any = true;
-    }
-    return any ? base::Status::success()
-               : base::Status(base::ErrorCode::NotFound);
+    return forEachPage(gpa, [&](GuestPhysAddr, std::optional<Pfn> frame) {
+        if (frame)
+            dram.fillPage(*frame, pattern);
+    });
 }
 
 base::Status
@@ -222,69 +214,17 @@ VirtualMachine::fillPage(GuestPhysAddr gpa, uint64_t pattern)
     return base::Status::success();
 }
 
-base::Expected<std::vector<GuestPhysAddr>>
-VirtualMachine::scanHugePage(GuestPhysAddr gpa, uint64_t expected)
-{
-    if (!gpa.hugePageAligned())
-        return base::ErrorCode::InvalidArgument;
-    // Resolve every 4 KB page separately: after an EPTE flip the pages
-    // of a demoted hugepage are no longer physically contiguous, and
-    // the scan must follow the *current* (possibly corrupted) mapping
-    // exactly like real guest loads would.
-    const std::vector<Pfn> frames = eptMmu->leafFrames(gpa);
-    std::vector<GuestPhysAddr> mismatches;
-    for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
-        if (frames[i] == kInvalidPfn || frames[i] >= dram.pageCount())
-            continue;
-        for (uint16_t word : dram.scanPage(frames[i], expected)) {
-            mismatches.push_back(gpa + i * kPageSize
-                                 + static_cast<uint64_t>(word) * 8);
-        }
-    }
-    return mismatches;
-}
-
-base::Status
-VirtualMachine::writePageWords(
-    GuestPhysAddr hp,
-    const std::function<uint64_t(GuestPhysAddr)> &value)
-{
-    if (!hp.hugePageAligned())
-        return base::ErrorCode::InvalidArgument;
-    const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
-    bool any = false;
-    for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
-        if (frames[i] == kInvalidPfn || frames[i] >= dram.pageCount())
-            continue;
-        const GuestPhysAddr page = hp + i * kPageSize;
-        dram.write64(HostPhysAddr(frames[i] * kPageSize), value(page));
-        any = true;
-    }
-    return any ? base::Status::success()
-               : base::Status(base::ErrorCode::NotFound);
-}
-
 std::vector<VirtualMachine::PageWord>
 VirtualMachine::readPageWords(GuestPhysAddr hp)
 {
     std::vector<PageWord> words;
-    if (!hp.hugePageAligned())
-        return words;
-    const std::vector<Pfn> frames = eptMmu->leafFrames(hp);
     words.reserve(kPagesPerHugePage);
-    for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
-        PageWord word;
-        word.page = hp + i * kPageSize;
-        if (frames[i] == kInvalidPfn) {
-            continue; // page not mapped at all: skip, not fault
-        } else if (frames[i] >= dram.pageCount()) {
-            word.fault = true;
-        } else {
-            word.value =
-                dram.read64(HostPhysAddr(frames[i] * kPageSize));
-        }
-        words.push_back(word);
-    }
+    // hh-lint: allow(status-discard) -- the words carry the outcome: none for an unaligned or unmapped hugepage, fault words for frames past memory
+    (void)forEachPage(hp, [&](GuestPhysAddr page, std::optional<Pfn> frame) {
+        words.push_back(frame ? PageWord{page, dram.read64(HostPhysAddr(
+                                                   *frame * kPageSize))}
+                              : PageWord{page, 0, true});
+    });
     return words;
 }
 
@@ -294,25 +234,9 @@ VirtualMachine::execute(GuestPhysAddr gpa)
     return eptMmu->access(gpa, kvm::Access::Exec);
 }
 
-unsigned
+std::vector<dram::FlipEvent>
 VirtualMachine::hammer(const std::vector<GuestPhysAddr> &aggressors,
                        uint64_t rounds)
-{
-    std::vector<HostPhysAddr> hpas;
-    hpas.reserve(aggressors.size());
-    for (GuestPhysAddr gpa : aggressors) {
-        auto hpa = eptMmu->translate(gpa);
-        if (hpa)
-            hpas.push_back(*hpa);
-    }
-    if (!hpas.empty())
-        dram.hammer(hpas, rounds);
-    return static_cast<unsigned>(hpas.size());
-}
-
-std::vector<dram::FlipEvent>
-VirtualMachine::hammerCollect(
-    const std::vector<GuestPhysAddr> &aggressors, uint64_t rounds)
 {
     std::vector<HostPhysAddr> hpas;
     hpas.reserve(aggressors.size());

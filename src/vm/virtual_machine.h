@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "base/archive.h"
@@ -121,13 +122,6 @@ class VirtualMachine
     /** Fill one 4 KB guest page with a repeated pattern. */
     [[nodiscard]] base::Status fillPage(GuestPhysAddr gpa, uint64_t pattern);
 
-    /**
-     * Scan the hugepage at @p gpa for words differing from
-     * @p expected; returns their GPAs.
-     */
-    [[nodiscard]] base::Expected<std::vector<GuestPhysAddr>>
-    scanHugePage(GuestPhysAddr gpa, uint64_t expected);
-
     /** First word of one 4 KB page, as seen through the EPT. */
     struct PageWord
     {
@@ -135,7 +129,7 @@ class VirtualMachine
         GuestPhysAddr page{0};
         /** Word value; undefined when fault is set. */
         uint64_t value = 0;
-        /** Access faulted (unmapped or beyond physical memory). */
+        /** Access faulted (mapping points beyond physical memory). */
         bool fault = false;
     };
 
@@ -144,11 +138,18 @@ class VirtualMachine
      * page of the hugepage at @p hp. One page-table walk per
      * hugepage (TLB-warm guest loop), then per-page stores.
      */
+    template <typename Value>
     [[nodiscard]] base::Status
-    writePageWords(GuestPhysAddr hp,
-                   const std::function<uint64_t(GuestPhysAddr)> &value);
+    writePageWords(GuestPhysAddr hp, const Value &value)
+    {
+        return forEachPage(hp, [&](GuestPhysAddr page,
+                                   std::optional<Pfn> frame) {
+            if (frame)
+                dram.write64(HostPhysAddr(*frame * kPageSize), value(page));
+        });
+    }
 
-    /** Read the first word of every 4 KB page of one hugepage. */
+    /** Read the first word of every mapped 4 KB page of one hugepage. */
     std::vector<PageWord> readPageWords(GuestPhysAddr hp);
 
     /**
@@ -161,14 +162,9 @@ class VirtualMachine
     /**
      * Hammer the DRAM rows containing the given guest addresses
      * (uncached reads in a loop, from the guest's viewpoint). Rows are
-     * resolved through the EPT; flips land wherever DRAM geometry puts
-     * them. Returns the number of aggressor addresses that translated.
-     */
-    unsigned hammer(const std::vector<GuestPhysAddr> &aggressors,
-                    uint64_t rounds);
-
-    /**
-     * hammer() variant returning the flip events DRAM applied.
+     * resolved through the EPT; an aggressor that is unmapped or maps
+     * past physical memory is dropped. Flips land wherever DRAM
+     * geometry puts them. Returns the flip events DRAM applied.
      *
      * Simulation instrumentation, not an attacker capability: a real
      * attacker learns flip locations only by scanning. The profiler
@@ -177,8 +173,7 @@ class VirtualMachine
      * is still charged for the full scan it replaces.
      */
     std::vector<dram::FlipEvent>
-    hammerCollect(const std::vector<GuestPhysAddr> &aggressors,
-                  uint64_t rounds);
+    hammer(const std::vector<GuestPhysAddr> &aggressors, uint64_t rounds);
     /// @}
 
     /** @name vIOMMU guest interface */
@@ -268,6 +263,34 @@ class VirtualMachine
 
     // hh-lint: allow(snapshot-field-coverage) -- callbacks cannot be serialized; owners re-attach after restore
     WriteFaultHandler writeFaultHandler;
+
+    /**
+     * The one per-hugepage guest loop: resolve the leaves of @p hp
+     * with one walk, then call @p visit(page, frame) for every mapped
+     * 4 KB page in page order. A frame past physical memory (a
+     * corrupted EPTE) arrives as nullopt: the guest access faults.
+     * NotFound when no page of @p hp maps into physical memory.
+     */
+    template <typename Visit>
+    [[nodiscard]] base::Status
+    forEachPage(GuestPhysAddr hp, const Visit &visit)
+    {
+        if (!hp.hugePageAligned())
+            return base::ErrorCode::InvalidArgument;
+        kvm::Mmu::LeafFrames frames;
+        eptMmu->leafFrames(hp, frames);
+        bool any = false;
+        for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
+            if (frames[i] == kInvalidPfn)
+                continue;
+            const bool in_memory = frames[i] < dram.pageCount();
+            visit(hp + i * kPageSize, in_memory ? std::optional(frames[i])
+                                                : std::nullopt);
+            any |= in_memory;
+        }
+        return any ? base::Status::success()
+                   : base::Status(base::ErrorCode::NotFound);
+    }
 };
 
 } // namespace hh::vm

@@ -103,7 +103,7 @@ PvDomain::mmuUpdate(Pfn table, unsigned index, uint64_t entry)
         ++rejected;
         return base::ErrorCode::Denied;
     }
-    dram.write64(HostPhysAddr(table * kPageSize + index * 8ull), entry);
+    dram.writeEntry(table, index, entry);
     return base::Status::success();
 }
 

@@ -76,10 +76,12 @@ TEST(Integration, StagesComposeOnRealProfiledBit)
     attack::SteeringConfig scfg;
     scfg.exhaustMappings = 3'000;
     attack::PageSteering steering(*machine, host.clock(), scfg);
-    const attack::SteeringResult steered =
-        steering.steer({target}, machine->memorySize());
+    const uint64_t spray_bytes = machine->memorySize();
+    attack::SteeringResult steered;
+    steering.exhaustNoisePages();
+    steering.releaseVulnerable({target}, steered);
     EXPECT_EQ(steered.releasedSubBlocks, 1u);
-    EXPECT_GT(steered.demotions, 0u);
+    EXPECT_GT(steering.sprayEptes(spray_bytes, {}), 0u);
 
     // The vulnerable host frame should now hold an EPT page (the
     // placement can miss when leftovers exceed the spray; tolerate

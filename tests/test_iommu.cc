@@ -199,6 +199,46 @@ TEST_F(IommuTest, InvalidGroupRejected)
     EXPECT_FALSE(vfio.dmaRead64(99, IoVirtAddr(0)).ok());
 }
 
+TEST_F(IommuTest, TablePointerPastMemoryReadsAsNotPresent)
+{
+    IoPageTable table(*dram, *buddy, /*owner_id=*/3);
+    // Right after construction the root is the one IOPT page.
+    Pfn root = kInvalidPfn;
+    for (Pfn pfn = 0; pfn < buddy->totalPages(); ++pfn) {
+        const mm::PageFrame &frame = buddy->frame(pfn);
+        if (!frame.free && frame.use == mm::PageUse::IoptPage)
+            root = pfn;
+    }
+    ASSERT_NE(root, kInvalidPfn);
+    const IoVirtAddr iova(4_GiB);
+    ASSERT_TRUE(table.map(iova, HostPhysAddr(0x3000)).ok());
+
+    // Flip a high PFN bit of the root entry covering the IOVA: the
+    // level-3 table pointer now lies past the end of DRAM.
+    const HostPhysAddr slot(root * kPageSize);
+    dram->backend().write64(slot,
+                            dram->backend().read64(slot) | (1ull << 40));
+    EXPECT_EQ(table.translate(iova).error(), base::ErrorCode::NotFound);
+    EXPECT_EQ(table.unmap(iova).error(), base::ErrorCode::NotFound);
+    // map() allocates fresh tables below the broken pointer; the write
+    // that would link them in is dropped, so they stay unreachable.
+    EXPECT_TRUE(table.map(iova, HostPhysAddr(0x4000)).ok());
+    EXPECT_EQ(table.translate(iova).error(), base::ErrorCode::NotFound);
+}
+
+TEST_F(IommuTest, DmaThroughLeafPastMemoryFaults)
+{
+    VfioContainer vfio = container();
+    const GroupId group = vfio.addGroup();
+    const IoVirtAddr iova(4_GiB);
+    // The leaf names a frame past the end of DRAM, as a flipped high
+    // PFN bit in an IOPT page would.
+    ASSERT_TRUE(vfio.mapDma(group, iova, HostPhysAddr(1024_GiB)).ok());
+    EXPECT_EQ(vfio.dmaRead64(group, iova).error(), base::ErrorCode::Fault);
+    EXPECT_EQ(vfio.dmaWrite64(group, iova, 1).error(),
+              base::ErrorCode::Fault);
+}
+
 TEST_F(IommuTest, TeardownReturnsIoptPages)
 {
     const uint64_t free_before = buddy->freePages();

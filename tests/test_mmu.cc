@@ -212,19 +212,20 @@ TEST_F(MmuTest, LeafFramesFor2mAnd4k)
     const HostPhysAddr backing = hostBlock();
     const GuestPhysAddr gpa(16_MiB);
     ASSERT_TRUE(mmu->map2m(gpa, backing).ok());
-    auto frames = mmu->leafFrames(gpa);
-    ASSERT_EQ(frames.size(), kEntriesPerTable);
+    Mmu::LeafFrames frames;
+    mmu->leafFrames(gpa, frames);
     for (unsigned i = 0; i < kEntriesPerTable; ++i)
         EXPECT_EQ(frames[i], backing.pfn() + i);
 
     // After demotion the frames are identical.
     (void)mmu->access(gpa, Access::Exec);
-    frames = mmu->leafFrames(gpa);
+    mmu->leafFrames(gpa, frames);
     for (unsigned i = 0; i < kEntriesPerTable; ++i)
         EXPECT_EQ(frames[i], backing.pfn() + i);
 
     // Unmapped range: all invalid.
-    for (Pfn pfn : mmu->leafFrames(GuestPhysAddr(1_GiB)))
+    mmu->leafFrames(GuestPhysAddr(1_GiB), frames);
+    for (Pfn pfn : frames)
         EXPECT_EQ(pfn, kInvalidPfn);
 }
 

@@ -77,24 +77,21 @@ TEST_F(VmTest, UnmappedGpaFails)
     EXPECT_FALSE(machine.write64(GuestPhysAddr(2_GiB), 1).ok());
 }
 
-TEST_F(VmTest, FillAndScanHugePage)
+TEST_F(VmTest, FillHugePageReachesEveryPage)
 {
     VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
     const GuestPhysAddr hp = kVirtioMemRegionStart;
     ASSERT_TRUE(machine.fillHugePage(hp, 0xffff).ok());
-    auto clean = machine.scanHugePage(hp, 0xffff);
-    ASSERT_TRUE(clean.ok());
-    EXPECT_TRUE(clean->empty());
+    const auto words = machine.readPageWords(hp);
+    ASSERT_EQ(words.size(), kPagesPerHugePage);
+    for (const auto &word : words)
+        EXPECT_EQ(word.value, 0xffffu);
+    EXPECT_EQ(machine.read64(hp + 5 * kPageSize + 80).valueOr(0), 0xffffu);
 
-    // Corrupt one word host-side (as Rowhammer would).
-    auto hpa = machine.debugTranslate(hp + 5 * kPageSize + 80);
-    ASSERT_TRUE(hpa.ok());
-    dram->backend().flipBit(*hpa, 17);
-
-    auto dirty = machine.scanHugePage(hp, 0xffff);
-    ASSERT_TRUE(dirty.ok());
-    ASSERT_EQ(dirty->size(), 1u);
-    EXPECT_EQ((*dirty)[0].value(), (hp + 5 * kPageSize + 80).value());
+    EXPECT_EQ(machine.fillHugePage(hp + kPageSize, 0).error(),
+              base::ErrorCode::InvalidArgument);
+    EXPECT_EQ(machine.fillHugePage(GuestPhysAddr(2_GiB), 0).error(),
+              base::ErrorCode::NotFound);
 }
 
 TEST_F(VmTest, FillPage4k)
@@ -148,11 +145,31 @@ TEST_F(VmTest, IommuMapWithoutDeviceFails)
 TEST_F(VmTest, HammerTranslatesAggressors)
 {
     VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
+    const base::SimTime burst = 1'000 * dram->config().timing.rowCycle;
     const std::vector<GuestPhysAddr> aggressors{
         kVirtioMemRegionStart, kVirtioMemRegionStart + kHugePageSize};
-    EXPECT_EQ(machine.hammer(aggressors, 1'000), 2u);
-    // Unmapped aggressors are skipped.
-    EXPECT_EQ(machine.hammer({GuestPhysAddr(2_GiB)}, 1'000), 0u);
+    // No weak cells: both rows are activated, nothing flips.
+    base::SimTime before = clock.now();
+    EXPECT_TRUE(machine.hammer(aggressors, 1'000).empty());
+    EXPECT_GE(clock.now() - before, 2 * burst);
+    // Unmapped aggressors are skipped: only the EPT walk is charged.
+    before = clock.now();
+    EXPECT_TRUE(machine.hammer({GuestPhysAddr(2_GiB)}, 1'000).empty());
+    EXPECT_LT(clock.now() - before, burst);
+}
+
+TEST_F(VmTest, HammerDropsAggressorMappedPastMemory)
+{
+    VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
+    const GuestPhysAddr page = kVirtioMemRegionStart;
+    // Demote, then point the page's 4 KB leaf past the end of DRAM.
+    ASSERT_TRUE(machine.execute(page).demotedHugePage);
+    ASSERT_TRUE(
+        machine.mmu().remapLeaf4k(page, dram->pageCount() + 1, true).ok());
+    const base::SimTime burst = 1'000 * dram->config().timing.rowCycle;
+    const base::SimTime before = clock.now();
+    EXPECT_TRUE(machine.hammer({page}, 1'000).empty());
+    EXPECT_LT(clock.now() - before, burst);
 }
 
 TEST_F(VmTest, PageWordBatchedOps)
