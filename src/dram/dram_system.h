@@ -231,8 +231,8 @@ class DramSystem
 
     /**
      * Scan a 4 KB frame against an expected uniform fill. Returns the
-     * word indices (0..511) whose content differs. O(overrides), not
-     * O(page); charges pageScanCost.
+     * word indices (0..511) whose content differs
+     * (MemoryBackend::mismatchedWords); charges pageScanCost.
      */
     std::vector<uint16_t> scanPage(Pfn pfn, uint64_t expected_fill);
 

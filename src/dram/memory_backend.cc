@@ -1,6 +1,6 @@
 #include "memory_backend.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "base/log.h"
 
@@ -14,16 +14,6 @@ wordIndex(HostPhysAddr addr)
     return static_cast<uint16_t>((addr.value() & (kPageSize - 1)) / 8);
 }
 
-struct IdxLess
-{
-    bool
-    operator()(const std::pair<uint16_t, uint64_t> &entry,
-               uint16_t idx) const
-    {
-        return entry.first < idx;
-    }
-};
-
 } // namespace
 
 MemoryBackend::MemoryBackend(uint64_t total_bytes)
@@ -31,14 +21,21 @@ MemoryBackend::MemoryBackend(uint64_t total_bytes)
       chunks((pageCount() + kChunkPages - 1) / kChunkPages)
 {}
 
-std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
-MemoryBackend::PageData::find(uint16_t idx) const
+void
+MemoryBackend::PageData::set(uint16_t idx, uint64_t value)
 {
-    auto it = std::lower_bound(overrides.begin(), overrides.end(), idx,
-                               IdxLess{});
-    if (it != overrides.end() && it->first == idx)
-        return it;
-    return overrides.end();
+    if (words) {
+        (*words)[idx] = value;
+    } else if (wordIdx == kNoWord || wordIdx == idx) {
+        // The inline word holds only a value other than the fill.
+        wordIdx = value != fill ? idx : kNoWord;
+        word = value;
+    } else if (value != fill) {
+        words = std::make_unique<std::array<uint64_t, kWordsPerPage>>();
+        words->fill(fill);
+        (*words)[wordIdx] = word;
+        (*words)[idx] = value;
+    }
 }
 
 const MemoryBackend::PageData *
@@ -67,24 +64,14 @@ MemoryBackend::read64(HostPhysAddr addr) const
 {
     HH_ASSERT(contains(addr));
     const PageData *slot = lookup(addr.pfn());
-    if (slot == nullptr)
-        return 0;
-    const auto ov = slot->find(wordIndex(addr));
-    return ov != slot->overrides.end() ? ov->second : slot->fill;
+    return slot != nullptr ? slot->at(wordIndex(addr)) : 0;
 }
 
 void
 MemoryBackend::write64(HostPhysAddr addr, uint64_t value)
 {
     HH_ASSERT(contains(addr));
-    PageData &slot = mutablePage(addr.pfn());
-    const uint16_t idx = wordIndex(addr);
-    auto it = std::lower_bound(slot.overrides.begin(),
-                               slot.overrides.end(), idx, IdxLess{});
-    if (it != slot.overrides.end() && it->first == idx)
-        it->second = value; // may now equal the fill; the slot stays
-    else if (value != slot.fill)
-        slot.overrides.insert(it, {idx, value});
+    mutablePage(addr.pfn()).set(wordIndex(addr), value);
 }
 
 void
@@ -111,8 +98,8 @@ MemoryBackend::fillPage(Pfn pfn, uint64_t pattern)
     }
     PageData &slot = mutablePage(pfn);
     slot.fill = pattern;
-    slot.overrides.clear();
-    slot.overrides.shrink_to_fit();
+    slot.wordIdx = kNoWord;
+    slot.words.reset();
 }
 
 uint64_t
@@ -133,22 +120,13 @@ MemoryBackend::mismatchedWords(Pfn pfn, uint64_t expected_fill) const
     const PageData *found = lookup(pfn);
     const PageData &slot = found != nullptr ? *found : kUntouched;
     if (slot.fill == expected_fill) {
-        // Only overridden words can mismatch.
-        for (const auto &[idx, value] : slot.overrides) {
-            if (value != expected_fill)
-                mismatches.push_back(idx);
-        }
+        // Only words that differ from the fill can mismatch.
+        slot.forEachDiffering(
+            [&](uint16_t idx, uint64_t) { mismatches.push_back(idx); });
         return mismatches;
     }
-    // Every word mismatches unless overridden back to expected.
-    auto ov = slot.overrides.begin();
-    for (uint16_t i = 0; i < kPageSize / 8; ++i) {
-        const bool overridden =
-            ov != slot.overrides.end() && ov->first == i;
-        const uint64_t value = overridden ? ov->second : slot.fill;
-        if (overridden)
-            ++ov;
-        if (value != expected_fill)
+    for (uint16_t i = 0; i < kWordsPerPage; ++i) {
+        if (slot.at(i) != expected_fill)
             mismatches.push_back(i);
     }
     return mismatches;
@@ -167,17 +145,13 @@ MemoryBackend::saveState(base::ArchiveWriter &w) const
                 continue;
             w.u64(c * kChunkPages + s);
             w.u64(slot.fill);
-            const auto differs = [&slot](const auto &entry) {
-                return entry.second != slot.fill;
-            };
-            w.u64(static_cast<uint64_t>(std::count_if(
-                slot.overrides.begin(), slot.overrides.end(), differs)));
-            for (const auto &entry : slot.overrides) {
-                if (differs(entry)) {
-                    w.u16(entry.first);
-                    w.u64(entry.second);
-                }
-            }
+            uint64_t differing = 0;
+            slot.forEachDiffering([&](uint16_t, uint64_t) { ++differing; });
+            w.u64(differing);
+            slot.forEachDiffering([&](uint16_t idx, uint64_t value) {
+                w.u16(idx);
+                w.u64(value);
+            });
         }
     }
 }
@@ -190,8 +164,7 @@ MemoryBackend::loadState(base::ArchiveReader &r)
     Pfn prev_pfn = 0;
     for (uint64_t i = 0; i < page_count && r.ok(); ++i) {
         const Pfn pfn = r.u64();
-        // saveState() writes each in-range frame once, in PFN order: a
-        // repeated PFN would append unsorted overrides to its slot.
+        // saveState() writes each in-range frame once, in PFN order.
         if (pfn >= pageCount() || (i > 0 && pfn <= prev_pfn)) {
             r.fail();
             break;
@@ -203,20 +176,19 @@ MemoryBackend::loadState(base::ArchiveReader &r)
         PageData &slot = (*chunk)[pfn % kChunkPages];
         slot.present = true;
         slot.fill = r.u64();
-        const uint64_t override_count = r.count(10);
-        slot.overrides.reserve(override_count);
+        const uint64_t word_count = r.count(10);
         uint32_t prev_idx = 0;
-        for (uint64_t j = 0; j < override_count && r.ok(); ++j) {
+        for (uint64_t j = 0; j < word_count && r.ok(); ++j) {
             const uint16_t idx = r.u16();
             const uint64_t value = r.u64();
-            // Overrides must be sorted, unique, in-page: find() relies
-            // on it, so reject rather than rebuild.
-            if (idx >= kPageSize / 8 || (j > 0 && idx <= prev_idx)) {
+            // saveState() writes each differing word once, in index
+            // order: reject anything else rather than rebuild it.
+            if (idx >= kWordsPerPage || (j > 0 && idx <= prev_idx)) {
                 r.fail();
                 break;
             }
             prev_idx = idx;
-            slot.overrides.emplace_back(idx, value);
+            slot.set(idx, value);
         }
     }
     if (!r.ok())

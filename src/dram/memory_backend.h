@@ -6,9 +6,12 @@
  * The attack only cares about a few content classes: whole pages filled
  * with a hammer pattern, pages carrying an 8-byte magic marker, and EPT /
  * IOPT pages with real 64-bit entries. The backend therefore stores each
- * touched page as a uniform 64-bit fill value plus a sparse, sorted list
- * of word overrides, which makes "fill 12 GB with 0xff" an O(pages)
- * metadata operation and keeps page-table pages exact.
+ * touched page as a uniform 64-bit fill value plus, in one of two forms,
+ * the words that differ from it: a page with one differing word (a
+ * magic-marked page) keeps it inline in its slot, and a page that gets
+ * a second one spills to a dense 512-word page. "Fill 12 GB with 0xff"
+ * stays an O(pages) metadata operation, marking a page allocates
+ * nothing, and page-table pages stay exact.
  *
  * Pages live in a chunk table: one pointer per 2 MiB of physical memory,
  * sized at construction, each chunk holding the slots of its 512 pages
@@ -24,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "base/archive.h"
@@ -69,9 +71,9 @@ class MemoryBackend
 
     /**
      * Word indices (0..511) of a frame whose content differs from an
-     * expected uniform fill. Costs O(overrides) rather than O(page):
-     * the common case -- an untouched filled page -- is a constant-time
-     * "no mismatch".
+     * expected uniform fill, in index order. A page filled with the
+     * expected value costs at most its one inline word unless it
+     * spilled to a dense page.
      */
     std::vector<uint16_t> mismatchedWords(Pfn pfn,
                                           uint64_t expected_fill) const;
@@ -87,9 +89,10 @@ class MemoryBackend
     void clearPage(Pfn pfn);
 
     /**
-     * Serialize all frames carrying data, in PFN order. Override slots
-     * that hold their page's fill value are skipped, so the stream
-     * depends only on the logical contents.
+     * Serialize all frames carrying data, in PFN order, each with the
+     * words that differ from its fill in index order. Words that hold
+     * their page's fill value are skipped whatever form the page is
+     * in, so the stream depends only on the logical contents.
      */
     void saveState(base::ArchiveWriter &w) const;
 
@@ -100,30 +103,67 @@ class MemoryBackend
     /** Frames per chunk: one 2 MiB hugepage's worth. */
     static constexpr uint64_t kChunkPages = kPagesPerHugePage;
 
+    /** 64-bit words per 4 KB frame. */
+    static constexpr uint16_t kWordsPerPage = kPageSize / 8;
+    /** PageData::wordIdx of a page without an inline word. */
+    static constexpr uint16_t kNoWord = kWordsPerPage;
+
+    /**
+     * One frame's contents: a fill plus the words that differ from it,
+     * inline while there is one and in a dense page from the second
+     * on. Every touched page pays for a slot, so it stays small.
+     */
     struct PageData
     {
-        /** Value of every word not present in overrides. */
+        /** Value of every word neither inline nor in the dense page. */
         uint64_t fill = 0;
+        /** The inline word's value; differs from fill while set. */
+        uint64_t word = 0;
         /**
-         * Word-index (0..511) -> value exceptions, kept sorted. A
-         * vector beats a hash map here: pages typically carry zero or
-         * a handful of overrides, and multi-gigabyte fills must stay
-         * at ~tens of bytes per page. A word written back to the fill
-         * value keeps its slot (holding the fill), so zeroing a full
-         * table page never shifts the vector.
+         * Every word of the page, allocated when a second word index
+         * gets a value other than fill. From then on wordIdx is unused
+         * and the page stays dense until fillPage() or clearPage().
          */
-        std::vector<std::pair<uint16_t, uint64_t>> overrides;
+        std::unique_ptr<std::array<uint64_t, kWordsPerPage>> words;
+        /** Index of the inline word, or kNoWord. */
+        uint16_t wordIdx = kNoWord;
         /** Frame carries data (counted by touchedPages()). */
         bool present = false;
 
-        /** Iterator to the override for @p idx, or end(). */
-        std::vector<std::pair<uint16_t, uint64_t>>::const_iterator
-        find(uint16_t idx) const;
+        /** Value of word @p idx. */
+        uint64_t
+        at(uint16_t idx) const
+        {
+            return words ? (*words)[idx] : idx == wordIdx ? word : fill;
+        }
+
+        /** Set word @p idx, spilling on a second differing word. */
+        void set(uint16_t idx, uint64_t value);
+
+        /**
+         * Call @p visit(idx, value) for each word that differs from
+         * fill, in index order.
+         */
+        template <typename Visit>
+        void
+        forEachDiffering(const Visit &visit) const
+        {
+            if (words) {
+                for (uint16_t i = 0; i < kWordsPerPage; ++i) {
+                    if ((*words)[i] != fill)
+                        visit(i, (*words)[i]);
+                }
+            } else if (wordIdx != kNoWord) {
+                visit(wordIdx, word);
+            }
+        }
     };
+    static_assert(sizeof(PageData) <= 32,
+                  "every touched page pays for its slot");
 
     /**
      * The slots of one chunk's frames. An absent slot is always a
-     * default PageData: zero fill, no overrides, not present.
+     * default PageData: zero fill, no differing word, not present.
      */
     using Chunk = std::array<PageData, kChunkPages>;
 

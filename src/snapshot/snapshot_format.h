@@ -73,8 +73,14 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * slots that hold their page's fill value), but the producer was
  * rewritten and loadState() now rejects out-of-range and repeated
  * PFNs, so v5 snapshots are retired rather than trusted.
+ *
+ * v7: page words held inline or in a dense page. The byte stream is
+ * unchanged (present pages in PFN order, each with the words that
+ * differ from its fill in index order), but saveState() now walks the
+ * two slot forms instead of an override vector, so v6 snapshots are
+ * retired rather than trusted.
  */
-constexpr uint32_t kSnapshotFormatVersion = 6;
+constexpr uint32_t kSnapshotFormatVersion = 7;
 
 } // namespace hh::snapshot
 

@@ -214,20 +214,6 @@ VirtualMachine::fillPage(GuestPhysAddr gpa, uint64_t pattern)
     return base::Status::success();
 }
 
-std::vector<VirtualMachine::PageWord>
-VirtualMachine::readPageWords(GuestPhysAddr hp)
-{
-    std::vector<PageWord> words;
-    words.reserve(kPagesPerHugePage);
-    // hh-lint: allow(status-discard) -- the words carry the outcome: none for an unaligned or unmapped hugepage, fault words for frames past memory
-    (void)forEachPage(hp, [&](GuestPhysAddr page, std::optional<Pfn> frame) {
-        words.push_back(frame ? PageWord{page, dram.read64(HostPhysAddr(
-                                                   *frame * kPageSize))}
-                              : PageWord{page, 0, true});
-    });
-    return words;
-}
-
 kvm::AccessResult
 VirtualMachine::execute(GuestPhysAddr gpa)
 {

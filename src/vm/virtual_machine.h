@@ -149,8 +149,22 @@ class VirtualMachine
         });
     }
 
-    /** Read the first word of every mapped 4 KB page of one hugepage. */
-    std::vector<PageWord> readPageWords(GuestPhysAddr hp);
+    /**
+     * Call @p visit(word) with the first word of every mapped 4 KB
+     * page of the hugepage at @p hp, in page order: one page-table
+     * walk per hugepage, then per-page loads.
+     */
+    template <typename Visit>
+    [[nodiscard]] base::Status
+    readPageWords(GuestPhysAddr hp, const Visit &visit)
+    {
+        return forEachPage(hp, [&](GuestPhysAddr page,
+                                   std::optional<Pfn> frame) {
+            visit(frame ? PageWord{page, dram.read64(HostPhysAddr(
+                                             *frame * kPageSize))}
+                        : PageWord{page, 0, true});
+        });
+    }
 
     /**
      * Execute code at @p gpa. Under the NX-hugepage countermeasure an

@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit tests for the sparse memory backend: fill/override semantics,
- * bit flips, the mismatch scanner the profiler relies on, and the
- * saved stream.
+ * Unit tests for the sparse memory backend: fill and differing-word
+ * semantics in both slot forms (one inline word, a dense page past
+ * it), bit flips, mismatchedWords(), and the saved stream.
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "dram/memory_backend.h"
 
@@ -189,16 +192,117 @@ TEST(MemoryBackend, ZeroingFullTablePageFrontToBack)
     EXPECT_EQ(stateBytes(mem), stateBytes(once));
 }
 
-/** One page record as saveState() lays it out: one override. */
+using WordList = std::vector<std::pair<uint16_t, uint64_t>>;
+
+/** One page record as saveState() lays it out. */
 void
-writePageRecord(base::ArchiveWriter &w, Pfn pfn, uint16_t idx,
-                uint64_t value)
+writePageRecord(base::ArchiveWriter &w, Pfn pfn, uint64_t fill,
+                const WordList &words)
 {
     w.u64(pfn);
-    w.u64(0x55); // fill
+    w.u64(fill);
+    w.u64(words.size());
+    for (const auto &[idx, value] : words) {
+        w.u16(idx);
+        w.u64(value);
+    }
+}
+
+TEST(MemoryBackend, SecondDifferingWordSpills)
+{
+    MemoryBackend mem(1_MiB);
+    const Pfn pfn = 6;
+    const HostPhysAddr page(pfn * kPageSize);
+    mem.fillPage(pfn, 0x66);
+    mem.write64(page + 40 * 8, 0xa);  // inline
+    mem.write64(page + 7 * 8, 0xb);   // spills
+    EXPECT_EQ(mem.read64(page + 40 * 8), 0xau);
+    EXPECT_EQ(mem.read64(page + 7 * 8), 0xbu);
+    EXPECT_EQ(mem.read64(page), 0x66u);
+    EXPECT_EQ(mem.read64(page + 511 * 8), 0x66u);
+    EXPECT_EQ(mem.mismatchedWords(pfn, 0x66),
+              (std::vector<uint16_t>{7, 40}));
+    EXPECT_EQ(mem.touchedPages(), 1u);
+
+    mem.fillPage(pfn, 0x77);
+    EXPECT_TRUE(mem.mismatchedWords(pfn, 0x77).empty());
+    EXPECT_EQ(mem.read64(page + 7 * 8), 0x77u);
+    EXPECT_EQ(mem.touchedPages(), 1u);
+
+    // Spill again, then drop the dense page with the slot.
+    mem.write64(page + 3 * 8, 0xc);
+    mem.write64(page + 4 * 8, 0xd);
+    mem.clearPage(pfn);
+    EXPECT_EQ(mem.touchedPages(), 0u);
+    EXPECT_EQ(mem.read64(page + 4 * 8), 0u);
+    EXPECT_TRUE(mem.mismatchedWords(pfn, 0).empty());
+}
+
+TEST(MemoryBackend, SavedStreamPinsEveryRecord)
+{
+    MemoryBackend mem(4_MiB);
+    // One differing word, kept inline.
+    mem.write64(HostPhysAddr(1 * kPageSize + 9 * 8), 0x91);
+    // Two differing words in a dense page, plus a third written back
+    // to its fill.
+    mem.fillPage(2, 0x22);
+    mem.write64(HostPhysAddr(2 * kPageSize + 300 * 8), 0x23);
+    mem.write64(HostPhysAddr(2 * kPageSize + 5 * 8), 0x24);
+    mem.write64(HostPhysAddr(2 * kPageSize + 6 * 8), 0x25);
+    mem.write64(HostPhysAddr(2 * kPageSize + 6 * 8), 0x22);
+    // Every word differs; the page sits in the second chunk.
+    const Pfn full = 600;
+    for (uint64_t i = 0; i < 512; ++i)
+        mem.write64(HostPhysAddr(full * kPageSize + i * 8), i + 1);
+    // The inline word written back to its fill.
+    mem.write64(HostPhysAddr(700 * kPageSize + 8), 0x71);
+    mem.write64(HostPhysAddr(700 * kPageSize + 8), 0);
+
+    base::ArchiveWriter expected;
+    expected.u64(4);
+    writePageRecord(expected, 1, 0, {{9, 0x91}});
+    writePageRecord(expected, 2, 0x22, {{5, 0x24}, {300, 0x23}});
+    WordList every;
+    for (uint16_t i = 0; i < 512; ++i)
+        every.emplace_back(i, i + 1);
+    writePageRecord(expected, full, 0, every);
+    writePageRecord(expected, 700, 0, {});
+    EXPECT_EQ(stateBytes(mem), expected.buffer());
+}
+
+TEST(MemoryBackend, LoadedRecordRoundTrips)
+{
+    const WordList words{{0, 0x1}, {17, 0x2}, {511, 0x3}};
+    base::ArchiveWriter w;
     w.u64(1);
-    w.u16(idx);
-    w.u64(value);
+    writePageRecord(w, 3, 0x33, words);
+    MemoryBackend mem(1_MiB);
+    base::ArchiveReader r(w.buffer());
+    ASSERT_TRUE(mem.loadState(r).ok());
+    EXPECT_EQ(mem.touchedPages(), 1u);
+    std::vector<uint64_t> expected(512, 0x33);
+    for (const auto &[idx, value] : words)
+        expected[idx] = value;
+    for (uint64_t i = 0; i < 512; ++i)
+        EXPECT_EQ(mem.read64(HostPhysAddr(3 * kPageSize + i * 8)),
+                  expected[i]);
+    EXPECT_EQ(stateBytes(mem), w.buffer());
+}
+
+TEST(MemoryBackend, LoadRejectsBadWordIndex)
+{
+    // Outside the page, unsorted, repeated.
+    for (const WordList &words :
+         {WordList{{512, 0x1}}, WordList{{9, 0x1}, {4, 0x2}},
+          WordList{{4, 0x1}, {4, 0x2}}}) {
+        base::ArchiveWriter w;
+        w.u64(1);
+        writePageRecord(w, 2, 0x55, words);
+        MemoryBackend mem(1_MiB);
+        base::ArchiveReader r(w.buffer());
+        EXPECT_FALSE(mem.loadState(r).ok());
+        EXPECT_EQ(mem.touchedPages(), 0u);
+    }
 }
 
 TEST(MemoryBackend, LoadRejectsPfnPastEnd)
@@ -207,7 +311,7 @@ TEST(MemoryBackend, LoadRejectsPfnPastEnd)
     // multiply.
     base::ArchiveWriter w;
     w.u64(1);
-    writePageRecord(w, Pfn(1) << 52, 0, 0x1);
+    writePageRecord(w, Pfn(1) << 52, 0x55, {{0, 0x1}});
     MemoryBackend mem(1_MiB);
     base::ArchiveReader r(w.buffer());
     EXPECT_FALSE(mem.loadState(r).ok());
@@ -216,11 +320,12 @@ TEST(MemoryBackend, LoadRejectsPfnPastEnd)
 
 TEST(MemoryBackend, LoadRejectsRepeatedPfn)
 {
-    // A second record for PFN 5 would append word 3 after word 7.
+    // saveState() writes each frame once: a second record for PFN 5
+    // is rejected, not merged into the first.
     base::ArchiveWriter w;
     w.u64(2);
-    writePageRecord(w, 5, 7, 0x1);
-    writePageRecord(w, 5, 3, 0x2);
+    writePageRecord(w, 5, 0x55, {{7, 0x1}});
+    writePageRecord(w, 5, 0x55, {{3, 0x2}});
     MemoryBackend mem(1_MiB);
     base::ArchiveReader r(w.buffer());
     EXPECT_FALSE(mem.loadState(r).ok());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "base/sim_clock.h"
 #include "dram/dram_system.h"
@@ -47,6 +48,19 @@ class VmTest : public ::testing::Test
     std::unique_ptr<mm::BuddyAllocator> buddy;
 };
 
+/** The words readPageWords() visits for @p hp, in visiting order. */
+std::vector<VirtualMachine::PageWord>
+pageWords(VirtualMachine &machine, GuestPhysAddr hp)
+{
+    std::vector<VirtualMachine::PageWord> words;
+    // hh-lint: allow(status-discard) -- the collected words are what the tests check
+    (void)machine.readPageWords(
+        hp, [&](const VirtualMachine::PageWord &word) {
+            words.push_back(word);
+        });
+    return words;
+}
+
 TEST_F(VmTest, MemoryAccounting)
 {
     VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
@@ -82,7 +96,7 @@ TEST_F(VmTest, FillHugePageReachesEveryPage)
     VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
     const GuestPhysAddr hp = kVirtioMemRegionStart;
     ASSERT_TRUE(machine.fillHugePage(hp, 0xffff).ok());
-    const auto words = machine.readPageWords(hp);
+    const auto words = pageWords(machine, hp);
     ASSERT_EQ(words.size(), kPagesPerHugePage);
     for (const auto &word : words)
         EXPECT_EQ(word.value, 0xffffu);
@@ -182,7 +196,7 @@ TEST_F(VmTest, PageWordBatchedOps)
                                         return page.value() | 1;
                                     })
                     .ok());
-    const auto words = machine.readPageWords(hp);
+    const auto words = pageWords(machine, hp);
     ASSERT_EQ(words.size(), kPagesPerHugePage);
     for (const auto &word : words) {
         EXPECT_FALSE(word.fault);
@@ -202,7 +216,7 @@ TEST_F(VmTest, CorruptedMappingBeyondMemoryFaults)
     dram->backend().write64(HostPhysAddr(pt * kPageSize),
                             pte | (1ull << 40)); // frame way out
     EXPECT_EQ(machine.read64(hp).error(), base::ErrorCode::Fault);
-    const auto words = machine.readPageWords(hp);
+    const auto words = pageWords(machine, hp);
     EXPECT_TRUE(words[0].fault);
 }
 

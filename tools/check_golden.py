@@ -38,12 +38,17 @@ PINNED_FLAGS = ["--host-gib=1", "--seed=1", "--quick"]
 # profiling end to end (DRAM model, mapping, profiler); E3 covers
 # steering (virtio-mem, buddy placement, EPT spray); E11's --smoke
 # covers the mitigation matrix (defense transforms, sharded cells,
-# matrix fingerprint).
+# matrix fingerprint). The fault soak runs whole trials, mark and
+# detect included, under fault plans; its "Faults fired" column
+# counts every fault-site hit, dram.read among them, so a change to
+# the number or order of DRAM reads on the trial path shows here.
 TRACES = [
     ("bench_table1_profiling", "e1_profiling_seed1.txt", []),
     ("bench_table2_page_steering", "e3_page_steering_seed1.txt", []),
     ("bench_mitigation_matrix", "e11_mitigation_smoke_seed1.txt",
      ["--smoke", "--json-out=/dev/null"]),
+    ("bench_fault_soak", "fault_soak_seed41.txt",
+     ["--trials=8", "--seed-base=41", "--intensity=1.0"]),
 ]
 
 
