@@ -59,7 +59,6 @@ runPvAttack(uint64_t seed)
         domain.machineFrames().size() * 512 * 95));
 
     const dram::AddressMapping &map = dram.mapping();
-    const uint64_t granule = 1ull << map.interleaveShift();
     std::optional<dram::WeakCell> cell;
     Pfn pmd = kInvalidPfn;
     Pfn forged_pt = kInvalidPfn;
@@ -80,15 +79,8 @@ runPvAttack(uint64_t seed)
                     || !candidate.stable()) {
                     continue;
                 }
-                const dram::BankId cls = b ^ map.rowClass(frame_row);
-                const auto &offsets = map.classOffsets(cls);
-                const HostPhysAddr addr(
-                    (static_cast<uint64_t>(frame_row)
-                     << map.rowLoBit())
-                    | (static_cast<uint64_t>(
-                           offsets[candidate.byteInRow / granule])
-                       << map.interleaveShift())
-                    | (candidate.byteInRow % granule));
+                const HostPhysAddr addr =
+                    map.address(b, frame_row, candidate.byteInRow);
                 if (addr.pfn() != frame)
                     continue;
                 const uint64_t bit = candidate.bitInWord() - 12;
@@ -118,13 +110,7 @@ runPvAttack(uint64_t seed)
     }
     outcome.targetFound = true;
 
-    const dram::BankId cls = bank ^ map.rowClass(row);
-    const auto &offsets = map.classOffsets(cls);
-    const HostPhysAddr cell_addr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(offsets[cell->byteInRow / granule])
-           << map.interleaveShift())
-        | (cell->byteInRow % granule));
+    const HostPhysAddr cell_addr = map.address(bank, row, cell->byteInRow);
     const unsigned slot =
         static_cast<unsigned>((cell_addr.value() % kPageSize) / 8);
     const Pfn secret = 4;
@@ -148,14 +134,8 @@ runPvAttack(uint64_t seed)
         return outcome;
     }
 
-    const auto addr_in = [&](dram::RowId r) {
-        const dram::BankId c = bank ^ map.rowClass(r);
-        return HostPhysAddr(
-            (static_cast<uint64_t>(r) << map.rowLoBit())
-            | (static_cast<uint64_t>(map.classOffsets(c).front())
-               << map.interleaveShift()));
-    };
-    (void)dram.hammer({addr_in(row + 1), addr_in(row + 2)}, 250'000);
+    (void)dram.hammer(
+        {map.address(bank, row + 1), map.address(bank, row + 2)}, 250'000);
 
     auto resolved = domain.resolve(pmd, slot, 0);
     outcome.success = resolved.ok() && *resolved == secret;

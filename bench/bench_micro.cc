@@ -80,11 +80,7 @@ BM_HammerBurst(benchmark::State &state)
 {
     World world;
     const dram::AddressMapping &map = world.dram->mapping();
-    const dram::BankId cls = 3u ^ map.rowClass(100);
-    const HostPhysAddr a(
-        (100ull << map.rowLoBit())
-        | (static_cast<uint64_t>(map.classOffsets(cls).front())
-           << map.interleaveShift()));
+    const HostPhysAddr a = map.address(3, 100);
     const HostPhysAddr b(a.value() + map.rowStripeBytes());
     const std::vector<HostPhysAddr> aggressors{a, b};
     for (auto _ : state) {

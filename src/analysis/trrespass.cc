@@ -1,26 +1,10 @@
 #include "trrespass.h"
 
-#include "base/log.h"
-
 namespace hh::analysis {
 
 Trrespass::Trrespass(dram::DramSystem &dram, TrrespassConfig config)
     : dram(dram), cfg(config), rng(config.seed)
 {}
-
-HostPhysAddr
-Trrespass::addressIn(dram::BankId bank, dram::RowId row) const
-{
-    const dram::AddressMapping &map = dram.mapping();
-    const dram::BankId cls = bank ^ map.rowClass(row);
-    const auto &offsets = map.classOffsets(cls);
-    HH_ASSERT(!offsets.empty());
-    const uint64_t addr =
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(offsets.front())
-           << map.interleaveShift());
-    return HostPhysAddr(addr);
-}
 
 uint64_t
 Trrespass::tryPattern(unsigned aggressor_rows)
@@ -40,7 +24,7 @@ Trrespass::tryPattern(unsigned aggressor_rows)
     // flip directions are observable on the 0xff/0x00 double pass.
     std::vector<HostPhysAddr> aggressors;
     for (unsigned i = 0; i < aggressor_rows; ++i)
-        aggressors.push_back(addressIn(bank, base_row + 2 * i));
+        aggressors.push_back(map.address(bank, base_row + 2 * i));
 
     uint64_t flips = 0;
     for (uint64_t fill : {~0ull, 0ull}) {

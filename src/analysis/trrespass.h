@@ -72,9 +72,6 @@ class Trrespass
     dram::DramSystem &dram;
     TrrespassConfig cfg;
     base::Rng rng;
-
-    /** An address in (bank, row), via the mapping's class tables. */
-    HostPhysAddr addressIn(dram::BankId bank, dram::RowId row) const;
 };
 
 } // namespace hh::analysis

@@ -95,26 +95,6 @@ MemoryProfiler::buildReverseIndex(
     }
 }
 
-GuestPhysAddr
-MemoryProfiler::rowBankAddress(GuestPhysAddr huge_page,
-                               unsigned local_row,
-                               dram::BankId label) const
-{
-    // Bank labels are computed from the low 21 bits only; the unknown
-    // upper bits add a constant XOR that cancels when comparing two
-    // addresses in the same hugepage.
-    const uint64_t stripe = mapping.rowStripeBytes();
-    const uint64_t granule = 1ull << mapping.interleaveShift();
-    const uint64_t row_base = local_row * stripe;
-    for (uint64_t off = 0; off < stripe; off += granule) {
-        const HostPhysAddr pseudo(row_base + off);
-        if (mapping.bankOf(pseudo) == label)
-            return huge_page + row_base + off;
-    }
-    base::panic("no address with bank label %u in local row %u", label,
-                local_row);
-}
-
 std::vector<std::vector<GuestPhysAddr>>
 MemoryProfiler::aggressorCandidates(GuestPhysAddr huge_page,
                                     bool top_border) const
@@ -127,11 +107,14 @@ MemoryProfiler::aggressorCandidates(GuestPhysAddr huge_page,
 
     if (cfg.bankFunctionKnown) {
         // One same-bank pair per bank label: the pair activates two
-        // adjacent rows, disturbing the row beyond the border.
+        // adjacent rows, disturbing the row beyond the border. Labels
+        // are computed from the low 21 bits only; the unknown upper
+        // bits add a constant XOR that cancels within one hugepage.
         for (dram::BankId label = 0; label < mapping.bankCount();
              ++label) {
-            candidates.push_back({rowBankAddress(huge_page, r0, label),
-                                  rowBankAddress(huge_page, r1, label)});
+            candidates.push_back(
+                {huge_page + mapping.address(label, r0).value(),
+                 huge_page + mapping.address(label, r1).value()});
         }
         return candidates;
     }

@@ -85,16 +85,6 @@ class MemoryProfiler
     unsigned localRows() const;
 
     /**
-     * First address in local row @p local_row of @p huge_page whose
-     * bank label is @p label. Bank labels are relative (shifted by an
-     * unknown per-hugepage constant), which is sufficient to identify
-     * same-bank pairs within one hugepage.
-     */
-    GuestPhysAddr rowBankAddress(GuestPhysAddr huge_page,
-                                 unsigned local_row,
-                                 dram::BankId label) const;
-
-    /**
      * Process flip events from one hammer burst: verify each through
      * guest loads, classify, repair the pattern, and append to
      * @p result. @p fill is the pattern the region currently holds.

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "base/log.h"
 #include "base/types.h"
 
 namespace hh::dram {
@@ -80,6 +81,29 @@ class AddressMapping
         return (addr.value() >> rowLo) & rowMask;
     }
 
+    /**
+     * Physical address of byte @p byte_in_row of (bank, row): the
+     * inverse of bankOf() and rowOf(). A row's bytes in one bank run
+     * through that bank's granules in increasing address order, so
+     * byte 0 is the bank's lowest address in the row. Panics when the
+     * row holds no such byte of the bank (an unbalanced function).
+     */
+    HostPhysAddr
+    address(BankId bank, RowId row, uint64_t byte_in_row = 0) const
+    {
+        const std::vector<uint32_t> &offsets =
+            classOffsets(bank ^ rowClass(row));
+        const uint64_t granule = byte_in_row >> interleave;
+        if (granule >= offsets.size())
+            base::panic("no byte %llu of bank %u in row %llu",
+                        static_cast<unsigned long long>(byte_in_row),
+                        bank, static_cast<unsigned long long>(row));
+        return HostPhysAddr(
+            (row << rowLo)
+            | (static_cast<uint64_t>(offsets[granule]) << interleave)
+            | (byte_in_row & ((1ull << interleave) - 1)));
+    }
+
     /** Lowest physical-address bit of the row index. */
     unsigned rowLoBit() const { return rowLo; }
     /** Highest physical-address bit of the row index. */
@@ -128,8 +152,8 @@ class AddressMapping
 
     /**
      * All intra-stripe offsets (in interleave-granules) belonging to
-     * offset class @p cls, in increasing order. Precomputed; used to
-     * enumerate the physical addresses of one (bank, row).
+     * offset class @p cls, in increasing order. Precomputed; address()
+     * reads a (bank, row)'s addresses from it.
      */
     const std::vector<uint32_t> &classOffsets(BankId cls) const;
 

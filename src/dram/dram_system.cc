@@ -102,23 +102,6 @@ DramSystem::timedAccess(HostPhysAddr addr)
     return latency;
 }
 
-HostPhysAddr
-DramSystem::cellAddress(BankId bank, RowId row, const WeakCell &cell) const
-{
-    const AddressMapping &map = cfg.mapping;
-    const BankId cls = bank ^ map.rowClass(row);
-    const auto &offsets = map.classOffsets(cls);
-    const uint64_t granule = 1ull << map.interleaveShift();
-    const uint64_t granule_idx = cell.byteInRow / granule;
-    const uint64_t byte_in_granule = cell.byteInRow % granule;
-    HH_ASSERT(granule_idx < offsets.size());
-    const uint64_t addr = (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(offsets[granule_idx])
-           << map.interleaveShift())
-        | byte_in_granule;
-    return HostPhysAddr(addr);
-}
-
 void
 DramSystem::evaluateVictimRow(BankId bank, RowId row, uint64_t disturbance,
                               unsigned windows,
@@ -144,7 +127,8 @@ DramSystem::evaluateVictimRow(BankId bank, RowId row, uint64_t disturbance,
         if (!rng.chance(p_total))
             continue;
 
-        const HostPhysAddr cell_addr = cellAddress(bank, row, cell);
+        const HostPhysAddr cell_addr =
+            cfg.mapping.address(bank, row, cell.byteInRow);
         if (!data.contains(cell_addr))
             continue;
         const HostPhysAddr word_addr(base::alignDown(cell_addr.value(), 8));

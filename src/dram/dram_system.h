@@ -311,10 +311,6 @@ class DramSystem
     void evaluateVictimRow(BankId bank, RowId row, uint64_t disturbance,
                            unsigned windows,
                            std::vector<FlipEvent> &candidates);
-
-    /** Translate a weak cell of (bank, row) to its physical address. */
-    HostPhysAddr cellAddress(BankId bank, RowId row,
-                             const WeakCell &cell) const;
 };
 
 } // namespace hh::dram

@@ -13,6 +13,11 @@ Mmu::Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
       rng(base::mix64(dram.config().seed, owner_id))
 {
     auto page = allocTablePage();
+    // An injected AllocFail can land on the root allocation; retry a
+    // few occurrences. A genuine OOM fails every retry identically and
+    // still reaches the fatal, so the fault-free path is unchanged.
+    for (unsigned r = 0; !page && r < 16; ++r)
+        page = allocTablePage();
     if (!page)
         base::fatal("cannot allocate EPT root: host out of memory");
     root = *page;

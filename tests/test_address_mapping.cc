@@ -125,8 +125,38 @@ TEST_P(MappingDecomposition, ClassesBalanced)
                   granules / map.bankCount());
 }
 
+TEST_P(MappingDecomposition, AddressInvertsBankOfAndRowOf)
+{
+    const AddressMapping map = mapping();
+    const uint64_t granule = 1ull << map.interleaveShift();
+    const uint64_t rows = 1ull << (map.rowHiBit() - map.rowLoBit() + 1);
+    base::Rng rng(7);
+    for (int i = 0; i < 5'000; ++i) {
+        const BankId bank = static_cast<BankId>(rng.below(map.bankCount()));
+        const RowId row = rng.below(rows);
+        const uint64_t byte = rng.below(map.rowBytesPerBank());
+        const HostPhysAddr addr = map.address(bank, row, byte);
+        EXPECT_EQ(map.bankOf(addr), bank);
+        EXPECT_EQ(map.rowOf(addr), row);
+        EXPECT_EQ(addr.value() % granule, byte % granule);
+    }
+    // One (bank, row)'s granules are distinct and increasing.
+    for (uint64_t byte = granule; byte < map.rowBytesPerBank();
+         byte += granule)
+        EXPECT_LT(map.address(5, 3, byte - granule), map.address(5, 3, byte));
+}
+
 INSTANTIATE_TEST_SUITE_P(Presets, MappingDecomposition,
                          ::testing::Values("i3", "xeon", "linear"));
+
+TEST(AddressMapping, AddressPanicsForAnEmptyBank)
+{
+    // A repeated mask makes both bank bits equal: banks 1 and 2 hold
+    // no address at all.
+    const AddressMapping map({1ull << 6, 1ull << 6}, 18, 33);
+    EXPECT_EQ(map.bankOf(map.address(3, 4)), 3u);
+    EXPECT_DEATH((void)map.address(1, 4), "no byte 0 of bank 1");
+}
 
 TEST(AddressMapping, BankBitsPreservedByThp)
 {

@@ -56,17 +56,6 @@ findSpot(const dram::DramSystem &dram)
     return std::nullopt;
 }
 
-HostPhysAddr
-addrIn(const dram::AddressMapping &map, dram::BankId bank,
-       dram::RowId row)
-{
-    const dram::BankId cls = bank ^ map.rowClass(row);
-    return HostPhysAddr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(map.classOffsets(cls).front())
-           << map.interleaveShift()));
-}
-
 void
 fillRow(dram::DramSystem &dram, dram::RowId row, uint64_t pattern)
 {
@@ -86,8 +75,8 @@ TEST(RowPress, AmplificationBeatsThresholdWithFewActivations)
     fillRow(dram, spot->row, ~0ull);
     const dram::AddressMapping &map = dram.mapping();
     const std::vector<HostPhysAddr> aggressors{
-        addrIn(map, spot->bank, spot->row + 1),
-        addrIn(map, spot->bank, spot->row + 2)};
+        map.address(spot->bank, spot->row + 1),
+        map.address(spot->bank, spot->row + 2)};
 
     // Plain hammering cannot fire (window-capped below threshold).
     EXPECT_TRUE(dram.hammer(aggressors, 650'000).empty());
@@ -114,8 +103,8 @@ TEST(RowPress, ZeroOpenTimeEqualsHammer)
     fillRow(dram, spot->row, ~0ull);
     const dram::AddressMapping &map = dram.mapping();
     const auto events = dram.press(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         200'000, 0);
     EXPECT_FALSE(events.empty());
 }
@@ -134,8 +123,8 @@ TEST(HalfDouble, DistanceTwoCouplingReachesPastTheGuardRow)
     // coupling can reach the victim (row+2 is adjacent at distance
     // two, row+3 contributes nothing at distance three).
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 2),
-         addrIn(map, spot->bank, spot->row + 3)},
+        {map.address(spot->bank, spot->row + 2),
+         map.address(spot->bank, spot->row + 3)},
         250'000);
     bool fired = false;
     for (const auto &event : events) {
@@ -149,8 +138,8 @@ TEST(HalfDouble, DistanceTwoCouplingReachesPastTheGuardRow)
     dram::DramSystem plain(plain_cfg, clock);
     fillRow(plain, spot->row, ~0ull);
     for (const auto &event : plain.hammer(
-             {addrIn(map, spot->bank, spot->row + 2),
-              addrIn(map, spot->bank, spot->row + 3)},
+             {map.address(spot->bank, spot->row + 2),
+              map.address(spot->bank, spot->row + 3)},
              250'000)) {
         EXPECT_FALSE(event.bank == spot->bank
                      && event.row == spot->row

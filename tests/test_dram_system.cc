@@ -29,17 +29,6 @@ testConfig(uint64_t seed = 5)
     return cfg;
 }
 
-/** Address of the first granule of (bank, row). */
-HostPhysAddr
-addrIn(const AddressMapping &map, BankId bank, RowId row)
-{
-    const BankId cls = bank ^ map.rowClass(row);
-    return HostPhysAddr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(map.classOffsets(cls).front())
-           << map.interleaveShift()));
-}
-
 /** First weak (bank,row) with a given direction, plus its cell. */
 struct WeakSpot
 {
@@ -88,8 +77,8 @@ TEST_F(DramSystemTest, TimedAccessLatencies)
     const TimingConfig &t = dram.config().timing;
     const AddressMapping &map = dram.mapping();
 
-    const HostPhysAddr a = addrIn(map, 0, 10);
-    const HostPhysAddr b = addrIn(map, 0, 20); // same bank, other row
+    const HostPhysAddr a = map.address(0, 10);
+    const HostPhysAddr b = map.address(0, 20); // same bank, other row
     // First access to an idle bank: row miss.
     EXPECT_EQ(dram.timedAccess(a), t.rowMissLatency);
     // Same row again: hit.
@@ -103,8 +92,8 @@ TEST_F(DramSystemTest, DifferentBanksDoNotConflict)
 {
     DramSystem dram(testConfig(), clock);
     const AddressMapping &map = dram.mapping();
-    const HostPhysAddr a = addrIn(map, 0, 10);
-    const HostPhysAddr b = addrIn(map, 1, 20);
+    const HostPhysAddr a = map.address(0, 10);
+    const HostPhysAddr b = map.address(1, 20);
     (void)dram.timedAccess(a);
     (void)dram.timedAccess(b);
     // Both rows stay open in their banks.
@@ -130,8 +119,8 @@ TEST_F(DramSystemTest, HammerFlipsGroundTruthCell)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const std::vector<HostPhysAddr> aggressors{
-        addrIn(map, spot->bank, spot->row + 1),
-        addrIn(map, spot->bank, spot->row + 2)};
+        map.address(spot->bank, spot->row + 1),
+        map.address(spot->bank, spot->row + 2)};
     const auto events = dram.hammer(aggressors, 200'000);
 
     bool found = false;
@@ -158,8 +147,8 @@ TEST_F(DramSystemTest, DirectionGateRespectsStoredValue)
     fillRow(dram, spot->row, 0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         200'000);
     for (const FlipEvent &event : events) {
         EXPECT_FALSE(event.bank == spot->bank && event.row == spot->row
@@ -175,8 +164,8 @@ TEST_F(DramSystemTest, BelowThresholdNoFlips)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         1'000); // far below minThreshold
     EXPECT_TRUE(events.empty());
 }
@@ -191,8 +180,8 @@ TEST_F(DramSystemTest, AggressorRowsAreNotVictims)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row),
-         addrIn(map, spot->bank, spot->row + 1)},
+        {map.address(spot->bank, spot->row),
+         map.address(spot->bank, spot->row + 1)},
         200'000);
     for (const FlipEvent &event : events)
         EXPECT_FALSE(event.row == spot->row && event.bank == spot->bank);
@@ -214,8 +203,8 @@ TEST_F(DramSystemTest, RefreshWindowCapsDisturbance)
     // window fits ~680 k activations of a two-row pattern, and the
     // counters reset across windows.
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         10'000'000);
     EXPECT_TRUE(events.empty());
 }
@@ -225,7 +214,7 @@ TEST_F(DramSystemTest, HammerChargesRowCycles)
     DramSystem dram(testConfig(), clock);
     const AddressMapping &map = dram.mapping();
     const base::SimTime before = clock.now();
-    (void)dram.hammer({addrIn(map, 0, 10), addrIn(map, 0, 11)},
+    (void)dram.hammer({map.address(0, 10), map.address(0, 11)},
                       100'000);
     const base::SimTime charged = clock.now() - before;
     EXPECT_EQ(charged, 2u * 100'000 * dram.config().timing.rowCycle);
@@ -242,8 +231,8 @@ TEST_F(DramSystemTest, TrrBlocksSmallPatterns)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         200'000);
     EXPECT_TRUE(events.empty());
     EXPECT_GT(dram.trrSuppressions(), 0u);
@@ -259,8 +248,8 @@ TEST_F(DramSystemTest, EccSuppressesSingleBitFlips)
     fillRow(dram, spot->row, ~0ull);
     const AddressMapping &map = dram.mapping();
     const auto events = dram.hammer(
-        {addrIn(map, spot->bank, spot->row + 1),
-         addrIn(map, spot->bank, spot->row + 2)},
+        {map.address(spot->bank, spot->row + 1),
+         map.address(spot->bank, spot->row + 2)},
         200'000);
     EXPECT_TRUE(events.empty());
     EXPECT_GT(dram.eccCorrectedFlips(), 0u);

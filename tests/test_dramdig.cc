@@ -67,21 +67,14 @@ TEST(DramDig, ConflictDetection)
     const dram::AddressMapping &map = dram->mapping();
     // Construct a same-bank different-row pair and a different-bank
     // pair from ground truth.
-    const dram::BankId bank = 3;
-    const auto addr_in = [&](dram::RowId row) {
-        const dram::BankId cls = bank ^ map.rowClass(row);
-        return HostPhysAddr(
-            (static_cast<uint64_t>(row) << map.rowLoBit())
-            | (static_cast<uint64_t>(map.classOffsets(cls).front())
-               << map.interleaveShift()));
-    };
-    EXPECT_TRUE(dig.conflicts(addr_in(10), addr_in(99)));
+    const HostPhysAddr row10 = map.address(3, 10);
+    EXPECT_TRUE(dig.conflicts(row10, map.address(3, 99)));
 
     const HostPhysAddr other_bank(
-        addr_in(10).value()
+        row10.value()
         ^ (1ull << map.interleaveShift())); // different bank class
-    ASSERT_NE(map.bankOf(addr_in(10)), map.bankOf(other_bank));
-    EXPECT_FALSE(dig.conflicts(addr_in(10), other_bank));
+    ASSERT_NE(map.bankOf(row10), map.bankOf(other_bank));
+    EXPECT_FALSE(dig.conflicts(row10, other_bank));
 }
 
 class DramDigRecovery

@@ -180,17 +180,6 @@ dramTestConfig(uint64_t seed = 5)
     return cfg;
 }
 
-/** Address of the first granule of (bank, row). */
-HostPhysAddr
-addrIn(const dram::AddressMapping &map, dram::BankId bank, dram::RowId row)
-{
-    const dram::BankId cls = bank ^ map.rowClass(row);
-    return HostPhysAddr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(map.classOffsets(cls).front())
-           << map.interleaveShift()));
-}
-
 /** First stable weak (bank,row) flipping one-to-zero. */
 struct WeakSpot
 {
@@ -232,8 +221,8 @@ hammerSpot(dram::DramSystem &dram, const WeakSpot &spot)
 {
     fillRow(dram, spot.row, ~0ull);
     const dram::AddressMapping &map = dram.mapping();
-    return dram.hammer({addrIn(map, spot.bank, spot.row + 1),
-                        addrIn(map, spot.bank, spot.row + 2)},
+    return dram.hammer({map.address(spot.bank, spot.row + 1),
+                        map.address(spot.bank, spot.row + 2)},
                        200'000);
 }
 

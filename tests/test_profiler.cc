@@ -92,6 +92,36 @@ TEST_F(ProfilerTest, TopBorderPairsUseLastRows)
     }
 }
 
+TEST_F(ProfilerTest, BankLabelPairsAreLowestMatchingGranules)
+{
+    boot();
+    const GuestPhysAddr hp = region().front();
+    for (const dram::AddressMapping &map :
+         {dram::AddressMapping::i3_10100(),
+          dram::AddressMapping::xeonE3_2124()}) {
+        MemoryProfiler profiler(*machine, host->clock(), map,
+                                ProfilerConfig{});
+        // Reference: scan a local row granule by granule for the label.
+        const uint64_t stripe = map.rowStripeBytes();
+        const auto lowest = [&](uint64_t row, dram::BankId label) {
+            uint64_t off = row * stripe;
+            while (off < (row + 1) * stripe
+                   && map.bankOf(HostPhysAddr(off)) != label)
+                off += 1ull << map.interleaveShift();
+            return hp + off;
+        };
+        for (bool top : {false, true}) {
+            const uint64_t r0 = top ? kHugePageSize / stripe - 2 : 0;
+            const auto pairs = profiler.aggressorCandidates(hp, top);
+            ASSERT_EQ(pairs.size(), map.bankCount());
+            for (dram::BankId label = 0; label < pairs.size(); ++label) {
+                EXPECT_EQ(pairs[label][0], lowest(r0, label));
+                EXPECT_EQ(pairs[label][1], lowest(r0 + 1, label));
+            }
+        }
+    }
+}
+
 TEST_F(ProfilerTest, BruteForceEnumeratesPagePairs)
 {
     boot();

@@ -28,8 +28,6 @@ TEST(Determinism, DramSystemsWithSameSeedAgree)
         const dram::AddressMapping &map = dram.mapping();
         std::vector<uint64_t> trace;
         for (dram::RowId row = 1; row < 200; row += 3) {
-            const dram::BankId cls0 = 0u ^ map.rowClass(row);
-            const dram::BankId cls1 = 0u ^ map.rowClass(row + 1);
             const uint64_t stripe =
                 static_cast<uint64_t>(row) << map.rowLoBit();
             for (uint64_t off = 0; off < map.rowStripeBytes() * 3;
@@ -37,14 +35,8 @@ TEST(Determinism, DramSystemsWithSameSeedAgree)
                 dram.backend().fillPage((stripe + off) / kPageSize,
                                         ~0ull);
             }
-            const HostPhysAddr a(
-                stripe
-                | (static_cast<uint64_t>(map.classOffsets(cls0)[0])
-                   << map.interleaveShift()));
-            const HostPhysAddr b(
-                (stripe + map.rowStripeBytes())
-                | (static_cast<uint64_t>(map.classOffsets(cls1)[0])
-                   << map.interleaveShift()));
+            const HostPhysAddr a = map.address(0, row);
+            const HostPhysAddr b = map.address(0, row + 1);
             for (const auto &event : dram.hammer({a, b}, 200'000))
                 trace.push_back(event.bitAddr());
         }
@@ -305,16 +297,8 @@ TEST(SeedSweep, NoFlipOutsideTheFaultMap)
                      off += kPageSize)
                     dram.backend().fillPage((stripe + off) / kPageSize,
                                             pattern);
-                const dram::BankId cls1 = 0u ^ map.rowClass(row + 1);
-                const dram::BankId cls2 = 0u ^ map.rowClass(row + 2);
-                const HostPhysAddr a(
-                    (stripe + map.rowStripeBytes())
-                    | (static_cast<uint64_t>(map.classOffsets(cls1)[0])
-                       << map.interleaveShift()));
-                const HostPhysAddr b(
-                    (stripe + 2 * map.rowStripeBytes())
-                    | (static_cast<uint64_t>(map.classOffsets(cls2)[0])
-                       << map.interleaveShift()));
+                const HostPhysAddr a = map.address(0, row + 1);
+                const HostPhysAddr b = map.address(0, row + 2);
                 for (const dram::FlipEvent &event :
                      dram.hammer({a, b}, 200'000)) {
                     ++flips_checked;

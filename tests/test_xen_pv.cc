@@ -133,7 +133,6 @@ TEST_F(XenPvTest, XiaoAttackIsDeterministic)
     // Enumerate the domain's frames and the weak cells inside them:
     // the PV guest can do this because it sees machine addresses.
     const dram::AddressMapping &map = dram->mapping();
-    const uint64_t granule = 1ull << map.interleaveShift();
     std::optional<dram::WeakCell> cell;
     Pfn pmd = kInvalidPfn;
     Pfn forged_pt = kInvalidPfn;
@@ -155,15 +154,8 @@ TEST_F(XenPvTest, XiaoAttackIsDeterministic)
                     continue;
                 }
                 // Does the cell's address fall inside this frame?
-                const dram::BankId cls = b ^ map.rowClass(frame_row);
-                const auto &offsets = map.classOffsets(cls);
-                const HostPhysAddr addr(
-                    (static_cast<uint64_t>(frame_row)
-                     << map.rowLoBit())
-                    | (static_cast<uint64_t>(
-                           offsets[candidate.byteInRow / granule])
-                       << map.interleaveShift())
-                    | (candidate.byteInRow % granule));
+                const HostPhysAddr addr =
+                    map.address(b, frame_row, candidate.byteInRow);
                 if (addr.pfn() != frame)
                     continue;
                 // Find a forged-PT frame whose address differs from
@@ -192,13 +184,7 @@ TEST_F(XenPvTest, XiaoAttackIsDeterministic)
     if (!cell)
         GTEST_SKIP() << "no suitable weak cell among domain frames";
 
-    const dram::BankId cls = bank ^ map.rowClass(row);
-    const auto &offsets = map.classOffsets(cls);
-    const HostPhysAddr cell_addr(
-        (static_cast<uint64_t>(row) << map.rowLoBit())
-        | (static_cast<uint64_t>(offsets[cell->byteInRow / granule])
-           << map.interleaveShift())
-        | (cell->byteInRow % granule));
+    const HostPhysAddr cell_addr = map.address(bank, row, cell->byteInRow);
     const unsigned slot =
         static_cast<unsigned>((cell_addr.value() % kPageSize) / 8);
 
@@ -220,15 +206,8 @@ TEST_F(XenPvTest, XiaoAttackIsDeterministic)
 
     // 3. hammer the adjacent rows (all attacker-owned knowledge) --
     //    deterministic: the stable cell fires on the first attempt.
-    const auto addr_in = [&](dram::RowId r) {
-        const dram::BankId c = bank ^ map.rowClass(r);
-        return HostPhysAddr(
-            (static_cast<uint64_t>(r) << map.rowLoBit())
-            | (static_cast<uint64_t>(map.classOffsets(c).front())
-               << map.interleaveShift()));
-    };
-    const auto events =
-        dram->hammer({addr_in(row + 1), addr_in(row + 2)}, 200'000);
+    const auto events = dram->hammer(
+        {map.address(bank, row + 1), map.address(bank, row + 2)}, 200'000);
     bool flipped = false;
     for (const auto &event : events) {
         flipped |= event.wordAddr.value() == (cell_addr.value() & ~7ull)

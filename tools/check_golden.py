@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Golden-trace regression check for the experiment benches.
 
-Runs each configured bench at a pinned configuration (seed=1, 1 GiB
-host, --quick) and diffs its stdout against the checked-in trace in
-tests/golden/. The simulator is bitwise-deterministic for a fixed seed,
-so any diff is a behaviour change that must be either fixed or
-explicitly re-baselined with --update.
+Runs each configured bench at its pinned flags (seed 1; most at 1 GiB
+and --quick, E1 also at paper scale) and diffs its stdout against the
+checked-in trace in tests/golden/. The simulator is
+bitwise-deterministic for a fixed seed, so any diff is a behaviour
+change that must be either fixed or explicitly re-baselined with
+--update.
 
 Usage:
     check_golden.py --bench-dir <dir-with-bench-binaries> [--update]
@@ -30,35 +31,40 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
-# Pinned flags: small host, fixed seed, reduced workload. The golden
-# files record exactly this configuration; keep the two in sync.
-PINNED_FLAGS = ["--host-gib=1", "--seed=1", "--quick"]
+# The small pinned configuration: 1 GiB host, fixed seed, reduced
+# workload. --quick cannot be undone by a later flag, so a trace at
+# another scale spells out its own flags instead.
+SMALL = ["--host-gib=1", "--seed=1", "--quick"]
 
-# (bench binary, golden file, extra flags) triples. E1 covers
-# profiling end to end (DRAM model, mapping, profiler); E3 covers
-# steering (virtio-mem, buddy placement, EPT spray); E11's --smoke
-# covers the mitigation matrix (defense transforms, sharded cells,
-# matrix fingerprint). The fault soak runs whole trials, mark and
-# detect included, under fault plans; its "Faults fired" column
-# counts every fault-site hit, dram.read among them, so a change to
-# the number or order of DRAM reads on the trial path shows here.
+# (bench binary, golden file, full flag list) triples; each golden file
+# records exactly its flags, so keep the two in sync. E1 covers
+# profiling end to end (DRAM model, mapping, profiler), once small and
+# once at the paper's scale (16 GiB S1 and S2, 12 GiB profiled, the
+# Table 1 rows); E3 covers steering (virtio-mem, buddy placement, EPT
+# spray); E11's --smoke covers the mitigation matrix (defense
+# transforms, sharded cells, matrix fingerprint). The fault soak runs
+# whole trials, mark and detect included, under fault plans; its
+# "Faults fired" column counts every fault-site hit, dram.read among
+# them, so a change to the number or order of DRAM reads on the trial
+# path shows here.
 TRACES = [
-    ("bench_table1_profiling", "e1_profiling_seed1.txt", []),
-    ("bench_table2_page_steering", "e3_page_steering_seed1.txt", []),
+    ("bench_table1_profiling", "e1_profiling_seed1.txt", SMALL),
+    ("bench_table1_profiling", "e1_profiling_full_seed1.txt", []),
+    ("bench_table2_page_steering", "e3_page_steering_seed1.txt", SMALL),
     ("bench_mitigation_matrix", "e11_mitigation_smoke_seed1.txt",
-     ["--smoke", "--json-out=/dev/null"]),
+     [*SMALL, "--smoke", "--json-out=/dev/null"]),
     ("bench_fault_soak", "fault_soak_seed41.txt",
-     ["--trials=8", "--seed-base=41", "--intensity=1.0"]),
+     [*SMALL, "--trials=8", "--seed-base=41", "--intensity=1.0"]),
 ]
 
 
 def run_bench(bench_dir: pathlib.Path, name: str,
-              extra_flags: list[str]) -> str:
+              flags: list[str]) -> str:
     exe = bench_dir / name
     if not exe.exists():
         sys.exit(f"error: bench binary not found: {exe}")
     result = subprocess.run(
-        [str(exe), *PINNED_FLAGS, *extra_flags],
+        [str(exe), *flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,  # warn/info logs are not golden
         text=True,
@@ -76,7 +82,7 @@ def write_step_summary(failed: list[str], diff_text: str) -> None:
         return
     with open(summary_path, "a", encoding="utf-8") as summary:
         summary.write("## Golden-trace mismatch\n\n")
-        summary.write("Diverging benches: " + ", ".join(failed) + "\n\n")
+        summary.write("Diverging traces: " + ", ".join(failed) + "\n\n")
         summary.write(
             "Intentional behaviour change? Re-baseline with "
             "`tools/check_golden.py --bench-dir <dir> --update` and "
@@ -97,8 +103,8 @@ def main() -> int:
 
     failed: list[str] = []
     diff_chunks: list[str] = []
-    for bench, golden_name, extra_flags in TRACES:
-        actual = run_bench(args.bench_dir, bench, extra_flags)
+    for bench, golden_name, flags in TRACES:
+        actual = run_bench(args.bench_dir, bench, flags)
         golden_path = GOLDEN_DIR / golden_name
         if args.update:
             golden_path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,13 +114,13 @@ def main() -> int:
         if not golden_path.exists():
             print(f"FAIL {bench}: missing golden file {golden_path}; "
                   f"run with --update to create it")
-            failed.append(bench)
+            failed.append(golden_name)
             continue
         expected = golden_path.read_text()
         if actual == expected:
             print(f"ok   {bench} matches {golden_name}")
             continue
-        failed.append(bench)
+        failed.append(golden_name)
         print(f"FAIL {bench}: output differs from {golden_name}")
         diff = "".join(difflib.unified_diff(
             expected.splitlines(keepends=True),
