@@ -219,8 +219,6 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
 {
     AttemptOutcome outcome;
     fault::FaultInjector *injector = on_host.faults();
-    const uint64_t fired_before =
-        injector != nullptr ? injector->totalFired() : 0;
 
     const std::vector<VulnerableBit> targets = relocateTargets(current);
     outcome.bitsTargeted = static_cast<unsigned>(targets.size());
@@ -293,9 +291,6 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
             break;
         }
     }
-
-    if (injector != nullptr)
-        outcome.faultsFired = injector->totalFired() - fired_before;
     return outcome;
 }
 
@@ -324,6 +319,10 @@ HyperHammerAttack::runTrial(uint64_t trial) const
     // An attempt's cost includes the VM spawn, which dominates in
     // practice (Table 3's ~4 min average).
     outcome.duration = trial_host.clock().now() - start;
+    // The trial world's injector was born with forkTrial(), so its
+    // total covers the boot, the secret and the spawn as well.
+    if (const fault::FaultInjector *injector = trial_host.faults())
+        outcome.faultsFired = injector->totalFired();
     return outcome;
 }
 

@@ -87,7 +87,10 @@ struct AttemptOutcome
     unsigned retries = 0;
     /** Virtual time spent in retry backoff. */
     base::SimTime backoffTime = 0;
-    /** Faults the host injector fired during this attempt. */
+    /**
+     * Faults the trial world's injector fired from its fork to the end
+     * of the attempt: boot, secret and VM spawn included.
+     */
     uint64_t faultsFired = 0;
 
     bool operator==(const AttemptOutcome &) const = default;
@@ -347,7 +350,8 @@ class HyperHammerAttack
     /**
      * One steering + hammer + detect + escalate attempt of @p machine
      * against its host @p on_host, a trial's forked world. The caller
-     * sets the outcome's duration, which includes the VM spawn.
+     * sets the outcome's duration, which includes the VM spawn, and
+     * its faultsFired, which include the world's boot.
      */
     AttemptOutcome attemptIn(sys::HostSystem &on_host,
                              vm::VirtualMachine &machine,

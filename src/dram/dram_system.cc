@@ -30,7 +30,7 @@ DramSystem::DramSystem(ForkTag, const DramSystem &src,
                        base::SimClock &clock)
     : cfg(src.cfg),
       clock(clock),
-      data(src.cfg.totalBytes),
+      data(src.cfg.totalBytes, src.data.forkSpares()),
       faults(src.faults),
       weakRows(src.weakRows),
       trr(src.trr),

@@ -111,7 +111,8 @@ class DramSystem
     /**
      * Fork constructor (reachable only through forkFrom(): ForkTag is
      * private). Shares the immutable fault oracle and weak-row index,
-     * starts from an empty data backend, and copies the open-row
+     * starts from an empty data backend that recycles its blocks
+     * through the source backend's spares, and copies the open-row
      * registers, counters and rng cursor. The source's memory must be
      * empty (asserted): only a never-booted fork template is forked.
      * The fork starts with no fault injector installed.

@@ -14,15 +14,85 @@ wordIndex(HostPhysAddr addr)
     return static_cast<uint16_t>((addr.value() & (kPageSize - 1)) / 8);
 }
 
+/** Move the last block out of a spare list; null when it is empty. */
+template <typename Block>
+std::unique_ptr<Block>
+popBack(std::vector<std::unique_ptr<Block>> &list)
+{
+    if (list.empty())
+        return nullptr;
+    std::unique_ptr<Block> block = std::move(list.back());
+    list.pop_back();
+    return block;
+}
+
+/** Move every non-null block of @p from to the end of @p to. */
+template <typename Block>
+void
+moveAll(std::vector<std::unique_ptr<Block>> &from,
+        std::vector<std::unique_ptr<Block>> &to)
+{
+    for (std::unique_ptr<Block> &block : from) {
+        if (block)
+            to.push_back(std::move(block));
+    }
+}
+
 } // namespace
 
+std::unique_ptr<MemoryBackend::Chunk>
+MemoryBackend::Spares::takeChunk()
+{
+    base::MutexLock lock(mutex);
+    return popBack(chunks);
+}
+
+std::unique_ptr<MemoryBackend::DensePage>
+MemoryBackend::Spares::takePage()
+{
+    base::MutexLock lock(mutex);
+    return popBack(pages);
+}
+
+void
+MemoryBackend::Spares::givePage(std::unique_ptr<DensePage> page)
+{
+    base::MutexLock lock(mutex);
+    pages.push_back(std::move(page));
+}
+
+void
+MemoryBackend::Spares::give(
+    std::vector<std::unique_ptr<Chunk>> &chunk_list,
+    std::vector<std::unique_ptr<DensePage>> &page_list)
+{
+    base::MutexLock lock(mutex);
+    moveAll(chunk_list, chunks);
+    moveAll(page_list, pages);
+}
+
 MemoryBackend::MemoryBackend(uint64_t total_bytes)
-    : totalBytes(total_bytes),
+    : totalBytes(total_bytes), spares(std::make_shared<Spares>()),
+      recycles(false),
       chunks((pageCount() + kChunkPages - 1) / kChunkPages)
 {}
 
+MemoryBackend::MemoryBackend(uint64_t total_bytes,
+                             std::shared_ptr<Spares> from)
+    : totalBytes(total_bytes), spares(std::move(from)), recycles(true),
+      chunks((pageCount() + kChunkPages - 1) / kChunkPages)
+{
+    HH_ASSERT(spares != nullptr);
+}
+
+MemoryBackend::~MemoryBackend()
+{
+    giveBack(chunks);
+}
+
 void
-MemoryBackend::PageData::set(uint16_t idx, uint64_t value)
+MemoryBackend::PageData::set(uint16_t idx, uint64_t value,
+                             MemoryBackend &store)
 {
     if (words) {
         (*words)[idx] = value;
@@ -31,11 +101,63 @@ MemoryBackend::PageData::set(uint16_t idx, uint64_t value)
         wordIdx = value != fill ? idx : kNoWord;
         word = value;
     } else if (value != fill) {
-        words = std::make_unique<std::array<uint64_t, kWordsPerPage>>();
+        words = store.newDensePage();
         words->fill(fill);
         (*words)[wordIdx] = word;
         (*words)[idx] = value;
     }
+}
+
+std::unique_ptr<MemoryBackend::Chunk>
+MemoryBackend::newChunk()
+{
+    if (recycles) {
+        if (std::unique_ptr<Chunk> chunk = spares->takeChunk())
+            return chunk;
+    }
+    ++allocated;
+    return std::make_unique<Chunk>();
+}
+
+std::unique_ptr<MemoryBackend::DensePage>
+MemoryBackend::newDensePage()
+{
+    if (recycles) {
+        if (std::unique_ptr<DensePage> page = spares->takePage())
+            return page;
+    }
+    ++allocated;
+    return std::make_unique<DensePage>();
+}
+
+void
+MemoryBackend::dropDensePage(PageData &slot)
+{
+    if (recycles && slot.words)
+        spares->givePage(std::move(slot.words));
+    slot.words.reset();
+}
+
+void
+MemoryBackend::giveBack(std::vector<std::unique_ptr<Chunk>> &blocks)
+{
+    if (!recycles)
+        return;
+    // An absent slot is already a default PageData, so resetting the
+    // present ones hands each chunk back as make_unique built it.
+    std::vector<std::unique_ptr<DensePage>> pages;
+    for (const std::unique_ptr<Chunk> &chunk : blocks) {
+        if (!chunk)
+            continue;
+        for (PageData &slot : *chunk) {
+            if (!slot.present)
+                continue;
+            if (slot.words)
+                pages.push_back(std::move(slot.words));
+            slot = PageData{};
+        }
+    }
+    spares->give(blocks, pages);
 }
 
 const MemoryBackend::PageData *
@@ -50,7 +172,7 @@ MemoryBackend::mutablePage(Pfn pfn)
 {
     std::unique_ptr<Chunk> &chunk = chunks[pfn / kChunkPages];
     if (!chunk)
-        chunk = std::make_unique<Chunk>();
+        chunk = newChunk();
     PageData &slot = (*chunk)[pfn % kChunkPages];
     if (!slot.present) {
         slot.present = true;
@@ -71,7 +193,7 @@ void
 MemoryBackend::write64(HostPhysAddr addr, uint64_t value)
 {
     HH_ASSERT(contains(addr));
-    mutablePage(addr.pfn()).set(wordIndex(addr), value);
+    mutablePage(addr.pfn()).set(wordIndex(addr), value, *this);
 }
 
 void
@@ -84,6 +206,7 @@ MemoryBackend::clearPage(Pfn pfn)
     PageData &slot = (*chunk)[pfn % kChunkPages];
     if (slot.present)
         --touched;
+    dropDensePage(slot);
     slot = PageData{};
 }
 
@@ -99,7 +222,7 @@ MemoryBackend::fillPage(Pfn pfn, uint64_t pattern)
     PageData &slot = mutablePage(pfn);
     slot.fill = pattern;
     slot.wordIdx = kNoWord;
-    slot.words.reset();
+    dropDensePage(slot);
 }
 
 uint64_t
@@ -172,7 +295,7 @@ MemoryBackend::loadState(base::ArchiveReader &r)
         prev_pfn = pfn;
         std::unique_ptr<Chunk> &chunk = loaded[pfn / kChunkPages];
         if (!chunk)
-            chunk = std::make_unique<Chunk>();
+            chunk = newChunk();
         PageData &slot = (*chunk)[pfn % kChunkPages];
         slot.present = true;
         slot.fill = r.u64();
@@ -188,12 +311,15 @@ MemoryBackend::loadState(base::ArchiveReader &r)
                 break;
             }
             prev_idx = idx;
-            slot.set(idx, value);
+            slot.set(idx, value, *this);
         }
     }
-    if (!r.ok())
+    if (!r.ok()) {
+        giveBack(loaded);
         return r.status();
-    chunks = std::move(loaded);
+    }
+    chunks.swap(loaded);
+    giveBack(loaded);
     touched = page_count;
     return base::Status::success();
 }

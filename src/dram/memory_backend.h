@@ -19,6 +19,12 @@
  * indexes; nothing hashes or rehashes. Every world owns its backend
  * outright: a forked trial world starts from an empty one (the pristine
  * fork template never boots, so it never holds a word).
+ *
+ * A forked backend recycles its blocks (chunks and dense pages)
+ * through spare lists its template owns: it takes a spare before it
+ * allocates, and gives back every block it drops or holds when it
+ * dies. Trial after trial, the next fork reuses the last one's memory
+ * instead of faulting fresh heap in from the kernel (DESIGN.md 3.5).
  */
 
 #ifndef HYPERHAMMER_DRAM_MEMORY_BACKEND_H
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "base/archive.h"
+#include "base/mutex.h"
 #include "base/types.h"
 
 namespace hh::dram {
@@ -40,12 +47,31 @@ namespace hh::dram {
  */
 class MemoryBackend
 {
+    class Spares; // the spare lists, defined with the private types
+
   public:
+    /**
+     * A backend that allocates its blocks and frees them. It owns the
+     * spares its forks recycle through (forkSpares()), but never takes
+     * from or gives to them itself.
+     */
     explicit MemoryBackend(uint64_t total_bytes);
+
+    /**
+     * A fork-side backend: empty, it takes blocks from @p from before
+     * it allocates and gives back each block it drops.
+     */
+    MemoryBackend(uint64_t total_bytes, std::shared_ptr<Spares> from);
+
+    /** A fork-side backend gives back every block it holds. */
+    ~MemoryBackend();
 
     /** Deep copies are banned: each world builds its own backend. */
     MemoryBackend(const MemoryBackend &) = delete;
     MemoryBackend &operator=(const MemoryBackend &) = delete;
+
+    /** The spares a fork of this backend recycles through. */
+    const std::shared_ptr<Spares> &forkSpares() const { return spares; }
 
     /** Size of the backed physical address space. */
     uint64_t size() const { return totalBytes; }
@@ -85,6 +111,12 @@ class MemoryBackend
      */
     size_t touchedPages() const { return touched; }
 
+    /**
+     * Blocks (chunks and dense pages) this backend allocated instead of
+     * taking them from its spares: all of them unless it is a fork.
+     */
+    size_t allocatedBlocks() const { return allocated; }
+
     /** Drop the contents of one frame (reads revert to zero). */
     void clearPage(Pfn pfn);
 
@@ -108,6 +140,9 @@ class MemoryBackend
     /** PageData::wordIdx of a page without an inline word. */
     static constexpr uint16_t kNoWord = kWordsPerPage;
 
+    /** Every word of a frame that spilled. */
+    using DensePage = std::array<uint64_t, kWordsPerPage>;
+
     /**
      * One frame's contents: a fill plus the words that differ from it,
      * inline while there is one and in a dense page from the second
@@ -124,7 +159,7 @@ class MemoryBackend
          * gets a value other than fill. From then on wordIdx is unused
          * and the page stays dense until fillPage() or clearPage().
          */
-        std::unique_ptr<std::array<uint64_t, kWordsPerPage>> words;
+        std::unique_ptr<DensePage> words;
         /** Index of the inline word, or kNoWord. */
         uint16_t wordIdx = kNoWord;
         /** Frame carries data (counted by touchedPages()). */
@@ -137,8 +172,11 @@ class MemoryBackend
             return words ? (*words)[idx] : idx == wordIdx ? word : fill;
         }
 
-        /** Set word @p idx, spilling on a second differing word. */
-        void set(uint16_t idx, uint64_t value);
+        /**
+         * Set word @p idx, spilling to a dense page of @p store on a
+         * second differing word.
+         */
+        void set(uint16_t idx, uint64_t value, MemoryBackend &store);
 
         /**
          * Call @p visit(idx, value) for each word that differs from
@@ -167,6 +205,34 @@ class MemoryBackend
      */
     using Chunk = std::array<PageData, kChunkPages>;
 
+    /**
+     * Blocks that dead forks gave back, for the next fork to take. All
+     * forks of one template share it, so worker threads forking that
+     * template in parallel lock it.
+     */
+    class Spares
+    {
+      public:
+        /** A chunk whose every slot is default, or null if none. */
+        std::unique_ptr<Chunk> takeChunk() HH_EXCLUDES(mutex);
+
+        /** A dense page of any content, or null if none. */
+        std::unique_ptr<DensePage> takePage() HH_EXCLUDES(mutex);
+
+        /** Keep one dense page. */
+        void givePage(std::unique_ptr<DensePage> page) HH_EXCLUDES(mutex);
+
+        /** Keep every chunk (each all-default) and page of the lists. */
+        void give(std::vector<std::unique_ptr<Chunk>> &chunk_list,
+                  std::vector<std::unique_ptr<DensePage>> &page_list)
+            HH_EXCLUDES(mutex);
+
+      private:
+        base::Mutex mutex;
+        std::vector<std::unique_ptr<Chunk>> chunks HH_GUARDED_BY(mutex);
+        std::vector<std::unique_ptr<DensePage>> pages HH_GUARDED_BY(mutex);
+    };
+
     /** Number of 4 KB frames in the address space. */
     uint64_t pageCount() const { return totalBytes / kPageSize; }
 
@@ -179,12 +245,39 @@ class MemoryBackend
     /** Slot of @p pfn for writes, allocating its chunk on first use. */
     PageData &mutablePage(Pfn pfn);
 
+    /** An all-default chunk: a spare one when a fork has one. */
+    std::unique_ptr<Chunk> newChunk();
+
+    /** A dense page, left for the caller to fill: a spare one if any. */
+    std::unique_ptr<DensePage> newDensePage();
+
+    /** Drop @p slot's dense page, giving it back when forked. */
+    void dropDensePage(PageData &slot);
+
+    /**
+     * When forked, reset every present slot of @p blocks and give the
+     * chunks and their dense pages back in one locked step; otherwise
+     * leave them for the caller to free.
+     */
+    void giveBack(std::vector<std::unique_ptr<Chunk>> &blocks);
+
     /** Construction-time geometry; loadState() keeps it. */
     const uint64_t totalBytes;
+    /**
+     * The spares this backend's forks recycle through; a fork shares
+     * its template's.
+     */
+    // hh-lint: allow(snapshot-field-coverage) -- storage, not state
+    const std::shared_ptr<Spares> spares;
+    /** Takes from and gives back to spares (a fork-side backend). */
+    const bool recycles;
     /** One entry per 2 MiB; null until the chunk's first write. */
     std::vector<std::unique_ptr<Chunk>> chunks;
     /** Present slots across all chunks. */
     size_t touched = 0;
+    /** Blocks allocated rather than taken (allocatedBlocks()). */
+    // hh-lint: allow(snapshot-field-coverage) -- diagnostics, not state
+    size_t allocated = 0;
 };
 
 } // namespace hh::dram

@@ -222,20 +222,13 @@ VfioContainer::ioptPageCount() const
 void
 VfioContainer::pinRange(Pfn first, uint64_t count)
 {
-    for (uint64_t i = 0; i < count; ++i) {
-        buddy.setPinned(first + i, true);
-        // Pinned pages cannot be migrated: Linux marks them unmovable
-        // so compaction and NUMA balancing skip them (Section 2.6).
-        buddy.setMigrateType(first + i, mm::MigrateType::Unmovable);
-        buddy.setUse(first + i, mm::PageUse::GuestMemory, owner);
-    }
+    buddy.pinRange(first, count, mm::PageUse::GuestMemory, owner);
 }
 
 void
 VfioContainer::unpinRange(Pfn first, uint64_t count)
 {
-    for (uint64_t i = 0; i < count; ++i)
-        buddy.setPinned(first + i, false);
+    buddy.unpinRange(first, count);
 }
 
 void

@@ -540,11 +540,31 @@ BuddyAllocator::setUse(Pfn pfn, PageUse use, uint16_t owner)
 }
 
 void
-BuddyAllocator::setMigrateType(Pfn pfn, MigrateType mt)
+BuddyAllocator::pinRange(Pfn first, uint64_t count, PageUse use,
+                         uint16_t owner)
 {
-    HH_ASSERT(pfn < frames.size());
-    HH_ASSERT(!frames[pfn].free);
-    frames.mut(pfn).migrateType = mt;
+    HH_ASSERT(first + count <= frames.size());
+    for (Pfn pfn = first; pfn < first + count; ++pfn) {
+        PageFrame &frame = frames.mut(pfn);
+        HH_ASSERT(!frame.free);
+        frame.pinned = true;
+        // Pinned pages cannot be migrated: Linux marks them unmovable
+        // so compaction and NUMA balancing skip them (Section 2.6).
+        frame.migrateType = MigrateType::Unmovable;
+        frame.use = use;
+        frame.owner = owner;
+    }
+}
+
+void
+BuddyAllocator::unpinRange(Pfn first, uint64_t count)
+{
+    HH_ASSERT(first + count <= frames.size());
+    for (Pfn pfn = first; pfn < first + count; ++pfn) {
+        PageFrame &frame = frames.mut(pfn);
+        HH_ASSERT(!frame.free);
+        frame.pinned = false;
+    }
 }
 
 bool

@@ -175,8 +175,15 @@ class BuddyAllocator
     /** Update the usage tag of an allocated frame. */
     void setUse(Pfn pfn, PageUse use, uint16_t owner);
 
-    /** Retype an allocated frame (pinning marks frames unmovable). */
-    void setMigrateType(Pfn pfn, MigrateType mt);
+    /**
+     * Pin @p count allocated frames from @p first for DMA (VFIO): each
+     * is marked pinned, retyped unmovable and tagged @p use / @p owner
+     * in one write.
+     */
+    void pinRange(Pfn first, uint64_t count, PageUse use, uint16_t owner);
+
+    /** Unpin @p count allocated frames from @p first. */
+    void unpinRange(Pfn first, uint64_t count);
 
     /**
      * True when every frame of the 2^order block is allocated with

@@ -272,6 +272,70 @@ TEST(BuddyDeath, FreeingPinnedPagePanics)
     EXPECT_DEATH(buddy.freePages(*page, 0), "assertion");
 }
 
+TEST(Buddy, PinRangeSetsEveryFieldInsideTheRangeOnly)
+{
+    BuddyAllocator buddy(config(4096));
+    // Pin nine frames in the middle of a sixteen-frame block.
+    auto low = buddy.allocPages(4, MigrateType::Movable,
+                                PageUse::KernelData, /*owner=*/2);
+    ASSERT_TRUE(low.ok());
+    const Pfn first = *low + 2;
+    const uint64_t count = 9;
+    buddy.pinRange(first, count, PageUse::GuestMemory, 9);
+    for (Pfn pfn = *low; pfn < *low + 16; ++pfn) {
+        const PageFrame &frame = buddy.frame(pfn);
+        if (pfn >= first && pfn < first + count) {
+            EXPECT_TRUE(frame.pinned) << pfn;
+            EXPECT_EQ(frame.migrateType, MigrateType::Unmovable) << pfn;
+            EXPECT_EQ(frame.use, PageUse::GuestMemory) << pfn;
+            EXPECT_EQ(frame.owner, 9u) << pfn;
+        } else {
+            EXPECT_FALSE(frame.pinned) << pfn;
+            EXPECT_EQ(frame.migrateType, MigrateType::Movable) << pfn;
+            EXPECT_EQ(frame.use, PageUse::KernelData) << pfn;
+            EXPECT_EQ(frame.owner, 2u) << pfn;
+        }
+    }
+}
+
+TEST(Buddy, UnpinRangeClearsOnlyPinned)
+{
+    BuddyAllocator buddy(config(4096));
+    auto block = buddy.allocPages(2, MigrateType::Movable,
+                                  PageUse::KernelData);
+    ASSERT_TRUE(block.ok());
+    buddy.pinRange(*block, 4, PageUse::GuestMemory, 5);
+    buddy.unpinRange(*block + 1, 2);
+    for (Pfn pfn = *block; pfn < *block + 4; ++pfn) {
+        const PageFrame &frame = buddy.frame(pfn);
+        EXPECT_EQ(frame.pinned, pfn == *block || pfn == *block + 3)
+            << pfn;
+        EXPECT_EQ(frame.migrateType, MigrateType::Unmovable) << pfn;
+        EXPECT_EQ(frame.use, PageUse::GuestMemory) << pfn;
+        EXPECT_EQ(frame.owner, 5u) << pfn;
+    }
+    buddy.unpinRange(*block, 4);
+    buddy.freePages(*block, 2);
+}
+
+TEST(BuddyDeath, FreeingRangePinnedPagePanics)
+{
+    BuddyAllocator buddy(config(4096));
+    auto page = buddy.allocPages(0, MigrateType::Movable,
+                                 PageUse::GuestMemory);
+    ASSERT_TRUE(page.ok());
+    buddy.pinRange(*page, 1, PageUse::GuestMemory, 0);
+    EXPECT_DEATH(buddy.freePages(*page, 0), "assertion");
+}
+
+TEST(BuddyDeath, PinningAFreePagePanics)
+{
+    BuddyAllocator buddy(config(4096));
+    EXPECT_DEATH(buddy.pinRange(0, 1, PageUse::GuestMemory, 0),
+                 "assertion");
+    EXPECT_DEATH(buddy.unpinRange(0, 1), "assertion");
+}
+
 TEST(BuddyDeath, DoubleFreePanics)
 {
     BuddyAllocator buddy(config(4096, /*pcp off*/ 0));

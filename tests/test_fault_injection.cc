@@ -587,6 +587,43 @@ TEST(FaultOrchestrator, LostFlipsTriggerHammerRetries)
     EXPECT_GT(outcome.faultsFired, 0u);
 }
 
+TEST(FaultOrchestrator, FaultsFiredCoverTheTrialWorldsBootAndSpawn)
+{
+    // Allocation failures that fire only before the attack starts: in
+    // the trial world's boot (its injector is born with the fork) and,
+    // past the boot and the secret's page, in its VM spawn.
+    fault::FaultPlan plan;
+    plan.seed = 5;
+    plan.add(entry(fault::FaultSite::MmAlloc,
+                   fault::FaultKind::AllocFail, 0, 4));
+    uint64_t boot_hits = 0;
+    {
+        const sys::SystemConfig cfg = hostConfig(7, 8.0).withFaults(plan);
+        const std::unique_ptr<const sys::HostSystem> tmpl =
+            sys::HostSystem::makeForkTemplate(cfg);
+        const std::unique_ptr<sys::HostSystem> world =
+            sys::HostSystem::forkTrial(*tmpl, cfg);
+        boot_hits = world->faults()->occurrences(fault::FaultSite::MmAlloc);
+    }
+    ASSERT_GT(boot_hits, 4u);
+    plan.add(entry(fault::FaultSite::MmAlloc,
+                   fault::FaultKind::AllocFail, boot_hits + 8, 2));
+
+    sys::HostSystem host(hostConfig(7, 8.0).withFaults(plan));
+    attack::HyperHammerAttack attack(host, vmConfig(),
+                                     host.dram().mapping(),
+                                     attackConfig(2));
+    (void)attack.profilePhase();
+    ASSERT_GT(attack.hostProfile().size(), 0u);
+    const attack::AttackResult result = attack.runAttempts(2, 2);
+    EXPECT_FALSE(result.success);
+    EXPECT_TRUE(result.degraded);
+    ASSERT_EQ(result.outcomes.size(), 2u);
+    for (const attack::AttemptOutcome &outcome : result.outcomes)
+        EXPECT_EQ(outcome.faultsFired, 6u);
+    EXPECT_EQ(result.faultsInjected, 12u);
+}
+
 TEST(FaultOrchestrator, RunAttemptsBitwiseIdenticalAcrossThreadCounts)
 {
     // The acceptance bar: with a seeded plan installed, the parallel

@@ -1,11 +1,19 @@
 /**
  * @file
  * Tests of the host assembly: the S1/S2/S3 presets, boot-time noise
- * population, churn, scaling, and VM lifecycle accounting.
+ * population, churn, scaling, VM lifecycle accounting, and trial
+ * worlds forked on several threads from one template.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "base/rng.h"
 #include "sys/host_system.h"
 
 namespace hh::sys {
@@ -163,6 +171,63 @@ TEST(HostSystem, S3StartsWithMoreNoiseThanS1)
     HostSystem s1(SystemConfig::s1(7).withMemory(2_GiB));
     HostSystem s3(SystemConfig::s3(7).withMemory(2_GiB));
     EXPECT_GT(s3.noisePages(), s1.noisePages() * 2);
+}
+
+// Worlds forked from one template on several threads take and give
+// back blocks through the template's one set of spare lists. Each
+// thread's fork -> VM -> writes -> drop cycles must leave every world
+// exactly as a serial run does (TSan checks the sharing in CI).
+TEST(HostSystem, ParallelForksShareSparesAndMatchSerialRun)
+{
+    const SystemConfig cfg = SystemConfig::s1(9).withMemory(512_MiB);
+    const std::unique_ptr<const HostSystem> tmpl =
+        HostSystem::makeForkTemplate(cfg);
+    vm::VmConfig vm_cfg;
+    vm_cfg.bootMemBytes = 16_MiB;
+    vm_cfg.virtioMemRegionSize = 256_MiB;
+    vm_cfg.virtioMemPlugged = 128_MiB;
+    // A hash of one trial world's host and VM bytes after a VM spawn,
+    // demotions and spilling writes; 0 when a write fails.
+    const auto world_hash = [&](uint64_t trial) -> size_t {
+        SystemConfig trial_cfg = cfg;
+        trial_cfg.seed = base::SeedSequence(cfg.seed).seed(trial);
+        const std::unique_ptr<HostSystem> host =
+            HostSystem::forkTrial(*tmpl, trial_cfg);
+        const std::unique_ptr<vm::VirtualMachine> machine =
+            host->createVm(vm_cfg);
+        const std::vector<GuestPhysAddr> hps = machine->hugePageGpas();
+        for (size_t i = 0; i < hps.size(); i += 4) {
+            machine->execute(hps[i]);
+            if (!machine->write64(hps[i] + 8, trial).ok()
+                || !machine->write64(hps[i] + 16, i).ok())
+                return 0;
+        }
+        base::ArchiveWriter w;
+        host->saveState(w);
+        machine->saveState(w);
+        const std::vector<uint8_t> &bytes = w.buffer();
+        return std::hash<std::string_view>{}(std::string_view(
+            reinterpret_cast<const char *>(bytes.data()), bytes.size()));
+    };
+
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kCycles = 8;
+    std::vector<size_t> serial(kThreads * kCycles);
+    for (uint64_t trial = 0; trial < serial.size(); ++trial)
+        serial[trial] = world_hash(trial);
+    std::vector<size_t> parallel(serial.size());
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (unsigned c = 0; c < kCycles; ++c)
+                parallel[t * kCycles + c] = world_hash(t * kCycles + c);
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    EXPECT_EQ(parallel, serial);
+    for (size_t hash : serial)
+        EXPECT_NE(hash, 0u);
 }
 
 } // namespace

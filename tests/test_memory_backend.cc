@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the sparse memory backend: fill and differing-word
  * semantics in both slot forms (one inline word, a dense page past
- * it), bit flips, mismatchedWords(), and the saved stream.
+ * it), bit flips, mismatchedWords(), the saved stream, and a fork's
+ * recycling of blocks through its template's spares.
  */
 
 #include <gtest/gtest.h>
@@ -330,6 +331,100 @@ TEST(MemoryBackend, LoadRejectsRepeatedPfn)
     base::ArchiveReader r(w.buffer());
     EXPECT_FALSE(mem.loadState(r).ok());
     EXPECT_EQ(mem.touchedPages(), 0u);
+}
+
+// Every slot form in both chunks of a 4 MiB backend: inline words,
+// filled pages, spilled dense pages (one with all 512 words distinct)
+// and pages written back to their fill.
+void
+writeEveryForm(MemoryBackend &mem)
+{
+    mem.write64(HostPhysAddr(1 * kPageSize + 9 * 8), 0x91);
+    mem.fillPage(2, 0x22);
+    mem.write64(HostPhysAddr(2 * kPageSize + 300 * 8), 0x23);
+    mem.write64(HostPhysAddr(2 * kPageSize + 5 * 8), 0x24);
+    mem.fillPage(3, 0x33);
+    for (uint64_t i = 0; i < 512; ++i)
+        mem.write64(HostPhysAddr(600 * kPageSize + i * 8), i + 1);
+    mem.write64(HostPhysAddr(601 * kPageSize + 8), 0x71);
+    mem.write64(HostPhysAddr(601 * kPageSize + 16), 0x72);
+    mem.write64(HostPhysAddr(601 * kPageSize + 16), 0);
+    mem.write64(HostPhysAddr(700 * kPageSize + 8), 0x71);
+    mem.write64(HostPhysAddr(700 * kPageSize + 8), 0);
+}
+
+TEST(MemoryBackend, ForkTakesADeadForksBlocksAsUntouched)
+{
+    MemoryBackend tmpl(4_MiB);
+    {
+        MemoryBackend dead(4_MiB, tmpl.forkSpares());
+        writeEveryForm(dead);
+        EXPECT_EQ(dead.allocatedBlocks(), 5u) << "two chunks, three dense";
+    }
+    MemoryBackend fork(4_MiB, tmpl.forkSpares());
+    // Take both chunks back, then drop the pages that took them.
+    fork.write64(HostPhysAddr(1 * kPageSize), 0x5);
+    fork.write64(HostPhysAddr(600 * kPageSize), 0x5);
+    fork.clearPage(1);
+    fork.clearPage(600);
+    EXPECT_EQ(fork.touchedPages(), 0u);
+    for (uint64_t addr = 0; addr < 4_MiB; addr += 8)
+        ASSERT_EQ(fork.read64(HostPhysAddr(addr)), 0u) << addr;
+    for (Pfn pfn = 0; pfn < 4_MiB / kPageSize; ++pfn)
+        ASSERT_TRUE(fork.mismatchedWords(pfn, 0).empty()) << pfn;
+    EXPECT_EQ(stateBytes(fork), stateBytes(MemoryBackend(4_MiB)));
+    EXPECT_EQ(fork.allocatedBlocks(), 0u);
+    EXPECT_EQ(tmpl.allocatedBlocks(), 0u) << "a template only owns";
+}
+
+TEST(MemoryBackend, ForkRepeatingADeadForksWritesSavesLikeAFreshOne)
+{
+    MemoryBackend tmpl(4_MiB);
+    {
+        MemoryBackend dead(4_MiB, tmpl.forkSpares());
+        writeEveryForm(dead);
+    }
+    MemoryBackend fork(4_MiB, tmpl.forkSpares());
+    writeEveryForm(fork);
+    MemoryBackend fresh(4_MiB);
+    writeEveryForm(fresh);
+    EXPECT_EQ(fork.touchedPages(), fresh.touchedPages());
+    EXPECT_EQ(stateBytes(fork), stateBytes(fresh));
+    // The counted half of the recycling claim: the same work again
+    // allocates nothing.
+    EXPECT_EQ(fork.allocatedBlocks(), 0u);
+    EXPECT_EQ(fresh.allocatedBlocks(), 5u);
+}
+
+TEST(MemoryBackend, DroppedDensePageComesBackHoldingTheNewFill)
+{
+    MemoryBackend tmpl(1_MiB);
+    MemoryBackend fork(1_MiB, tmpl.forkSpares());
+    const auto spill = [&](Pfn pfn, uint64_t fill) {
+        fork.fillPage(pfn, fill);
+        for (uint64_t i = 0; i < 512; i += 2)
+            fork.write64(HostPhysAddr(pfn * kPageSize + i * 8), ~i);
+    };
+    const auto expectSpilled = [&](Pfn pfn, uint64_t fill) {
+        for (uint64_t i = 0; i < 512; ++i) {
+            ASSERT_EQ(fork.read64(HostPhysAddr(pfn * kPageSize + i * 8)),
+                      i % 2 == 0 ? ~i : fill)
+                << "pfn " << pfn << " word " << i;
+        }
+    };
+    // One dense page allocated, then dropped by clearPage() and taken
+    // by the next spill, then dropped by fillPage() and taken again.
+    spill(10, 0x10);
+    EXPECT_EQ(fork.allocatedBlocks(), 2u) << "one chunk, one dense";
+    fork.clearPage(10);
+    spill(11, 0x11);
+    expectSpilled(11, 0x11);
+    fork.fillPage(11, 0x12);
+    EXPECT_EQ(fork.read64(HostPhysAddr(11 * kPageSize)), 0x12u);
+    spill(12, 0x13);
+    expectSpilled(12, 0x13);
+    EXPECT_EQ(fork.allocatedBlocks(), 2u);
+    EXPECT_EQ(fork.touchedPages(), 2u);
 }
 
 TEST(MemoryBackendDeath, OutOfRangePfnPanics)

@@ -82,6 +82,62 @@ TEST(WorldForkIdentity, ForkTrialMatchesFreshConstruction)
     }
 }
 
+// Spawn a VM on @p host, demote and write some of its hugepages so
+// that EPT pages and data pages spill to dense pages, and return the
+// host's and the VM's bytes.
+std::vector<uint8_t>
+spilledWorldBytes(sys::HostSystem &host)
+{
+    const std::unique_ptr<vm::VirtualMachine> machine =
+        host.createVm(vmConfig());
+    const std::vector<GuestPhysAddr> hps = machine->hugePageGpas();
+    uint64_t demoted = 0;
+    for (size_t i = 0; i < hps.size(); i += 8) {
+        demoted += machine->execute(hps[i]).demotedHugePage ? 1 : 0;
+        EXPECT_TRUE(machine->write64(hps[i] + 8, 0xa0 + i).ok());
+        EXPECT_TRUE(machine->write64(hps[i] + 16, 0xb0 + i).ok());
+    }
+    EXPECT_GT(demoted, 0u);
+    base::ArchiveWriter w;
+    host.saveState(w);
+    machine->saveState(w);
+    return w.buffer();
+}
+
+// A fork that takes its backend blocks from a dropped fork of the same
+// template (recycled chunks and dense pages) is still bit-identical to
+// a freshly constructed world that ran the same steps.
+TEST(WorldForkIdentity, ForkAfterDroppedForkMatchesFresh)
+{
+    const sys::SystemConfig cfg =
+        sys::SystemConfig::s1(5).withMemory(1_GiB);
+    const std::unique_ptr<const sys::HostSystem> tmpl =
+        sys::HostSystem::makeForkTemplate(cfg);
+    const auto trial_cfg = [&](uint64_t trial) {
+        sys::SystemConfig out = cfg;
+        out.seed = base::SeedSequence(cfg.seed).seed(trial);
+        return out;
+    };
+    std::vector<uint8_t> first_bytes;
+    {
+        const std::unique_ptr<sys::HostSystem> first =
+            sys::HostSystem::forkTrial(*tmpl, trial_cfg(0));
+        first_bytes = spilledWorldBytes(*first);
+    }
+    {
+        const std::unique_ptr<sys::HostSystem> second =
+            sys::HostSystem::forkTrial(*tmpl, trial_cfg(1));
+        sys::HostSystem fresh(trial_cfg(1));
+        EXPECT_EQ(spilledWorldBytes(*second), spilledWorldBytes(fresh));
+    }
+    // Repeating the first fork's work takes every block from the
+    // spares and allocates none.
+    const std::unique_ptr<sys::HostSystem> again =
+        sys::HostSystem::forkTrial(*tmpl, trial_cfg(0));
+    EXPECT_EQ(spilledWorldBytes(*again), first_bytes);
+    EXPECT_EQ(again->dram().backend().allocatedBlocks(), 0u);
+}
+
 class ResumeIdentityMatrix
     : public ::testing::TestWithParam<std::tuple<uint64_t, unsigned>>
 {
