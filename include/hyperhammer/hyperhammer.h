@@ -9,7 +9,7 @@
  *   hh::mm       -- Linux-style buddy allocator
  *   hh::kvm      -- EPT MMU with the NX-hugepage countermeasure
  *   hh::iommu    -- vIOMMU / VFIO / IOPT
- *   hh::virtio   -- virtio-mem and virtio-balloon
+ *   hh::virtio   -- virtio-mem device, driver and quarantine
  *   hh::vm       -- a guest VM and its guest-facing operations
  *   hh::sys      -- host assembly and the S1/S2/S3 presets
  *   hh::mitigate -- pluggable defenses and the evaluation matrix
@@ -67,9 +67,7 @@
 #include "snapshot/snapshot_format.h"
 #include "sys/host_system.h"
 #include "sys/ksm.h"
-#include "virtio/virtio_balloon.h"
 #include "virtio/virtio_mem.h"
-#include "vm/guest_paging.h"
 #include "vm/virtual_machine.h"
 #include "xen/pv_domain.h"
 

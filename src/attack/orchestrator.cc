@@ -367,7 +367,9 @@ HyperHammerAttack::campaignFingerprint() const
     w.u64(vmCfg.virtioMemRegionSize);
     w.u64(vmCfg.virtioMemPlugged);
     w.u32(vmCfg.passthroughDevices);
-    w.boolean(vmCfg.balloon);
+    // The slot of the retired virtio-balloon device, written as
+    // absent for the same reason as the re-profiling slot below.
+    w.boolean(false);
     w.boolean(vmCfg.quarantine.enabled);
     w.u64(vmCfg.quarantine.toleranceSubBlocks);
     w.u64(vmCfg.quarantine.graceRequests);

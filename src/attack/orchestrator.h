@@ -305,9 +305,6 @@ class HyperHammerAttack
         defenses = defense_set;
     }
 
-    /** The attached defense stack; null when undefended. */
-    mitigate::DefenseSet *attachedDefenses() const { return defenses; }
-
   private:
     sys::HostSystem &host;
     vm::VmConfig vmCfg;

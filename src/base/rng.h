@@ -110,16 +110,6 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Approximately normal variate (sum of uniforms, CLT with 12 terms). */
-    double
-    gaussian(double mean, double stddev)
-    {
-        double acc = 0.0;
-        for (int i = 0; i < 12; ++i)
-            acc += uniform();
-        return mean + (acc - 6.0) * stddev;
-    }
-
     /** Fisher-Yates shuffle of a random-access container. */
     template <typename Container>
     void

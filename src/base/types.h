@@ -124,7 +124,6 @@ class TypedAddr
 
 struct HostPhysTag {};
 struct GuestPhysTag {};
-struct GuestVirtTag {};
 struct IoVirtTag {};
 
 } // namespace base
@@ -133,15 +132,11 @@ struct IoVirtTag {};
 using HostPhysAddr = base::TypedAddr<base::HostPhysTag>;
 /** Guest physical address (GPA): what the VM sees as physical memory. */
 using GuestPhysAddr = base::TypedAddr<base::GuestPhysTag>;
-/** Guest virtual address (GVA). */
-using GuestVirtAddr = base::TypedAddr<base::GuestVirtTag>;
 /** I/O virtual address (IOVA): input to the (v)IOMMU. */
 using IoVirtAddr = base::TypedAddr<base::IoVirtTag>;
 
 /** Host page frame number; frame i covers HPA [i*4K, (i+1)*4K). */
 using Pfn = uint64_t;
-/** Guest frame number. */
-using Gfn = uint64_t;
 
 /** An invalid/unset PFN sentinel. */
 constexpr Pfn kInvalidPfn = ~0ull;

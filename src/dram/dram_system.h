@@ -145,9 +145,6 @@ class DramSystem
     /** The fault oracle (tests peek at it; attack code must not). */
     const FaultModel &faultModel() const { return *faults; }
 
-    /** The precomputed weak-row bitset (shared across forks). */
-    const WeakRowIndex &weakRowIndex() const { return *weakRows; }
-
     /** The data store (host-kernel code reads/writes through this). */
     MemoryBackend &backend() { return data; }
     const MemoryBackend &backend() const { return data; }

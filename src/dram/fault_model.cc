@@ -1,7 +1,5 @@
 #include "fault_model.h"
 
-#include <bit>
-
 #include "base/log.h"
 #include "base/rng.h"
 
@@ -89,7 +87,7 @@ FaultModel::weakCellsInRow(BankId bank, RowId row,
 
 WeakRowIndex::WeakRowIndex(const FaultModel &model, unsigned bank_count,
                            uint64_t rows_per_bank)
-    : banks(bank_count), rowsPerBankCount(rows_per_bank)
+    : rowsPerBankCount(rows_per_bank)
 {
     HH_ASSERT(bank_count > 0 && rows_per_bank > 0);
     bits.assign((bank_count * rows_per_bank + 63) / 64, 0);
@@ -101,15 +99,6 @@ WeakRowIndex::WeakRowIndex(const FaultModel &model, unsigned bank_count,
             bits[idx >> 6] |= 1ull << (idx & 63);
         }
     }
-}
-
-uint64_t
-WeakRowIndex::weakRowCount() const
-{
-    uint64_t count = 0;
-    for (uint64_t word : bits)
-        count += static_cast<uint64_t>(std::popcount(word));
-    return count;
 }
 
 } // namespace hh::dram

@@ -154,14 +154,7 @@ class WeakRowIndex
         return (bits[idx >> 6] >> (idx & 63)) & 1;
     }
 
-    /** Total weak rows across all banks (diagnostics/tests). */
-    uint64_t weakRowCount() const;
-
-    uint64_t rowsPerBank() const { return rowsPerBankCount; }
-    unsigned bankCount() const { return banks; }
-
   private:
-    unsigned banks;
     uint64_t rowsPerBankCount;
     std::vector<uint64_t> bits;
 };

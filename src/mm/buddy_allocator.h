@@ -188,7 +188,7 @@ class BuddyAllocator
     /**
      * True when every frame of the 2^order block is allocated with
      * the given use and owner -- the precondition for freeing the
-     * block wholesale (a ballooned-out page breaks it).
+     * block wholesale (a KSM-merged page breaks it).
      */
     bool blockUniformlyOwned(Pfn pfn, unsigned order, PageUse use,
                              uint16_t owner) const;

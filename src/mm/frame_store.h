@@ -98,16 +98,6 @@ class FrameStore
         return forked;
     }
 
-    /** Chunks privately owned by this store (diagnostics/tests). */
-    uint64_t
-    unsharedChunks() const
-    {
-        uint64_t count = 0;
-        for (const auto &chunk : chunks)
-            count += chunk.use_count() == 1 ? 1 : 0;
-        return count;
-    }
-
   private:
     struct Chunk
     {

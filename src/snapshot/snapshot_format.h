@@ -79,8 +79,13 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * differ from its fill in index order), but saveState() now walks the
  * two slot forms instead of an override vector, so v6 snapshots are
  * retired rather than trusted.
+ *
+ * v8: the virtio-balloon device is gone. VirtualMachine::saveState()
+ * no longer writes the has-balloon flag between the virtio-mem driver
+ * and the boot-block list, so a v7 world snapshot would misread its
+ * boot blocks and is rejected by version.
  */
-constexpr uint32_t kSnapshotFormatVersion = 7;
+constexpr uint32_t kSnapshotFormatVersion = 8;
 
 } // namespace hh::snapshot
 

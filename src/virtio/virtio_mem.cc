@@ -126,8 +126,8 @@ VirtioMemDevice::unplugBacking(SubBlockId sb)
             dram.backend().clearPage(block + i);
         buddy.freePagesAs(block, 9, release_type);
     } else {
-        // Defensive: something (e.g. a balloon hole) took frames out
-        // of the block; release only what this VM still owns.
+        // A KSM merge took frames out of the block; release only
+        // what this VM still owns.
         for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
             const mm::PageFrame &frame = buddy.frame(block + i);
             if (frame.free || frame.owner != owner

@@ -73,15 +73,6 @@ VirtualMachine::VirtualMachine(dram::DramSystem &dram,
         dram, buddy, *eptMmu, vfioContainer.get(), mem_cfg, vmId,
         fault_injector);
     memDrv = std::make_unique<virtio::VirtioMemDriver>(*memDevice);
-
-    if (cfg.balloon) {
-        // Restrict ballooning to boot RAM so balloon holes never
-        // overlap virtio-mem sub-blocks (the two overcommit devices
-        // manage disjoint regions in this model).
-        balloonDev = std::make_unique<virtio::VirtioBalloonDevice>(
-            dram, buddy, *eptMmu, vmId, GuestPhysAddr(0),
-            cfg.bootMemBytes, fault_injector);
-    }
 }
 
 VirtualMachine::VirtualMachine(dram::DramSystem &dram,
@@ -112,19 +103,12 @@ VirtualMachine::VirtualMachine(dram::DramSystem &dram,
         dram, buddy, *eptMmu, vfioContainer.get(), mem_cfg, vmId,
         fault_injector, base::RestoreTag{});
     memDrv = std::make_unique<virtio::VirtioMemDriver>(*memDevice);
-
-    if (cfg.balloon) {
-        balloonDev = std::make_unique<virtio::VirtioBalloonDevice>(
-            dram, buddy, *eptMmu, vmId, GuestPhysAddr(0),
-            cfg.bootMemBytes, fault_injector);
-    }
 }
 
 VirtualMachine::~VirtualMachine()
 {
     // Order matters: the virtio-mem device unplugs its blocks through
     // the MMU and VFIO container, so tear it down first.
-    balloonDev.reset();
     memDrv.reset();
     memDevice.reset();
 
@@ -139,8 +123,9 @@ VirtualMachine::~VirtualMachine()
             buddy.freePages(block, 9);
             continue;
         }
-        // Ballooned-out pages punched holes into the block: free the
-        // frames this VM still owns, one by one.
+        // KSM merges punched holes into the block (a merged page's
+        // frame went back to the host): free the frames this VM still
+        // owns, one by one.
         for (uint64_t i = 0; i < kPagesPerHugePage; ++i) {
             const mm::PageFrame &frame = buddy.frame(block + i);
             if (frame.free || frame.owner != vmId
@@ -295,9 +280,6 @@ VirtualMachine::saveState(base::ArchiveWriter &w) const
     }
     memDevice->saveState(w);
     memDrv->saveState(w);
-    w.boolean(balloonDev != nullptr);
-    if (balloonDev)
-        balloonDev->saveState(w);
     w.u64vec(bootBlocks);
 }
 
@@ -326,13 +308,6 @@ VirtualMachine::loadState(base::ArchiveReader &r)
         return s;
     if (base::Status s = memDrv->loadState(r); !s.ok())
         return s;
-    const bool has_balloon = r.boolean();
-    if (!r.ok() || has_balloon != (balloonDev != nullptr))
-        return base::Status(base::ErrorCode::InvalidArgument);
-    if (balloonDev) {
-        if (base::Status s = balloonDev->loadState(r); !s.ok())
-            return s;
-    }
     std::vector<Pfn> blocks = r.u64vec();
     for (Pfn block : blocks) {
         if (block + kPagesPerHugePage > buddy.totalPages())

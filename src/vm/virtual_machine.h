@@ -29,7 +29,6 @@
 #include "iommu/viommu.h"
 #include "kvm/mmu.h"
 #include "mm/buddy_allocator.h"
-#include "virtio/virtio_balloon.h"
 #include "virtio/virtio_mem.h"
 
 namespace hh::vm {
@@ -45,8 +44,6 @@ struct VmConfig
     uint64_t virtioMemPlugged = 12_GiB;
     /** Passthrough devices, one IOMMU group each (>=1 enables VFIO). */
     unsigned passthroughDevices = 1;
-    /** Attach a virtio-balloon device as well (Section 6 variant). */
-    bool balloon = false;
     kvm::MmuConfig mmu;
     virtio::QuarantinePolicy quarantine;
     iommu::IommuConfig iommu;
@@ -212,7 +209,6 @@ class VirtualMachine
     /// @{
     virtio::VirtioMemDriver &memDriver() { return *memDrv; }
     virtio::VirtioMemDevice &memDevice_() { return *memDevice; }
-    virtio::VirtioBalloonDevice *balloonDevice() { return balloonDev.get(); }
     iommu::VfioContainer *vfio() { return vfioContainer.get(); }
     /// @}
 
@@ -270,7 +266,6 @@ class VirtualMachine
     std::vector<iommu::GroupId> groups;
     std::unique_ptr<virtio::VirtioMemDevice> memDevice;
     std::unique_ptr<virtio::VirtioMemDriver> memDrv;
-    std::unique_ptr<virtio::VirtioBalloonDevice> balloonDev;
 
     /** Host order-9 blocks backing boot RAM (for teardown). */
     std::vector<Pfn> bootBlocks;

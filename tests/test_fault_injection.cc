@@ -17,10 +17,8 @@
 
 #include "attack/orchestrator.h"
 #include "fault/fault.h"
-#include "kvm/mmu.h"
 #include "sys/host_system.h"
 #include "sys/ksm.h"
-#include "virtio/virtio_balloon.h"
 
 namespace hh {
 namespace {
@@ -426,36 +424,6 @@ TEST(FaultSiteVirtio, UnplugDeferredAnswersBusyOnce)
     EXPECT_EQ(machine.memDevice_().stats().deferredUnplugs, 1u);
     EXPECT_TRUE(machine.memDriver().unplugSpecific(target).ok())
         << "the retry after the deferral must succeed";
-}
-
-TEST(FaultSiteVirtio, BalloonInflateDeferredAnswersBusyOnce)
-{
-    base::SimClock clock;
-    dram::DramConfig dram_cfg;
-    dram_cfg.totalBytes = 256_MiB;
-    dram_cfg.fault.weakCellsPerRow = 0;
-    dram::DramSystem dram(dram_cfg, clock);
-    mm::BuddyConfig buddy_cfg;
-    buddy_cfg.totalPages = 256_MiB / kPageSize;
-    buddy_cfg.pcp.highWatermark = 0;
-    mm::BuddyAllocator buddy(buddy_cfg);
-    kvm::Mmu mmu(dram, buddy, kvm::MmuConfig{}, 1);
-    fault::FaultPlan plan;
-    plan.add(entry(fault::FaultSite::BalloonInflate,
-                   fault::FaultKind::DelayedReclaim, 0, 1));
-    fault::FaultInjector inj(plan, 4);
-    virtio::VirtioBalloonDevice balloon(dram, buddy, mmu, 1,
-                                        GuestPhysAddr(0), 0, &inj);
-
-    auto block = buddy.allocPages(9, mm::MigrateType::Movable,
-                                  mm::PageUse::GuestMemory, 1);
-    ASSERT_TRUE(block.ok());
-    const GuestPhysAddr gpa(0);
-    ASSERT_TRUE(mmu.map2m(gpa, HostPhysAddr(*block * kPageSize)).ok());
-    ASSERT_TRUE(mmu.access(gpa, kvm::Access::Exec).status.ok()); // split
-    EXPECT_EQ(balloon.inflatePage(gpa).error(), base::ErrorCode::Busy);
-    EXPECT_EQ(balloon.inflatedCount(), 0u);
-    EXPECT_TRUE(balloon.inflatePage(gpa).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * Whole-stack integration tests: the attack pipeline end to end with
  * a deterministically induced flip, the mitigation matrix (quarantine,
- * TRR, ECC, no-NX-hugepages), and the Section 6 variants (balloon,
- * Xen-style allocation).
+ * TRR, ECC, no-NX-hugepages), and the Section 6 Xen-style allocation
+ * variant.
  */
 
 #include <gtest/gtest.h>
@@ -208,49 +208,6 @@ TEST(Integration, XenStyleSteeringNeedsNoUnmovableExhaustion)
             ++reused;
     }
     EXPECT_GT(reused, 0u);
-}
-
-TEST(Integration, BalloonReleasesFeedXenStyleTables)
-{
-    // The virtio-balloon variant (Section 6): page-granular releases
-    // free as movable order-0; with a type-agnostic table allocator
-    // they are immediately reusable for EPT pages. Use a quiet host
-    // (little pre-existing small-order noise) so one spray pass is
-    // guaranteed to reach the ballooned frame.
-    sys::SystemConfig cfg = baseConfig(16);
-    cfg.noise.unmovableFreePages = 16;
-    sys::HostSystem host(cfg);
-    vm::VmConfig vm_cfg = baseVm();
-    vm_cfg.mmu.tableAlloc = kvm::TableAllocPolicy::AnyList;
-    vm_cfg.passthroughDevices = 0;
-    vm_cfg.balloon = true;
-    auto machine = host.createVm(vm_cfg);
-
-    // Balloon a boot-RAM page (the device's window in this model).
-    const GuestPhysAddr hp(2 * kHugePageSize);
-    // Split the THP range, then balloon one page out.
-    ASSERT_TRUE(machine->execute(hp).status.ok());
-    auto hpa = machine->debugTranslate(hp + 5 * kPageSize);
-    ASSERT_TRUE(hpa.ok());
-    ASSERT_TRUE(
-        machine->balloonDevice()->inflatePage(hp + 5 * kPageSize).ok());
-    // Xen has no per-CPU pagesets; flush ours so the ballooned frame
-    // reaches the shared lists.
-    host.buddy().drainPcp();
-
-    // Force table-page allocations; the ballooned frame is among the
-    // few small free blocks and gets picked up.
-    attack::PageSteering steering(*machine, host.clock(),
-                                  attack::SteeringConfig{});
-    steering.sprayEptes(machine->memorySize(), {});
-    // The ballooned frame was consumed by the spray's allocation
-    // stream -- as an EPT page or as the split metadata interleaved
-    // with them; either way it is hypervisor-managed memory reachable
-    // without any migratetype manipulation.
-    const mm::PageFrame &frame = host.buddy().frame(hpa->pfn());
-    EXPECT_FALSE(frame.free);
-    EXPECT_TRUE(frame.use == mm::PageUse::EptPage
-                || frame.use == mm::PageUse::KernelData);
 }
 
 } // namespace

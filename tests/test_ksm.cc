@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "base/sim_clock.h"
 #include "dram/dram_system.h"
@@ -203,17 +205,33 @@ TEST_F(KsmTest, PinnedPagesAreNeverMerged)
     pinned_vm.reset();
 }
 
-TEST_F(KsmTest, TeardownReclaimsEverything)
+/** A merged page pair: (attacker GPA, victim GPA). */
+using PagePair = std::pair<GuestPhysAddr, GuestPhysAddr>;
+
+class KsmTeardownTest : public KsmTest,
+                        public ::testing::WithParamInterface<PagePair>
 {
+};
+
+TEST_P(KsmTeardownTest, ReclaimsEverything)
+{
+    const auto [page_a, page_b] = GetParam();
     buddy->drainPcp();
     const uint64_t free_before = buddy->freePages();
     {
         bootVms();
-        fillKeyPage(*victim, pageB, 0);
-        fillKeyPage(*attacker, pageA, 0);
-        (void)ksm->scanRange(*victim, pageB, 1);
-        (void)ksm->scanRange(*attacker, pageA, 1);
-        ASSERT_TRUE(attacker->write64(pageA, 1).ok()); // a COW break
+        fillKeyPage(*victim, page_b, 0);
+        fillKeyPage(*attacker, page_a, 0);
+        const Pfn block =
+            attacker->debugTranslate(page_a.hugePageBase())->pfn();
+        (void)ksm->scanRange(*victim, page_b, 1);
+        ASSERT_EQ(ksm->scanRange(*attacker, page_a, 1), 1u);
+        // The merge gave the attacker's frame back to the host and
+        // punched a hole into its THP block: teardown must free what
+        // is left of the block frame by frame.
+        EXPECT_FALSE(buddy->blockUniformlyOwned(
+            block, 9, mm::PageUse::GuestMemory, attacker->id()));
+        ASSERT_TRUE(attacker->write64(page_a, 1).ok()); // a COW break
         attacker.reset();
         victim.reset();
         ksm.reset();
@@ -221,6 +239,20 @@ TEST_F(KsmTest, TeardownReclaimsEverything)
     buddy->drainPcp();
     EXPECT_EQ(buddy->freePages(), free_before);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Pages, KsmTeardownTest,
+    ::testing::Values(
+        // virtio-mem sub-blocks: released by VirtioMemDevice.
+        PagePair{vm::kVirtioMemRegionStart + 5 * kPageSize,
+                 vm::kVirtioMemRegionStart + 9 * kPageSize},
+        // Boot RAM: released by ~VirtualMachine.
+        PagePair{GuestPhysAddr(2 * kHugePageSize + 5 * kPageSize),
+                 GuestPhysAddr(3 * kHugePageSize + 9 * kPageSize)}),
+    [](const ::testing::TestParamInfo<PagePair> &info) {
+        return info.param.first < vm::kVirtioMemRegionStart
+            ? std::string("BootRam") : std::string("VirtioMem");
+    });
 
 } // namespace
 } // namespace hh::sys

@@ -68,6 +68,20 @@ TEST_F(VmTest, MemoryAccounting)
     EXPECT_EQ(machine.hugePageGpas().size(), (16 + 128) / 2u);
     EXPECT_EQ(machine.id(), 1u);
     EXPECT_EQ(machine.hostMemoryBytes(), 512_MiB);
+
+    // Host THP backs every hugepage GPA with a 2 MB leaf, so GPA ->
+    // HPA keeps bits 0..20: the profiler's bank labels rely on it
+    // (Section 4.1).
+    for (GuestPhysAddr hp : machine.hugePageGpas()) {
+        auto base = machine.debugTranslate(hp);
+        ASSERT_TRUE(base.ok());
+        EXPECT_TRUE(base->hugePageAligned());
+        for (uint64_t off = 0; off < kHugePageSize; off += 0x1'2345) {
+            auto hpa = machine.debugTranslate(hp + off);
+            ASSERT_TRUE(hpa.ok());
+            EXPECT_EQ(hpa->value(), base->value() + off);
+        }
+    }
 }
 
 TEST_F(VmTest, ReadWriteThroughEpt)

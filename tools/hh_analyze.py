@@ -116,9 +116,10 @@ SYNC_TYPE_RE = re.compile(
 
 GUARD_MACRO_RE = re.compile(r"\bHH_(?:PT_)?GUARDED_BY\s*\(")
 
-# `class X {`, `struct Y : Base {` -- but not `enum class`.
+# `class X {`, `struct Y : Base {`, and a nested class defined out of
+# line, `class Outer::Inner {` -- but not `enum class`.
 CLASS_RE = re.compile(
-    r"(?<!enum )(?<!enum)\b(class|struct)\s+(\w+)"
+    r"(?<!enum )(?<!enum)\b(class|struct)\s+(\w+(?:\s*::\s*\w+)*)"
     r"(?:\s+final)?\s*(?::[^;{=()]*)?\{")
 
 OUT_OF_LINE_DEF_RE = re.compile(
@@ -316,7 +317,9 @@ class BuiltinFrontend:
             close = hh_lint.find_matching(stripped, open_idx, "{", "}")
             if close == -1:
                 continue
-            name = m.group(2)
+            # A qualified name (`Outer::Inner`) is recorded as the
+            # class it defines, as libclang spells it: `Inner`.
+            name = re.split(r"\s*::\s*", m.group(2))[-1]
             info = ClassInfo(name, path, rel, line_of(stripped, m.start()))
             self._parse_class_body(stripped, open_idx + 1, close, info,
                                    path, rel, program)

@@ -75,7 +75,7 @@ RULES = {
     "naked-new": "raw new/delete; use std::make_unique / containers "
                  "so ownership is RAII",
     "fault-site": "HH_FAULT_POINT site must be registered in "
-                  "src/fault/fault_sites.def and consumed by exactly "
+                  "src/fault/fault_sites.def and consumed by at most "
                   "one injection point",
     "snapshot-version": "serialized saveState() layout changed without "
                         "a kSnapshotFormatVersion bump; bump it and run "
@@ -655,7 +655,7 @@ def run_lint(paths, config, repo_root):
             findings.append(Finding(
                 relpath(path, repo_root), line, "fault-site",
                 f"FaultSite '{name}' is already consumed at {first}; "
-                "each site identifies exactly one injection point"))
+                "each site identifies at most one injection point"))
     return findings
 
 
