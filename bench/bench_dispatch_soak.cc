@@ -93,14 +93,15 @@ syntheticOutcome(uint64_t round_seed, uint64_t trial)
     return outcome;
 }
 
-shard::ShardResult
+attack::RangeRecord
 shardFor(uint64_t fingerprint, uint64_t total, uint64_t round_seed,
          const shard::ShardRange &range)
 {
-    shard::ShardResult shard;
-    shard.manifest.campaignFingerprint = fingerprint;
-    shard.manifest.totalTrials = total;
-    shard.manifest.range = range;
+    attack::RangeRecord shard;
+    shard.campaignFingerprint = fingerprint;
+    shard.totalTrials = total;
+    shard.begin = range.begin;
+    shard.end = range.end;
     for (uint64_t trial = range.begin; trial < range.end; ++trial)
         shard.outcomes.push_back(syntheticOutcome(round_seed, trial));
     return shard;
@@ -137,7 +138,7 @@ soakLauncher(uint64_t fingerprint, uint64_t total,
             for (;;)
                 dispatch::sleepSeconds(0.05); // await SIGKILL
         }
-        if (!shard::saveShard(
+        if (!attack::saveRangeRecord(
                  spec.artifactPath,
                  shardFor(fingerprint, total, round_seed, spec.range))
                  .ok())
@@ -241,7 +242,7 @@ main(int argc, char **argv)
                 identity_ok =
                     coverageIsExact(*swept, sup.ledger(), total);
             } else {
-                std::vector<shard::ShardResult> reference;
+                std::vector<attack::RangeRecord> reference;
                 for (const shard::ShardRange &range : ranges)
                     reference.push_back(shardFor(fingerprint, total,
                                                  round_seed, range));

@@ -406,109 +406,120 @@ HyperHammerAttack::campaignFingerprint() const
     return w.fingerprint();
 }
 
-base::Status
-HyperHammerAttack::saveCheckpoint(
-    const std::string &path, uint64_t begin,
-    const std::vector<AttemptOutcome> &outcomes) const
+bool
+RangeRecord::complete() const
 {
-    base::ArchiveWriter w;
-    w.u64(campaignFingerprint());
+    return outcomes.size() == end - begin
+        || (!outcomes.empty() && outcomes.back().success);
+}
+
+bool
+RangeRecord::consistent() const
+{
+    return begin <= end && end <= totalTrials
+        && outcomes.size() <= end - begin;
+}
+
+bool
+RangeRecord::finishes(uint64_t fingerprint, uint64_t total_trials,
+                      uint64_t range_begin, uint64_t range_end) const
+{
+    return terminal && complete() && campaignFingerprint == fingerprint
+        && totalTrials == total_trials && begin == range_begin
+        && end == range_end;
+}
+
+void
+RangeRecord::saveState(base::ArchiveWriter &w) const
+{
+    w.u64(campaignFingerprint);
+    w.u64(totalTrials);
     w.u64(begin);
+    w.u64(end);
+    w.boolean(terminal);
     w.u64(outcomes.size());
     for (const AttemptOutcome &outcome : outcomes)
         writeOutcome(w, outcome);
-    // v4: the defense-state block. The fingerprint pins the defense
-    // *configuration*; this block carries the stack's state so a
-    // resumed campaign restores exactly the defended world it left.
-    w.boolean(defenses != nullptr);
-    if (defenses != nullptr)
-        defenses->saveState(w);
-    // Keep the previous checkpoint as the fallback file; the rename
-    // fails harmlessly when this is the first checkpoint.
+}
+
+base::Status
+RangeRecord::loadState(base::ArchiveReader &r)
+{
+    RangeRecord loaded;
+    loaded.campaignFingerprint = r.u64();
+    loaded.totalTrials = r.u64();
+    loaded.begin = r.u64();
+    loaded.end = r.u64();
+    loaded.terminal = r.boolean();
+    const uint64_t n = r.count(kOutcomeBytes);
+    loaded.outcomes.reserve(n);
+    for (uint64_t i = 0; i < n && r.ok(); ++i)
+        loaded.outcomes.push_back(readOutcome(r));
+    if (!r.ok() || !loaded.consistent())
+        return base::ErrorCode::InvalidArgument;
+    *this = std::move(loaded);
+    return base::Status::success();
+}
+
+base::Status
+saveRangeRecord(const std::string &path, const RangeRecord &record)
+{
+    base::ArchiveWriter w;
+    record.saveState(w);
+    // Keep the previous record as the fallback file; the rename fails
+    // harmlessly when this is the first write.
     const std::string prev = path + snapshot::kCheckpointPrevSuffix;
     (void)std::rename(path.c_str(), prev.c_str());
-    return base::saveArchiveFile(path, snapshot::kCheckpointMagic,
+    return base::saveArchiveFile(path, snapshot::kRangeRecordMagic,
                                  snapshot::kSnapshotFormatVersion,
                                  w.buffer());
 }
 
-base::Expected<std::vector<AttemptOutcome>>
-HyperHammerAttack::loadCheckpoint(const std::string &path,
-                                  uint64_t begin) const
+base::Expected<RangeRecord>
+loadRangeRecord(const std::string &path)
 {
-    const auto load_one = [this, begin](const std::string &file)
-        -> base::Expected<std::vector<AttemptOutcome>> {
-        auto loaded = base::loadArchiveFile(
-            file, snapshot::kCheckpointMagic,
-            snapshot::kSnapshotFormatVersion,
-            snapshot::kSnapshotFormatVersion);
-        if (!loaded)
-            return loaded.error();
-        base::ArchiveReader r(loaded->payload);
-        const uint64_t fingerprint = r.u64();
-        const uint64_t stored_begin = r.u64();
-        if (!r.ok())
-            return base::ErrorCode::InvalidArgument;
-        if (fingerprint != campaignFingerprint()) {
-            base::warn("checkpoint '%s': campaign fingerprint mismatch"
-                       " (different config or profile); ignoring",
-                       file.c_str());
-            return base::ErrorCode::InvalidArgument;
-        }
-        if (stored_begin != begin) {
-            base::warn("checkpoint '%s': trial-range start %llu does "
-                       "not match this range's %llu; ignoring",
-                       file.c_str(),
-                       static_cast<unsigned long long>(stored_begin),
-                       static_cast<unsigned long long>(begin));
-            return base::ErrorCode::InvalidArgument;
-        }
-        const uint64_t n = r.count(kOutcomeBytes);
-        std::vector<AttemptOutcome> outcomes;
-        outcomes.reserve(n);
-        for (uint64_t i = 0; i < n && r.ok(); ++i)
-            outcomes.push_back(readOutcome(r));
-        if (!r.ok()) {
-            base::warn("checkpoint '%s': malformed outcome records",
-                       file.c_str());
-            return base::ErrorCode::InvalidArgument;
-        }
-        // Defense-state block: attachment must agree (a defended
-        // checkpoint never resumes undefended, or vice versa), and an
-        // attached stack restores its own state.
-        const bool stored_defended = r.boolean();
-        if (!r.ok() || stored_defended != (defenses != nullptr)) {
-            base::warn("checkpoint '%s': defense attachment mismatch "
-                       "(stored %d, campaign %d); ignoring",
-                       file.c_str(), stored_defended ? 1 : 0,
-                       defenses != nullptr ? 1 : 0);
-            return base::ErrorCode::InvalidArgument;
-        }
-        if (defenses != nullptr) {
-            if (const base::Status loaded = defenses->loadState(r);
-                !loaded.ok())
-                return loaded.error();
-        }
-        if (!r.ok() || !r.atEnd()) {
-            base::warn("checkpoint '%s': malformed defense block",
-                       file.c_str());
-            return base::ErrorCode::InvalidArgument;
-        }
-        return outcomes;
-    };
-
-    auto primary = load_one(path);
-    if (primary)
-        return primary;
-    const std::string prev = path + snapshot::kCheckpointPrevSuffix;
-    auto fallback = load_one(prev);
-    if (fallback) {
-        base::inform("checkpoint: resumed from fallback '%s'",
-                     prev.c_str());
-        return fallback;
+    auto loaded = base::loadArchiveFile(
+        path, snapshot::kRangeRecordMagic,
+        snapshot::kSnapshotFormatVersion,
+        snapshot::kSnapshotFormatVersion);
+    if (!loaded)
+        return loaded.error();
+    base::ArchiveReader r(loaded->payload);
+    RangeRecord record;
+    if (!record.loadState(r).ok() || !r.atEnd()) {
+        base::warn("range record '%s': malformed outcomes or range",
+                   path.c_str());
+        return base::ErrorCode::InvalidArgument;
     }
-    return primary.error();
+    return record;
 }
+
+namespace {
+
+/**
+ * The completed prefix a resumed range starts from: the record at
+ * @p path, else at path + ".prev", whichever is first of this
+ * campaign and this range start. Empty when neither is.
+ */
+std::vector<AttemptOutcome>
+restoreRange(const std::string &path, uint64_t fingerprint,
+             uint64_t begin)
+{
+    for (const std::string &file :
+         {path, path + snapshot::kCheckpointPrevSuffix}) {
+        auto record = loadRangeRecord(file);
+        if (record && record->campaignFingerprint == fingerprint
+            && record->begin == begin)
+            return std::move(record->outcomes);
+        if (record)
+            base::warn("range record '%s' is of another campaign or "
+                       "range start; ignoring",
+                       file.c_str());
+    }
+    return {};
+}
+
+} // namespace
 
 TrialRangeResult
 HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
@@ -519,27 +530,24 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     const uint64_t total = end - begin;
     if (threads == 0)
         threads = base::ThreadPool::defaultThreads();
+    const bool persist = !policy.path.empty();
 
     TrialRangeResult range;
-    // Outcomes accumulate as the completed range prefix, already
-    // truncated at the range's first success (the sequential stopping
-    // point -- for a whole campaign, the campaign's stopping point;
-    // for a shard, mergeShards() re-truncates globally).
-    std::vector<AttemptOutcome> &outcomes = range.outcomes;
-    outcomes.reserve(total);
-    if (policy.resume && !policy.path.empty()) {
-        auto restored = loadCheckpoint(policy.path, begin);
-        if (restored) {
-            outcomes = std::move(*restored);
-            if (outcomes.size() > total)
-                outcomes.resize(total);
-        } else if (restored.error() != base::ErrorCode::NotFound) {
-            base::warn("checkpoint '%s': no valid checkpoint; "
-                       "starting from trial %llu",
-                       policy.path.c_str(),
-                       static_cast<unsigned long long>(begin));
-        }
+    // Outcomes accumulate in the range's record as the completed
+    // prefix, already truncated at the range's first success (the
+    // sequential stopping point -- for a whole campaign, the
+    // campaign's stopping point; for a shard, mergeShards()
+    // re-truncates globally).
+    RangeRecord record{persist ? campaignFingerprint() : 0,
+                       cfg.maxAttempts, begin, end, false, {}};
+    std::vector<AttemptOutcome> &outcomes = record.outcomes;
+    if (persist && policy.resume) {
+        outcomes = restoreRange(policy.path, record.campaignFingerprint,
+                                begin);
+        if (outcomes.size() > total)
+            outcomes.resize(total);
     }
+    outcomes.reserve(total);
     range.resumedTrials = static_cast<unsigned>(outcomes.size());
     // First heartbeat before any work: a supervising dispatcher learns
     // the worker is alive even when trial 0 takes a full lease window.
@@ -553,23 +561,23 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
         trialTemplate =
             sys::HostSystem::makeForkTemplate(host.config());
 
-    uint64_t first_success = total;
-    for (uint64_t trial = 0; trial < outcomes.size(); ++trial) {
-        if (outcomes[trial].success) {
-            first_success = trial;
-            break;
-        }
-    }
+    const auto save = [&] {
+        record.terminal = record.complete();
+        range.saved = saveRangeRecord(policy.path, record);
+        if (!range.saved.ok())
+            base::warn("range record '%s': save failed; campaign "
+                       "continues unprotected",
+                       policy.path.c_str());
+    };
 
-    // Run the remaining trials in checkpoint-sized blocks at their
-    // absolute trial indices, so each outcome is the same pure
-    // function of (config, trial) an unchunked single-process run
-    // computes.
-    uint64_t done = outcomes.size();
-    const uint64_t block = policy.enabled()
-        ? policy.everyTrials
-        : std::max<uint64_t>(total, 1);
-    while (done < total && first_success == total && !range.stopped) {
+    // Run the remaining trials in blocks at their absolute trial
+    // indices, so each outcome is the same pure function of
+    // (config, trial) an unchunked single-process run computes. The
+    // record is complete once every trial ran or one succeeded.
+    const uint64_t block =
+        policy.everyTrials > 0 ? policy.everyTrials : total;
+    while (!record.complete() && !range.stopped) {
+        const uint64_t done = outcomes.size();
         const uint64_t todo = std::min<uint64_t>(block, total - done);
         std::vector<AttemptOutcome> chunk(todo);
         const uint64_t rel = base::parallelFindFirst(
@@ -584,23 +592,21 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
         outcomes.insert(outcomes.end(), chunk.begin(),
                         chunk.begin()
                             + static_cast<std::ptrdiff_t>(keep));
-        if (rel < todo)
-            first_success = done + rel;
-        done += keep;
-        snapshot::touchHeartbeat(policy.heartbeatPath, done);
-        if (policy.enabled()) {
-            const base::Status saved =
-                saveCheckpoint(policy.path, begin, outcomes);
-            if (!saved.ok())
-                base::warn("checkpoint '%s': save failed; campaign "
-                           "continues unprotected",
-                           policy.path.c_str());
+        snapshot::touchHeartbeat(policy.heartbeatPath, outcomes.size());
+        if (persist) {
+            save();
             if (policy.stopAfterTrials != 0
-                && done >= policy.stopAfterTrials && done < total
-                && first_success == total)
+                && outcomes.size() >= policy.stopAfterTrials
+                && !record.complete())
                 range.stopped = true; // simulated crash (test hook)
         }
     }
+    // Nothing ran (an empty range, or everything was restored --
+    // perhaps from the fallback file): the path must still hold the
+    // record of the whole prefix.
+    if (persist && outcomes.size() == range.resumedTrials)
+        save();
+    range.outcomes = std::move(outcomes);
     return range;
 }
 

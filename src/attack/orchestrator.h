@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attack/exploit.h"
@@ -144,9 +145,7 @@ struct AttackResult
  * Raw product of a contiguous trial range [begin, end): the completed
  * outcome prefix (relative to @c begin, truncated at the range's first
  * success), how many of those trials were restored from a checkpoint,
- * and whether a stopAfterTrials stop cut the range short. This is the
- * shard hand-off unit: hh::shard wraps it in a manifest and
- * mergeShards() recombines ranges into the canonical AttackResult.
+ * and whether a stopAfterTrials stop cut the range short.
  */
 struct TrialRangeResult
 {
@@ -155,7 +154,70 @@ struct TrialRangeResult
     unsigned resumedTrials = 0;
     /** True when policy.stopAfterTrials ended the range early. */
     bool stopped = false;
+    /** Outcome of the last range-record write (success when none). */
+    base::Status saved = base::Status::success();
 };
+
+/**
+ * The one persisted record of a trial range [begin, end): the range's
+ * checkpoint while it runs and its shard artifact once terminal.
+ * runTrialRange() writes it; resume, shard::mergeShards(), `hh_sweep
+ * merge`/`heal` and the dispatch supervisor read it back through
+ * loadRangeRecord(). Two records merge only when fingerprint and
+ * totalTrials agree; their ranges must tile the campaign.
+ */
+struct RangeRecord
+{
+    /** HyperHammerAttack::campaignFingerprint() of the campaign. */
+    uint64_t campaignFingerprint = 0;
+    /** Campaign size: the campaign's AttackConfig::maxAttempts. */
+    uint64_t totalTrials = 0;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    /**
+     * The writer's final word on the range: true once it is complete.
+     * A record left by a stop, a kill or a still-running worker is
+     * non-terminal; the strict merge answers Busy for it, and the
+     * supervisor never collects it.
+     */
+    bool terminal = true;
+    /** Completed prefix of the range, cut at its own first success. */
+    std::vector<AttemptOutcome> outcomes;
+
+    /** All trials ran, or the range stopped at its own success. */
+    bool complete() const;
+
+    /** The range lies in the campaign and holds every outcome. */
+    bool consistent() const;
+
+    /**
+     * This record finishes range [range_begin, range_end) of campaign
+     * (fingerprint, total_trials): it is terminal, complete, and of
+     * that campaign and range.
+     */
+    bool finishes(uint64_t fingerprint, uint64_t total_trials,
+                  uint64_t range_begin, uint64_t range_end) const;
+
+    void saveState(base::ArchiveWriter &w) const;
+
+    /** InvalidArgument on a short or inconsistent payload. */
+    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
+};
+
+/**
+ * Rotate the record at @p path to path + ".prev", then write
+ * @p record atomically (temp + fsync + rename).
+ */
+[[nodiscard]] base::Status saveRangeRecord(const std::string &path,
+                                           const RangeRecord &record);
+
+/**
+ * Read the record at @p path, that file only: NotFound when it is
+ * missing, InvalidArgument when its framing, version, outcome count
+ * or range is wrong.
+ */
+[[nodiscard]] base::Expected<RangeRecord>
+loadRangeRecord(const std::string &path);
 
 /**
  * Expected end-to-end time (Section 5.3.3): profiling each attempt
@@ -215,17 +277,11 @@ class HyperHammerAttack
      * success, exactly where a sequential loop would have stopped, so
      * the result is bitwise-identical for any thread count.
      *
-     * @p policy adds crash-safe checkpointing: trials run in blocks of
-     * policy.everyTrials; after each block the completed outcome
-     * prefix is written atomically (temp + fsync + rename, previous
-     * checkpoint rotated to "<path>.prev"). With policy.resume the
-     * campaign first restores the newest valid checkpoint -- falling
-     * back to the rotated file when the primary is corrupt -- and
-     * re-runs nothing it already completed. Trials are pure functions
-     * of (configuration, trial index), so the merged result is
-     * bitwise-identical to an uncheckpointed run for any block size,
-     * thread count or kill/resume history; a checkpoint from a
-     * different configuration is rejected by fingerprint. A
+     * @p policy adds crash-safe checkpointing exactly as
+     * runTrialRange() does for the range [0, attempts). Trials are
+     * pure functions of (configuration, trial index), so the merged
+     * result is bitwise-identical to an uncheckpointed run for any
+     * block size, thread count or kill/resume history. A
      * stopAfterTrials stop returns a Busy status with the partial
      * outcomes.
      */
@@ -239,14 +295,23 @@ class HyperHammerAttack
      * (configuration, begin + i) a single-process runAttempts(end)
      * computes for that trial. The range stops early at its first
      * success (later trials in the range are never observable in a
-     * sequential run) and honours @p policy exactly like
-     * runAttempts(): block-sized checkpoints carry @p begin so a
-     * resumed shard rejects artifacts from a different range, and
-     * policy.stopAfterTrials counts range-relative completions.
+     * sequential run).
+     *
+     * With a policy.path, trials run in blocks of policy.everyTrials
+     * (0: the whole range is one block), and after each block the
+     * range's RangeRecord -- campaign fingerprint, campaign size
+     * (maxAttempts), range, completed prefix -- is saved at the path
+     * by saveRangeRecord(). It turns terminal when the range is
+     * complete. When the call returns, the path holds the record of
+     * the whole completed prefix. With policy.resume the range first
+     * restores the record at the path, else at path + ".prev", and
+     * re-runs nothing it holds; a record of another campaign or
+     * another range start is ignored. policy.stopAfterTrials counts
+     * range-relative completions and fires only at a block end.
      *
      * This is the shard entry point -- callers merge the returned
-     * outcomes through aggregateOutcomes() or shard::mergeShards().
-     * Requires profilePhase() first.
+     * outcomes through aggregateOutcomes(), or the records through
+     * shard::mergeShards(). Requires profilePhase() first.
      */
     TrialRangeResult
     runTrialRange(uint64_t begin, uint64_t end, unsigned threads,
@@ -272,7 +337,7 @@ class HyperHammerAttack
      * provisioning, attack tunables and the host-physical profile.
      * Trials are pure functions of this plus the trial index, so a
      * matching fingerprint means stored outcomes are reusable --
-     * across processes too; shard manifests embed it.
+     * across processes too; range records embed it.
      */
     uint64_t campaignFingerprint() const;
 
@@ -294,8 +359,8 @@ class HyperHammerAttack
      * detaches). The orchestrator does not apply defenses -- their
      * config transforms act before host construction -- but an
      * attached stack becomes part of the campaign identity: the
-     * fingerprint covers its knobs, and checkpoints carry its state,
-     * so outcomes recorded under one defense configuration can never
+     * fingerprint covers each defense's name and saved state, so
+     * outcomes recorded under one defense configuration can never
      * resume into another. The caller keeps ownership; the stack must
      * outlive the campaign.
      */
@@ -310,7 +375,7 @@ class HyperHammerAttack
     vm::VmConfig vmCfg;
     dram::AddressMapping mapping;
     AttackConfig cfg;
-    /** Borrowed defense stack; travels via fingerprint + checkpoint. */
+    /** Borrowed defense stack; travels via the fingerprint. */
     mitigate::DefenseSet *defenses = nullptr;
 
     std::vector<HostVulnBit> bits;
@@ -357,23 +422,6 @@ class HyperHammerAttack
 
     /** One self-contained trial: fork host, spawn VM, attempt. */
     AttemptOutcome runTrial(uint64_t trial) const;
-
-    /**
-     * Rotate the old checkpoint and atomically write the new one.
-     * @p begin is the absolute index of outcomes[0] (0 for a whole
-     * campaign, the range start for a shard).
-     */
-    [[nodiscard]] base::Status
-    saveCheckpoint(const std::string &path, uint64_t begin,
-                   const std::vector<AttemptOutcome> &outcomes) const;
-
-    /**
-     * Restore outcomes from @p path, else from "<path>.prev". A
-     * checkpoint whose stored range start differs from @p begin is
-     * rejected like a fingerprint mismatch.
-     */
-    [[nodiscard]] base::Expected<std::vector<AttemptOutcome>>
-    loadCheckpoint(const std::string &path, uint64_t begin) const;
 };
 
 } // namespace hh::attack

@@ -7,7 +7,7 @@
  * The ledger is the supervisor's durable source of truth: one record
  * per shard range with its lifecycle state and attempt count,
  * persisted through the archive layer with the same atomic-rename +
- * `.prev` rotation the campaign checkpoints use -- so `kill -9` of
+ * `.prev` rotation the range records use -- so `kill -9` of
  * the supervisor at any instant leaves a loadable ledger and the next
  * `hh_sweep sweep --resume` reconstructs the sweep without recomputing
  * completed work.

@@ -63,8 +63,8 @@ Supervisor::openSweep(uint64_t campaign_fingerprint,
                 // The previous supervisor died holding this lease. An
                 // orphaned worker may still be running, but relaunch
                 // is safe: trials are pure functions of (fingerprint,
-                // index) and artifact/checkpoint writes are atomic
-                // renames, so duplicate workers write identical bytes.
+                // index) and range-record writes are atomic renames,
+                // so duplicate workers write identical bytes.
                 job.state = ShardState::Pending;
                 break;
             case ShardState::Retrying:
@@ -76,16 +76,7 @@ Supervisor::openSweep(uint64_t campaign_fingerprint,
             case ShardState::Done: {
                 // Trust nothing across a crash: the artifact must
                 // still load as the terminal product of this range.
-                auto artifact = shard::loadShard(
-                    artifactPath(job.index));
-                const bool valid = artifact && artifact->terminal
-                    && artifact->complete()
-                    && artifact->manifest.campaignFingerprint
-                        == campaign_fingerprint
-                    && artifact->manifest.totalTrials == total_trials
-                    && artifact->manifest.range.begin == job.range.begin
-                    && artifact->manifest.range.end == job.range.end;
-                if (valid) {
+                if (auto artifact = loadArtifact(job)) {
                     collected[job.index] = std::move(*artifact);
                 } else {
                     base::warn("dispatch: shard %u marked done but "
@@ -126,6 +117,17 @@ Supervisor::openSweep(uint64_t campaign_fingerprint,
 
     dirty = true;
     return persist();
+}
+
+base::Expected<attack::RangeRecord>
+Supervisor::loadArtifact(const ShardJob &job) const
+{
+    auto artifact = attack::loadRangeRecord(artifactPath(job.index));
+    if (artifact
+        && !artifact->finishes(book.campaignFingerprint, book.totalTrials,
+                               job.range.begin, job.range.end))
+        return base::ErrorCode::InvalidArgument;
+    return artifact;
 }
 
 base::Status
@@ -179,15 +181,8 @@ Supervisor::collectArtifact(ShardJob &job)
         }
         ++counters.tornArtifacts;
     }
-    auto artifact = shard::loadShard(path);
-    const bool valid = artifact && artifact->terminal
-        && artifact->complete()
-        && artifact->manifest.campaignFingerprint
-            == book.campaignFingerprint
-        && artifact->manifest.totalTrials == book.totalTrials
-        && artifact->manifest.range.begin == job.range.begin
-        && artifact->manifest.range.end == job.range.end;
-    if (!valid) {
+    auto artifact = loadArtifact(job);
+    if (!artifact) {
         base::warn("dispatch: shard %u exited clean but artifact "
                    "'%s' is unusable",
                    job.index, path.c_str());
@@ -215,9 +210,7 @@ Supervisor::launch(ShardJob &job)
     spec.shardIndex = job.index;
     spec.range = job.range;
     spec.attempt = job.attempts;
-    spec.resume = true;
     spec.artifactPath = artifactPath(job.index);
-    spec.checkpointPath = spec.artifactPath + ".ckpt";
     spec.heartbeatPath = spec.artifactPath + ".hb";
     const long pid = launcher(spec);
     if (pid < 0) {
@@ -326,7 +319,7 @@ Supervisor::runSweep()
         for (const ShardJob &job : book.jobs) {
             if (job.state != ShardState::Done)
                 continue;
-            auto artifact = shard::loadShard(artifactPath(job.index));
+            auto artifact = loadArtifact(job);
             if (!artifact) {
                 base::warn("dispatch: merge rescan lost shard %u",
                            job.index);
@@ -350,7 +343,7 @@ Supervisor::runSweep()
         return report;
     }
 
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.reserve(collected.size());
     for (auto &entry : collected)
         shards.push_back(entry.second);

@@ -45,19 +45,16 @@ struct WorkerSpec
     shard::ShardRange range;
     /** 1-based attempt number (attempt 1 is the first launch). */
     uint32_t attempt = 1;
-    /** Resume from checkpointPath (always safe: an absent checkpoint
-     *  starts from the range begin). */
-    bool resume = true;
+    /** The range record: the worker resumes from it and finishes it. */
     std::string artifactPath;
-    std::string checkpointPath;
     std::string heartbeatPath;
 };
 
 /**
  * Launch a worker for @p spec; return its pid, or a negative value
- * when the launch itself failed. The worker must write a terminal
- * shard artifact to spec.artifactPath and exit 0 on success; the
- * supervisor owns reaping.
+ * when the launch itself failed. The worker must leave a terminal
+ * range record (attack::RangeRecord) at spec.artifactPath and exit 0
+ * on success; the supervisor owns reaping.
  */
 using WorkerLauncher = std::function<long(const WorkerSpec &)>;
 
@@ -153,6 +150,9 @@ class Supervisor
     };
 
     [[nodiscard]] base::Status persist();
+    /** @p job's artifact, when it finishes the job's range. */
+    [[nodiscard]] base::Expected<attack::RangeRecord>
+    loadArtifact(const ShardJob &job) const;
     void launch(ShardJob &job);
     void handleFailure(ShardJob &job, int64_t code);
     void collectArtifact(ShardJob &job);
@@ -166,7 +166,7 @@ class Supervisor
     /** shard index -> monotonic instant its backoff elapses. */
     std::map<uint32_t, double> eligibleAt;
     /** shard index -> validated artifact, collected at exit time. */
-    std::map<uint32_t, shard::ShardResult> collected;
+    std::map<uint32_t, attack::RangeRecord> collected;
     SweepStats counters;
     bool dirty = false;
 };

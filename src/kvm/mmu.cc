@@ -75,10 +75,14 @@ Mmu::walk(GuestPhysAddr gpa, unsigned stop) const
 }
 
 base::Status
-Mmu::mapLeaf(GuestPhysAddr gpa, unsigned leaf_level, EptEntry leaf)
+Mmu::map2m(GuestPhysAddr gpa, HostPhysAddr hpa)
 {
+    if (!gpa.hugePageAligned() || !hpa.hugePageAligned())
+        return base::ErrorCode::InvalidArgument;
+    // The one allocating walk: allocate the tables missing above the
+    // PD entry that takes the leaf.
     Pfn table = root;
-    for (unsigned level = kEptLevels; level > leaf_level; --level) {
+    for (unsigned level = kEptLevels; level > 2; --level) {
         const unsigned index = eptIndex(gpa, level);
         EptEntry entry = readEntry(table, index);
         if (!entry.present()) {
@@ -87,44 +91,16 @@ Mmu::mapLeaf(GuestPhysAddr gpa, unsigned leaf_level, EptEntry leaf)
                 return next.error();
             entry = EptEntry::table(*next);
             writeEntry(table, index, entry);
-        } else if (level == 2 && entry.largePage()) {
-            // A 2 MB leaf sits where we wanted a table.
-            return base::ErrorCode::Exists;
         }
         table = entry.frame();
     }
-    const unsigned index = eptIndex(gpa, leaf_level);
+    const unsigned index = eptIndex(gpa, 2);
     if (readEntry(table, index).present())
         return base::ErrorCode::Exists;
-    writeEntry(table, index, leaf);
-    return base::Status::success();
-}
-
-base::Status
-Mmu::map2m(GuestPhysAddr gpa, HostPhysAddr hpa)
-{
-    if (!gpa.hugePageAligned() || !hpa.hugePageAligned())
-        return base::ErrorCode::InvalidArgument;
     // Under the iTLB-Multihit countermeasure every hugepage mapping is
     // created non-executable (Section 4.2.3, "Countermeasure").
-    return mapLeaf(gpa, 2, EptEntry::leaf2m(hpa.pfn(), !cfg.nxHugePages));
-}
-
-base::Status
-Mmu::map4k(GuestPhysAddr gpa, HostPhysAddr hpa, bool exec)
-{
-    if (!gpa.pageAligned() || !hpa.pageAligned())
-        return base::ErrorCode::InvalidArgument;
-    return mapLeaf(gpa, 1, EptEntry::leaf4k(hpa.pfn(), exec));
-}
-
-base::Status
-Mmu::unmap(GuestPhysAddr gpa)
-{
-    auto leaf = walk(gpa);
-    if (!leaf)
-        return base::Status(leaf.error());
-    writeEntry(leaf->table, leaf->index, EptEntry());
+    writeEntry(table, index,
+               EptEntry::leaf2m(hpa.pfn(), !cfg.nxHugePages));
     return base::Status::success();
 }
 

@@ -113,12 +113,6 @@ class Mmu
      */
     [[nodiscard]] base::Status map2m(GuestPhysAddr gpa, HostPhysAddr hpa);
 
-    /** Install a 4 KB mapping gpa -> hpa. */
-    [[nodiscard]] base::Status map4k(GuestPhysAddr gpa, HostPhysAddr hpa, bool exec);
-
-    /** Remove the mapping covering @p gpa (leaf only). */
-    [[nodiscard]] base::Status unmap(GuestPhysAddr gpa);
-
     /**
      * Remove every mapping inside the 2 MB-aligned range at @p gpa:
      * one PD entry when the range is still a hugepage leaf, or all
@@ -257,13 +251,6 @@ class Mmu
      */
     [[nodiscard]] base::Expected<Slot> walk(GuestPhysAddr gpa,
                                             unsigned stop = 1) const;
-
-    /**
-     * The one allocating walk: install @p leaf at level @p leaf_level
-     * for @p gpa, allocating the tables missing above it.
-     */
-    [[nodiscard]] base::Status mapLeaf(GuestPhysAddr gpa, unsigned leaf_level,
-                                       EptEntry leaf);
 
     /** Demote the 2 MB leaf in @p pd into 4 KB mappings. */
     [[nodiscard]] base::Status demote(const Slot &pd);

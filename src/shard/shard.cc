@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "base/archive.h"
-#include "base/log.h"
-#include "snapshot/snapshot_format.h"
-
 namespace hh::shard {
 
 std::vector<ShardRange>
@@ -26,25 +22,7 @@ planShards(uint64_t total_trials, unsigned count)
     return ranges;
 }
 
-bool
-ShardResult::complete() const
-{
-    if (outcomes.size() == manifest.range.size())
-        return true;
-    return !outcomes.empty() && outcomes.back().success;
-}
-
 namespace {
-
-/** Manifest/outcome consistency shared by load and merge. */
-bool
-shardSane(const ShardResult &shard)
-{
-    const ShardManifest &m = shard.manifest;
-    return m.range.begin <= m.range.end
-        && m.range.end <= m.totalTrials
-        && shard.outcomes.size() <= m.range.size();
-}
 
 /** Append a hole, coalescing with an adjacent predecessor. */
 void
@@ -59,57 +37,8 @@ addMissing(std::vector<ShardRange> &missing, ShardRange hole)
 
 } // namespace
 
-base::Status
-saveShard(const std::string &path, const ShardResult &shard)
-{
-    base::ArchiveWriter w;
-    w.u64(shard.manifest.campaignFingerprint);
-    w.u64(shard.manifest.totalTrials);
-    w.u64(shard.manifest.range.begin);
-    w.u64(shard.manifest.range.end);
-    w.boolean(shard.terminal);
-    w.u64(shard.outcomes.size());
-    for (const attack::AttemptOutcome &outcome : shard.outcomes)
-        attack::writeOutcome(w, outcome);
-    return base::saveArchiveFile(path, snapshot::kShardMagic,
-                                 snapshot::kSnapshotFormatVersion,
-                                 w.buffer());
-}
-
-base::Expected<ShardResult>
-loadShard(const std::string &path)
-{
-    auto loaded = base::loadArchiveFile(
-        path, snapshot::kShardMagic, snapshot::kSnapshotFormatVersion,
-        snapshot::kSnapshotFormatVersion);
-    if (!loaded)
-        return loaded.error();
-    base::ArchiveReader r(loaded->payload);
-    ShardResult shard;
-    shard.manifest.campaignFingerprint = r.u64();
-    shard.manifest.totalTrials = r.u64();
-    shard.manifest.range.begin = r.u64();
-    shard.manifest.range.end = r.u64();
-    shard.terminal = r.boolean();
-    const uint64_t n = r.count(attack::kOutcomeBytes);
-    shard.outcomes.reserve(n);
-    for (uint64_t i = 0; i < n && r.ok(); ++i)
-        shard.outcomes.push_back(attack::readOutcome(r));
-    if (!r.ok() || !r.atEnd()) {
-        base::warn("shard '%s': malformed outcome records",
-                   path.c_str());
-        return base::ErrorCode::InvalidArgument;
-    }
-    if (!shardSane(shard)) {
-        base::warn("shard '%s': manifest inconsistent with payload",
-                   path.c_str());
-        return base::ErrorCode::InvalidArgument;
-    }
-    return shard;
-}
-
 base::Expected<attack::AttackResult>
-mergeShards(std::vector<ShardResult> shards)
+mergeShards(std::vector<attack::RangeRecord> shards)
 {
     auto report = mergeShards(std::move(shards), MergePolicy{});
     if (!report)
@@ -118,47 +47,47 @@ mergeShards(std::vector<ShardResult> shards)
 }
 
 base::Expected<SweepReport>
-mergeShards(std::vector<ShardResult> shards, const MergePolicy &policy)
+mergeShards(std::vector<attack::RangeRecord> shards,
+            const MergePolicy &policy)
 {
     if (shards.empty())
         return base::ErrorCode::InvalidArgument;
-    for (const ShardResult &shard : shards) {
-        if (!shardSane(shard))
+    for (const attack::RangeRecord &shard : shards) {
+        if (!shard.consistent())
             return base::ErrorCode::InvalidArgument;
-        if (shard.manifest.campaignFingerprint
-                != shards.front().manifest.campaignFingerprint
-            || shard.manifest.totalTrials
-                != shards.front().manifest.totalTrials)
+        if (shard.campaignFingerprint
+                != shards.front().campaignFingerprint
+            || shard.totalTrials != shards.front().totalTrials)
             return base::ErrorCode::InvalidArgument;
     }
 
     // Canonical order: any arrival order merges identically.
     std::sort(shards.begin(), shards.end(),
-              [](const ShardResult &a, const ShardResult &b) {
-                  if (a.manifest.range.begin != b.manifest.range.begin)
-                      return a.manifest.range.begin
-                          < b.manifest.range.begin;
-                  return a.manifest.range.end < b.manifest.range.end;
+              [](const attack::RangeRecord &a,
+                 const attack::RangeRecord &b) {
+                  if (a.begin != b.begin)
+                      return a.begin < b.begin;
+                  return a.end < b.end;
               });
 
-    const uint64_t total = shards.front().manifest.totalTrials;
+    const uint64_t total = shards.front().totalTrials;
 
     // Adversarial inputs reject identically in both modes: two
     // artifacts claiming the same trials is corruption, not a hole a
     // heal run could close.
     uint64_t covered = 0;
-    for (const ShardResult &shard : shards) {
-        if (shard.manifest.range.begin < covered)
+    for (const attack::RangeRecord &shard : shards) {
+        if (shard.begin < covered)
             return base::ErrorCode::Exists; // duplicate / overlap
-        if (!policy.allowPartial && shard.manifest.range.begin > covered)
+        if (!policy.allowPartial && shard.begin > covered)
             return base::ErrorCode::NotFound; // coverage gap
-        covered = std::max(covered, shard.manifest.range.end);
+        covered = std::max(covered, shard.end);
     }
     if (!policy.allowPartial && covered != total)
         return base::ErrorCode::NotFound; // missing tail shard
 
     if (!policy.allowPartial) {
-        for (const ShardResult &shard : shards) {
+        for (const attack::RangeRecord &shard : shards) {
             if (!shard.complete() || !shard.terminal)
                 return base::ErrorCode::Busy; // interrupted; resume
         }
@@ -167,20 +96,19 @@ mergeShards(std::vector<ShardResult> shards, const MergePolicy &policy)
     // Fold the usable subset in trial order and record every range it
     // does not cover. An incomplete or non-terminal shard contributes
     // nothing: its *whole* range becomes a hole, because a heal worker
-    // re-runs the full range (resuming from the worker checkpoint) and
-    // replaces the artifact -- folding its prefix here and its suffix
-    // later would double-count on re-merge.
+    // re-runs the full range into an artifact of its own -- folding
+    // its prefix here and its suffix later would double-count on
+    // re-merge.
     SweepReport report;
-    report.campaignFingerprint =
-        shards.front().manifest.campaignFingerprint;
+    report.campaignFingerprint = shards.front().campaignFingerprint;
     report.totalTrials = total;
 
     std::vector<attack::AttemptOutcome> outcomes;
     outcomes.reserve(total);
     uint64_t next = 0;          // first trial index not yet accounted
     uint64_t first_success = total;
-    for (const ShardResult &shard : shards) {
-        const ShardRange range = shard.manifest.range;
+    for (const attack::RangeRecord &shard : shards) {
+        const ShardRange range{shard.begin, shard.end};
         if (range.begin > next)
             addMissing(report.missing, ShardRange{next, range.begin});
         next = std::max(next, range.end);

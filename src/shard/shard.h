@@ -10,10 +10,11 @@
  * (PR 2), `runTrialRange` executes any contiguous range at absolute
  * indices with full checkpoint/resume support (orchestrator), and
  * `aggregateOutcomes` folds an outcome prefix in trial order (the one
- * sanctioned merge). This layer only adds the on-disk hand-off: a
- * manifest binding a shard's outcomes to its campaign + range, and a
- * merge that validates the shards tile [0, N) before concatenating
- * them in trial order. The merged result is bitwise-identical to a
+ * sanctioned merge). The on-disk hand-off is the range record
+ * runTrialRange writes (attack::RangeRecord, binding a range's
+ * outcomes to its campaign); this layer only adds the merge that
+ * validates the records tile [0, N) before concatenating them in
+ * trial order. The merged result is bitwise-identical to a
  * single-process `runAttempts(N)` at any shard count x thread count,
  * including under fault plans and kill+resume of individual shards
  * (docs/distributed_sweeps.md).
@@ -23,7 +24,6 @@
 #define HYPERHAMMER_SHARD_SHARD_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "attack/orchestrator.h"
@@ -52,63 +52,6 @@ std::vector<ShardRange> planShards(uint64_t total_trials,
                                    unsigned count);
 
 /**
- * What binds a shard artifact to its campaign: the campaign
- * fingerprint (HyperHammerAttack::campaignFingerprint -- host config,
- * VM provisioning, attack tunables and the host-physical profile),
- * the full campaign size, and this shard's range. Two artifacts merge
- * only when fingerprint and totalTrials agree; ranges must tile the
- * campaign exactly.
- */
-struct ShardManifest
-{
-    uint64_t campaignFingerprint = 0;
-    uint64_t totalTrials = 0;
-    ShardRange range;
-};
-
-/**
- * One shard's product: its manifest plus the completed outcome prefix
- * of its range (truncated at the shard's own first success, exactly
- * what runTrialRange returns). A shard with fewer outcomes than its
- * range and no trailing success is incomplete -- it was interrupted
- * and must be resumed before merging.
- */
-struct ShardResult
-{
-    ShardManifest manifest;
-    std::vector<attack::AttemptOutcome> outcomes;
-
-    /**
-     * The worker's final word on this range. A worker that is stopped
-     * mid-range (--stop-after, SIGKILL between checkpoint and artifact)
-     * persists terminal=false; the strict merge treats such an
-     * artifact exactly like incomplete data (Busy), and the dispatch
-     * supervisor uses the flag to tell an abandoned partial write from
-     * a finished shard when deciding on artifact takeover.
-     */
-    bool terminal = true;
-
-    /** All trials ran, or the range stopped at its own success. */
-    bool complete() const;
-};
-
-/**
- * Write @p shard atomically (temp + fsync + rename) under the shard
- * magic at the shared snapshot format version.
- */
-[[nodiscard]] base::Status saveShard(const std::string &path,
-                                     const ShardResult &shard);
-
-/**
- * Read a shard artifact back, rejecting truncated/corrupt files (the
- * archive layer's framing), wrong-versioned files, and manifests that
- * are internally inconsistent (range outside the campaign, more
- * outcomes than the range holds).
- */
-[[nodiscard]] base::Expected<ShardResult>
-loadShard(const std::string &path);
-
-/**
  * The sanctioned shard merge. Validates that the shards belong to one
  * campaign and tile [0, totalTrials) exactly, concatenates their
  * outcomes in trial order, and hands the prefix to
@@ -118,7 +61,7 @@ loadShard(const std::string &path);
  *
  * Rejections, by Status:
  *  - InvalidArgument: no shards; fingerprint or totalTrials mismatch
- *    between shards; a manifest inconsistent with itself or the
+ *    between shards; a record inconsistent with itself or the
  *    campaign.
  *  - Exists: duplicate or overlapping ranges.
  *  - NotFound: a gap in coverage (a shard artifact is missing).
@@ -129,7 +72,7 @@ loadShard(const std::string &path);
  * validation, so any arrival order merges identically.
  */
 [[nodiscard]] base::Expected<attack::AttackResult>
-mergeShards(std::vector<ShardResult> shards);
+mergeShards(std::vector<attack::RangeRecord> shards);
 
 /** How the reporting merge treats holes in the tiling. */
 struct MergePolicy
@@ -139,7 +82,7 @@ struct MergePolicy
      * gaps: missing, incomplete and non-terminal ranges land in
      * SweepReport::missing rather than producing NotFound/Busy.
      * Adversarial inputs (duplicates, overlaps, foreign fingerprints,
-     * insane manifests) are still typed rejections in either mode.
+     * inconsistent records) are still typed rejections in either mode.
      */
     bool allowPartial = false;
 };
@@ -175,7 +118,8 @@ struct SweepReport
  * the bitwise-identical full result.
  */
 [[nodiscard]] base::Expected<SweepReport>
-mergeShards(std::vector<ShardResult> shards, const MergePolicy &policy);
+mergeShards(std::vector<attack::RangeRecord> shards,
+            const MergePolicy &policy);
 
 } // namespace hh::shard
 

@@ -5,8 +5,8 @@
  * Header-only and base-free so the attack layer can accept a policy
  * without linking the snapshot library. The policy only says *when and
  * where* to checkpoint; the campaign owner (HyperHammerAttack::
- * runAttempts) implements the atomic write / rotate / resume protocol
- * described in DESIGN.md section 3.4.
+ * runTrialRange) writes its range record with the atomic write /
+ * rotate / resume protocol described in DESIGN.md section 3.4.
  */
 
 #ifndef HYPERHAMMER_SNAPSHOT_CHECKPOINT_POLICY_H
@@ -24,32 +24,36 @@ inline const char *const kCheckpointPrevSuffix = ".prev";
 /** When/where a trial campaign checkpoints and whether it resumes. */
 struct CheckpointPolicy
 {
-    /** Checkpoint file; empty disables checkpointing entirely. */
+    /**
+     * Range-record file (attack::RangeRecord), the range's checkpoint
+     * and its shard artifact; empty disables checkpointing entirely.
+     */
     std::string path;
 
     /**
-     * Checkpoint after every N completed trials (the campaign also
-     * checkpoints once more when a trial succeeds). 0 disables
-     * periodic checkpoints; a non-empty path with everyTrials == 0
-     * still allows resume-only use.
+     * Write the record after every N completed trials (and once more
+     * when a trial succeeds). 0 runs the whole range as one block and
+     * writes the record once, at its end.
      */
     uint64_t everyTrials = 0;
 
     /**
-     * Resume from the newest valid checkpoint before running: @ref
-     * path first, then path + ".prev" when the primary file is
-     * missing, truncated, corrupt or version-stale. A checkpoint
-     * whose campaign fingerprint does not match is rejected the same
-     * way. When nothing valid exists the campaign starts from trial 0.
+     * Resume from the newest valid record before running: @ref path
+     * first, then path + ".prev" when the primary file is missing,
+     * truncated, corrupt or version-stale. A record whose campaign
+     * fingerprint or range start does not match is rejected the same
+     * way. When nothing valid exists the range starts from its first
+     * trial.
      */
     bool resume = false;
 
     /**
      * Test hook simulating a crash: stop (with a Busy status and the
-     * checkpoint freshly written) once at least this many trials have
-     * completed. 0 runs to completion. Lets resume-identity tests
-     * exercise the kill/resume path deterministically in-process; the
-     * CI soak job uses a real SIGKILL instead.
+     * record freshly written) at the first block end where at least
+     * this many trials have completed. 0 runs to completion. Lets
+     * resume-identity tests exercise the kill/resume path
+     * deterministically in-process; the CI soak job uses a real
+     * SIGKILL instead.
      */
     uint64_t stopAfterTrials = 0;
 
@@ -61,13 +65,6 @@ struct CheckpointPolicy
      * into trial results, so the determinism contract is untouched.
      */
     std::string heartbeatPath;
-
-    /** True when periodic checkpoint writes are requested. */
-    bool
-    enabled() const
-    {
-        return !path.empty() && everyTrials > 0;
-    }
 };
 
 /**

@@ -28,11 +28,11 @@ constexpr uint64_t kHostSnapshotMagic = 0x4848484f53540a01ull;
 /** Host + VMs world snapshot (snapshot::saveWorld): "HHWRLD\n" + v. */
 constexpr uint64_t kWorldSnapshotMagic = 0x484857524c440a01ull;
 
-/** Orchestrator campaign checkpoint (runAttempts): "HHCKPT\n" + v. */
-constexpr uint64_t kCheckpointMagic = 0x4848434b50540a01ull;
-
-/** Sharded-sweep range artifact (shard::saveShard): "HHSHRD\n" + v. */
-constexpr uint64_t kShardMagic = 0x4848534852440a01ull;
+/**
+ * Trial-range record (attack::saveRangeRecord): a range's checkpoint
+ * and, once terminal, its shard artifact: "HHCKPT\n" + v.
+ */
+constexpr uint64_t kRangeRecordMagic = 0x4848434b50540a01ull;
 
 /** Dispatch supervisor ledger (dispatch::saveLedger): "HHLEDG\n" + v. */
 constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
@@ -84,8 +84,17 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * no longer writes the has-balloon flag between the virtio-mem driver
  * and the boot-block list, so a v7 world snapshot would misread its
  * boot blocks and is rejected by version.
+ *
+ * v9: one range record. The campaign checkpoint and the shard
+ * artifact were two formats holding the same outcome prefix; both
+ * are now attack::RangeRecord::saveState() -- campaign fingerprint,
+ * campaign size, range, terminal flag, outcomes -- under
+ * kRangeRecordMagic. The checkpoint's defense-state block is gone:
+ * the campaign fingerprint already hashes every byte it held. The
+ * shard magic is retired, and v8 checkpoints and artifacts are
+ * rejected by version.
  */
-constexpr uint32_t kSnapshotFormatVersion = 8;
+constexpr uint32_t kSnapshotFormatVersion = 9;
 
 } // namespace hh::snapshot
 

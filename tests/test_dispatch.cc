@@ -14,7 +14,7 @@
  * four dispatch.* fault sites with probability-1 plans and checks the
  * supervisor recovers to the exact merged result every time.
  *
- * Workers write synthetic shard artifacts that are pure functions of
+ * Workers write synthetic range records that are pure functions of
  * their range, so retries reproduce identical bytes and every test
  * can compare the supervisor's merged result against a strict
  * in-process mergeShards of the same tiling.
@@ -65,13 +65,14 @@ syntheticOutcome(uint64_t trial)
 /** The artifact every worker (and the reference) derives from a
  *  range: a pure function, so a retried attempt rewrites the same
  *  bytes a first attempt would have. */
-shard::ShardResult
+attack::RangeRecord
 shardFor(const shard::ShardRange &range)
 {
-    shard::ShardResult shard;
-    shard.manifest.campaignFingerprint = kFp;
-    shard.manifest.totalTrials = kTotal;
-    shard.manifest.range = range;
+    attack::RangeRecord shard;
+    shard.campaignFingerprint = kFp;
+    shard.totalTrials = kTotal;
+    shard.begin = range.begin;
+    shard.end = range.end;
     for (uint64_t trial = range.begin; trial < range.end; ++trial)
         shard.outcomes.push_back(syntheticOutcome(trial));
     return shard;
@@ -86,7 +87,7 @@ ranges3()
 attack::AttackResult
 referenceResult()
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     for (const shard::ShardRange &range : ranges3())
         shards.push_back(shardFor(range));
     auto merged = shard::mergeShards(std::move(shards));
@@ -142,8 +143,8 @@ forkWorker(const std::string &mode)
                                      spec.range.begin);
             dispatch::sleepSeconds(0.5);
         }
-        if (!shard::saveShard(spec.artifactPath,
-                              shardFor(spec.range))
+        if (!attack::saveRangeRecord(spec.artifactPath,
+                                     shardFor(spec.range))
                  .ok())
             ::_exit(9);
         ::_exit(0);
@@ -505,8 +506,8 @@ TEST(Supervisor, ResumeReclaimsLeasedAndRetryingJobs)
     ledger.jobs[2].state = dispatch::ShardState::Retrying;
     ledger.jobs[2].attempts = 1;
     ASSERT_TRUE(dispatch::saveLedger(cfg.ledgerPath, ledger).ok());
-    ASSERT_TRUE(shard::saveShard(cfg.artifactDir + "/shard_0.bin",
-                                 shardFor({0, 2}))
+    ASSERT_TRUE(attack::saveRangeRecord(cfg.artifactDir + "/shard_0.bin",
+                                        shardFor({0, 2}))
                     .ok());
 
     dispatch::Supervisor sup(cfg, forkWorker("ok"));

@@ -101,21 +101,6 @@ TEST_F(MmuTest, Map2mRejectsDouble)
               base::ErrorCode::Exists);
 }
 
-TEST_F(MmuTest, Map4kAndUnmap)
-{
-    auto mmu = makeMmu();
-    const HostPhysAddr backing = hostBlock();
-    const GuestPhysAddr gpa(8_MiB);
-    ASSERT_TRUE(mmu->map4k(gpa, backing, /*exec=*/true).ok());
-    auto hpa = mmu->translate(gpa + 0x42);
-    ASSERT_TRUE(hpa.ok());
-    EXPECT_EQ(hpa->value(), backing.value() + 0x42);
-
-    ASSERT_TRUE(mmu->unmap(gpa).ok());
-    EXPECT_FALSE(mmu->translate(gpa).ok());
-    EXPECT_EQ(mmu->unmap(gpa).error(), base::ErrorCode::NotFound);
-}
-
 TEST_F(MmuTest, TranslateUnmappedFails)
 {
     auto mmu = makeMmu();

@@ -87,11 +87,11 @@ TEST(EptRoundTrip, RandomMappingMix)
 {
     base::SimClock clock;
     dram::DramConfig dram_cfg;
-    dram_cfg.totalBytes = 512_MiB;
+    dram_cfg.totalBytes = 1_GiB;
     dram_cfg.fault.weakCellsPerRow = 0;
     dram::DramSystem dram(dram_cfg, clock);
     mm::BuddyConfig buddy_cfg;
-    buddy_cfg.totalPages = 512_MiB / kPageSize;
+    buddy_cfg.totalPages = 1_GiB / kPageSize;
     mm::BuddyAllocator buddy(buddy_cfg);
     kvm::Mmu mmu(dram, buddy, kvm::MmuConfig{}, 1);
 
@@ -104,29 +104,30 @@ TEST(EptRoundTrip, RandomMappingMix)
     };
     std::vector<Mapping> mappings;
     for (int i = 0; i < 300; ++i) {
-        const bool huge = rng.chance(0.4);
-        if (huge) {
-            auto block = buddy.allocPages(9, mm::MigrateType::Movable,
-                                          mm::PageUse::GuestMemory, 1);
-            ASSERT_TRUE(block.ok());
-            const GuestPhysAddr gpa(
-                rng.below(1u << 12) * kHugePageSize + 64_GiB);
-            const HostPhysAddr hpa(*block * kPageSize);
-            if (mmu.map2m(gpa, hpa).ok())
-                mappings.push_back({gpa, hpa, true});
-            else
-                buddy.freePages(*block, 9);
-        } else {
-            auto page = buddy.allocPages(0, mm::MigrateType::Movable,
-                                         mm::PageUse::GuestMemory, 1);
-            ASSERT_TRUE(page.ok());
-            const GuestPhysAddr gpa(rng.below(1u << 20) * kPageSize);
-            const HostPhysAddr hpa(*page * kPageSize);
-            if (mmu.map4k(gpa, hpa, rng.chance(0.5)).ok())
-                mappings.push_back({gpa, hpa, false});
-            else
-                buddy.freePages(*page, 0);
+        auto block = buddy.allocPages(9, mm::MigrateType::Movable,
+                                      mm::PageUse::GuestMemory, 1);
+        ASSERT_TRUE(block.ok());
+        const GuestPhysAddr gpa(
+            rng.below(1u << 12) * kHugePageSize + 64_GiB);
+        const HostPhysAddr hpa(*block * kPageSize);
+        if (!mmu.map2m(gpa, hpa).ok()) {
+            buddy.freePages(*block, 9);
+            continue;
         }
+        if (rng.chance(0.4)) {
+            mappings.push_back({gpa, hpa, true});
+            continue;
+        }
+        // The 4 KiB half: demote the hugepage and point one of its
+        // leaves at a page of its own, as KSM does.
+        ASSERT_TRUE(mmu.splitHugePage(gpa).ok());
+        auto page = buddy.allocPages(0, mm::MigrateType::Movable,
+                                     mm::PageUse::GuestMemory, 1);
+        ASSERT_TRUE(page.ok());
+        const GuestPhysAddr leaf =
+            gpa + rng.below(kEntriesPerTable) * kPageSize;
+        ASSERT_TRUE(mmu.remapLeaf4k(leaf, *page, rng.chance(0.5)).ok());
+        mappings.push_back({leaf, HostPhysAddr(*page * kPageSize), false});
     }
     ASSERT_GT(mappings.size(), 200u);
     for (const Mapping &m : mappings) {

@@ -5,14 +5,15 @@
  * Two halves. The synthetic half exercises planShards and the merge
  * validation matrix (uneven ranges, duplicates/overlaps, missing
  * shards, fingerprint mismatches, interrupted shards, ordering
- * independence) on hand-built ShardResults -- no worlds are
+ * independence) on hand-built RangeRecords -- no worlds are
  * constructed, so these are fast. The SweepIdentityMatrix half is the
  * ISSUE 7 acceptance sweep: for 8 seeds, with and without a
  * randomized FaultPlan, a campaign split into {1, 2, 4} shards run at
  * {1, 4} threads and merged must be bitwise-identical to the
  * single-process runAttempts() result, field by field via
  * snapshot::diffAttackResults -- including a shard that is stopped
- * mid-range, resumed from its checkpoint, and then merged.
+ * mid-range, resumed from its range record, and then merged from the
+ * records both ranges left on disk.
  *
  * Slow by design (the matrix runs whole campaigns); registered under
  * the tier2 label.
@@ -54,14 +55,15 @@ syntheticOutcome(uint64_t trial, bool success = false)
     return outcome;
 }
 
-shard::ShardResult
+attack::RangeRecord
 syntheticShard(uint64_t fingerprint, uint64_t total, uint64_t begin,
                uint64_t end, uint64_t success_at = UINT64_MAX)
 {
-    shard::ShardResult shard;
-    shard.manifest.campaignFingerprint = fingerprint;
-    shard.manifest.totalTrials = total;
-    shard.manifest.range = {begin, end};
+    attack::RangeRecord shard;
+    shard.campaignFingerprint = fingerprint;
+    shard.totalTrials = total;
+    shard.begin = begin;
+    shard.end = end;
     for (uint64_t trial = begin; trial < end; ++trial) {
         shard.outcomes.push_back(
             syntheticOutcome(trial, trial == success_at));
@@ -118,15 +120,15 @@ TEST(PlanShards, ZeroCountBehavesAsOne)
 TEST(ShardArtifact, SaveLoadRoundTrips)
 {
     const std::string path = ::testing::TempDir() + "shard_rt.bin";
-    const shard::ShardResult shard =
+    const attack::RangeRecord shard =
         syntheticShard(0xf00d, 8, 2, 6, /*success_at=*/4);
-    ASSERT_TRUE(shard::saveShard(path, shard).ok());
-    const auto loaded = shard::loadShard(path);
+    ASSERT_TRUE(attack::saveRangeRecord(path, shard).ok());
+    const auto loaded = attack::loadRangeRecord(path);
     ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    EXPECT_EQ(loaded->manifest.campaignFingerprint, 0xf00dull);
-    EXPECT_EQ(loaded->manifest.totalTrials, 8u);
-    EXPECT_EQ(loaded->manifest.range.begin, 2u);
-    EXPECT_EQ(loaded->manifest.range.end, 6u);
+    EXPECT_EQ(loaded->campaignFingerprint, 0xf00dull);
+    EXPECT_EQ(loaded->totalTrials, 8u);
+    EXPECT_EQ(loaded->begin, 2u);
+    EXPECT_EQ(loaded->end, 6u);
     ASSERT_EQ(loaded->outcomes.size(), shard.outcomes.size());
     for (size_t i = 0; i < shard.outcomes.size(); ++i) {
         EXPECT_EQ(loaded->outcomes[i].duration,
@@ -141,7 +143,7 @@ TEST(ShardArtifact, TruncatedFileIsRejected)
 {
     const std::string path = ::testing::TempDir() + "shard_trunc.bin";
     ASSERT_TRUE(
-        shard::saveShard(path, syntheticShard(1, 4, 0, 4)).ok());
+        attack::saveRangeRecord(path, syntheticShard(1, 4, 0, 4)).ok());
     // Chop the tail off: framing (payload length + checksum) must
     // catch it.
     std::string bytes;
@@ -159,17 +161,17 @@ TEST(ShardArtifact, TruncatedFileIsRejected)
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
     }
-    EXPECT_FALSE(shard::loadShard(path).ok());
+    EXPECT_FALSE(attack::loadRangeRecord(path).ok());
 }
 
 TEST(ShardArtifact, InconsistentManifestIsRejected)
 {
     const std::string path = ::testing::TempDir() + "shard_incons.bin";
-    shard::ShardResult shard = syntheticShard(1, 8, 2, 4);
+    attack::RangeRecord shard = syntheticShard(1, 8, 2, 4);
     // More outcomes than the range holds.
     shard.outcomes.push_back(syntheticOutcome(9));
-    ASSERT_TRUE(shard::saveShard(path, shard).ok());
-    const auto loaded = shard::loadShard(path);
+    ASSERT_TRUE(attack::saveRangeRecord(path, shard).ok());
+    const auto loaded = attack::loadRangeRecord(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error(), base::ErrorCode::InvalidArgument);
 }
@@ -183,7 +185,7 @@ TEST(MergeShards, NoShardsIsInvalid)
 
 TEST(MergeShards, FingerprintMismatchIsInvalid)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(2, 8, 4, 8));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -193,7 +195,7 @@ TEST(MergeShards, FingerprintMismatchIsInvalid)
 
 TEST(MergeShards, CampaignSizeMismatchIsInvalid)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 10, 4, 8));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -203,7 +205,7 @@ TEST(MergeShards, CampaignSizeMismatchIsInvalid)
 
 TEST(MergeShards, OverlappingRangesAreRejected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 5));
     shards.push_back(syntheticShard(1, 8, 3, 8));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -213,7 +215,7 @@ TEST(MergeShards, OverlappingRangesAreRejected)
 
 TEST(MergeShards, DuplicateShardsAreRejected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 4, 8));
@@ -224,7 +226,7 @@ TEST(MergeShards, DuplicateShardsAreRejected)
 
 TEST(MergeShards, CoverageGapIsMissingShard)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 3));
     shards.push_back(syntheticShard(1, 8, 5, 8));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -234,7 +236,7 @@ TEST(MergeShards, CoverageGapIsMissingShard)
 
 TEST(MergeShards, MissingTailShardIsDetected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     const auto merged = shard::mergeShards(std::move(shards));
     ASSERT_FALSE(merged.ok());
@@ -243,9 +245,9 @@ TEST(MergeShards, MissingTailShardIsDetected)
 
 TEST(MergeShards, InterruptedShardIsBusy)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 8);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.outcomes.resize(2); // stopped mid-range, no success
     EXPECT_FALSE(cut.complete());
     shards.push_back(std::move(cut));
@@ -259,7 +261,7 @@ TEST(MergeShards, SuccessTerminatedShardMergesAndTruncates)
     // Shard [0, 4) succeeds at trial 2 and legally stops there; the
     // later shard ran to completion (its process cannot know). The
     // merged campaign must stop at trial 2, like a sequential run.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4, /*success_at=*/2));
     shards.push_back(syntheticShard(1, 8, 4, 8));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -273,7 +275,7 @@ TEST(MergeShards, SuccessTerminatedShardMergesAndTruncates)
 TEST(MergeShards, EmptyRangesAreAccepted)
 {
     // planShards(2, 5): three of the five shards are empty.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     for (const shard::ShardRange &range : shard::planShards(2, 5))
         shards.push_back(
             syntheticShard(1, 2, range.begin, range.end));
@@ -285,7 +287,7 @@ TEST(MergeShards, EmptyRangesAreAccepted)
 TEST(MergeShards, ArrivalOrderIsIrrelevant)
 {
     const auto build = [] {
-        std::vector<shard::ShardResult> shards;
+        std::vector<attack::RangeRecord> shards;
         shards.push_back(syntheticShard(7, 10, 0, 3));
         shards.push_back(syntheticShard(7, 10, 3, 6));
         shards.push_back(syntheticShard(7, 10, 6, 8));
@@ -327,7 +329,7 @@ partialPolicy()
 
 TEST(PartialMerge, CoverageGapBecomesMissingRange)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 3));
     shards.push_back(syntheticShard(1, 8, 5, 8));
     const auto report =
@@ -345,7 +347,7 @@ TEST(PartialMerge, CoverageGapBecomesMissingRange)
 
 TEST(PartialMerge, TailHoleIsReported)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     const auto report =
         shard::mergeShards(std::move(shards), partialPolicy());
@@ -360,9 +362,9 @@ TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
     // An abandoned worker's partial artifact contributes nothing: its
     // WHOLE range is a hole, so a later heal recomputes it from the
     // checkpoint and a re-merge cannot double-count its prefix.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 8);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.outcomes.resize(2);
     cut.terminal = false;
     shards.push_back(std::move(cut));
@@ -379,9 +381,9 @@ TEST(PartialMerge, NonTerminalCompleteShardIsStillAHole)
 {
     // terminal=false with a full outcome vector (killed between the
     // last trial and the final save): the flag alone decides.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 8);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.terminal = false;
     shards.push_back(std::move(cut));
     const auto report =
@@ -393,9 +395,9 @@ TEST(PartialMerge, NonTerminalCompleteShardIsStillAHole)
 
 TEST(PartialMerge, NonTerminalShardIsBusyInStrictMode)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 8);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.terminal = false;
     shards.push_back(std::move(cut));
     const auto merged = shard::mergeShards(std::move(shards));
@@ -407,9 +409,9 @@ TEST(PartialMerge, AdjacentHolesCoalesce)
 {
     // A gap [2, 4) flows straight into a non-terminal shard's range
     // [4, 6): one hole [2, 6), not two.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 2));
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 6);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 6);
     cut.terminal = false;
     shards.push_back(std::move(cut));
     shards.push_back(syntheticShard(1, 8, 6, 8));
@@ -426,7 +428,7 @@ TEST(PartialMerge, ExactWhenSuccessPrecedesTheFirstHole)
     // The campaign succeeded at trial 2, so the sequential run never
     // reaches the hole at [4, 8): the degraded fold IS the canonical
     // result, and must equal the strict merge of a tiling set.
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4, /*success_at=*/2));
     auto degraded =
         shard::mergeShards({shards[0]}, partialPolicy());
@@ -443,7 +445,7 @@ TEST(PartialMerge, ExactWhenSuccessPrecedesTheFirstHole)
 
 TEST(PartialMerge, NotExactWhenSuccessFollowsTheFirstHole)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 2));
     shards.push_back(syntheticShard(1, 8, 4, 8, /*success_at=*/5));
     const auto report =
@@ -458,7 +460,7 @@ TEST(PartialMerge, NotExactWhenSuccessFollowsTheFirstHole)
 
 TEST(PartialMerge, FullTilingIsExactAndNotPartial)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 4, 8));
     const auto report =
@@ -471,7 +473,7 @@ TEST(PartialMerge, FullTilingIsExactAndNotPartial)
 
 TEST(PartialMerge, DuplicatesAreStillRejected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 0, 4));
     const auto report =
@@ -482,7 +484,7 @@ TEST(PartialMerge, DuplicatesAreStillRejected)
 
 TEST(PartialMerge, OverlapsAreStillRejected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 5));
     shards.push_back(syntheticShard(1, 8, 3, 8));
     const auto report =
@@ -493,7 +495,7 @@ TEST(PartialMerge, OverlapsAreStillRejected)
 
 TEST(PartialMerge, ForeignFingerprintIsStillRejected)
 {
-    std::vector<shard::ShardResult> shards;
+    std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(2, 8, 4, 8));
     const auto report =
@@ -513,11 +515,11 @@ TEST(PartialMerge, EmptyInputIsStillInvalid)
 TEST(ShardArtifact, TerminalFlagRoundTrips)
 {
     const std::string path = ::testing::TempDir() + "shard_term.bin";
-    shard::ShardResult cut = syntheticShard(1, 8, 4, 8);
+    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.outcomes.resize(2);
     cut.terminal = false;
-    ASSERT_TRUE(shard::saveShard(path, cut).ok());
-    const auto loaded = shard::loadShard(path);
+    ASSERT_TRUE(attack::saveRangeRecord(path, cut).ok());
+    const auto loaded = attack::loadRangeRecord(path);
     ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
     EXPECT_FALSE(loaded->terminal);
     EXPECT_FALSE(loaded->complete());
@@ -592,7 +594,7 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
 
     for (const unsigned shard_count : {1u, 2u, 4u}) {
         for (const unsigned threads : {1u, 4u}) {
-            std::vector<shard::ShardResult> shards;
+            std::vector<attack::RangeRecord> shards;
             for (const shard::ShardRange &range :
                  shard::planShards(kAttempts, shard_count)) {
                 attack::TrialRangeResult ranged =
@@ -600,10 +602,11 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
                                          threads,
                                          snapshot::CheckpointPolicy{});
                 ASSERT_FALSE(ranged.stopped);
-                shard::ShardResult one;
-                one.manifest.campaignFingerprint = fingerprint;
-                one.manifest.totalTrials = kAttempts;
-                one.manifest.range = range;
+                attack::RangeRecord one;
+                one.campaignFingerprint = fingerprint;
+                one.totalTrials = kAttempts;
+                one.begin = range.begin;
+                one.end = range.end;
                 one.outcomes = std::move(ranged.outcomes);
                 shards.push_back(std::move(one));
             }
@@ -624,9 +627,9 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
 }
 
 // A shard that is stopped mid-range (the simulated SIGKILL hook),
-// resumed from its checkpoint by a fresh attack object -- a stand-in
-// for a fresh OS process -- and merged must leave no trace in the
-// result.
+// resumed from its range record by a fresh attack object -- a
+// stand-in for a fresh OS process -- and merged from the records both
+// ranges left on disk must leave no trace in the result.
 TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
 {
     const uint64_t seed = std::get<0>(GetParam());
@@ -644,41 +647,33 @@ TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
 
     const attack::AttackResult reference = attack.runAttempts(
         kAttempts, 1, snapshot::CheckpointPolicy{});
-    const uint64_t fingerprint = attack.campaignFingerprint();
     const auto ranges = shard::planShards(kAttempts, 2);
-
-    // Shard 0 runs to completion in the "first process".
-    std::vector<shard::ShardResult> shards;
-    {
-        attack::TrialRangeResult ranged = attack.runTrialRange(
-            ranges[0].begin, ranges[0].end, 1,
-            snapshot::CheckpointPolicy{});
-        shard::ShardResult one;
-        one.manifest = {fingerprint, kAttempts, ranges[0]};
-        one.outcomes = std::move(ranged.outcomes);
-        shards.push_back(std::move(one));
+    const std::string stem = ::testing::TempDir() + "shard_kill_s" +
+        std::to_string(seed) + (faulted ? "_f" : "");
+    const std::string paths[2] = {stem + "_0.bin", stem + "_1.bin"};
+    for (const std::string &path : paths) {
+        std::remove(path.c_str());
+        std::remove((path + snapshot::kCheckpointPrevSuffix).c_str());
     }
 
+    // Shard 0 runs to completion in the "first process".
+    snapshot::CheckpointPolicy straight;
+    straight.path = paths[0];
+    ASSERT_FALSE(attack.runTrialRange(ranges[0].begin, ranges[0].end,
+                                      1, straight)
+                     .stopped);
+
     // Shard 1 is killed after one trial...
-    const std::string ckpt = ::testing::TempDir() + "shard_kill_s" +
-        std::to_string(seed) + (faulted ? "_f" : "") + ".ckpt";
-    std::remove(ckpt.c_str());
-    std::remove((ckpt + snapshot::kCheckpointPrevSuffix).c_str());
     snapshot::CheckpointPolicy killer;
-    killer.path = ckpt;
+    killer.path = paths[1];
     killer.everyTrials = 1;
     killer.stopAfterTrials = 1;
     attack::TrialRangeResult cut = attack.runTrialRange(
         ranges[1].begin, ranges[1].end, 1, killer);
-    if (!cut.stopped) {
-        // The range's very first trial succeeded, so the shard
-        // finished before the kill point; it still has to merge
-        // identically.
-        shard::ShardResult one;
-        one.manifest = {fingerprint, kAttempts, ranges[1]};
-        one.outcomes = std::move(cut.outcomes);
-        shards.push_back(std::move(one));
-    } else {
+    // When the range's very first trial succeeded, the shard finished
+    // before the kill point; its record still has to merge
+    // identically.
+    if (cut.stopped) {
         ASSERT_LT(cut.outcomes.size(), ranges[1].size());
 
         // ...and resumed by a fresh attack object over a fresh host
@@ -689,21 +684,24 @@ TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
                                           host2.dram().mapping(),
                                           attackConfig(kAttempts));
         attack2.profilePhase();
-        ASSERT_EQ(attack2.campaignFingerprint(), fingerprint);
+        ASSERT_EQ(attack2.campaignFingerprint(),
+                  attack.campaignFingerprint());
         snapshot::CheckpointPolicy resumer;
-        resumer.path = ckpt;
+        resumer.path = paths[1];
         resumer.everyTrials = 1;
         resumer.resume = true;
         attack::TrialRangeResult ranged = attack2.runTrialRange(
             ranges[1].begin, ranges[1].end, 1, resumer);
         ASSERT_FALSE(ranged.stopped);
         EXPECT_GT(ranged.resumedTrials, 0u);
-        shard::ShardResult one;
-        one.manifest = {fingerprint, kAttempts, ranges[1]};
-        one.outcomes = std::move(ranged.outcomes);
-        shards.push_back(std::move(one));
     }
 
+    std::vector<attack::RangeRecord> shards;
+    for (const std::string &path : paths) {
+        auto loaded = attack::loadRangeRecord(path);
+        ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
+        shards.push_back(std::move(*loaded));
+    }
     const auto merged = shard::mergeShards(std::move(shards));
     ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
     const std::vector<std::string> mismatches =

@@ -753,5 +753,84 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
     std::remove(prev.c_str());
 }
 
+TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
+{
+    const std::string path = tempPath("campaign_range_start.ckpt");
+    const std::string prev =
+        path + snapshot::kCheckpointPrevSuffix;
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+
+    sys::HostSystem host(campaignHost(5));
+    attack::HyperHammerAttack attack(host, campaignVm(),
+                                     host.dram().mapping(),
+                                     campaignAttack());
+    (void)attack.profilePhase();
+
+    // Stop range [0, 2) after one trial: its record starts at 0...
+    snapshot::CheckpointPolicy stopper;
+    stopper.path = path;
+    stopper.everyTrials = 1;
+    stopper.stopAfterTrials = 1;
+    (void)attack.runTrialRange(0, 2, 1, stopper);
+
+    // ...so range [2, 4) resuming at the same path must not take
+    // trial 0's outcome for trial 2's.
+    snapshot::CheckpointPolicy resumer;
+    resumer.path = path;
+    resumer.everyTrials = 1;
+    resumer.resume = true;
+    const attack::TrialRangeResult resumed =
+        attack.runTrialRange(2, 4, 1, resumer);
+    EXPECT_EQ(resumed.resumedTrials, 0u);
+    const attack::TrialRangeResult fresh =
+        attack.runTrialRange(2, 4, 1, {});
+    EXPECT_EQ(resumed.outcomes, fresh.outcomes);
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
+TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
+{
+    const std::string path = tempPath("campaign_torn.ckpt");
+    const std::string prev =
+        path + snapshot::kCheckpointPrevSuffix;
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+
+    sys::HostSystem host(campaignHost(5));
+    attack::HyperHammerAttack attack(host, campaignVm(),
+                                     host.dram().mapping(),
+                                     campaignAttack());
+    (void)attack.profilePhase();
+
+    // Finish range [0, 2), make its record the fallback file and tear
+    // the primary (a torn artifact the supervisor retries).
+    snapshot::CheckpointPolicy policy;
+    policy.path = path;
+    policy.everyTrials = 1;
+    const attack::TrialRangeResult finished =
+        attack.runTrialRange(0, 2, 1, policy);
+    std::vector<uint8_t> record = readFile(path);
+    ASSERT_FALSE(record.empty());
+    writeFile(prev, record);
+    record.resize(record.size() / 2);
+    writeFile(path, record);
+
+    // The resume restores every trial from the fallback and still
+    // leaves a loadable terminal record at the path.
+    policy.resume = true;
+    const attack::TrialRangeResult resumed =
+        attack.runTrialRange(0, 2, 1, policy);
+    EXPECT_EQ(resumed.resumedTrials, finished.outcomes.size());
+    EXPECT_EQ(resumed.outcomes, finished.outcomes);
+    const auto reloaded = attack::loadRangeRecord(path);
+    ASSERT_TRUE(reloaded.ok()) << base::errorName(reloaded.error());
+    EXPECT_TRUE(reloaded->terminal);
+    EXPECT_EQ(reloaded->outcomes, finished.outcomes);
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
 } // namespace
 } // namespace hh

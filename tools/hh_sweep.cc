@@ -323,6 +323,13 @@ cmdRun(const SweepOptions &opts)
         std::fprintf(stderr, "hh_sweep run: --out=FILE required\n");
         return 2;
     }
+    if (opts.stopAfter > 0 && opts.checkpointEvery == 0) {
+        // A range stops only at a block end, and without a cadence the
+        // whole range is one block.
+        std::fprintf(stderr, "hh_sweep run: --stop-after needs "
+                             "--checkpoint-every\n");
+        return 2;
+    }
     shard::ShardRange range;
     if (opts.haveRange) {
         range = opts.range;
@@ -344,47 +351,38 @@ cmdRun(const SweepOptions &opts)
     }
     Campaign campaign = buildCampaign(opts);
 
+    // The range record at --out is both the checkpoint a resume
+    // reads and the artifact merge reads.
     snapshot::CheckpointPolicy policy;
-    if (opts.checkpointEvery > 0) {
-        policy.path = opts.out + ".ckpt";
-        policy.everyTrials = opts.checkpointEvery;
-        policy.resume = opts.resume;
-        policy.stopAfterTrials = opts.stopAfter;
-    }
+    policy.path = opts.out;
+    policy.everyTrials = opts.checkpointEvery;
+    policy.resume = opts.resume;
+    policy.stopAfterTrials = opts.stopAfter;
     policy.heartbeatPath = opts.heartbeat;
     std::fprintf(stderr,
                  "hh_sweep: shard trials [%llu, %llu)\n",
                  static_cast<unsigned long long>(range.begin),
                  static_cast<unsigned long long>(range.end));
-    attack::TrialRangeResult ranged = campaign.attack->runTrialRange(
+    const attack::TrialRangeResult ranged = campaign.attack->runTrialRange(
         range.begin, range.end, opts.threads, policy);
-
-    shard::ShardResult result;
-    result.manifest.campaignFingerprint =
-        campaign.attack->campaignFingerprint();
-    result.manifest.totalTrials = opts.trials;
-    result.manifest.range = range;
-    result.terminal = !ranged.stopped;
-    result.outcomes = std::move(ranged.outcomes);
-    const base::Status saved = shard::saveShard(opts.out, result);
-    if (!saved.ok()) {
+    if (!ranged.saved.ok()) {
         std::fprintf(stderr, "hh_sweep: cannot write shard '%s': %s\n",
                      opts.out.c_str(),
-                     base::errorName(saved.error()));
+                     base::errorName(ranged.saved.error()));
         return 1;
     }
     if (ranged.stopped) {
-        // The artifact above is the abandoned-partial case the merge
-        // staleness check and the supervisor takeover must handle: it
-        // carries terminal=false and the strict merge answers Busy.
+        // The record left behind is the abandoned-partial case the
+        // merge staleness check and the supervisor takeover must
+        // handle: it is non-terminal and the strict merge answers Busy.
         std::fprintf(stderr,
                      "hh_sweep: shard stopped after %zu trials; "
                      "rerun with --resume to finish\n",
-                     result.outcomes.size());
+                     ranged.outcomes.size());
         return 3; // incomplete by request (--stop-after test hook)
     }
     std::fprintf(stderr, "hh_sweep: wrote %s (%zu outcomes)\n",
-                 opts.out.c_str(), result.outcomes.size());
+                 opts.out.c_str(), ranged.outcomes.size());
     return 0;
 }
 
@@ -393,15 +391,17 @@ cmdRun(const SweepOptions &opts)
  * non-terminal artifact younger than --stale-seconds belongs to a
  * worker that may still be running (hard Busy in every mode); a stale
  * one is abandoned and may be taken over -- dropped to a hole under
- * --allow-partial, or rejected with resume guidance otherwise.
+ * --allow-partial, or rejected with resume guidance otherwise. The
+ * files of the terminal, complete records go to @p healthy.
  */
 int
 loadMergeInputs(const SweepOptions &opts,
                 const std::vector<std::string> &files,
-                std::vector<shard::ShardResult> &shards)
+                std::vector<attack::RangeRecord> &shards,
+                std::vector<std::string> &healthy)
 {
     for (const std::string &file : files) {
-        auto loaded = shard::loadShard(file);
+        auto loaded = attack::loadRangeRecord(file);
         if (!loaded) {
             if (opts.allowPartial) {
                 std::fprintf(stderr,
@@ -442,6 +442,8 @@ loadMergeInputs(const SweepOptions &opts,
                          file.c_str(), age);
             // Keep it in the input set: the partial merge reports a
             // non-terminal shard's whole range as missing.
+        } else {
+            healthy.push_back(file);
         }
         shards.push_back(std::move(*loaded));
     }
@@ -506,9 +508,9 @@ cmdMerge(const SweepOptions &opts)
         std::fprintf(stderr, "hh_sweep merge: no shard files given\n");
         return 2;
     }
-    std::vector<shard::ShardResult> shards;
-    shards.reserve(opts.files.size());
-    const int rc = loadMergeInputs(opts, opts.files, shards);
+    std::vector<attack::RangeRecord> shards;
+    std::vector<std::string> healthy;
+    const int rc = loadMergeInputs(opts, opts.files, shards, healthy);
     if (rc != 0)
         return rc;
     if (shards.empty()) {
@@ -529,12 +531,6 @@ cmdMerge(const SweepOptions &opts)
                     static_cast<unsigned>(report->totalTrials),
                     report->result);
         return 0;
-    }
-    std::vector<std::string> healthy;
-    for (const std::string &file : opts.files) {
-        auto loaded = shard::loadShard(file);
-        if (loaded && loaded->terminal && loaded->complete())
-            healthy.push_back(file);
     }
     const std::string gap_path = opts.gapManifest.empty()
         ? opts.outDir + "/gaps.json"
@@ -557,9 +553,10 @@ selfExe(const char *argv0)
 
 /**
  * The production WorkerLauncher: fork + exec this binary's `run`
- * subcommand for one shard range. Workers always resume (an absent
- * checkpoint starts at the range begin) and always checkpoint, so a
- * reclaimed lease never recomputes a completed-trial prefix.
+ * subcommand for one shard range. Workers always resume from the
+ * range record at their artifact path (an absent record starts at the
+ * range begin) and rewrite it every block, so a reclaimed lease never
+ * recomputes a completed-trial prefix.
  */
 dispatch::WorkerLauncher
 forkLauncher(const std::string &exe, const SweepOptions &opts)
@@ -743,22 +740,28 @@ cmdHeal(const SweepOptions &opts, const char *argv0)
         return 1;
     }
 
-    // The healthy artifacts must still be exactly what the manifest
-    // promised: terminal, complete and of this campaign.
-    std::vector<shard::ShardResult> shards;
-    shards.reserve(manifest->artifacts.size()
-                   + manifest->missing.size());
-    for (const std::string &file : manifest->artifacts) {
-        auto loaded = shard::loadShard(file);
-        if (!loaded || !loaded->terminal || !loaded->complete()
-            || loaded->manifest.campaignFingerprint != fingerprint) {
+    // Every artifact merged -- the manifest's healthy ones and the
+    // holes healed below -- must finish its own range of this
+    // campaign.
+    std::vector<attack::RangeRecord> shards;
+    std::vector<std::string> healthy;
+    const auto collect = [&](const std::string &file) {
+        auto loaded = attack::loadRangeRecord(file);
+        if (!loaded
+            || !loaded->finishes(fingerprint, copts.trials,
+                                 loaded->begin, loaded->end)) {
             std::fprintf(stderr,
-                         "hh_sweep heal: healthy artifact '%s' is no "
-                         "longer usable\n",
+                         "hh_sweep heal: artifact '%s' is not usable\n",
                          file.c_str());
-            return 1;
+            return false;
         }
         shards.push_back(std::move(*loaded));
+        healthy.push_back(file);
+        return true;
+    };
+    for (const std::string &file : manifest->artifacts) {
+        if (!collect(file))
+            return 1;
     }
 
     if (!manifest->missing.empty()) {
@@ -790,18 +793,9 @@ cmdHeal(const SweepOptions &opts, const char *argv0)
             return 1;
         }
         for (const dispatch::ShardJob &job : sup.ledger().jobs) {
-            if (job.state != dispatch::ShardState::Done)
-                continue;
-            auto loaded =
-                shard::loadShard(sup.artifactPath(job.index));
-            if (!loaded) {
-                std::fprintf(stderr,
-                             "hh_sweep heal: lost heal artifact "
-                             "'%s'\n",
-                             sup.artifactPath(job.index).c_str());
+            if (job.state == dispatch::ShardState::Done
+                && !collect(sup.artifactPath(job.index)))
                 return 1;
-            }
-            shards.push_back(std::move(*loaded));
         }
         if (sup.ledger().quarantined() > 0) {
             // Still degraded: leave an updated manifest behind so a
@@ -815,11 +809,6 @@ cmdHeal(const SweepOptions &opts, const char *argv0)
                              "hh_sweep heal: merge failed: %s\n",
                              base::errorName(report.error()));
                 return 1;
-            }
-            std::vector<std::string> healthy = manifest->artifacts;
-            for (const dispatch::ShardJob &job : sup.ledger().jobs) {
-                if (job.state == dispatch::ShardState::Done)
-                    healthy.push_back(sup.artifactPath(job.index));
             }
             return finishDegraded(copts, opts.gaps, healthy, *report);
         }
