@@ -14,7 +14,7 @@
  *   hh::sys      -- host assembly and the S1/S2/S3 presets
  *   hh::mitigate -- pluggable defenses and the evaluation matrix
  *   hh::attack   -- profiling, Page Steering, exploitation
- *   hh::snapshot -- crash-safe snapshots and campaign checkpoints
+ *   hh::snapshot -- file formats, checkpoint policy, resume identity
  *   hh::shard    -- sharded multi-process campaign sweeps
  *   hh::dispatch -- supervised fault-tolerant sweep dispatch
  *   hh::analysis -- DRAMDig, TRRespass, report formatting
@@ -63,7 +63,6 @@
 #include "shard/shard.h"
 #include "snapshot/checkpoint_policy.h"
 #include "snapshot/resume_identity.h"
-#include "snapshot/snapshot.h"
 #include "snapshot/snapshot_format.h"
 #include "sys/host_system.h"
 #include "sys/ksm.h"

@@ -402,7 +402,7 @@ HyperHammerAttack::campaignFingerprint() const
     // same defenses (with the same knobs) were active.
     w.boolean(defenses != nullptr);
     if (defenses != nullptr)
-        defenses->fingerprint(w);
+        defenses->saveState(w);
     return w.fingerprint();
 }
 

@@ -1,18 +1,22 @@
 /**
  * @file
- * Bounds-checked binary archive reader/writer for snapshots.
+ * Binary archive writer, bounds-checked reader and crash-safe files.
  *
- * The snapshot subsystem (DESIGN.md section 3.4) serializes every
- * stateful component to a little-endian byte stream framed by a magic
- * number, a format version and an FNV-1a checksum. Writing is
- * infallible (an in-memory buffer); reading never trusts the input:
- * every primitive read is bounds-checked and a failed read latches a
- * sticky error flag instead of invoking UB, so corrupted or truncated
- * snapshots degrade to a descriptive base::Status, never a crash.
+ * Every stateful component serializes itself to a little-endian byte
+ * stream through ArchiveWriter (DESIGN.md section 3.4). For a world
+ * the stream is its canonical identity: fork-vs-fresh tests compare
+ * streams and the campaign fingerprint hashes config and defense
+ * streams; nothing reads a world's stream back. Only range records and
+ * the dispatch ledger are persisted, framed by a magic number, a
+ * format version and an FNV-1a checksum. Writing is infallible (an
+ * in-memory buffer); reading never trusts the input: every primitive
+ * read is bounds-checked and a failed read latches a sticky error flag
+ * instead of invoking UB, so a corrupted or truncated file degrades to
+ * a rejected load, never a crash.
  *
  * File I/O is crash-safe: saveArchiveFile() writes a temporary file,
  * fsync()s it, and rename()s it into place, so a kill at any instant
- * leaves either the old snapshot or the new one, never a torn file.
+ * leaves either the old file or the new one, never a torn file.
  */
 
 #ifndef HYPERHAMMER_BASE_ARCHIVE_H
@@ -29,20 +33,12 @@
 
 namespace hh::base {
 
-/**
- * Tag selecting a restore-mode constructor: build the object's shell
- * (references, configuration) but skip the boot-time allocations that
- * a subsequent loadState() would overwrite.
- */
-struct RestoreTag
-{};
-
-/** 64-bit FNV-1a over a byte range (the snapshot checksum). */
+/** 64-bit FNV-1a over a byte range (file checksums, fingerprints). */
 uint64_t fnv1a64(const uint8_t *data, size_t size);
 
 /**
- * Append-only little-endian serializer. All writes succeed; the
- * resulting buffer is framed and checksummed by saveArchiveFile().
+ * Append-only little-endian serializer. All writes succeed; a buffer
+ * that is persisted is framed and checksummed by saveArchiveFile().
  */
 class ArchiveWriter
 {
@@ -117,20 +113,16 @@ class ArchiveWriter
 };
 
 /**
- * Bounds-checked little-endian deserializer over a borrowed buffer.
+ * Bounds-checked little-endian deserializer over a borrowed buffer,
+ * with the primitives the persisted records use.
  *
- * Reads past the end (or after an explicit fail()) return zero values
- * and latch the sticky error flag; callers deserialize a whole section
- * and check status() once at the end. No read ever touches memory
- * outside the buffer.
+ * Reads past the end return zero values and latch the sticky error
+ * flag; callers deserialize a whole record and check ok() once at the
+ * end. No read ever touches memory outside the buffer.
  */
 class ArchiveReader
 {
   public:
-    ArchiveReader(const uint8_t *data, size_t size)
-        : data(data), size(size)
-    {}
-
     explicit ArchiveReader(const std::vector<uint8_t> &buffer)
         : data(buffer.data()), size(buffer.size())
     {}
@@ -147,20 +139,13 @@ class ArchiveReader
 
     bool boolean() { return u8() != 0; }
 
-    uint16_t
-    u16()
-    {
-        const uint16_t lo = u8();
-        const uint16_t hi = u8();
-        return static_cast<uint16_t>(lo | (hi << 8));
-    }
-
     uint32_t
     u32()
     {
-        const uint32_t lo = u16();
-        const uint32_t hi = u16();
-        return lo | (hi << 16);
+        uint32_t v = 0;
+        for (unsigned shift = 0; shift < 32; shift += 8)
+            v |= static_cast<uint32_t>(u8()) << shift;
+        return v;
     }
 
     uint64_t
@@ -172,21 +157,6 @@ class ArchiveReader
     }
 
     int64_t i64() { return static_cast<int64_t>(u64()); }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
-    {
-        const uint64_t len = u64();
-        if (failed || pos + len > size || len > size) {
-            failed = true;
-            return {};
-        }
-        std::string s(reinterpret_cast<const char *>(data + pos), len);
-        pos += len;
-        return s;
-    }
 
     /**
      * Element count prefix, validated against the bytes that remain:
@@ -204,40 +174,9 @@ class ArchiveReader
         return n;
     }
 
-    std::vector<uint64_t>
-    u64vec()
-    {
-        const uint64_t n = count(8);
-        std::vector<uint64_t> v;
-        v.reserve(n);
-        for (uint64_t i = 0; i < n && !failed; ++i)
-            v.push_back(u64());
-        return v;
-    }
-
-    std::array<uint64_t, 4>
-    rngState()
-    {
-        std::array<uint64_t, 4> state{};
-        for (uint64_t &word : state)
-            word = u64();
-        return state;
-    }
-
-    /** Latch the error flag after a failed semantic validation. */
-    void fail() { failed = true; }
-
+    /** True while every read so far succeeded. */
     bool ok() const { return !failed; }
-    size_t remaining() const { return failed ? 0 : size - pos; }
     bool atEnd() const { return failed || pos == size; }
-
-    /** Ok while every read (and validation) so far succeeded. */
-    [[nodiscard]] Status
-    status() const
-    {
-        return failed ? Status(ErrorCode::InvalidArgument)
-                      : Status::success();
-    }
 
   private:
     const uint8_t *data;

@@ -136,11 +136,8 @@ class Rng
             (*this)();
     }
 
-    /** Raw xoshiro256** state, for snapshot serialization. */
+    /** Raw xoshiro256** state, for state-stream serialization. */
     std::array<uint64_t, 4> saveState() const { return state; }
-
-    /** Restore state captured by saveState(); exact stream resume. */
-    void loadState(const std::array<uint64_t, 4> &s) { state = s; }
 
   private:
     static constexpr uint64_t

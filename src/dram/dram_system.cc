@@ -337,26 +337,4 @@ DramSystem::saveState(base::ArchiveWriter &w) const
     w.rngState(rng.saveState());
 }
 
-base::Status
-DramSystem::loadState(base::ArchiveReader &r)
-{
-    if (base::Status s = data.loadState(r); !s.ok())
-        return s;
-    const std::vector<RowId> rows = r.u64vec();
-    if (r.ok() && rows.size() != openRows.size())
-        r.fail();
-    const uint64_t flips = r.u64();
-    const uint64_t ecc_corrected = r.u64();
-    const uint64_t trr_suppressed = r.u64();
-    const std::array<uint64_t, 4> rng_state = r.rngState();
-    if (!r.ok())
-        return r.status();
-    openRows = rows;
-    flipCount = flips;
-    eccCorrected = ecc_corrected;
-    trrSuppressed = trr_suppressed;
-    rng.loadState(rng_state);
-    return base::Status::success();
-}
-
 } // namespace hh::dram

@@ -260,11 +260,8 @@ class DramSystem
      */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore state written by saveState() on an identically configured device. */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- config travels via the host's configFingerprint(), not the state stream
     DramConfig cfg;
     base::SimClock &clock;
     MemoryBackend data;

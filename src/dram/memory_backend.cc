@@ -279,49 +279,4 @@ MemoryBackend::saveState(base::ArchiveWriter &w) const
     }
 }
 
-base::Status
-MemoryBackend::loadState(base::ArchiveReader &r)
-{
-    std::vector<std::unique_ptr<Chunk>> loaded(chunks.size());
-    const uint64_t page_count = r.count(16);
-    Pfn prev_pfn = 0;
-    for (uint64_t i = 0; i < page_count && r.ok(); ++i) {
-        const Pfn pfn = r.u64();
-        // saveState() writes each in-range frame once, in PFN order.
-        if (pfn >= pageCount() || (i > 0 && pfn <= prev_pfn)) {
-            r.fail();
-            break;
-        }
-        prev_pfn = pfn;
-        std::unique_ptr<Chunk> &chunk = loaded[pfn / kChunkPages];
-        if (!chunk)
-            chunk = newChunk();
-        PageData &slot = (*chunk)[pfn % kChunkPages];
-        slot.present = true;
-        slot.fill = r.u64();
-        const uint64_t word_count = r.count(10);
-        uint32_t prev_idx = 0;
-        for (uint64_t j = 0; j < word_count && r.ok(); ++j) {
-            const uint16_t idx = r.u16();
-            const uint64_t value = r.u64();
-            // saveState() writes each differing word once, in index
-            // order: reject anything else rather than rebuild it.
-            if (idx >= kWordsPerPage || (j > 0 && idx <= prev_idx)) {
-                r.fail();
-                break;
-            }
-            prev_idx = idx;
-            slot.set(idx, value, *this);
-        }
-    }
-    if (!r.ok()) {
-        giveBack(loaded);
-        return r.status();
-    }
-    chunks.swap(loaded);
-    giveBack(loaded);
-    touched = page_count;
-    return base::Status::success();
-}
-
 } // namespace hh::dram

@@ -128,9 +128,6 @@ class MemoryBackend
      */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Replace contents with a stream written by saveState(). */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     /** Frames per chunk: one 2 MiB hugepage's worth. */
     static constexpr uint64_t kChunkPages = kPagesPerHugePage;
@@ -261,7 +258,7 @@ class MemoryBackend
      */
     void giveBack(std::vector<std::unique_ptr<Chunk>> &blocks);
 
-    /** Construction-time geometry; loadState() keeps it. */
+    /** Construction-time geometry. */
     const uint64_t totalBytes;
     /**
      * The spares this backend's forks recycle through; a fork shares

@@ -242,27 +242,4 @@ FaultInjector::saveState(base::ArchiveWriter &w) const
     }
 }
 
-base::Status
-FaultInjector::loadState(base::ArchiveReader &r)
-{
-    const uint64_t site_count = r.u64();
-    if (r.ok() && site_count != sites.size())
-        r.fail();
-    std::array<SiteState, kFaultSiteCount> loaded;
-    for (SiteState &state : loaded) {
-        if (!r.ok())
-            break;
-        state.occurrences = r.u64();
-        state.fired = r.u64();
-        state.rng.loadState(r.rngState());
-        state.entryFired = r.u64vec();
-        if (r.ok() && state.entryFired.size() != schedule.entries.size())
-            r.fail();
-    }
-    if (!r.ok())
-        return r.status();
-    sites = std::move(loaded);
-    return base::Status::success();
-}
-
 } // namespace hh::fault

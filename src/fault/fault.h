@@ -158,9 +158,6 @@ class FaultInjector
      */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore a position saved from an injector with the same plan. */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     struct SiteState
     {
@@ -171,7 +168,7 @@ class FaultInjector
         std::vector<uint64_t> entryFired;
     };
 
-    // hh-lint: allow(snapshot-field-coverage) -- the plan is host configuration; loadState only validates entry counts against it
+    // hh-lint: allow(snapshot-field-coverage) -- the plan is host configuration and travels via the host's configFingerprint()
     FaultPlan schedule;
     std::array<SiteState, kFaultSiteCount> sites;
     /** Entry indices per site, in plan order. */

@@ -45,14 +45,6 @@ IoPageTable::IoPageTable(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
     root = *page;
 }
 
-IoPageTable::IoPageTable(dram::DramSystem &dram,
-                         mm::BuddyAllocator &buddy, uint16_t owner_id,
-                         base::RestoreTag)
-    : dram(dram), buddy(buddy), owner(owner_id)
-{
-    // No root allocation: loadState() installs the snapshot's frames.
-}
-
 IoPageTable::~IoPageTable()
 {
     for (Pfn pfn : tablePages) {
@@ -238,26 +230,6 @@ IoPageTable::saveState(base::ArchiveWriter &w) const
     w.u64vec(tablePages);
 }
 
-base::Status
-IoPageTable::loadState(base::ArchiveReader &r)
-{
-    const Pfn new_root = r.u64();
-    std::vector<Pfn> tables = r.u64vec();
-    if (r.ok() && new_root >= dram.pageCount())
-        r.fail();
-    for (Pfn pfn : tables) {
-        if (pfn >= dram.pageCount()) {
-            r.fail();
-            break;
-        }
-    }
-    if (!r.ok())
-        return r.status();
-    root = new_root;
-    tablePages = std::move(tables);
-    return base::Status::success();
-}
-
 void
 VfioContainer::saveState(base::ArchiveWriter &w) const
 {
@@ -266,27 +238,6 @@ VfioContainer::saveState(base::ArchiveWriter &w) const
         w.u32(g.mappings);
         g.table->saveState(w);
     }
-}
-
-base::Status
-VfioContainer::loadState(base::ArchiveReader &r)
-{
-    const uint64_t group_count = r.count(12);
-    std::vector<Group> loaded;
-    loaded.reserve(group_count);
-    for (uint64_t i = 0; i < group_count && r.ok(); ++i) {
-        Group g;
-        g.mappings = r.u32();
-        g.table = std::make_unique<IoPageTable>(dram, buddy, owner,
-                                                base::RestoreTag{});
-        if (base::Status s = g.table->loadState(r); !s.ok())
-            return s;
-        loaded.push_back(std::move(g));
-    }
-    if (!r.ok())
-        return r.status();
-    groups = std::move(loaded);
-    return base::Status::success();
 }
 
 } // namespace hh::iommu

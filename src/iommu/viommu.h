@@ -60,10 +60,6 @@ class IoPageTable
     IoPageTable(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
                 uint16_t owner_id);
 
-    /** Restore-mode: skip the root allocation; loadState() follows. */
-    IoPageTable(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
-                uint16_t owner_id, base::RestoreTag);
-
     ~IoPageTable();
 
     IoPageTable(const IoPageTable &) = delete;
@@ -85,13 +81,10 @@ class IoPageTable
     /** Serialize root and table-page list (entries live in DRAM). */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore state written by saveState(). */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
-    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, re-supplied by the restoring caller
+    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, fixed by the VM that builds it
     uint16_t owner;
     Pfn root = kInvalidPfn;
     std::vector<Pfn> tablePages;
@@ -167,9 +160,6 @@ class VfioContainer
     /** Serialize every group's IOPT and mapping count. */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore groups written by saveState() (rebuilds the IOPTs). */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     struct Group
     {
@@ -179,9 +169,9 @@ class VfioContainer
 
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     IommuConfig cfg;
-    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity; loadState reads it only to rebuild per-group IOPTs
+    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, fixed by the VM that builds it
     uint16_t owner;
     std::vector<Group> groups;
 };

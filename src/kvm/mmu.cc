@@ -23,18 +23,6 @@ Mmu::Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
     root = *page;
 }
 
-Mmu::Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
-         MmuConfig config, uint16_t owner_id, base::RestoreTag)
-    : dram(dram),
-      buddy(buddy),
-      cfg(config),
-      owner(owner_id),
-      rng(base::mix64(dram.config().seed, owner_id))
-{
-    // No root allocation: the snapshot's buddy state already carries
-    // the table frames, and loadState() installs their PFNs.
-}
-
 Mmu::~Mmu()
 {
     for (Pfn pfn : tablePages) {
@@ -298,40 +286,6 @@ Mmu::saveState(base::ArchiveWriter &w) const
     w.u64(demotionCount);
     w.u64(machineCheckCount);
     w.rngState(rng.saveState());
-}
-
-base::Status
-Mmu::loadState(base::ArchiveReader &r)
-{
-    const Pfn new_root = r.u64();
-    std::vector<Pfn> tables = r.u64vec();
-    std::vector<Pfn> metadata = r.u64vec();
-    const uint64_t demoted = r.u64();
-    const uint64_t mces = r.u64();
-    const std::array<uint64_t, 4> rng_state = r.rngState();
-    if (r.ok() && new_root >= dram.pageCount())
-        r.fail();
-    for (Pfn pfn : tables) {
-        if (pfn >= dram.pageCount()) {
-            r.fail();
-            break;
-        }
-    }
-    for (Pfn pfn : metadata) {
-        if (pfn >= buddy.totalPages()) {
-            r.fail();
-            break;
-        }
-    }
-    if (!r.ok())
-        return r.status();
-    root = new_root;
-    tablePages = std::move(tables);
-    metadataPages = std::move(metadata);
-    demotionCount = demoted;
-    machineCheckCount = mces;
-    rng.loadState(rng_state);
-    return base::Status::success();
 }
 
 } // namespace hh::kvm

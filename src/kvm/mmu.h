@@ -92,13 +92,6 @@ class Mmu
     Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
         MmuConfig config, uint16_t owner_id);
 
-    /**
-     * Restore-mode constructor: skips the root-table allocation (the
-     * snapshot already accounts for it); loadState() must follow.
-     */
-    Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
-        MmuConfig config, uint16_t owner_id, base::RestoreTag);
-
     ~Mmu();
 
     Mmu(const Mmu &) = delete;
@@ -195,15 +188,12 @@ class Mmu
     /** Serialize root/table/metadata frames, counters and RNG cursor. */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore state written by saveState(); table contents live in DRAM. */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     MmuConfig cfg;
-    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, re-supplied by the restoring caller
+    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, fixed by the VM that builds it
     uint16_t owner;
     /**
      * Varies the split-metadata batching: slab refills are phase-

@@ -35,22 +35,6 @@ Defense::saveState(base::ArchiveWriter &w) const
     w.u64(ovh.nackedRequests);
 }
 
-base::Status
-Defense::loadState(base::ArchiveReader &r)
-{
-    ovh.reservedBytes = r.u64();
-    ovh.slowdownFactor = r.f64();
-    ovh.nackedRequests = r.u64();
-    return r.status();
-}
-
-void
-Defense::fingerprint(base::ArchiveWriter &w) const
-{
-    w.str(name());
-    saveState(w);
-}
-
 // --- SilozDomains ---------------------------------------------------
 
 uint64_t
@@ -112,19 +96,6 @@ SilozDomains::saveState(base::ArchiveWriter &w) const
     w.u32(guardRows);
 }
 
-base::Status
-SilozDomains::loadState(base::ArchiveReader &r)
-{
-    if (const base::Status base_state = Defense::loadState(r);
-        !base_state.ok())
-        return base_state;
-    hostReserveBytes = r.u64();
-    eptDomainBytes = r.u64();
-    guestDomains = r.u32();
-    guardRows = r.u32();
-    return r.status();
-}
-
 // --- VirtioQuarantine -----------------------------------------------
 
 void
@@ -143,18 +114,6 @@ VirtioQuarantine::saveState(base::ArchiveWriter &w) const
     w.u64(toleranceSubBlocks);
     w.u64(graceRequests);
     w.u64(windowRequests);
-}
-
-base::Status
-VirtioQuarantine::loadState(base::ArchiveReader &r)
-{
-    if (const base::Status base_state = Defense::loadState(r);
-        !base_state.ok())
-        return base_state;
-    toleranceSubBlocks = r.u64();
-    graceRequests = r.u64();
-    windowRequests = r.u64();
-    return r.status();
 }
 
 // --- TrrEccSweep ----------------------------------------------------
@@ -192,20 +151,6 @@ TrrEccSweep::saveState(base::ArchiveWriter &w) const
     w.boolean(probabilisticOverflow);
     w.boolean(eccEnabled);
     w.u32(eccCorrectBits);
-}
-
-base::Status
-TrrEccSweep::loadState(base::ArchiveReader &r)
-{
-    if (const base::Status base_state = Defense::loadState(r);
-        !base_state.ok())
-        return base_state;
-    trrEnabled = r.boolean();
-    trackerCapacity = r.u32();
-    probabilisticOverflow = r.boolean();
-    eccEnabled = r.boolean();
-    eccCorrectBits = r.u32();
-    return r.status();
 }
 
 // --- CattPartition --------------------------------------------------
@@ -255,17 +200,6 @@ CattPartition::saveState(base::ArchiveWriter &w) const
     Defense::saveState(w);
     w.u64(kernelBytes);
     w.boolean(doubleOwnershipHole);
-}
-
-base::Status
-CattPartition::loadState(base::ArchiveReader &r)
-{
-    if (const base::Status base_state = Defense::loadState(r);
-        !base_state.ok())
-        return base_state;
-    kernelBytes = r.u64();
-    doubleOwnershipHole = r.boolean();
-    return r.status();
 }
 
 // --- DefenseSet -----------------------------------------------------
@@ -330,39 +264,6 @@ DefenseSet::saveState(base::ArchiveWriter &w) const
         w.str(defense->name());
         defense->saveState(w);
     }
-}
-
-base::Status
-DefenseSet::loadState(base::ArchiveReader &r)
-{
-    const uint64_t stored = r.u64();
-    if (!r.ok() || stored != stack.size()) {
-        base::warn("defense set: stored %llu defenses, expected %zu",
-                   static_cast<unsigned long long>(stored),
-                   stack.size());
-        return base::ErrorCode::InvalidArgument;
-    }
-    for (const auto &defense : stack) {
-        const std::string stored_name = r.str();
-        if (!r.ok() || stored_name != defense->name()) {
-            base::warn("defense set: stored defense '%s' does not "
-                       "match attached '%s'",
-                       stored_name.c_str(), defense->name());
-            return base::ErrorCode::InvalidArgument;
-        }
-        if (const base::Status loaded = defense->loadState(r);
-            !loaded.ok())
-            return loaded;
-    }
-    return r.status();
-}
-
-void
-DefenseSet::fingerprint(base::ArchiveWriter &w) const
-{
-    w.u64(stack.size());
-    for (const auto &defense : stack)
-        defense->fingerprint(w);
 }
 
 // --- factory --------------------------------------------------------

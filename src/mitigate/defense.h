@@ -92,17 +92,11 @@ class Defense
 
     const DefenseOverhead &overhead() const { return ovh; }
 
-    /** Serialize the defense's knobs and accounted overhead. */
-    virtual void saveState(base::ArchiveWriter &w) const;
-
-    /** Restore state written by saveState(). */
-    [[nodiscard]] virtual base::Status loadState(base::ArchiveReader &r);
-
     /**
-     * Fold the defense's identity into a campaign fingerprint: the
-     * name plus every knob that shapes trial outcomes.
+     * Serialize the defense's knobs and accounted overhead: every knob
+     * that shapes trial outcomes, so the bytes are its identity.
      */
-    void fingerprint(base::ArchiveWriter &w) const;
+    virtual void saveState(base::ArchiveWriter &w) const;
 
   protected:
     DefenseOverhead ovh;
@@ -133,7 +127,6 @@ class SilozDomains final : public Defense
     void applyHostConfig(sys::SystemConfig &cfg) const override;
     [[nodiscard]] base::Status configure(sys::HostSystem &host) override;
     void saveState(base::ArchiveWriter &w) const override;
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r) override;
 
   private:
     /** The kernel-domain page budget applyHostConfig() installs. */
@@ -156,7 +149,6 @@ class VirtioQuarantine final : public Defense
     const char *name() const override { return "quarantine"; }
     void applyVmConfig(vm::VmConfig &cfg) const override;
     void saveState(base::ArchiveWriter &w) const override;
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r) override;
 };
 
 /**
@@ -178,7 +170,6 @@ class TrrEccSweep final : public Defense
     void applyHostConfig(sys::SystemConfig &cfg) const override;
     [[nodiscard]] base::Status configure(sys::HostSystem &host) override;
     void saveState(base::ArchiveWriter &w) const override;
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r) override;
 };
 
 /**
@@ -209,14 +200,13 @@ class CattPartition final : public Defense
     }
     void applyHostConfig(sys::SystemConfig &cfg) const override;
     void saveState(base::ArchiveWriter &w) const override;
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r) override;
 };
 
 /**
  * An ordered, owning list of defenses composed into one transform.
  * Config transforms chain in insertion order; state serializes as a
- * name-tagged sequence so a restore validates it is loading into the
- * same stack.
+ * name-tagged sequence, so two stacks that differ in order, members
+ * or any knob serialize differently.
  */
 class DefenseSet
 {
@@ -254,17 +244,11 @@ class DefenseSet
     /** Summed / multiplied overhead over the stack. */
     DefenseOverhead overhead() const;
 
-    /** Serialize the stack as (count, name, state) records. */
-    void saveState(base::ArchiveWriter &w) const;
-
     /**
-     * Restore state written by saveState(). A payload whose length or
-     * defense names do not match this stack is rejected.
+     * Serialize the stack as (count, name, state) records: the
+     * stack's identity, which the campaign fingerprint folds in.
      */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
-    /** Fold the stack's identity into a campaign fingerprint. */
-    void fingerprint(base::ArchiveWriter &w) const;
+    void saveState(base::ArchiveWriter &w) const;
 
   private:
     std::vector<std::unique_ptr<Defense>> stack;

@@ -651,138 +651,6 @@ BuddyAllocator::saveState(base::ArchiveWriter &w) const
             w.u64vec(cache);
 }
 
-base::Status
-BuddyAllocator::loadState(base::ArchiveReader &r)
-{
-    const uint64_t frame_count = r.u64();
-    if (r.ok() && frame_count != frames.size())
-        r.fail();
-    std::vector<PageFrame> new_frames(r.ok() ? frame_count : 0);
-    for (PageFrame &frame : new_frames) {
-        if (!r.ok())
-            break;
-        frame.nextFree = r.u64();
-        frame.prevFree = r.u64();
-        frame.order = r.u8();
-        frame.free = r.boolean();
-        frame.freeHead = r.boolean();
-        const uint8_t mt = r.u8();
-        const uint8_t use = r.u8();
-        frame.pinned = r.boolean();
-        frame.owner = r.u16();
-        if (mt >= kMigrateTypes || use > static_cast<uint8_t>(
-                PageUse::GuardRow) || frame.order >= kMaxOrder) {
-            r.fail();
-            break;
-        }
-        frame.migrateType = static_cast<MigrateType>(mt);
-        frame.use = static_cast<PageUse>(use);
-    }
-    const uint64_t domain_count = r.u64();
-    if (r.ok() && domain_count != domains.size())
-        r.fail();
-    std::vector<Domain> new_domains(r.ok() ? domains.size() : 0);
-    for (size_t d = 0; d < new_domains.size(); ++d) {
-        // Geometry comes from this allocator's own config (already
-        // fingerprint-checked); the payload carries only lists.
-        new_domains[d].start = domains[d].start;
-        new_domains[d].end = domains[d].end;
-        new_domains[d].usableEnd = domains[d].usableEnd;
-        new_domains[d].cls = domains[d].cls;
-        for (unsigned mt = 0; mt < kMigrateTypes; ++mt) {
-            for (unsigned order = 0; order < kMaxOrder; ++order) {
-                new_domains[d].lists[mt][order].head = r.u64();
-                new_domains[d].lists[mt][order].count = r.u64();
-            }
-        }
-    }
-    const uint64_t new_free_count = r.u64();
-    for (Domain &dom : new_domains)
-        for (auto &cache : dom.pcp)
-            cache = r.u64vec();
-    if (!r.ok())
-        return r.status();
-
-    // Replicate checkConsistency() without the panics: a corrupted
-    // snapshot must fail the load, not abort the process. Walks are
-    // bounds-checked and capped so cyclic linkage cannot hang us.
-    uint64_t listed_pages = 0;
-    for (const Domain &dom : new_domains) {
-        for (unsigned mt = 0; mt < kMigrateTypes; ++mt) {
-            for (unsigned order = 0; order < kMaxOrder; ++order) {
-                const FreeList &list = dom.lists[mt][order];
-                uint64_t walked = 0;
-                Pfn prev = kInvalidPfn;
-                Pfn pfn = list.head;
-                while (pfn != kInvalidPfn) {
-                    if (pfn >= new_frames.size()
-                        || walked >= list.count) {
-                        return base::Status(
-                            base::ErrorCode::InvalidArgument);
-                    }
-                    const PageFrame &frame = new_frames[pfn];
-                    const bool block_in_domain =
-                        pfn >= dom.start
-                        && pfn + (1ull << order) <= dom.usableEnd;
-                    if (!frame.free || !frame.freeHead
-                        || frame.order != order
-                        || frame.migrateType
-                               != static_cast<MigrateType>(mt)
-                        || frame.prevFree != prev || !block_in_domain
-                        || (pfn & ((1ull << order) - 1)) != 0) {
-                        return base::Status(
-                            base::ErrorCode::InvalidArgument);
-                    }
-                    for (uint64_t i = 1; i < (1ull << order); ++i) {
-                        if (!new_frames[pfn + i].free
-                            || new_frames[pfn + i].freeHead) {
-                            return base::Status(
-                                base::ErrorCode::InvalidArgument);
-                        }
-                    }
-                    prev = pfn;
-                    ++walked;
-                    listed_pages += 1ull << order;
-                    pfn = frame.nextFree;
-                }
-                if (walked != list.count)
-                    return base::Status(
-                        base::ErrorCode::InvalidArgument);
-            }
-        }
-        // Guard bands are structural: a snapshot claiming a guard
-        // frame is free or repurposed is corrupt.
-        for (Pfn guard = dom.usableEnd; guard < dom.end; ++guard) {
-            const PageFrame &frame = new_frames[guard];
-            if (frame.free || frame.use != PageUse::GuardRow
-                || !frame.pinned) {
-                return base::Status(base::ErrorCode::InvalidArgument);
-            }
-        }
-    }
-    uint64_t free_frames = 0;
-    for (const PageFrame &frame : new_frames)
-        free_frames += frame.free ? 1 : 0;
-    if (listed_pages != new_free_count || free_frames != new_free_count)
-        return base::Status(base::ErrorCode::InvalidArgument);
-    for (const Domain &dom : new_domains) {
-        for (const auto &cache : dom.pcp) {
-            for (Pfn pfn : cache) {
-                if (pfn < dom.start || pfn >= dom.usableEnd
-                    || new_frames[pfn].free) {
-                    return base::Status(
-                        base::ErrorCode::InvalidArgument);
-                }
-            }
-        }
-    }
-
-    frames = FrameStore(new_frames);
-    domains = std::move(new_domains);
-    freeCount = new_free_count;
-    return base::Status::success();
-}
-
 void
 BuddyAllocator::checkConsistency() const
 {

@@ -236,14 +236,6 @@ class BuddyAllocator
     /** Serialize the frame database, free lists and PCP stacks. */
     void saveState(base::ArchiveWriter &w) const;
 
-    /**
-     * Restore state written by saveState() on an allocator managing
-     * the same number of frames. Re-validates every free-list linkage
-     * invariant (a non-panicking checkConsistency()) before
-     * committing, so corrupt snapshots are rejected, never installed.
-     */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     struct FreeList
     {
@@ -277,9 +269,9 @@ class BuddyAllocator
     uint64_t freeCount = 0;
 
     /** PCP front-end configuration, shared by every domain. */
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     PcpConfig pcpCfg;
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     bool crossFallback = false;
     fault::FaultInjector *faultInjector = nullptr;
 

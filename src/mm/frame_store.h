@@ -46,15 +46,6 @@ class FrameStore
             chunk = std::make_shared<Chunk>();
     }
 
-    /** Adopt a validated flat array (the loadState() commit path). */
-    explicit FrameStore(const std::vector<PageFrame> &frames)
-        : FrameStore(frames.size())
-    {
-        for (uint64_t i = 0; i < frames.size(); ++i)
-            chunks[i >> kChunkShift]->f[i & (kChunkFrames - 1)] =
-                frames[i];
-    }
-
     /** Deep copies are banned: clone via fork(). */
     FrameStore(const FrameStore &) = delete;
     FrameStore &operator=(const FrameStore &) = delete;

@@ -1,17 +1,20 @@
 /**
  * @file
- * On-disk identifiers of the crash-safe snapshot formats.
+ * On-disk identifiers of the crash-safe file formats.
  *
- * Every snapshot file produced by this repo is framed by
- * base::saveArchiveFile(): magic, format version, payload length and an
- * FNV-1a checksum ahead of the payload. The constants here pick the
- * magic per file kind and pin the single format version shared by all
- * serialized subsystems.
+ * Two kinds of file are persisted, both framed by
+ * base::saveArchiveFile() (magic, format version, payload length and
+ * an FNV-1a checksum ahead of the payload): a trial range's record
+ * and the dispatch supervisor's ledger. Worlds are never persisted: a
+ * world is rebuilt from its configuration and trial index, and its
+ * saveState() stream is compared in memory, never read back. The
+ * constants here pick the magic per file kind and pin the single
+ * format version shared by every pinned saveState() encoding.
  *
  * Bump kSnapshotFormatVersion whenever any saveState() encoding
  * changes shape; tools/hh_lint.py (rule `snapshot-version`, backed by
  * tools/snapshot_manifest.json) fails the build when a serialized
- * struct changes without a bump. Old snapshots are rejected by version,
+ * struct changes without a bump. Old files are rejected by version,
  * never reinterpreted.
  */
 
@@ -21,12 +24,6 @@
 #include <cstdint>
 
 namespace hh::snapshot {
-
-/** Whole-host snapshot (HostSystem::saveSnapshot): "HHHOST\n" + v. */
-constexpr uint64_t kHostSnapshotMagic = 0x4848484f53540a01ull;
-
-/** Host + VMs world snapshot (snapshot::saveWorld): "HHWRLD\n" + v. */
-constexpr uint64_t kWorldSnapshotMagic = 0x484857524c440a01ull;
 
 /**
  * Trial-range record (attack::saveRangeRecord): a range's checkpoint
@@ -39,7 +36,7 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
 
 /**
  * Format version of every serialized payload. One shared version: a
- * change in any subsystem's encoding invalidates all snapshot kinds,
+ * change in any subsystem's encoding invalidates every file kind,
  * which is exactly the safe behaviour for crash-resume state.
  *
  * v2: the CoW world-forking refactor. The byte stream each
@@ -71,7 +68,7 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * v6: the pfn-indexed memory backend. The byte stream is unchanged
  * (saveState() walks the chunk table in PFN order and skips override
  * slots that hold their page's fill value), but the producer was
- * rewritten and loadState() now rejects out-of-range and repeated
+ * rewritten and its loader began rejecting out-of-range and repeated
  * PFNs, so v5 snapshots are retired rather than trusted.
  *
  * v7: page words held inline or in a dense page. The byte stream is
@@ -93,8 +90,13 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * the campaign fingerprint already hashes every byte it held. The
  * shard magic is retired, and v8 checkpoints and artifacts are
  * rejected by version.
+ *
+ * v10: worlds are rebuilt, never restored. The host and world
+ * snapshot files, their magics and every world loader are retired,
+ * and KSM no longer serializes at all. Range records and ledgers keep
+ * their layout; v9 files are rejected by version.
  */
-constexpr uint32_t kSnapshotFormatVersion = 9;
+constexpr uint32_t kSnapshotFormatVersion = 10;
 
 } // namespace hh::snapshot
 

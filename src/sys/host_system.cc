@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/log.h"
-#include "snapshot/snapshot_format.h"
 
 namespace hh::sys {
 
@@ -386,107 +385,6 @@ HostSystem::saveState(base::ArchiveWriter &w) const
     w.u16(nextVmId);
     w.u64vec(residentKernelPages);
     w.u64vec(pageCachePages);
-}
-
-base::Status
-HostSystem::loadState(base::ArchiveReader &r)
-{
-    const base::SimTime saved_now = r.u64();
-    const bool has_injector = r.boolean();
-    if (!r.ok())
-        return r.status();
-    if (has_injector != (injector != nullptr)) {
-        base::warn("host snapshot: fault-injector presence mismatch");
-        return base::ErrorCode::InvalidArgument;
-    }
-    if (injector) {
-        const base::Status st = injector->loadState(r);
-        if (!st.ok())
-            return st;
-    }
-    if (const base::Status st = dramSys->loadState(r); !st.ok())
-        return st;
-    if (const base::Status st = allocator->loadState(r); !st.ok())
-        return st;
-    const std::array<uint64_t, 4> rng_state = r.rngState();
-    const uint16_t next_id = r.u16();
-    std::vector<Pfn> kernel_pages = r.u64vec();
-    std::vector<Pfn> cache_pages = r.u64vec();
-    if (!r.ok())
-        return r.status();
-    if (next_id == 0) {
-        base::warn("host snapshot: VM id counter must be >= 1");
-        return base::ErrorCode::InvalidArgument;
-    }
-    for (Pfn pfn : kernel_pages)
-        if (pfn >= allocator->totalPages()) {
-            base::warn("host snapshot: kernel page %llu out of range",
-                       static_cast<unsigned long long>(pfn));
-            return base::ErrorCode::InvalidArgument;
-        }
-    for (Pfn pfn : cache_pages)
-        if (pfn >= allocator->totalPages()) {
-            base::warn("host snapshot: cache page %llu out of range",
-                       static_cast<unsigned long long>(pfn));
-            return base::ErrorCode::InvalidArgument;
-        }
-    simClock.reset();
-    simClock.advance(saved_now);
-    rng.loadState(rng_state);
-    nextVmId = next_id;
-    residentKernelPages = std::move(kernel_pages);
-    pageCachePages = std::move(cache_pages);
-    return base::Status::success();
-}
-
-base::Status
-HostSystem::saveSnapshot(const std::string &path) const
-{
-    base::ArchiveWriter w;
-    w.u64(configFingerprint());
-    saveState(w);
-    return base::saveArchiveFile(path, snapshot::kHostSnapshotMagic,
-                                 snapshot::kSnapshotFormatVersion,
-                                 w.buffer());
-}
-
-base::Status
-HostSystem::loadSnapshot(const std::string &path)
-{
-    auto loaded = base::loadArchiveFile(
-        path, snapshot::kHostSnapshotMagic,
-        snapshot::kSnapshotFormatVersion,
-        snapshot::kSnapshotFormatVersion);
-    if (!loaded)
-        return base::Status(loaded.error());
-    base::ArchiveReader r(loaded->payload);
-    const uint64_t fingerprint = r.u64();
-    if (!r.ok())
-        return r.status();
-    if (fingerprint != configFingerprint()) {
-        base::warn("host snapshot '%s': config fingerprint mismatch "
-                   "(file %016llx, host %016llx)",
-                   path.c_str(),
-                   static_cast<unsigned long long>(fingerprint),
-                   static_cast<unsigned long long>(configFingerprint()));
-        return base::ErrorCode::InvalidArgument;
-    }
-    if (const base::Status st = loadState(r); !st.ok())
-        return st;
-    if (!r.atEnd()) {
-        base::warn("host snapshot '%s': %zu trailing bytes",
-                   path.c_str(), r.remaining());
-        return base::ErrorCode::InvalidArgument;
-    }
-    return base::Status::success();
-}
-
-std::unique_ptr<vm::VirtualMachine>
-HostSystem::restoreVm(const vm::VmConfig &vm_cfg, uint16_t vm_id)
-{
-    return std::make_unique<vm::VirtualMachine>(
-        *dramSys, *allocator, vm_cfg, vm_id, injector.get(),
-        base::RestoreTag{});
 }
 
 uint64_t

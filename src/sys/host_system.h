@@ -188,14 +188,13 @@ class HostSystem
      */
     void pageCacheChurn(uint64_t pages);
 
-    /** @name Crash-safe snapshots */
+    /** @name Canonical state stream */
     /// @{
 
     /**
      * FNV fingerprint over every SystemConfig field that shapes
-     * serialized state. Snapshots embed it; loadSnapshot() refuses a
-     * file taken under a different configuration (state would be
-     * meaningless against mismatched geometry or fault plans).
+     * serialized state. The campaign fingerprint embeds it, so a range
+     * record taken under a different configuration is never resumed.
      */
     uint64_t configFingerprint() const;
 
@@ -204,39 +203,14 @@ class HostSystem
      * DRAM contents and counters, buddy free lists, the host RNG, the
      * VM id counter and the resident noise-page sets. VMs are owned by
      * callers and serialize separately (vm::VirtualMachine::saveState).
+     * The bytes are the host's identity: fork-vs-fresh tests compare
+     * them, and nothing reads them back.
      */
     void saveState(base::ArchiveWriter &w) const;
-
-    /**
-     * Restore state written by saveState() over this booted host. The
-     * nested subsystems commit as they load, so on failure the host is
-     * partially modified and must be discarded -- corrupt payloads are
-     * normally stopped earlier by the file checksum.
-     */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
-    /** Atomically write a host snapshot (temp + fsync + rename). */
-    [[nodiscard]] base::Status saveSnapshot(const std::string &path) const;
-
-    /**
-     * Load a snapshot written by saveSnapshot(). Wrong magic, stale
-     * format version, checksum mismatch, truncation and configuration
-     * fingerprint mismatch each produce a descriptive Status; on any
-     * failure discard this host and rebuild.
-     */
-    [[nodiscard]] base::Status loadSnapshot(const std::string &path);
-
-    /**
-     * Build a restore-mode VM shell attached to this host: no boot
-     * allocations, no clock charge, no churn. Follow with the VM's
-     * loadState(); @p vm_id must match the id stored in the snapshot.
-     */
-    std::unique_ptr<vm::VirtualMachine>
-    restoreVm(const vm::VmConfig &vm_cfg, uint16_t vm_id);
     /// @}
 
   private:
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- config travels via configFingerprint(), not the state stream
     SystemConfig cfg;
     base::SimClock simClock;
     std::unique_ptr<fault::FaultInjector> injector;
@@ -244,7 +218,7 @@ class HostSystem
     std::unique_ptr<mm::BuddyAllocator> allocator;
     base::Rng rng;
     uint16_t nextVmId = 1;
-    // hh-lint: allow(snapshot-field-coverage) -- fork-lineage flag; a restored host is never a trial template
+    // hh-lint: allow(snapshot-field-coverage) -- fork-lineage flag: it marks a never-booted template, which is never a world to compare
     bool pristineTemplate = false;
 
     /** Resident kernel/service pages; churn cycles through these. */

@@ -215,66 +215,4 @@ Ksm::breakCow(vm::VirtualMachine &machine, GuestPhysAddr gpa)
     return base::Status::success();
 }
 
-void
-Ksm::saveState(base::ArchiveWriter &w) const
-{
-    w.u64(ksmStats.pagesScanned);
-    w.u64(ksmStats.pagesMerged);
-    w.u64(ksmStats.cowBreaks);
-    w.u64(ksmStats.sharedFrames);
-    w.u64(ksmStats.raced);
-    w.u64(stableTree.size());
-    for (const auto &[hash, node] : base::sortedItems(stableTree)) {
-        w.u64(hash);
-        w.u64(node.frame);
-        w.u32(node.refs);
-    }
-    w.u64(frameToHash.size());
-    for (const auto &[frame, hash] : base::sortedItems(frameToHash)) {
-        w.u64(frame);
-        w.u64(hash);
-    }
-    w.u64vec(cowFrames);
-}
-
-base::Status
-Ksm::loadState(base::ArchiveReader &r)
-{
-    KsmStats stats;
-    stats.pagesScanned = r.u64();
-    stats.pagesMerged = r.u64();
-    stats.cowBreaks = r.u64();
-    stats.sharedFrames = r.u64();
-    stats.raced = r.u64();
-    const uint64_t tree_size = r.count(20);
-    std::unordered_map<uint64_t, StableNode> tree;
-    tree.reserve(tree_size);
-    for (uint64_t i = 0; i < tree_size && r.ok(); ++i) {
-        const uint64_t hash = r.u64();
-        StableNode node;
-        node.frame = r.u64();
-        node.refs = r.u32();
-        if (node.frame >= buddy.totalPages()) {
-            r.fail();
-            break;
-        }
-        tree[hash] = node;
-    }
-    const uint64_t reverse_size = r.count(16);
-    std::unordered_map<Pfn, uint64_t> reverse;
-    reverse.reserve(reverse_size);
-    for (uint64_t i = 0; i < reverse_size && r.ok(); ++i) {
-        const Pfn frame = r.u64();
-        reverse[frame] = r.u64();
-    }
-    std::vector<Pfn> cow = r.u64vec();
-    if (!r.ok())
-        return r.status();
-    ksmStats = stats;
-    stableTree = std::move(tree);
-    frameToHash = std::move(reverse);
-    cowFrames = std::move(cow);
-    return base::Status::success();
-}
-
 } // namespace hh::sys

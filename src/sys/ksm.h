@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/archive.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "dram/dram_system.h"
@@ -83,15 +82,6 @@ class Ksm
     /** True when the frame behind (machine, gpa) is currently shared. */
     bool isShared(vm::VirtualMachine &machine, GuestPhysAddr gpa) const;
 
-    /** Serialize merge state: stable tree, reverse map, COW frames. */
-    void saveState(base::ArchiveWriter &w) const;
-
-    /**
-     * Restore state written by saveState(). Registered VMs must be
-     * re-attach()ed by the caller (fault handlers are not serialized).
-     */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     struct StableNode
     {
@@ -102,7 +92,6 @@ class Ksm
 
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
-    // hh-lint: allow(snapshot-field-coverage) -- enable switch is host configuration, fixed at construction
     bool on;
     fault::FaultInjector *faultInjector;
     KsmStats ksmStats;

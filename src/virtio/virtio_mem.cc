@@ -41,26 +41,6 @@ VirtioMemDevice::VirtioMemDevice(dram::DramSystem &dram,
     }
 }
 
-VirtioMemDevice::VirtioMemDevice(dram::DramSystem &dram,
-                                 mm::BuddyAllocator &buddy, kvm::Mmu &mmu,
-                                 iommu::VfioContainer *vfio,
-                                 VirtioMemConfig config, uint16_t owner_id,
-                                 fault::FaultInjector *fault_injector,
-                                 base::RestoreTag)
-    : dram(dram),
-      buddy(buddy),
-      mmu(mmu),
-      vfio(vfio),
-      cfg(config),
-      owner(owner_id),
-      faultInjector(fault_injector)
-{
-    // No initial plugging: the snapshot's plugged/backing state (and
-    // the matching buddy/EPT/pin state) arrives via loadState().
-    plugged.assign(cfg.regionSize / kHugePageSize, false);
-    backing.assign(plugged.size(), kInvalidPfn);
-}
-
 VirtioMemDevice::~VirtioMemDevice()
 {
     // Release remaining plugged blocks back to the host (VM teardown).
@@ -285,51 +265,6 @@ VirtioMemDevice::saveState(base::ArchiveWriter &w) const
     w.u64vec(devStats.releasedBlockPfns);
     w.u64(graceUsed);
     w.u64(windowRequestCount);
-}
-
-base::Status
-VirtioMemDevice::loadState(base::ArchiveReader &r)
-{
-    const uint64_t sub_blocks = r.u64();
-    if (r.ok() && sub_blocks != plugged.size())
-        r.fail();
-    std::vector<bool> new_plugged(r.ok() ? sub_blocks : 0);
-    for (size_t sb = 0; sb < new_plugged.size() && r.ok(); ++sb)
-        new_plugged[sb] = r.boolean();
-    std::vector<Pfn> new_backing = r.u64vec();
-    if (r.ok() && new_backing.size() != backing.size())
-        r.fail();
-    const uint64_t new_plugged_bytes = r.u64();
-    const uint64_t new_requested_bytes = r.u64();
-    VirtioMemStats stats;
-    stats.plugRequests = r.u64();
-    stats.unplugRequests = r.u64();
-    stats.nackedRequests = r.u64();
-    stats.deferredUnplugs = r.u64();
-    stats.releasedBlockPfns = r.u64vec();
-    const uint64_t new_grace_used = r.u64();
-    const uint64_t new_window_count = r.u64();
-    for (size_t sb = 0; sb < new_backing.size() && r.ok(); ++sb) {
-        // A plugged sub-block must have in-range backing; an unplugged
-        // one must not claim any (the teardown path trusts this).
-        const bool has_backing = new_backing[sb] != kInvalidPfn;
-        if (new_plugged[sb] != has_backing
-            || (has_backing
-                && new_backing[sb] + kPagesPerHugePage
-                       > buddy.totalPages())) {
-            r.fail();
-        }
-    }
-    if (!r.ok())
-        return r.status();
-    plugged = std::move(new_plugged);
-    backing = std::move(new_backing);
-    pluggedBytes = new_plugged_bytes;
-    requestedBytes = new_requested_bytes;
-    devStats = std::move(stats);
-    graceUsed = new_grace_used;
-    windowRequestCount = new_window_count;
-    return base::Status::success();
 }
 
 } // namespace hh::virtio

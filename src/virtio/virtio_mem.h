@@ -137,16 +137,6 @@ class VirtioMemDevice
                     VirtioMemConfig config, uint16_t owner_id,
                     fault::FaultInjector *fault_injector = nullptr);
 
-    /**
-     * Restore-mode constructor: skips the initial sub-block plugging
-     * (the snapshot carries the plugged set); loadState() must follow.
-     */
-    VirtioMemDevice(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
-                    kvm::Mmu &mmu, iommu::VfioContainer *vfio,
-                    VirtioMemConfig config, uint16_t owner_id,
-                    fault::FaultInjector *fault_injector,
-                    base::RestoreTag);
-
     ~VirtioMemDevice();
 
     VirtioMemDevice(const VirtioMemDevice &) = delete;
@@ -211,17 +201,14 @@ class VirtioMemDevice
     /** Serialize plugged bitmap, backing frames, sizes and stats. */
     void saveState(base::ArchiveWriter &w) const;
 
-    /** Restore state written by saveState(). */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
-
   private:
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
     kvm::Mmu &mmu;
     iommu::VfioContainer *vfio;
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     VirtioMemConfig cfg;
-    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, re-supplied by the restoring caller
+    // hh-lint: allow(snapshot-field-coverage) -- construction-time identity, fixed by the VM that builds it
     uint16_t owner;
     fault::FaultInjector *faultInjector;
 
@@ -284,14 +271,6 @@ class VirtioMemDriver
 
     /** Serialize the driver's only state, the auto-plug switch. */
     void saveState(base::ArchiveWriter &w) const { w.boolean(suppressPlug); }
-
-    /** Restore state written by saveState(). */
-    [[nodiscard]] base::Status
-    loadState(base::ArchiveReader &r)
-    {
-        suppressPlug = r.boolean();
-        return r.status();
-    }
 
     /**
      * The benign pattern that defeats naive quarantining (Section 6):

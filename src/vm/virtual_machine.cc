@@ -75,36 +75,6 @@ VirtualMachine::VirtualMachine(dram::DramSystem &dram,
     memDrv = std::make_unique<virtio::VirtioMemDriver>(*memDevice);
 }
 
-VirtualMachine::VirtualMachine(dram::DramSystem &dram,
-                               mm::BuddyAllocator &buddy, VmConfig config,
-                               uint16_t vm_id,
-                               fault::FaultInjector *fault_injector,
-                               base::RestoreTag)
-    : dram(dram), buddy(buddy), cfg(config), vmId(vm_id)
-{
-    HH_ASSERT(cfg.bootMemBytes % kHugePageSize == 0);
-    HH_ASSERT(cfg.bootMemBytes <= kVirtioMemRegionStart.value());
-
-    // Shells only: every allocation the boot path would perform is
-    // already accounted for in the snapshot's buddy/DRAM state.
-    eptMmu = std::make_unique<kvm::Mmu>(dram, buddy, cfg.mmu, vmId,
-                                        base::RestoreTag{});
-    if (cfg.passthroughDevices > 0) {
-        vfioContainer = std::make_unique<iommu::VfioContainer>(
-            dram, buddy, cfg.iommu, vmId);
-    }
-
-    virtio::VirtioMemConfig mem_cfg;
-    mem_cfg.regionStart = kVirtioMemRegionStart;
-    mem_cfg.regionSize = cfg.virtioMemRegionSize;
-    mem_cfg.initialPlugged = cfg.virtioMemPlugged;
-    mem_cfg.quarantine = cfg.quarantine;
-    memDevice = std::make_unique<virtio::VirtioMemDevice>(
-        dram, buddy, *eptMmu, vfioContainer.get(), mem_cfg, vmId,
-        fault_injector, base::RestoreTag{});
-    memDrv = std::make_unique<virtio::VirtioMemDriver>(*memDevice);
-}
-
 VirtualMachine::~VirtualMachine()
 {
     // Order matters: the virtio-mem device unplugs its blocks through
@@ -281,42 +251,6 @@ VirtualMachine::saveState(base::ArchiveWriter &w) const
     memDevice->saveState(w);
     memDrv->saveState(w);
     w.u64vec(bootBlocks);
-}
-
-base::Status
-VirtualMachine::loadState(base::ArchiveReader &r)
-{
-    const uint16_t saved_id = r.u16();
-    if (r.ok() && saved_id != vmId)
-        r.fail();
-    if (!r.ok())
-        return r.status();
-    if (base::Status s = eptMmu->loadState(r); !s.ok())
-        return s;
-    const bool has_vfio = r.boolean();
-    if (!r.ok() || has_vfio != (vfioContainer != nullptr))
-        return base::Status(base::ErrorCode::InvalidArgument);
-    if (vfioContainer) {
-        if (base::Status s = vfioContainer->loadState(r); !s.ok())
-            return s;
-        const std::vector<uint64_t> group_ids = r.u64vec();
-        if (!r.ok() || group_ids.size() != vfioContainer->groupCount())
-            return base::Status(base::ErrorCode::InvalidArgument);
-        groups.assign(group_ids.begin(), group_ids.end());
-    }
-    if (base::Status s = memDevice->loadState(r); !s.ok())
-        return s;
-    if (base::Status s = memDrv->loadState(r); !s.ok())
-        return s;
-    std::vector<Pfn> blocks = r.u64vec();
-    for (Pfn block : blocks) {
-        if (block + kPagesPerHugePage > buddy.totalPages())
-            return base::Status(base::ErrorCode::InvalidArgument);
-    }
-    if (!r.ok())
-        return r.status();
-    bootBlocks = std::move(blocks);
-    return base::Status::success();
 }
 
 } // namespace hh::vm

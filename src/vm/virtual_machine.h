@@ -62,16 +62,6 @@ class VirtualMachine
                    VmConfig config, uint16_t vm_id,
                    fault::FaultInjector *fault_injector = nullptr);
 
-    /**
-     * Restore-mode constructor: builds the device shells without
-     * booting (no RAM allocation, no EPT mapping, no initial virtio
-     * plug); loadState() must follow to install the snapshot state.
-     */
-    VirtualMachine(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
-                   VmConfig config, uint16_t vm_id,
-                   fault::FaultInjector *fault_injector,
-                   base::RestoreTag);
-
     ~VirtualMachine();
 
     VirtualMachine(const VirtualMachine &) = delete;
@@ -243,21 +233,14 @@ class VirtualMachine
     /**
      * Serialize the VM's host-side metadata: MMU, VFIO groups, virtio
      * devices and boot-block list. Page-table and guest-page contents
-     * live in DRAM and travel with the host snapshot, not here.
+     * live in DRAM and belong to the host's state stream, not here.
      */
     void saveState(base::ArchiveWriter &w) const;
-
-    /**
-     * Restore state written by saveState() into a restore-mode VM on
-     * an already-restored host. The write-fault handler is not
-     * serialized; re-attach KSM (or other hooks) afterwards.
-     */
-    [[nodiscard]] base::Status loadState(base::ArchiveReader &r);
 
   private:
     dram::DramSystem &dram;
     mm::BuddyAllocator &buddy;
-    // hh-lint: allow(snapshot-field-coverage) -- config travels via the restore fingerprint, not the payload
+    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     VmConfig cfg;
     uint16_t vmId;
 
@@ -270,7 +253,7 @@ class VirtualMachine
     /** Host order-9 blocks backing boot RAM (for teardown). */
     std::vector<Pfn> bootBlocks;
 
-    // hh-lint: allow(snapshot-field-coverage) -- callbacks cannot be serialized; owners re-attach after restore
+    // hh-lint: allow(snapshot-field-coverage) -- a callback is wiring, not state: its owner installs it on each world
     WriteFaultHandler writeFaultHandler;
 
     /**

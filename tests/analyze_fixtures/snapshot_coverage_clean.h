@@ -37,13 +37,3 @@ class RawStateRng {
  private:
   unsigned long long s_ = 1;
 };
-
-// Save-only types (no loadState at all) are not snapshot classes.
-class WriteOnlyProbe {
- public:
-  void saveState(ArchiveWriter& ar) const { ar.u64(hits_); }
-
- private:
-  unsigned long long hits_ = 0;
-  unsigned long long misses_ = 0;
-};

@@ -1,7 +1,8 @@
 // hh-analyze fixture: snapshot-field-coverage must flag every
 // persistent field that does not round-trip through BOTH saveState()
-// and loadState(). Self-contained on purpose: the clang frontend
-// parses fixtures standalone, outside compile_commands.json.
+// and loadState(), and every field a save-only class leaves out of
+// saveState(). Self-contained on purpose: the clang frontend parses
+// fixtures standalone, outside compile_commands.json.
 #pragma once
 
 struct ArchiveWriter {
@@ -34,4 +35,16 @@ class LeakyCounter {
   double scratch_ = 0.0;
   Mutex mu_;               // sync primitive: holds no logical state
   const int config_ = 4;   // construction-time configuration: exempt
+};
+
+// A save-only class (no loadState at all, like every world class)
+// answers to its saveState() alone: a field it never writes escapes
+// the identity tests that compare saveState() streams.
+class WriteOnlyProbe {
+ public:
+  void saveState(ArchiveWriter& ar) const { ar.u64(hits_); }
+
+ private:
+  unsigned long long hits_ = 0;
+  unsigned long long misses_ = 0;  // expect: snapshot-field-coverage
 };

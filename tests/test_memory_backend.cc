@@ -271,68 +271,6 @@ TEST(MemoryBackend, SavedStreamPinsEveryRecord)
     EXPECT_EQ(stateBytes(mem), expected.buffer());
 }
 
-TEST(MemoryBackend, LoadedRecordRoundTrips)
-{
-    const WordList words{{0, 0x1}, {17, 0x2}, {511, 0x3}};
-    base::ArchiveWriter w;
-    w.u64(1);
-    writePageRecord(w, 3, 0x33, words);
-    MemoryBackend mem(1_MiB);
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(mem.loadState(r).ok());
-    EXPECT_EQ(mem.touchedPages(), 1u);
-    std::vector<uint64_t> expected(512, 0x33);
-    for (const auto &[idx, value] : words)
-        expected[idx] = value;
-    for (uint64_t i = 0; i < 512; ++i)
-        EXPECT_EQ(mem.read64(HostPhysAddr(3 * kPageSize + i * 8)),
-                  expected[i]);
-    EXPECT_EQ(stateBytes(mem), w.buffer());
-}
-
-TEST(MemoryBackend, LoadRejectsBadWordIndex)
-{
-    // Outside the page, unsorted, repeated.
-    for (const WordList &words :
-         {WordList{{512, 0x1}}, WordList{{9, 0x1}, {4, 0x2}},
-          WordList{{4, 0x1}, {4, 0x2}}}) {
-        base::ArchiveWriter w;
-        w.u64(1);
-        writePageRecord(w, 2, 0x55, words);
-        MemoryBackend mem(1_MiB);
-        base::ArchiveReader r(w.buffer());
-        EXPECT_FALSE(mem.loadState(r).ok());
-        EXPECT_EQ(mem.touchedPages(), 0u);
-    }
-}
-
-TEST(MemoryBackend, LoadRejectsPfnPastEnd)
-{
-    // pfn * kPageSize wraps to 0 for this PFN: the bound must not
-    // multiply.
-    base::ArchiveWriter w;
-    w.u64(1);
-    writePageRecord(w, Pfn(1) << 52, 0x55, {{0, 0x1}});
-    MemoryBackend mem(1_MiB);
-    base::ArchiveReader r(w.buffer());
-    EXPECT_FALSE(mem.loadState(r).ok());
-    EXPECT_EQ(mem.touchedPages(), 0u);
-}
-
-TEST(MemoryBackend, LoadRejectsRepeatedPfn)
-{
-    // saveState() writes each frame once: a second record for PFN 5
-    // is rejected, not merged into the first.
-    base::ArchiveWriter w;
-    w.u64(2);
-    writePageRecord(w, 5, 0x55, {{7, 0x1}});
-    writePageRecord(w, 5, 0x55, {{3, 0x2}});
-    MemoryBackend mem(1_MiB);
-    base::ArchiveReader r(w.buffer());
-    EXPECT_FALSE(mem.loadState(r).ok());
-    EXPECT_EQ(mem.touchedPages(), 0u);
-}
-
 // Every slot form in both chunks of a 4 MiB backend: inline words,
 // filled pages, spilled dense pages (one with all 512 words distinct)
 // and pages written back to their fill.

@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests of the crash-safe snapshot layer: archive primitives, the
- * atomic file framing, whole-host and whole-world round trips,
- * per-subsystem deep equality, corruption rejection, and campaign
- * checkpointing with fallback to the rotated previous file.
+ * Tests of the crash-safe persistence layer: archive primitives, the
+ * atomic file framing, campaign checkpointing through the range record
+ * with fallback to the rotated previous file, and the defense stack's
+ * share of the campaign identity.
  *
- * Deep equality is checked by re-serialization: two objects whose
- * saveState() byte streams match are bitwise-identical in every field
- * the snapshot covers (the streams encode all of them, maps in sorted
- * order).
+ * Worlds are rebuilt, never restored, so no world state is read back
+ * here: a world's saveState() stream is its identity, compared in
+ * memory by the fork-vs-fresh tests (test_resume_identity,
+ * test_host_system).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,12 +22,11 @@
 
 #include "attack/orchestrator.h"
 #include "base/archive.h"
+#include "fault/fault.h"
 #include "mitigate/defense.h"
 #include "snapshot/checkpoint_policy.h"
-#include "snapshot/snapshot.h"
 #include "snapshot/snapshot_format.h"
 #include "sys/host_system.h"
-#include "sys/ksm.h"
 
 namespace hh {
 namespace {
@@ -52,21 +53,6 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-sys::SystemConfig
-smallHost(uint64_t seed = 42)
-{
-    return sys::SystemConfig::s1(seed).withMemory(128_MiB);
-}
-
-/** The full serialized host state, for byte-wise deep equality. */
-std::vector<uint8_t>
-hostBytes(const sys::HostSystem &host)
-{
-    base::ArchiveWriter w;
-    host.saveState(w);
-    return w.buffer();
-}
-
 // --- archive primitives ---------------------------------------------------
 
 TEST(Archive, PrimitivesRoundTrip)
@@ -74,42 +60,59 @@ TEST(Archive, PrimitivesRoundTrip)
     base::ArchiveWriter w;
     w.u8(0xab);
     w.boolean(true);
-    w.u16(0xbeef);
     w.u32(0xdeadbeefu);
     w.u64(0x0123456789abcdefull);
     w.i64(-42);
+
+    base::ArchiveReader r(w.buffer());
+    EXPECT_EQ(r.u8(), 0xab);
+    EXPECT_TRUE(r.boolean());
+    EXPECT_EQ(r.u32(), 0xdeadbeefu);
+    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(r.i64(), -42);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_TRUE(r.ok());
+}
+
+TEST(Archive, WriteOnlyPrimitivesAreLittleEndianWords)
+{
+    // u16, f64, str, u64vec and rngState feed identity streams that
+    // are compared, never read back: pin the bytes they write.
+    base::ArchiveWriter w;
+    w.u16(0xbeef);
     w.f64(3.14159265358979);
     w.str("snapshot");
     w.u64vec({1, 2, 3});
     w.rngState({4, 5, 6, 7});
 
     base::ArchiveReader r(w.buffer());
-    EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_TRUE(r.boolean());
-    EXPECT_EQ(r.u16(), 0xbeef);
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
-    EXPECT_EQ(r.i64(), -42);
-    EXPECT_EQ(r.f64(), 3.14159265358979);
-    EXPECT_EQ(r.str(), "snapshot");
-    EXPECT_EQ(r.u64vec(), (std::vector<uint64_t>{1, 2, 3}));
-    EXPECT_EQ(r.rngState(), (std::array<uint64_t, 4>{4, 5, 6, 7}));
+    EXPECT_EQ(r.u8(), 0xef);
+    EXPECT_EQ(r.u8(), 0xbe);
+    EXPECT_EQ(r.u64(), std::bit_cast<uint64_t>(3.14159265358979));
+    EXPECT_EQ(r.count(1), 8u);
+    for (const char c : std::string("snapshot"))
+        EXPECT_EQ(r.u8(), static_cast<uint8_t>(c));
+    EXPECT_EQ(r.count(8), 3u);
+    for (const uint64_t word : {1, 2, 3, 4, 5, 6, 7})
+        EXPECT_EQ(r.u64(), word);
     EXPECT_TRUE(r.atEnd());
-    EXPECT_TRUE(r.status().ok());
+    EXPECT_TRUE(r.ok());
 }
 
 TEST(Archive, TruncatedReadLatchesStickyFailure)
 {
     base::ArchiveWriter w;
     w.u64(7);
-    base::ArchiveReader r(w.buffer().data(), 3); // cut mid-word
+    const std::vector<uint8_t> cut(w.buffer().begin(),
+                                   w.buffer().begin() + 3); // mid-word
+    base::ArchiveReader r(cut);
     (void)r.u64(); // may return the readable prefix; must latch
     EXPECT_FALSE(r.ok());
     // Every later read keeps failing and returns defaults: no UB.
     EXPECT_EQ(r.u32(), 0u);
-    EXPECT_EQ(r.str(), "");
-    EXPECT_TRUE(r.u64vec().empty());
-    EXPECT_FALSE(r.status().ok());
+    EXPECT_EQ(r.count(1), 0u);
+    EXPECT_EQ(r.u8(), 0u);
+    EXPECT_FALSE(r.ok());
 }
 
 TEST(Archive, CountRejectsLengthBeyondBuffer)
@@ -119,16 +122,14 @@ TEST(Archive, CountRejectsLengthBeyondBuffer)
     base::ArchiveReader r(w.buffer());
     EXPECT_EQ(r.count(8), 0u);
     EXPECT_FALSE(r.ok());
-}
 
-TEST(Archive, StringLengthBeyondBufferRejected)
-{
-    base::ArchiveWriter w;
-    w.u64(1 << 20); // length prefix far past the end
-    w.u8('x');
-    base::ArchiveReader r(w.buffer());
-    EXPECT_EQ(r.str(), "");
-    EXPECT_FALSE(r.ok());
+    // A length just past what remains is refused as well.
+    base::ArchiveWriter short_w;
+    short_w.u64(1 << 20);
+    short_w.u8('x');
+    base::ArchiveReader short_r(short_w.buffer());
+    EXPECT_EQ(short_r.count(1), 0u);
+    EXPECT_FALSE(short_r.ok());
 }
 
 // --- archive files --------------------------------------------------------
@@ -138,7 +139,7 @@ TEST(ArchiveFile, RoundTrip)
     const std::string path = tempPath("archive_roundtrip.bin");
     base::ArchiveWriter w;
     w.u64(0x5eed);
-    w.str("payload");
+    w.u32(0xfeedu);
     ASSERT_TRUE(base::saveArchiveFile(path, 0x1234, 3, w.buffer()).ok());
 
     auto loaded = base::loadArchiveFile(path, 0x1234, 1, 3);
@@ -146,7 +147,8 @@ TEST(ArchiveFile, RoundTrip)
     EXPECT_EQ(loaded->version, 3u);
     base::ArchiveReader r(loaded->payload);
     EXPECT_EQ(r.u64(), 0x5eedu);
-    EXPECT_EQ(r.str(), "payload");
+    EXPECT_EQ(r.u32(), 0xfeedu);
+    EXPECT_TRUE(r.atEnd());
     std::remove(path.c_str());
 }
 
@@ -187,271 +189,6 @@ TEST(ArchiveFile, WrongMagicVersionChecksumTruncation)
     std::remove(path.c_str());
 }
 
-// --- per-subsystem round trips --------------------------------------------
-
-TEST(SubsystemSnapshot, MemoryBackendRoundTripAndCorruption)
-{
-    sys::HostSystem host(smallHost());
-    host.dram().write64(HostPhysAddr(0x1000), 0x1122334455667788ull);
-
-    base::ArchiveWriter w;
-    host.dram().backend().saveState(w);
-
-    // Round trip into the same backend: byte-identical re-encoding.
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(host.dram().backend().loadState(r).ok());
-    base::ArchiveWriter w2;
-    host.dram().backend().saveState(w2);
-    EXPECT_EQ(w.buffer(), w2.buffer());
-
-    // A PFN beyond the DIMM must be rejected and leave state alone.
-    base::ArchiveWriter bad;
-    bad.u64(1);                          // one page
-    bad.u64(host.dram().pageCount());    // out of range
-    bad.u64(0);                          // fill
-    bad.u64(0);                          // no overrides
-    base::ArchiveReader bad_r(bad.buffer());
-    EXPECT_FALSE(host.dram().backend().loadState(bad_r).ok());
-    base::ArchiveWriter w3;
-    host.dram().backend().saveState(w3);
-    EXPECT_EQ(w.buffer(), w3.buffer());
-}
-
-TEST(SubsystemSnapshot, BuddyRoundTripAndCorruptionKeepsState)
-{
-    sys::HostSystem host(smallHost());
-    base::ArchiveWriter w;
-    host.buddy().saveState(w);
-
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(host.buddy().loadState(r).ok());
-    base::ArchiveWriter w2;
-    host.buddy().saveState(w2);
-    EXPECT_EQ(w.buffer(), w2.buffer());
-
-    // Flip one byte somewhere inside the frame records: the
-    // non-panicking consistency walk must reject it -- never abort --
-    // and leave the allocator untouched.
-    std::vector<uint8_t> corrupt = w.buffer();
-    corrupt[corrupt.size() / 2] ^= 0x04;
-    base::ArchiveReader cr(corrupt);
-    const base::Status st = host.buddy().loadState(cr);
-    if (!st.ok()) {
-        base::ArchiveWriter w3;
-        host.buddy().saveState(w3);
-        EXPECT_EQ(w.buffer(), w3.buffer());
-    }
-    // (A flip that survives the walk is itself a valid state; the
-    // host-level snapshot catches it via the file checksum.)
-
-    // The allocator must still work after all of the above.
-    auto page = host.buddy().allocPages(0, mm::MigrateType::Movable,
-                                        mm::PageUse::PageCache);
-    ASSERT_TRUE(page.ok());
-    host.buddy().freePages(*page, 0);
-}
-
-TEST(SubsystemSnapshot, FaultInjectorCursorsRoundTrip)
-{
-    const fault::FaultPlan plan = fault::FaultPlan::randomized(9, 0.5);
-    sys::HostSystem host(smallHost(7).withFaults(plan));
-    ASSERT_NE(host.faults(), nullptr);
-    host.pageCacheChurn(500); // advance some per-site streams
-
-    base::ArchiveWriter w;
-    host.faults()->saveState(w);
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(host.faults()->loadState(r).ok());
-    base::ArchiveWriter w2;
-    host.faults()->saveState(w2);
-    EXPECT_EQ(w.buffer(), w2.buffer());
-}
-
-TEST(SubsystemSnapshot, KsmMergeStateRoundTrip)
-{
-    sys::HostSystem host(smallHost());
-    vm::VmConfig vm_cfg;
-    vm_cfg.bootMemBytes = 16_MiB;
-    vm_cfg.virtioMemRegionSize = 64_MiB;
-    vm_cfg.virtioMemPlugged = 32_MiB;
-    // No passthrough: VFIO DMA-pins guest frames and KSM skips them.
-    vm_cfg.passthroughDevices = 0;
-    auto machine = host.createVm(vm_cfg);
-
-    sys::Ksm ksm(host.dram(), host.buddy(), /*enabled=*/true);
-    ksm.attach(*machine);
-    // Identical content in two plugged pages: the first pass registers
-    // the content, the second pass merges the duplicate into it.
-    const GuestPhysAddr page_a{vm::kVirtioMemRegionStart + 5 * kPageSize};
-    const GuestPhysAddr page_b{vm::kVirtioMemRegionStart + 9 * kPageSize};
-    ASSERT_TRUE(machine->fillPage(page_a, 0x5a5a5a5a5a5a5a5aull).ok());
-    ASSERT_TRUE(machine->fillPage(page_b, 0x5a5a5a5a5a5a5a5aull).ok());
-    (void)ksm.scanRange(*machine, page_a, 1);
-    (void)ksm.scanRange(*machine, page_b, 1);
-    ASSERT_GT(ksm.stats().pagesMerged, 0u);
-
-    base::ArchiveWriter w;
-    ksm.saveState(w);
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(ksm.loadState(r).ok());
-    base::ArchiveWriter w2;
-    ksm.saveState(w2);
-    EXPECT_EQ(w.buffer(), w2.buffer());
-
-    // Ksm's destructor contract: tear the VM down first.
-    machine.reset();
-}
-
-// --- whole-host snapshots -------------------------------------------------
-
-TEST(HostSnapshot, RoundTripIsBitwiseIdentical)
-{
-    const std::string path = tempPath("host_snapshot.bin");
-    sys::SystemConfig cfg = smallHost(11);
-
-    sys::HostSystem original(cfg);
-    original.pageCacheChurn(300);
-    original.noiseTick();
-    original.dram().write64(HostPhysAddr(0x2000), 0xfeedfaceull);
-    ASSERT_TRUE(original.saveSnapshot(path).ok());
-
-    sys::HostSystem restored(cfg);
-    ASSERT_TRUE(restored.loadSnapshot(path).ok());
-
-    EXPECT_EQ(hostBytes(original), hostBytes(restored));
-    EXPECT_EQ(restored.clock().now(), original.clock().now());
-    EXPECT_EQ(restored.noisePages(), original.noisePages());
-    // DRAM reads advance the simulated clock, so mirror every access
-    // on both hosts to keep them comparable afterwards.
-    EXPECT_EQ(restored.dram().read64(HostPhysAddr(0x2000)),
-              0xfeedfaceull);
-    EXPECT_EQ(original.dram().read64(HostPhysAddr(0x2000)),
-              0xfeedfaceull);
-
-    // Determinism continues after restore: the same operation on both
-    // hosts produces the same state evolution.
-    original.pageCacheChurn(100);
-    restored.pageCacheChurn(100);
-    EXPECT_EQ(hostBytes(original), hostBytes(restored));
-    std::remove(path.c_str());
-}
-
-TEST(HostSnapshot, ConfigFingerprintMismatchRejected)
-{
-    const std::string path = tempPath("host_fingerprint.bin");
-    sys::HostSystem original(smallHost(11));
-    ASSERT_TRUE(original.saveSnapshot(path).ok());
-
-    // Different seed => different fingerprint => rejected.
-    sys::HostSystem other(smallHost(12));
-    const base::Status st = other.loadSnapshot(path);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.error(), base::ErrorCode::InvalidArgument);
-    std::remove(path.c_str());
-}
-
-TEST(HostSnapshot, CorruptedAndStaleFilesRejected)
-{
-    const std::string path = tempPath("host_corrupt.bin");
-    sys::SystemConfig cfg = smallHost(13);
-    sys::HostSystem original(cfg);
-    ASSERT_TRUE(original.saveSnapshot(path).ok());
-    const std::vector<uint8_t> good = readFile(path);
-    ASSERT_GT(good.size(), 64u);
-
-    sys::HostSystem target(cfg);
-
-    // Flipped byte mid-payload: checksum rejects before any parsing.
-    std::vector<uint8_t> flipped = good;
-    flipped[good.size() / 2] ^= 0x01;
-    writeFile(path, flipped);
-    EXPECT_FALSE(target.loadSnapshot(path).ok());
-
-    // Truncated file.
-    writeFile(path, std::vector<uint8_t>(good.begin(),
-                                         good.begin() + good.size() / 2));
-    EXPECT_FALSE(target.loadSnapshot(path).ok());
-
-    // Stale format version (header field is not checksummed; bump it).
-    std::vector<uint8_t> stale = good;
-    stale[8] += 1; // little-endian version low byte
-    writeFile(path, stale);
-    EXPECT_FALSE(target.loadSnapshot(path).ok());
-
-    // The untouched file still loads -- and the target host survived
-    // every rejected attempt.
-    writeFile(path, good);
-    EXPECT_TRUE(target.loadSnapshot(path).ok());
-    EXPECT_EQ(hostBytes(original), hostBytes(target));
-    std::remove(path.c_str());
-}
-
-// --- whole-world snapshots (host + VMs) -----------------------------------
-
-TEST(WorldSnapshot, HostAndVmRoundTrip)
-{
-    const std::string path = tempPath("world_snapshot.bin");
-    sys::SystemConfig cfg = smallHost(21);
-    vm::VmConfig vm_cfg;
-    vm_cfg.bootMemBytes = 16_MiB;
-    vm_cfg.virtioMemRegionSize = 64_MiB;
-    vm_cfg.virtioMemPlugged = 32_MiB;
-
-    sys::HostSystem original(cfg);
-    auto machine = original.createVm(vm_cfg);
-    ASSERT_TRUE(machine->write64(GuestPhysAddr(0x4008),
-                                 0xc0ffee5ull).ok());
-    ASSERT_TRUE(machine->iommuMap(0, IoVirtAddr(0x10000),
-                                  GuestPhysAddr(0x4000)).ok());
-
-    ASSERT_TRUE(
-        snapshot::saveWorld(original, {machine.get()}, path).ok());
-
-    sys::HostSystem restored_host(cfg);
-    auto restored = snapshot::loadWorld(restored_host, {vm_cfg}, path);
-    ASSERT_TRUE(restored.ok());
-    ASSERT_EQ(restored->size(), 1u);
-    vm::VirtualMachine &twin = *(*restored)[0];
-
-    // Byte-wise deep equality first: guest reads advance the host's
-    // simulated clock, so compare before touching memory.
-    EXPECT_EQ(hostBytes(original), hostBytes(restored_host));
-    base::ArchiveWriter wa;
-    machine->saveState(wa);
-    base::ArchiveWriter wb;
-    twin.saveState(wb);
-    EXPECT_EQ(wa.buffer(), wb.buffer());
-
-    // Guest-visible state survived: same id, same memory word.
-    EXPECT_EQ(twin.id(), machine->id());
-    auto word = twin.read64(GuestPhysAddr(0x4008));
-    ASSERT_TRUE(word.ok());
-    EXPECT_EQ(*word, 0xc0ffee5ull);
-    std::remove(path.c_str());
-}
-
-TEST(WorldSnapshot, VmCountMismatchRejected)
-{
-    const std::string path = tempPath("world_count.bin");
-    sys::SystemConfig cfg = smallHost(22);
-    vm::VmConfig vm_cfg;
-    vm_cfg.bootMemBytes = 16_MiB;
-    vm_cfg.virtioMemRegionSize = 64_MiB;
-    vm_cfg.virtioMemPlugged = 32_MiB;
-
-    sys::HostSystem original(cfg);
-    auto machine = original.createVm(vm_cfg);
-    ASSERT_TRUE(
-        snapshot::saveWorld(original, {machine.get()}, path).ok());
-
-    sys::HostSystem restored_host(cfg);
-    auto restored = snapshot::loadWorld(restored_host,
-                                        {vm_cfg, vm_cfg}, path);
-    ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.error(), base::ErrorCode::InvalidArgument);
-    std::remove(path.c_str());
-}
-
 // --- campaign checkpoints -------------------------------------------------
 
 sys::SystemConfig
@@ -461,6 +198,18 @@ campaignHost(uint64_t seed)
         .withMemory(1_GiB);
     cfg.dram.fault.weakCellsPerRow *= 4.0;
     return cfg;
+}
+
+/**
+ * campaignHost(5) under a randomized fault plan: the plain campaign
+ * prints one record for every trial, so an outcome restored at the
+ * wrong index would still compare equal; this one's records differ.
+ */
+sys::SystemConfig
+faultedCampaignHost()
+{
+    return campaignHost(5).withFaults(
+        fault::FaultPlan::randomized(99, 0.5));
 }
 
 vm::VmConfig
@@ -494,17 +243,25 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
     // Control: the uncheckpointed campaign.
     attack::AttackResult straight;
     {
-        sys::HostSystem host(campaignHost(5));
+        sys::HostSystem host(faultedCampaignHost());
         attack::HyperHammerAttack attack(host, campaignVm(),
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
         straight = attack.runAttempts(attempts, 2);
     }
+    ASSERT_EQ(straight.outcomes.size(), attempts);
+    EXPECT_TRUE(std::any_of(
+        straight.outcomes.begin(), straight.outcomes.end(),
+        [&](const attack::AttemptOutcome &outcome) {
+            return outcome != straight.outcomes.front();
+        }))
+        << "every trial printed the same record: the outcome "
+           "comparison below could not see a misplaced trial";
 
     // Checkpoint every trial, "crash" after the second.
     {
-        sys::HostSystem host(campaignHost(5));
+        sys::HostSystem host(faultedCampaignHost());
         attack::HyperHammerAttack attack(host, campaignVm(),
                                          host.dram().mapping(),
                                          campaignAttack());
@@ -529,7 +286,7 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
 
     attack::AttackResult resumed;
     {
-        sys::HostSystem host(campaignHost(5));
+        sys::HostSystem host(faultedCampaignHost());
         attack::HyperHammerAttack attack(host, campaignVm(),
                                          host.dram().mapping(),
                                          campaignAttack());
@@ -548,96 +305,6 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
     EXPECT_EQ(straight.outcomes, resumed.outcomes);
     std::remove(path.c_str());
     std::remove(prev.c_str());
-}
-
-// --- defense persistence --------------------------------------------------
-
-std::vector<uint8_t>
-defenseSetBytes(const mitigate::DefenseSet &set)
-{
-    base::ArchiveWriter w;
-    set.saveState(w);
-    return w.buffer();
-}
-
-TEST(DefenseSnapshot, EveryStackRoundTripsByteIdentically)
-{
-    for (const char *spec :
-         {"quarantine", "siloz", "trr-ecc", "catt", "catt-hole",
-          "siloz+trr-ecc", "quarantine+catt"}) {
-        auto saved = mitigate::makeDefenseSet(spec);
-        ASSERT_TRUE(saved.ok()) << spec;
-        const std::vector<uint8_t> bytes = defenseSetBytes(*saved);
-
-        auto restored = mitigate::makeDefenseSet(spec);
-        ASSERT_TRUE(restored.ok()) << spec;
-        base::ArchiveReader r(bytes);
-        ASSERT_TRUE(restored->loadState(r).ok()) << spec;
-        EXPECT_TRUE(r.atEnd()) << spec;
-        EXPECT_EQ(defenseSetBytes(*restored), bytes) << spec;
-    }
-}
-
-TEST(DefenseSnapshot, TunedKnobsSurviveTheRoundTrip)
-{
-    mitigate::CattPartition tuned;
-    tuned.kernelBytes = 123_MiB;
-    tuned.doubleOwnershipHole = true;
-    base::ArchiveWriter w;
-    tuned.saveState(w);
-
-    mitigate::CattPartition fresh;
-    base::ArchiveReader r(w.buffer());
-    ASSERT_TRUE(fresh.loadState(r).ok());
-    EXPECT_EQ(fresh.kernelBytes, 123_MiB);
-    EXPECT_TRUE(fresh.doubleOwnershipHole);
-    base::ArchiveWriter w2;
-    fresh.saveState(w2);
-    EXPECT_EQ(w.buffer(), w2.buffer());
-}
-
-TEST(DefenseSnapshot, CorruptionMatrixRejectsEveryTruncation)
-{
-    // Truncation at every byte boundary must be rejected -- the
-    // sticky-failure reader guarantees no prefix parses as a
-    // complete stack -- and a failed load must not corrupt the
-    // receiving stack.
-    auto set = mitigate::makeDefenseSet("siloz+trr-ecc");
-    ASSERT_TRUE(set.ok());
-    const std::vector<uint8_t> bytes = defenseSetBytes(*set);
-    for (size_t len = 0; len < bytes.size(); ++len) {
-        auto victim = mitigate::makeDefenseSet("siloz+trr-ecc");
-        ASSERT_TRUE(victim.ok());
-        std::vector<uint8_t> prefix(bytes.begin(),
-                                    bytes.begin() + len);
-        base::ArchiveReader r(prefix);
-        EXPECT_FALSE(victim->loadState(r).ok()) << "prefix " << len;
-    }
-}
-
-TEST(DefenseSnapshot, ForeignStackStateRejected)
-{
-    // A payload whose defense names or stack length do not match the
-    // receiving stack must be refused: resuming a siloz campaign from
-    // a catt checkpoint would silently evaluate the wrong defense.
-    auto siloz = mitigate::makeDefenseSet("siloz");
-    auto catt = mitigate::makeDefenseSet("catt");
-    auto stacked = mitigate::makeDefenseSet("siloz+trr-ecc");
-    ASSERT_TRUE(siloz.ok());
-    ASSERT_TRUE(catt.ok());
-    ASSERT_TRUE(stacked.ok());
-
-    const std::vector<uint8_t> siloz_bytes = defenseSetBytes(*siloz);
-    base::ArchiveReader into_catt(siloz_bytes);
-    EXPECT_FALSE(catt->loadState(into_catt).ok());
-
-    base::ArchiveReader into_stacked(siloz_bytes);
-    EXPECT_FALSE(stacked->loadState(into_stacked).ok());
-
-    const std::vector<uint8_t> stacked_bytes =
-        defenseSetBytes(*stacked);
-    base::ArchiveReader into_siloz(stacked_bytes);
-    EXPECT_FALSE(siloz->loadState(into_siloz).ok());
 }
 
 TEST(Checkpoint, DefenseAttachmentMismatchRejected)
@@ -761,7 +428,7 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     std::remove(path.c_str());
     std::remove(prev.c_str());
 
-    sys::HostSystem host(campaignHost(5));
+    sys::HostSystem host(faultedCampaignHost());
     attack::HyperHammerAttack attack(host, campaignVm(),
                                      host.dram().mapping(),
                                      campaignAttack());
@@ -772,7 +439,8 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     stopper.path = path;
     stopper.everyTrials = 1;
     stopper.stopAfterTrials = 1;
-    (void)attack.runTrialRange(0, 2, 1, stopper);
+    const attack::TrialRangeResult stopped =
+        attack.runTrialRange(0, 2, 1, stopper);
 
     // ...so range [2, 4) resuming at the same path must not take
     // trial 0's outcome for trial 2's.
@@ -786,6 +454,11 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     const attack::TrialRangeResult fresh =
         attack.runTrialRange(2, 4, 1, {});
     EXPECT_EQ(resumed.outcomes, fresh.outcomes);
+    // Trials 0 and 2 print different records, so the comparison above
+    // fails on its own when trial 0's outcome stands in for trial 2's.
+    ASSERT_FALSE(stopped.outcomes.empty());
+    ASSERT_FALSE(fresh.outcomes.empty());
+    EXPECT_NE(stopped.outcomes.front(), fresh.outcomes.front());
     std::remove(path.c_str());
     std::remove(prev.c_str());
 }
@@ -830,6 +503,103 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
     EXPECT_EQ(reloaded->outcomes, finished.outcomes);
     std::remove(path.c_str());
     std::remove(prev.c_str());
+}
+
+// --- defense identity ----------------------------------------------------
+
+/**
+ * One unprofiled campaign; its fingerprint with a stack attached is
+ * that stack's share of the campaign identity, the only place a
+ * defense's saveState() bytes go.
+ */
+class DefenseIdentity : public ::testing::Test
+{
+  protected:
+    sys::HostSystem host{
+        sys::SystemConfig::s1(42).withMemory(128_MiB)};
+    attack::HyperHammerAttack attack{host, campaignVm(),
+                                     host.dram().mapping(),
+                                     campaignAttack()};
+
+    uint64_t
+    fingerprintOf(const std::string &spec)
+    {
+        auto set = mitigate::makeDefenseSet(spec);
+        EXPECT_TRUE(set.ok()) << spec;
+        return set.ok() ? fingerprintWith(*set) : 0;
+    }
+
+    uint64_t
+    fingerprintWith(mitigate::DefenseSet &set)
+    {
+        attack.attachDefenses(&set);
+        const uint64_t fingerprint = attack.campaignFingerprint();
+        attack.attachDefenses(nullptr);
+        return fingerprint;
+    }
+};
+
+TEST_F(DefenseIdentity, SameStackBuiltTwiceFingerprintsEqually)
+{
+    for (const char *spec :
+         {"quarantine", "siloz", "trr-ecc", "catt", "catt-hole",
+          "siloz+trr-ecc", "quarantine+catt"})
+        EXPECT_EQ(fingerprintOf(spec), fingerprintOf(spec)) << spec;
+}
+
+TEST_F(DefenseIdentity, DistinctStacksFingerprintDifferently)
+{
+    const std::vector<std::string> specs = {"siloz", "catt",
+                                            "catt-hole",
+                                            "siloz+trr-ecc"};
+    std::vector<uint64_t> fingerprints;
+    for (const std::string &spec : specs)
+        fingerprints.push_back(fingerprintOf(spec));
+    fingerprints.push_back(attack.campaignFingerprint()); // undefended
+    for (size_t i = 0; i < fingerprints.size(); ++i)
+        for (size_t j = i + 1; j < fingerprints.size(); ++j)
+            EXPECT_NE(fingerprints[i], fingerprints[j])
+                << "stack " << i << " vs stack " << j;
+}
+
+TEST_F(DefenseIdentity, EveryTunedKnobMovesTheFingerprint)
+{
+    // One knob per defense, and both of CattPartition's: a knob the
+    // fingerprint missed would let records of one tuning resume into
+    // another.
+    using Tune = void (*)(mitigate::Defense &);
+    const std::vector<std::pair<std::string, Tune>> knobs = {
+        {"catt",
+         [](mitigate::Defense &d) {
+             static_cast<mitigate::CattPartition &>(d).kernelBytes =
+                 123_MiB;
+         }},
+        {"catt",
+         [](mitigate::Defense &d) {
+             static_cast<mitigate::CattPartition &>(d)
+                 .doubleOwnershipHole = true;
+         }},
+        {"siloz",
+         [](mitigate::Defense &d) {
+             static_cast<mitigate::SilozDomains &>(d).guardRows = 3;
+         }},
+        {"quarantine",
+         [](mitigate::Defense &d) {
+             static_cast<mitigate::VirtioQuarantine &>(d)
+                 .graceRequests = 2;
+         }},
+        {"trr-ecc",
+         [](mitigate::Defense &d) {
+             static_cast<mitigate::TrrEccSweep &>(d).trackerCapacity =
+                 8;
+         }},
+    };
+    for (const auto &[spec, tune] : knobs) {
+        auto tuned = mitigate::makeDefenseSet(spec);
+        ASSERT_TRUE(tuned.ok()) << spec;
+        tune(tuned->at(0));
+        EXPECT_NE(fingerprintWith(*tuned), fingerprintOf(spec)) << spec;
+    }
 }
 
 } // namespace

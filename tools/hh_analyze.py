@@ -12,11 +12,13 @@ the `--self-test` fixture harness.
 Rules (see docs/static_analysis.md for the rationale):
 
   snapshot-field-coverage  every class declaring
-                           saveState(ArchiveWriter&)/loadState must
-                           serialize each of its persistent fields in
-                           BOTH directions (or waive the field with a
-                           justification) -- a silently skipped field
-                           corrupts resume identity (DESIGN.md 3.4)
+                           saveState(ArchiveWriter&) must reach each
+                           of its persistent fields from it, and from
+                           loadState too when it has one (or waive the
+                           field with a justification) -- a silently
+                           skipped field escapes the fork-vs-fresh
+                           identity tests and corrupts resume
+                           identity (DESIGN.md 3.4)
   determinism-taint        call paths from trial-outcome code
                            (src/attack, src/shard, src/analysis) that
                            reach std::random_device / rand / wall
@@ -60,10 +62,10 @@ import hh_lint  # noqa: E402  (shared waiver/config/report machinery)
 
 RULES = {
     "snapshot-field-coverage":
-        "field of a snapshotted class is not serialized in both "
-        "saveState() and loadState(); silent drift corrupts resume "
-        "identity -- serialize it or waive the field with a "
-        "justification",
+        "field of a serialized class is not reached from saveState() "
+        "(or, when the class has one, from loadState()); a field the "
+        "state stream misses escapes every identity check -- "
+        "serialize it or waive the field with a justification",
     "determinism-taint":
         "trial-outcome code reaches non-deterministic randomness or a "
         "wall clock through this call chain; route it through "
@@ -735,13 +737,15 @@ def rule_snapshot_field_coverage(program, ctx, findings):
             continue
         save = info.methods.get("saveState")
         load = info.methods.get("loadState")
-        if save is None or load is None:
+        if save is None:
             continue
         if "ArchiveWriter" not in save.params:
             continue  # e.g. Rng::saveState(): raw state by value,
             #           not the snapshot archive protocol
         save_body = reachable_class_body(info, save)
-        load_body = reachable_class_body(info, load)
+        # A save-only class (every world class: worlds are rebuilt,
+        # never restored) answers to its saveState() alone.
+        load_body = reachable_class_body(info, load) if load else None
         for field in info.fields:
             if not field.persistent():
                 continue
@@ -749,7 +753,8 @@ def rule_snapshot_field_coverage(program, ctx, findings):
                 continue
             name_re = re.compile(r"\b%s\b" % re.escape(field.name))
             in_save = bool(name_re.search(save_body))
-            in_load = bool(name_re.search(load_body))
+            in_load = (in_save if load_body is None
+                       else bool(name_re.search(load_body)))
             if in_save and in_load:
                 continue
             if not in_save and not in_load:
@@ -762,9 +767,9 @@ def rule_snapshot_field_coverage(program, ctx, findings):
                         "by saveState()")
             findings.append(hh_lint.Finding(
                 rel, field.line, rule,
-                f"field '{info.name}::{field.name}' {what}; resume "
-                "identity silently drifts -- serialize it in both "
-                "directions or waive the field with a justification"))
+                f"field '{info.name}::{field.name}' {what}; the "
+                "state stream silently drifts -- serialize it or waive "
+                "the field with a justification"))
 
 
 def build_taint(program, ctx):

@@ -180,15 +180,22 @@ struct SweepOptions
             else if (const char *v22 = value("--ledger="))
                 opts.ledger = v22;
             else if (const char *v23 = value("--quarantine=")) {
-                const char *p = v23;
-                while (*p != '\0') {
+                // I[,J...]: every entry has digits, followed by a
+                // comma or the end.
+                for (const char *p = v23;; ) {
                     char *end = nullptr;
-                    opts.quarantine.push_back(static_cast<uint32_t>(
-                        std::strtoul(p, &end, 0)));
-                    p = (end != nullptr && *end == ',') ? end + 1
-                                                        : end;
-                    if (p == nullptr)
+                    const unsigned long index = std::strtoul(p, &end, 0);
+                    if (end == p || (*end != ',' && *end != '\0')) {
+                        std::fprintf(stderr,
+                                     "hh_sweep: bad --quarantine "
+                                     "(want I[,J...])\n");
+                        std::exit(2);
+                    }
+                    opts.quarantine.push_back(
+                        static_cast<uint32_t>(index));
+                    if (*end == '\0')
                         break;
+                    p = end + 1;
                 }
             } else if (const char *v24 =
                            value("--dispatch-fault-seed="))
