@@ -6,9 +6,9 @@
  * Each round supervises a synthetic sweep of fork()ed workers whose
  * artifacts are pure functions of their trial range -- no campaign is
  * simulated, so the soak measures the control plane (leases, retry
- * backoff, quarantine, ledger persistence), not the simulator. Workers
- * misbehave deterministically from the round seed: some crash on their
- * first attempt, some hang until the lease reclaims them, and a
+ * backoff, quarantine), not the simulator. Workers misbehave
+ * deterministically from the round seed: some crash on their first
+ * attempt, some hang until the lease reclaims them, and a
  * FaultPlan::randomized injector fires the four dispatch.* sites on
  * top. After every round the supervisor's merged result is checked
  * against an in-process strict merge of the same tiling (or, when
@@ -134,7 +134,13 @@ soakLauncher(uint64_t fingerprint, uint64_t total,
         if (crashesOn(round_seed, spec.shardIndex, spec.attempt))
             ::_exit(1);
         if (hangsOn(round_seed, spec.shardIndex, spec.attempt)) {
-            snapshot::touchHeartbeat(spec.heartbeatPath, 0);
+            // Start the range, as a real worker does, then go silent.
+            attack::RangeRecord started =
+                shardFor(fingerprint, total, round_seed, spec.range);
+            started.outcomes.clear();
+            started.terminal = false;
+            if (!attack::saveRangeRecord(spec.artifactPath, started).ok())
+                ::_exit(9);
             for (;;)
                 dispatch::sleepSeconds(0.05); // await SIGKILL
         }
@@ -150,10 +156,10 @@ soakLauncher(uint64_t fingerprint, uint64_t total,
 /** Every trial of [0, total) is either merged or reported missing. */
 bool
 coverageIsExact(const shard::SweepReport &report,
-                const dispatch::Ledger &ledger, uint64_t total)
+                const std::vector<dispatch::ShardJob> &jobs, uint64_t total)
 {
     std::vector<shard::ShardRange> covered;
-    for (const dispatch::ShardJob &job : ledger.jobs) {
+    for (const dispatch::ShardJob &job : jobs) {
         if (job.state == dispatch::ShardState::Done)
             covered.push_back(job.range);
     }
@@ -209,7 +215,6 @@ main(int argc, char **argv)
             fault::FaultPlan::randomized(round_seed, soak.intensity),
             base::mix64(fingerprint, round_seed));
         dispatch::SupervisorConfig cfg;
-        cfg.ledgerPath = soak.workDir + "/ledger.bin";
         cfg.artifactDir = soak.workDir;
         cfg.leaseSeconds = 0.5; // hangs resolve fast
         cfg.pollSeconds = 0.01;
@@ -240,7 +245,7 @@ main(int argc, char **argv)
                 // campaign exactly.
                 ++degraded_rounds;
                 identity_ok =
-                    coverageIsExact(*swept, sup.ledger(), total);
+                    coverageIsExact(*swept, sup.jobs(), total);
             } else {
                 std::vector<attack::RangeRecord> reference;
                 for (const shard::ShardRange &range : ranges)
@@ -264,7 +269,6 @@ main(int argc, char **argv)
         totals.heartbeatLossFaults += s.heartbeatLossFaults;
         totals.quarantines += s.quarantines;
         totals.mergeBusyRetries += s.mergeBusyRetries;
-        totals.ledgerSaves += s.ledgerSaves;
         identity_failures += identity_ok ? 0 : 1;
         table.addRow({
             std::to_string(round),
@@ -305,7 +309,6 @@ main(int argc, char **argv)
         report.set("heartbeat_loss", totals.heartbeatLossFaults);
         report.set("quarantines", totals.quarantines);
         report.set("merge_busy_retries", totals.mergeBusyRetries);
-        report.set("ledger_saves", totals.ledgerSaves);
         report.set("degraded_rounds",
                    static_cast<uint64_t>(degraded_rounds));
         report.set("identity_failures",

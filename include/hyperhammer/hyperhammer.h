@@ -48,7 +48,6 @@
 #include "dram/ecc.h"
 #include "dram/fault_model.h"
 #include "dram/memory_backend.h"
-#include "dispatch/dispatch.h"
 #include "dispatch/supervisor.h"
 #include "dispatch/wall.h"
 #include "dram/trr.h"

@@ -380,8 +380,8 @@ HyperHammerAttack::campaignFingerprint() const
     w.u32(cfg.maxPhaseRetries);
     w.u64(cfg.retryBackoff);
     // The slot of the retired re-profiling knob, written at its last
-    // default: checkpoints, shard manifests, dispatch ledgers and the
-    // benchmark's reference tables pin fingerprints taken with it.
+    // default: range records and the benchmark's reference tables pin
+    // fingerprints taken with it.
     w.u32(3);
     w.boolean(cfg.exploit.combinedHammer);
     // The host-physical profile folds in every remaining tunable that
@@ -549,17 +549,6 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     }
     outcomes.reserve(total);
     range.resumedTrials = static_cast<unsigned>(outcomes.size());
-    // First heartbeat before any work: a supervising dispatcher learns
-    // the worker is alive even when trial 0 takes a full lease window.
-    snapshot::touchHeartbeat(policy.heartbeatPath, outcomes.size());
-
-    // Build the canonical template world once: every trial forks it
-    // in O(pages touched) instead of rebuilding a host from scratch.
-    // The template is pristine (un-booted), so it is identical for
-    // every trial seed and can be shared across worker threads.
-    if (!trialTemplate)
-        trialTemplate =
-            sys::HostSystem::makeForkTemplate(host.config());
 
     const auto save = [&] {
         record.terminal = record.complete();
@@ -569,6 +558,20 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
                        "continues unprotected",
                        policy.path.c_str());
     };
+    // The record is written before any work, so the path holds this
+    // range's prefix even when nothing runs (an empty range, or one
+    // restored whole), and a supervising dispatcher sees the worker
+    // alive even when trial 0 takes a full lease window.
+    if (persist)
+        save();
+
+    // Build the canonical template world once: every trial forks it
+    // in O(pages touched) instead of rebuilding a host from scratch.
+    // The template is pristine (un-booted), so it is identical for
+    // every trial seed and can be shared across worker threads.
+    if (!trialTemplate)
+        trialTemplate =
+            sys::HostSystem::makeForkTemplate(host.config());
 
     // Run the remaining trials in blocks at their absolute trial
     // indices, so each outcome is the same pure function of
@@ -592,7 +595,6 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
         outcomes.insert(outcomes.end(), chunk.begin(),
                         chunk.begin()
                             + static_cast<std::ptrdiff_t>(keep));
-        snapshot::touchHeartbeat(policy.heartbeatPath, outcomes.size());
         if (persist) {
             save();
             if (policy.stopAfterTrials != 0
@@ -601,11 +603,6 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
                 range.stopped = true; // simulated crash (test hook)
         }
     }
-    // Nothing ran (an empty range, or everything was restored --
-    // perhaps from the fallback file): the path must still hold the
-    // record of the whole prefix.
-    if (persist && outcomes.size() == range.resumedTrials)
-        save();
     range.outcomes = std::move(outcomes);
     return range;
 }

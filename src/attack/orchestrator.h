@@ -162,7 +162,7 @@ struct TrialRangeResult
  * The one persisted record of a trial range [begin, end): the range's
  * checkpoint while it runs and its shard artifact once terminal.
  * runTrialRange() writes it; resume, shard::mergeShards(), `hh_sweep
- * merge`/`heal` and the dispatch supervisor read it back through
+ * merge` and the dispatch supervisor read it back through
  * loadRangeRecord(). Two records merge only when fingerprint and
  * totalTrials agree; their ranges must tile the campaign.
  */
@@ -298,10 +298,10 @@ class HyperHammerAttack
      * sequential run).
      *
      * With a policy.path, trials run in blocks of policy.everyTrials
-     * (0: the whole range is one block), and after each block the
-     * range's RangeRecord -- campaign fingerprint, campaign size
-     * (maxAttempts), range, completed prefix -- is saved at the path
-     * by saveRangeRecord(). It turns terminal when the range is
+     * (0: the whole range is one block), and at range start and after
+     * each block the range's RangeRecord -- campaign fingerprint,
+     * campaign size (maxAttempts), range, completed prefix -- is saved
+     * at the path by saveRangeRecord(). It turns terminal when the range is
      * complete. When the call returns, the path holds the record of
      * the whole completed prefix. With policy.resume the range first
      * restores the record at the path, else at path + ".prev", and

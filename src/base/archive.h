@@ -6,9 +6,9 @@
  * stream through ArchiveWriter (DESIGN.md section 3.4). For a world
  * the stream is its canonical identity: fork-vs-fresh tests compare
  * streams and the campaign fingerprint hashes config and defense
- * streams; nothing reads a world's stream back. Only range records and
- * the dispatch ledger are persisted, framed by a magic number, a
- * format version and an FNV-1a checksum. Writing is infallible (an
+ * streams; nothing reads a world's stream back. Only range records
+ * are persisted, framed by a magic number, a format version and an
+ * FNV-1a checksum. Writing is infallible (an
  * in-memory buffer); reading never trusts the input: every primitive
  * read is bounds-checked and a failed read latches a sticky error flag
  * instead of invoking UB, so a corrupted or truncated file degrades to

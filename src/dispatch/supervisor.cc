@@ -1,5 +1,6 @@
 #include "dispatch/supervisor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include <signal.h>
@@ -8,9 +9,28 @@
 #include <unistd.h>
 
 #include "base/log.h"
+#include "base/rng.h"
 #include "dispatch/wall.h"
 
 namespace hh::dispatch {
+
+uint64_t
+backoffDelayMs(uint64_t campaign_fingerprint, uint32_t shard_index,
+               uint32_t attempt, const BackoffConfig &cfg)
+{
+    if (attempt == 0)
+        return 0;
+    const uint32_t doublings =
+        std::min<uint32_t>(attempt - 1, 40); // avoid shift overflow
+    uint64_t delay = cfg.baseMs;
+    for (uint32_t i = 0; i < doublings && delay < cfg.capMs; ++i)
+        delay *= 2;
+    delay = std::min(delay, cfg.capMs);
+    base::SeedSequence seq(
+        base::mix64(campaign_fingerprint, shard_index));
+    base::Rng rng = seq.stream(attempt);
+    return delay + rng.below(delay / 2 + 1);
+}
 
 Supervisor::Supervisor(SupervisorConfig config, WorkerLauncher launch)
     : cfg(std::move(config)), launcher(std::move(launch))
@@ -23,8 +43,7 @@ Supervisor::Supervisor(SupervisorConfig config, WorkerLauncher launch)
 std::string
 Supervisor::artifactPath(uint32_t index) const
 {
-    return cfg.artifactDir + "/" + cfg.artifactPrefix
-        + std::to_string(index) + ".bin";
+    return cfg.artifactDir + "/shard_" + std::to_string(index) + ".bin";
 }
 
 base::Status
@@ -36,87 +55,53 @@ Supervisor::openSweep(uint64_t campaign_fingerprint,
     leases.clear();
     eligibleAt.clear();
     collected.clear();
-
-    if (resume) {
-        auto loaded = loadLedger(cfg.ledgerPath);
-        if (!loaded) {
-            base::warn("dispatch: cannot resume: ledger '%s' "
-                       "unreadable (%s)",
-                       cfg.ledgerPath.c_str(),
-                       base::errorName(loaded.error()));
-            return loaded.error();
-        }
-        book = std::move(*loaded);
-        if (book.campaignFingerprint != campaign_fingerprint
-            || book.totalTrials != total_trials
-            || book.jobs.size() != ranges.size())
+    fingerprint = campaign_fingerprint;
+    totalTrials = total_trials;
+    table.clear();
+    table.reserve(ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+        ShardJob &job = table.emplace_back();
+        job.index = static_cast<uint32_t>(i);
+        job.range = ranges[i];
+        if (!resume)
+            continue;
+        // A resume trusts nothing but the records: a missing,
+        // unreadable or unfinished one leaves its job Pending, and the
+        // worker resumes whatever prefix it (or its .prev) still holds.
+        // A killed supervisor's orphaned worker may still be running,
+        // but relaunch is safe: trials are pure functions of
+        // (fingerprint, index) and record writes are atomic renames,
+        // so duplicate workers write identical bytes.
+        auto record = attack::loadRangeRecord(artifactPath(job.index));
+        if (!record)
+            continue;
+        if (record->campaignFingerprint != fingerprint
+            || record->totalTrials != totalTrials
+            || record->begin != job.range.begin
+            || record->end != job.range.end) {
+            base::warn("dispatch: cannot resume: '%s' holds a record "
+                       "of another campaign or range",
+                       artifactPath(job.index).c_str());
             return base::ErrorCode::InvalidArgument;
-        for (size_t i = 0; i < ranges.size(); ++i) {
-            const ShardJob &job = book.jobs[i];
-            if (job.index != i || job.range.begin != ranges[i].begin
-                || job.range.end != ranges[i].end)
-                return base::ErrorCode::InvalidArgument;
         }
-        for (ShardJob &job : book.jobs) {
-            switch (job.state) {
-            case ShardState::Leased:
-                // The previous supervisor died holding this lease. An
-                // orphaned worker may still be running, but relaunch
-                // is safe: trials are pure functions of (fingerprint,
-                // index) and range-record writes are atomic renames,
-                // so duplicate workers write identical bytes.
-                job.state = ShardState::Pending;
-                break;
-            case ShardState::Retrying:
-                // Backoff deadlines were wall-anchored in the dead
-                // process; the failure already counted, so just make
-                // the job immediately eligible again.
-                job.state = ShardState::Pending;
-                break;
-            case ShardState::Done: {
-                // Trust nothing across a crash: the artifact must
-                // still load as the terminal product of this range.
-                if (auto artifact = loadArtifact(job)) {
-                    collected[job.index] = std::move(*artifact);
-                } else {
-                    base::warn("dispatch: shard %u marked done but "
-                               "artifact unusable; recomputing",
-                               job.index);
-                    job.state = ShardState::Pending;
-                }
-                break;
-            }
-            case ShardState::Pending:
-            case ShardState::Quarantined:
-                break;
-            }
-        }
-    } else {
-        book = Ledger{};
-        book.campaignFingerprint = campaign_fingerprint;
-        book.totalTrials = total_trials;
-        book.jobs.reserve(ranges.size());
-        for (size_t i = 0; i < ranges.size(); ++i) {
-            ShardJob job;
-            job.index = static_cast<uint32_t>(i);
-            job.range = ranges[i];
-            book.jobs.push_back(job);
+        if (record->finishes(fingerprint, totalTrials, job.range.begin,
+                             job.range.end)) {
+            job.state = ShardState::Done;
+            collected[job.index] = std::move(*record);
         }
     }
 
     for (const uint32_t index : cfg.forceQuarantine) {
-        if (index >= book.jobs.size())
+        if (index >= table.size())
             return base::ErrorCode::InvalidArgument;
-        ShardJob &job = book.jobs[index];
+        ShardJob &job = table[index];
         if (job.state != ShardState::Done) {
             job.state = ShardState::Quarantined;
             job.lastFailure = kFailureQuarantineHook;
             ++counters.quarantines;
         }
     }
-
-    dirty = true;
-    return persist();
+    return base::Status::success();
 }
 
 base::Expected<attack::RangeRecord>
@@ -124,20 +109,10 @@ Supervisor::loadArtifact(const ShardJob &job) const
 {
     auto artifact = attack::loadRangeRecord(artifactPath(job.index));
     if (artifact
-        && !artifact->finishes(book.campaignFingerprint, book.totalTrials,
-                               job.range.begin, job.range.end))
+        && !artifact->finishes(fingerprint, totalTrials, job.range.begin,
+                               job.range.end))
         return base::ErrorCode::InvalidArgument;
     return artifact;
-}
-
-base::Status
-Supervisor::persist()
-{
-    if (!dirty)
-        return base::Status::success();
-    dirty = false;
-    ++counters.ledgerSaves;
-    return saveLedger(cfg.ledgerPath, book);
 }
 
 void
@@ -155,12 +130,11 @@ Supervisor::handleFailure(ShardJob &job, int64_t code)
         job.state = ShardState::Retrying;
         ++counters.retries;
         const uint64_t delay_ms =
-            backoffDelayMs(book.campaignFingerprint, job.index,
-                           job.attempts, cfg.backoff);
+            backoffDelayMs(fingerprint, job.index, job.attempts,
+                           cfg.backoff);
         eligibleAt[job.index] =
             monotonicSeconds() + static_cast<double>(delay_ms) / 1e3;
     }
-    dirty = true;
 }
 
 void
@@ -192,7 +166,6 @@ Supervisor::collectArtifact(ShardJob &job)
     collected[job.index] = std::move(*artifact);
     job.state = ShardState::Done;
     job.lastFailure = 0;
-    dirty = true;
 }
 
 void
@@ -211,7 +184,6 @@ Supervisor::launch(ShardJob &job)
     spec.range = job.range;
     spec.attempt = job.attempts;
     spec.artifactPath = artifactPath(job.index);
-    spec.heartbeatPath = spec.artifactPath + ".hb";
     const long pid = launcher(spec);
     if (pid < 0) {
         ++counters.spawnFailures;
@@ -223,7 +195,6 @@ Supervisor::launch(ShardJob &job)
     lease.pid = pid;
     lease.deadline = monotonicSeconds() + cfg.leaseSeconds;
     leases[job.index] = lease;
-    dirty = true;
 }
 
 void
@@ -231,7 +202,7 @@ Supervisor::reapAndScan()
 {
     const double now = monotonicSeconds();
     for (auto it = leases.begin(); it != leases.end();) {
-        ShardJob &job = book.jobs[it->first];
+        ShardJob &job = table[it->first];
         Lease &lease = it->second;
         int status = 0;
         const pid_t reaped = ::waitpid(
@@ -244,20 +215,20 @@ Supervisor::reapAndScan()
             it = leases.erase(it);
             continue;
         }
-        // Liveness: a changed heartbeat refreshes the lease -- unless
-        // the heartbeat-loss fault eats the observation, in which case
-        // the deadline keeps running and the lease can expire under a
-        // perfectly healthy worker (exactly the failure mode a lost
-        // NFS heartbeat produces).
-        const std::string beat = readHeartbeat(
-            artifactPath(job.index) + ".hb");
-        if (!beat.empty() && beat != lease.lastBeat) {
+        // Liveness: the worker rewrites its record at range start and
+        // after every block, so a new outcome count is its heartbeat
+        // and refreshes the lease -- unless the heartbeat-loss fault
+        // eats the observation, in which case the deadline keeps
+        // running and the lease can expire under a perfectly healthy
+        // worker (exactly the failure mode a lost NFS write produces).
+        auto record = attack::loadRangeRecord(artifactPath(job.index));
+        if (record && lease.seenOutcomes != record->outcomes.size()) {
             if (HH_FAULT_POINT(cfg.injector,
                                fault::FaultSite::DispatchHeartbeat)
                 != nullptr) {
                 ++counters.heartbeatLossFaults;
             } else {
-                lease.lastBeat = beat;
+                lease.seenOutcomes = record->outcomes.size();
                 lease.deadline = now + cfg.leaseSeconds;
             }
         }
@@ -282,29 +253,27 @@ Supervisor::runSweep()
         reapAndScan();
 
         const double now = monotonicSeconds();
-        for (ShardJob &job : book.jobs) {
+        for (ShardJob &job : table) {
             if (job.state != ShardState::Retrying)
                 continue;
             const auto due = eligibleAt.find(job.index);
             if (due == eligibleAt.end() || now >= due->second) {
                 job.state = ShardState::Pending;
                 eligibleAt.erase(job.index);
-                dirty = true;
             }
         }
-        for (ShardJob &job : book.jobs) {
+        for (ShardJob &job : table) {
             if (leases.size() >= cfg.maxParallel)
                 break;
             if (job.state == ShardState::Pending)
                 launch(job);
         }
 
-        const base::Status saved = persist();
-        if (!saved.ok())
-            base::warn("dispatch: ledger '%s' save failed; sweep "
-                       "continues crash-unsafe",
-                       cfg.ledgerPath.c_str());
-        if (book.settled() && leases.empty())
+        if (leases.empty()
+            && std::all_of(table.begin(), table.end(),
+                           [](const ShardJob &job) {
+                               return job.settled();
+                           }))
             break;
         sleepSeconds(cfg.pollSeconds);
     }
@@ -316,7 +285,7 @@ Supervisor::runSweep()
         != nullptr) {
         ++counters.mergeBusyRetries;
         collected.clear();
-        for (const ShardJob &job : book.jobs) {
+        for (const ShardJob &job : table) {
             if (job.state != ShardState::Done)
                 continue;
             auto artifact = loadArtifact(job);
@@ -333,13 +302,12 @@ Supervisor::runSweep()
         // Nothing survived (everything quarantined): degrade to the
         // canonical empty result with the whole campaign missing.
         shard::SweepReport report;
-        report.campaignFingerprint = book.campaignFingerprint;
-        report.totalTrials = book.totalTrials;
+        report.campaignFingerprint = fingerprint;
+        report.totalTrials = totalTrials;
         report.result = attack::HyperHammerAttack::aggregateOutcomes({});
-        if (book.totalTrials > 0)
-            report.missing.push_back(
-                shard::ShardRange{0, book.totalTrials});
-        report.exact = book.totalTrials == 0;
+        if (totalTrials > 0)
+            report.missing.push_back(shard::ShardRange{0, totalTrials});
+        report.exact = totalTrials == 0;
         return report;
     }
 

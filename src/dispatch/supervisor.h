@@ -1,22 +1,21 @@
 /**
  * @file
- * The shard supervisor: owns the dispatcher ledger and drives every
- * shard range through Pending -> Leased -> Done | Retrying |
- * Quarantined (DESIGN.md section 3.7).
+ * The shard supervisor: drives every shard range through Pending ->
+ * Leased -> Done | Retrying | Quarantined (DESIGN.md section 3.7).
  *
  * The supervisor launches workers through an injected WorkerLauncher
  * (hh_sweep forks+execs itself; tests and the soak bench fork
  * in-process lambdas), tracks liveness via lease deadlines refreshed
- * by worker heartbeat files, reclaims expired leases with SIGKILL and
- * relaunches with resume semantics so completed-trial prefixes are
- * never recomputed. Every state transition is persisted to the ledger
- * before the next poll, so `kill -9` of the supervisor itself resumes
- * cleanly (openSweep with resume = true).
+ * whenever a worker's range record shows a new outcome count, reclaims
+ * expired leases with SIGKILL and relaunches with resume semantics so
+ * completed-trial prefixes are never recomputed. The range records
+ * are a sweep's only on-disk state: `kill -9` of the supervisor itself
+ * resumes by rescanning them (openSweep with resume = true).
  *
  * Failure semantics are deterministic where they can be: *whether* to
  * retry and for how long comes from the attempt cap and the seeded
- * backoff (dispatch.h); only the pacing (polls, leases) lives on wall
- * time, and wall time never touches trial results. The four
+ * backoff (backoffDelayMs); only the pacing (polls, leases) lives on
+ * wall time, and wall time never touches trial results. The four
  * dispatch.* fault sites (fault_sites.def) let chaos tests force
  * every recovery path: spawn failure, heartbeat loss, torn artifact
  * collection and a spurious merge-time Busy.
@@ -28,15 +27,75 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "base/status.h"
-#include "dispatch/dispatch.h"
 #include "fault/fault.h"
 #include "shard/shard.h"
 
 namespace hh::dispatch {
+
+/**
+ * Lifecycle of one shard range under the supervisor:
+ *
+ *            launch           exit 0 + valid artifact
+ *   Pending -------> Leased ------------------------> Done
+ *      ^               | crash / lease expiry / bad artifact
+ *      | backoff       v
+ *      +----------- Retrying --(attempt cap reached)--> Quarantined
+ */
+enum class ShardState : uint8_t
+{
+    Pending = 0,    ///< waiting for a launch slot
+    Leased,         ///< a worker owns the range under a live lease
+    Done,           ///< artifact collected and validated
+    Retrying,       ///< failed; waiting out deterministic backoff
+    Quarantined,    ///< attempt cap hit; excluded from this sweep
+};
+
+/** One shard range's job. */
+struct ShardJob
+{
+    uint32_t index = 0;
+    shard::ShardRange range;
+    ShardState state = ShardState::Pending;
+    /** Worker launches so far (spawn failures count: they consumed
+     *  an attempt's worth of the failure budget). */
+    uint32_t attempts = 0;
+    /** Last failure: the worker's wait status, or a negative
+     *  supervisor-assigned code (see below). */
+    int64_t lastFailure = 0;
+
+    /** No further launches will happen for this job this sweep. */
+    bool
+    settled() const
+    {
+        return state == ShardState::Done
+            || state == ShardState::Quarantined;
+    }
+};
+
+/** Exponential-backoff shape; delays are milliseconds. */
+struct BackoffConfig
+{
+    uint64_t baseMs = 200;
+    uint64_t capMs = 5'000;
+};
+
+/**
+ * Delay before relaunching @p shard_index after failed attempt
+ * @p attempt (1-based): min(cap, base * 2^(attempt-1)) plus seeded
+ * jitter in [0, delay/2] drawn from
+ * SeedSequence(mix64(fingerprint, shard_index)).stream(attempt).
+ * Pure function of its arguments -- replaying a sweep replays its
+ * pacing decisions (DESIGN.md section 3.2 extended to the control
+ * plane).
+ */
+uint64_t backoffDelayMs(uint64_t campaign_fingerprint,
+                        uint32_t shard_index, uint32_t attempt,
+                        const BackoffConfig &cfg);
 
 /** Everything a worker needs to run one shard range attempt. */
 struct WorkerSpec
@@ -47,14 +106,14 @@ struct WorkerSpec
     uint32_t attempt = 1;
     /** The range record: the worker resumes from it and finishes it. */
     std::string artifactPath;
-    std::string heartbeatPath;
 };
 
 /**
  * Launch a worker for @p spec; return its pid, or a negative value
- * when the launch itself failed. The worker must leave a terminal
- * range record (attack::RangeRecord) at spec.artifactPath and exit 0
- * on success; the supervisor owns reaping.
+ * when the launch itself failed. The worker must rewrite the range
+ * record (attack::RangeRecord) at spec.artifactPath at range start
+ * and after every trial block, leave it terminal and exit 0 on
+ * success; the supervisor owns reaping.
  */
 using WorkerLauncher = std::function<long(const WorkerSpec &)>;
 
@@ -62,21 +121,17 @@ using WorkerLauncher = std::function<long(const WorkerSpec &)>;
 enum : int64_t
 {
     kFailureSpawn = -1,         ///< launcher failed (or spawn fault)
-    kFailureLeaseExpired = -2,  ///< heartbeat silent past the lease
+    kFailureLeaseExpired = -2,  ///< record silent past the lease
     kFailureBadArtifact = -3,   ///< exit 0 but unusable artifact
     kFailureQuarantineHook = -4 ///< forced by config (test hook)
 };
 
 struct SupervisorConfig
 {
-    std::string ledgerPath;
+    /** Range records live at artifactDir/shard_<index>.bin. */
     std::string artifactDir = ".";
-    /** Artifact file name is artifactPrefix + index + ".bin"; a heal
-     *  run uses a distinct prefix so hole artifacts never collide
-     *  with the original sweep's numbering. */
-    std::string artifactPrefix = "shard_";
-    /** Lease length: a worker whose heartbeat does not change for
-     *  this long is declared dead and its range reclaimed. */
+    /** Lease length: a worker whose record shows no new outcome count
+     *  for this long is declared dead and its range reclaimed. */
     double leaseSeconds = 30.0;
     /** Supervisor poll cadence. */
     double pollSeconds = 0.05;
@@ -103,7 +158,6 @@ struct SweepStats
     uint64_t retries = 0;
     uint64_t quarantines = 0;
     uint64_t mergeBusyRetries = 0;
-    uint64_t ledgerSaves = 0;
 };
 
 class Supervisor
@@ -112,13 +166,12 @@ class Supervisor
     Supervisor(SupervisorConfig config, WorkerLauncher launcher);
 
     /**
-     * Initialize (resume = false) or reload (resume = true) the
-     * ledger for a campaign of @p total_trials trials tiled by
-     * @p ranges. On resume the persisted ledger must match the
-     * campaign exactly (fingerprint, total, tiling); Leased and
-     * Retrying jobs are reclaimed to Pending, Done jobs are
-     * revalidated against their artifacts and demoted to Pending when
-     * the artifact is gone or unusable.
+     * Set up the jobs of a campaign of @p total_trials trials tiled by
+     * @p ranges, all Pending. With @p resume the range records on disk
+     * are rescanned: a job whose record finishes its range is Done and
+     * never relaunched. A readable record of another campaign or
+     * another range at a job's path is InvalidArgument, so a resume
+     * never mixes campaigns or tilings.
      */
     [[nodiscard]] base::Status
     openSweep(uint64_t campaign_fingerprint, uint64_t total_trials,
@@ -126,16 +179,15 @@ class Supervisor
               bool resume);
 
     /**
-     * Drive the sweep to a settled ledger and merge. Every Done shard
-     * contributes; Quarantined ranges become SweepReport::missing via
-     * the partial merge, so a degraded sweep still returns a report
-     * (the caller decides exit status + gap manifest). Errors are
-     * environmental (ledger unwritable, merge-layer rejection of
-     * corrupt artifacts), never mere worker failures.
+     * Drive every job to Done or Quarantined, then merge. Every Done
+     * shard contributes; Quarantined ranges become SweepReport::missing
+     * via the partial merge, so a degraded sweep still returns a report
+     * (the caller decides the exit status). Errors are merge-layer
+     * rejections of corrupt artifacts, never mere worker failures.
      */
     [[nodiscard]] base::Expected<shard::SweepReport> runSweep();
 
-    const Ledger &ledger() const { return book; }
+    const std::vector<ShardJob> &jobs() const { return table; }
     const SweepStats &stats() const { return counters; }
 
     /** Artifact path for shard @p index under this config. */
@@ -146,10 +198,11 @@ class Supervisor
     {
         long pid = -1;
         double deadline = 0.0;
-        std::string lastBeat;
+        /** Outcome count of the last observed record; none before the
+         *  first observation. */
+        std::optional<size_t> seenOutcomes;
     };
 
-    [[nodiscard]] base::Status persist();
     /** @p job's artifact, when it finishes the job's range. */
     [[nodiscard]] base::Expected<attack::RangeRecord>
     loadArtifact(const ShardJob &job) const;
@@ -160,7 +213,9 @@ class Supervisor
 
     SupervisorConfig cfg;
     WorkerLauncher launcher;
-    Ledger book;
+    uint64_t fingerprint = 0;
+    uint64_t totalTrials = 0;
+    std::vector<ShardJob> table;
     /** shard index -> live lease (std::map: deterministic order). */
     std::map<uint32_t, Lease> leases;
     /** shard index -> monotonic instant its backoff elapses. */
@@ -168,7 +223,6 @@ class Supervisor
     /** shard index -> validated artifact, collected at exit time. */
     std::map<uint32_t, attack::RangeRecord> collected;
     SweepStats counters;
-    bool dirty = false;
 };
 
 } // namespace hh::dispatch

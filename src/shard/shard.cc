@@ -74,7 +74,7 @@ mergeShards(std::vector<attack::RangeRecord> shards,
 
     // Adversarial inputs reject identically in both modes: two
     // artifacts claiming the same trials is corruption, not a hole a
-    // heal run could close.
+    // resumed sweep could close.
     uint64_t covered = 0;
     for (const attack::RangeRecord &shard : shards) {
         if (shard.begin < covered)
@@ -95,10 +95,10 @@ mergeShards(std::vector<attack::RangeRecord> shards,
 
     // Fold the usable subset in trial order and record every range it
     // does not cover. An incomplete or non-terminal shard contributes
-    // nothing: its *whole* range becomes a hole, because a heal worker
-    // re-runs the full range into an artifact of its own -- folding
-    // its prefix here and its suffix later would double-count on
-    // re-merge.
+    // nothing: its *whole* range becomes a hole, because the worker
+    // that closes the hole finishes the full range into one record --
+    // folding its prefix here and that record later would
+    // double-count on re-merge.
     SweepReport report;
     report.campaignFingerprint = shards.front().campaignFingerprint;
     report.totalTrials = total;

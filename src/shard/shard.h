@@ -114,8 +114,8 @@ struct SweepReport
  * policy.allowPartial == false it enforces the exact-tiling contract
  * (the strict overload forwards here); with allowPartial == true a
  * quarantined or still-running sweep can be folded degraded, and
- * `hh_sweep heal` later closes SweepReport::missing and re-merges to
- * the bitwise-identical full result.
+ * `hh_sweep sweep --resume` later closes SweepReport::missing and
+ * re-merges to the bitwise-identical full result.
  */
 [[nodiscard]] base::Expected<SweepReport>
 mergeShards(std::vector<attack::RangeRecord> shards,

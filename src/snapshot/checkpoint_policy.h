@@ -13,7 +13,6 @@
 #define HYPERHAMMER_SNAPSHOT_CHECKPOINT_POLICY_H
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 namespace hh::snapshot {
@@ -31,9 +30,9 @@ struct CheckpointPolicy
     std::string path;
 
     /**
-     * Write the record after every N completed trials (and once more
-     * when a trial succeeds). 0 runs the whole range as one block and
-     * writes the record once, at its end.
+     * Write the record at range start and after every block of N
+     * trials; 0 runs the whole range as one block. Each write doubles
+     * as the heartbeat a supervising dispatcher watches.
      */
     uint64_t everyTrials = 0;
 
@@ -56,37 +55,7 @@ struct CheckpointPolicy
      * SIGKILL instead.
      */
     uint64_t stopAfterTrials = 0;
-
-    /**
-     * Liveness file for a supervising dispatcher: the campaign rewrites
-     * it with the completed-trial count at range start and after every
-     * finished trial block, independent of checkpoint cadence. Empty
-     * disables it. Purely observational -- the file never feeds back
-     * into trial results, so the determinism contract is untouched.
-     */
-    std::string heartbeatPath;
 };
-
-/**
- * Rewrite @p path with @p completed_trials. A plain in-place rewrite,
- * not an atomic rename: the reader (the dispatch supervisor) only
- * compares successive contents for change, so a torn read at worst
- * looks like one extra change -- which refreshes the lease, the safe
- * direction. Failures are deliberately swallowed: liveness reporting
- * must never kill a healthy campaign.
- */
-inline void
-touchHeartbeat(const std::string &path, uint64_t completed_trials)
-{
-    if (path.empty())
-        return;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return;
-    std::fprintf(f, "%llu\n",
-                 static_cast<unsigned long long>(completed_trials));
-    std::fclose(f);
-}
 
 } // namespace hh::snapshot
 

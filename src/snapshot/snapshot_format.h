@@ -1,15 +1,16 @@
 /**
  * @file
- * On-disk identifiers of the crash-safe file formats.
+ * On-disk identifiers of the crash-safe file format.
  *
- * Two kinds of file are persisted, both framed by
+ * One kind of file is persisted: a trial range's record, framed by
  * base::saveArchiveFile() (magic, format version, payload length and
- * an FNV-1a checksum ahead of the payload): a trial range's record
- * and the dispatch supervisor's ledger. Worlds are never persisted: a
- * world is rebuilt from its configuration and trial index, and its
- * saveState() stream is compared in memory, never read back. The
- * constants here pick the magic per file kind and pin the single
- * format version shared by every pinned saveState() encoding.
+ * an FNV-1a checksum ahead of the payload). A supervised sweep keeps
+ * no other state on disk; it rescans its range records. Worlds are
+ * never persisted: a world is rebuilt from its configuration and
+ * trial index, and its saveState() stream is compared in memory,
+ * never read back. The constants here pick the record's magic and pin
+ * the single format version shared by every pinned saveState()
+ * encoding.
  *
  * Bump kSnapshotFormatVersion whenever any saveState() encoding
  * changes shape; tools/hh_lint.py (rule `snapshot-version`, backed by
@@ -30,9 +31,6 @@ namespace hh::snapshot {
  * and, once terminal, its shard artifact: "HHCKPT\n" + v.
  */
 constexpr uint64_t kRangeRecordMagic = 0x4848434b50540a01ull;
-
-/** Dispatch supervisor ledger (dispatch::saveLedger): "HHLEDG\n" + v. */
-constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
 
 /**
  * Format version of every serialized payload. One shared version: a
@@ -62,8 +60,8 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * finished shard from an abandoned partial write), the fault-site
  * registry gained the four dispatch.* sites (the injector serializes
  * one counter/RNG block per registered site, so its payload grew),
- * and the supervisor's ledger joined the archive family under
- * kLedgerMagic. Pre-dispatch artifacts are rejected by version.
+ * and the supervisor's ledger joined the archive family under a
+ * magic of its own. Pre-dispatch artifacts are rejected by version.
  *
  * v6: the pfn-indexed memory backend. The byte stream is unchanged
  * (saveState() walks the chunk table in PFN order and skips override
@@ -94,7 +92,9 @@ constexpr uint64_t kLedgerMagic = 0x48484c4544470a01ull;
  * v10: worlds are rebuilt, never restored. The host and world
  * snapshot files, their magics and every world loader are retired,
  * and KSM no longer serializes at all. Range records and ledgers keep
- * their layout; v9 files are rejected by version.
+ * their layout; v9 files are rejected by version. The ledger was
+ * later retired as well (its magic with it): a sweep rescans its
+ * range records instead, whose layout is unchanged at v10.
  */
 constexpr uint32_t kSnapshotFormatVersion = 10;
 

@@ -2,17 +2,17 @@
  * @file
  * hh::dispatch unit and supervisor tests.
  *
- * Three groups. The data-plane group covers deterministic backoff,
- * the crash-safe ledger (.prev rotation, corruption, NotFound) and
- * the gap-manifest JSON round trip. The supervisor group drives real
- * fork()ed workers -- in-process lambdas standing in for hh_sweep's
- * fork+exec -- through every lifecycle edge: happy path, flaky worker
- * retry, attempt-cap quarantine with a degraded partial report,
- * hanging-worker lease reclaim, the forced-quarantine hook, and
- * ledger resume (Done revalidation, demotion of lost artifacts,
- * foreign-campaign rejection). The chaos group forces each of the
- * four dispatch.* fault sites with probability-1 plans and checks the
- * supervisor recovers to the exact merged result every time.
+ * Three groups. The backoff group covers the deterministic retry
+ * delay. The supervisor group drives real fork()ed workers --
+ * in-process lambdas standing in for hh_sweep's fork+exec -- through
+ * every lifecycle edge: happy path, flaky worker retry, attempt-cap
+ * quarantine with a degraded partial report, hanging-worker lease
+ * reclaim, the forced-quarantine hook, and resume by rescanning the
+ * range records (finished ranges are not relaunched, unfinished and
+ * lost ones are, foreign campaigns and tilings are refused). The
+ * chaos group forces each of the four dispatch.* fault sites with
+ * probability-1 plans and checks the supervisor recovers to the exact
+ * merged result every time.
  *
  * Workers write synthetic range records that are pure functions of
  * their range, so retries reproduce identical bytes and every test
@@ -24,19 +24,16 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include "dispatch/dispatch.h"
 #include "dispatch/supervisor.h"
 #include "dispatch/wall.h"
 #include "fault/fault.h"
 #include "shard/shard.h"
-#include "snapshot/checkpoint_policy.h"
 #include "snapshot/resume_identity.h"
 
 namespace hh {
@@ -78,6 +75,17 @@ shardFor(const shard::ShardRange &range)
     return shard;
 }
 
+/** The record a worker leaves when it stops @p done trials into
+ *  @p range: of the range, not terminal. */
+attack::RangeRecord
+unfinishedShardFor(const shard::ShardRange &range, uint64_t done)
+{
+    attack::RangeRecord shard = shardFor(range);
+    shard.outcomes.resize(done);
+    shard.terminal = false;
+    return shard;
+}
+
 std::vector<shard::ShardRange>
 ranges3()
 {
@@ -95,11 +103,13 @@ referenceResult()
     return *merged;
 }
 
+/** An empty directory: the records of earlier runs would be resumed. */
 std::string
 freshDir(const std::string &name)
 {
     const std::string dir = ::testing::TempDir() + "dispatch_" + name;
-    ::mkdir(dir.c_str(), 0777); // EEXIST is fine; files are rewritten
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
     return dir;
 }
 
@@ -107,7 +117,6 @@ dispatch::SupervisorConfig
 testConfig(const std::string &dir)
 {
     dispatch::SupervisorConfig cfg;
-    cfg.ledgerPath = dir + "/ledger.bin";
     cfg.artifactDir = dir;
     cfg.pollSeconds = 0.01;
     cfg.backoff.baseMs = 1;
@@ -120,8 +129,10 @@ testConfig(const std::string &dir)
  *   "ok"        write the artifact, exit 0
  *   "flaky"     exit 1 on attempt 1, behave like "ok" after
  *   "crash"     exit 1 always
- *   "hang"      beat once, then sleep forever (attempt 1 only)
- *   "slowbeat"  beat, linger half a second, then write + exit 0
+ *   "hang"      write an unfinished record, then sleep forever
+ *               (attempt 1 only)
+ *   "slowbeat"  write an unfinished record, linger half a second,
+ *               then write the artifact + exit 0
  */
 dispatch::WorkerLauncher
 forkWorker(const std::string &mode)
@@ -133,14 +144,14 @@ forkWorker(const std::string &mode)
         if (mode == "crash"
             || (mode == "flaky" && spec.attempt == 1))
             ::_exit(1);
-        if (mode == "hang" && spec.attempt == 1) {
-            snapshot::touchHeartbeat(spec.heartbeatPath, 0);
-            for (;;)
+        const bool hang = mode == "hang" && spec.attempt == 1;
+        if (hang || mode == "slowbeat") {
+            if (!attack::saveRangeRecord(spec.artifactPath,
+                                         unfinishedShardFor(spec.range, 0))
+                     .ok())
+                ::_exit(9);
+            while (hang)
                 dispatch::sleepSeconds(0.05); // await SIGKILL
-        }
-        if (mode == "slowbeat") {
-            snapshot::touchHeartbeat(spec.heartbeatPath,
-                                     spec.range.begin);
             dispatch::sleepSeconds(0.5);
         }
         if (!attack::saveRangeRecord(spec.artifactPath,
@@ -197,144 +208,6 @@ TEST(Backoff, JitterVariesAcrossShards)
     EXPECT_TRUE(varied);
 }
 
-// -------------------------------------------------------------- ledger
-
-dispatch::Ledger
-syntheticLedger()
-{
-    dispatch::Ledger ledger;
-    ledger.campaignFingerprint = kFp;
-    ledger.totalTrials = kTotal;
-    uint32_t index = 0;
-    for (const shard::ShardRange &range : ranges3()) {
-        dispatch::ShardJob job;
-        job.index = index++;
-        job.range = range;
-        ledger.jobs.push_back(job);
-    }
-    ledger.jobs[0].state = dispatch::ShardState::Done;
-    ledger.jobs[1].state = dispatch::ShardState::Retrying;
-    ledger.jobs[1].attempts = 2;
-    ledger.jobs[1].lastFailure = dispatch::kFailureLeaseExpired;
-    return ledger;
-}
-
-TEST(Ledger, SaveLoadRoundTrips)
-{
-    const std::string path =
-        freshDir("ledger_rt") + "/ledger.bin";
-    const dispatch::Ledger ledger = syntheticLedger();
-    ASSERT_TRUE(dispatch::saveLedger(path, ledger).ok());
-    const auto loaded = dispatch::loadLedger(path);
-    ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    EXPECT_EQ(loaded->campaignFingerprint, kFp);
-    EXPECT_EQ(loaded->totalTrials, kTotal);
-    ASSERT_EQ(loaded->jobs.size(), 3u);
-    EXPECT_EQ(loaded->jobs[0].state, dispatch::ShardState::Done);
-    EXPECT_EQ(loaded->jobs[1].state, dispatch::ShardState::Retrying);
-    EXPECT_EQ(loaded->jobs[1].attempts, 2u);
-    EXPECT_EQ(loaded->jobs[1].lastFailure,
-              dispatch::kFailureLeaseExpired);
-    EXPECT_EQ(loaded->jobs[2].range.end, 6u);
-    EXPECT_FALSE(loaded->settled());
-    EXPECT_EQ(loaded->quarantined(), 0u);
-}
-
-TEST(Ledger, PrevRotationSurvivesACorruptPrimary)
-{
-    const std::string path =
-        freshDir("ledger_prev") + "/ledger.bin";
-    dispatch::Ledger ledger = syntheticLedger();
-    ASSERT_TRUE(dispatch::saveLedger(path, ledger).ok());
-    ledger.jobs[1].state = dispatch::ShardState::Done;
-    ASSERT_TRUE(dispatch::saveLedger(path, ledger).ok());
-    // Tear the primary mid-write; the rotation's .prev must answer.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "torn";
-    }
-    const auto loaded = dispatch::loadLedger(path);
-    ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    // The .prev holds the FIRST save (one generation old).
-    EXPECT_EQ(loaded->jobs[1].state, dispatch::ShardState::Retrying);
-}
-
-TEST(Ledger, MissingBothFilesIsNotFound)
-{
-    const auto loaded = dispatch::loadLedger(
-        freshDir("ledger_none") + "/ledger.bin");
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error(), base::ErrorCode::NotFound);
-}
-
-// -------------------------------------------------------- gap manifest
-
-TEST(GapManifest, SaveLoadRoundTrips)
-{
-    const std::string path =
-        freshDir("gaps_rt") + "/gaps.json";
-    dispatch::GapManifest manifest;
-    manifest.campaignFingerprint = kFp;
-    manifest.totalTrials = 64;
-    manifest.campaign.trials = 64;
-    manifest.campaign.threads = 4;
-    manifest.campaign.seed = 7;
-    manifest.campaign.hostGib = 2;
-    manifest.campaign.faultSeed = 11;
-    manifest.campaign.faultIntensity = 0.35;
-    manifest.campaign.checkpointEvery = 3;
-    manifest.artifacts = {"out/shard_0.bin", "out/shard_2.bin"};
-    manifest.missing = {{8, 16}, {24, 32}};
-    ASSERT_TRUE(dispatch::saveGapManifest(path, manifest).ok());
-    const auto loaded = dispatch::loadGapManifest(path);
-    ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    EXPECT_EQ(loaded->campaignFingerprint, kFp);
-    EXPECT_EQ(loaded->totalTrials, 64u);
-    EXPECT_EQ(loaded->campaign.trials, 64u);
-    EXPECT_EQ(loaded->campaign.threads, 4u);
-    EXPECT_EQ(loaded->campaign.seed, 7u);
-    EXPECT_EQ(loaded->campaign.hostGib, 2u);
-    EXPECT_EQ(loaded->campaign.faultSeed, 11u);
-    EXPECT_DOUBLE_EQ(loaded->campaign.faultIntensity, 0.35);
-    EXPECT_EQ(loaded->campaign.checkpointEvery, 3u);
-    ASSERT_EQ(loaded->artifacts.size(), 2u);
-    EXPECT_EQ(loaded->artifacts[1], "out/shard_2.bin");
-    ASSERT_EQ(loaded->missing.size(), 2u);
-    EXPECT_EQ(loaded->missing[0].begin, 8u);
-    EXPECT_EQ(loaded->missing[1].end, 32u);
-}
-
-TEST(GapManifest, GarbageIsRejected)
-{
-    const std::string path =
-        freshDir("gaps_bad") + "/gaps.json";
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "not a manifest";
-    }
-    EXPECT_FALSE(dispatch::loadGapManifest(path).ok());
-}
-
-TEST(GapManifest, MissingFileIsAnError)
-{
-    EXPECT_FALSE(dispatch::loadGapManifest(
-                     freshDir("gaps_none") + "/gaps.json")
-                     .ok());
-}
-
-TEST(Heartbeat, TouchAndReadRoundTrip)
-{
-    const std::string path =
-        freshDir("hb") + "/worker.hb";
-    std::remove(path.c_str()); // earlier runs share TempDir
-    EXPECT_EQ(dispatch::readHeartbeat(path), "");
-    snapshot::touchHeartbeat(path, 41);
-    const std::string first = dispatch::readHeartbeat(path);
-    EXPECT_NE(first, "");
-    snapshot::touchHeartbeat(path, 42);
-    EXPECT_NE(dispatch::readHeartbeat(path), first);
-}
-
 // ---------------------------------------------------------- supervisor
 
 void
@@ -358,11 +231,10 @@ TEST(Supervisor, HappyPathMergesEveryShard)
     const auto report = sup.runSweep();
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     expectExactResult(*report);
-    EXPECT_TRUE(sup.ledger().settled());
-    EXPECT_EQ(sup.ledger().quarantined(), 0u);
+    EXPECT_EQ(sup.stats().quarantines, 0u);
     EXPECT_EQ(sup.stats().launches, 3u);
     EXPECT_EQ(sup.stats().retries, 0u);
-    for (const dispatch::ShardJob &job : sup.ledger().jobs) {
+    for (const dispatch::ShardJob &job : sup.jobs()) {
         EXPECT_EQ(job.state, dispatch::ShardState::Done);
         EXPECT_EQ(job.attempts, 1u);
     }
@@ -378,7 +250,7 @@ TEST(Supervisor, FlakyWorkersAreRetriedToSuccess)
     expectExactResult(*report);
     EXPECT_EQ(sup.stats().retries, 3u);
     EXPECT_EQ(sup.stats().launches, 6u);
-    for (const dispatch::ShardJob &job : sup.ledger().jobs)
+    for (const dispatch::ShardJob &job : sup.jobs())
         EXPECT_EQ(job.attempts, 2u);
 }
 
@@ -401,9 +273,8 @@ TEST(Supervisor, AttemptCapQuarantinesAndReportsTheHole)
     EXPECT_EQ(report->missing[0].begin, 2u);
     EXPECT_EQ(report->missing[0].end, 4u);
     EXPECT_EQ(report->result.attempts, 4u);
-    EXPECT_EQ(sup.ledger().quarantined(), 1u);
     EXPECT_EQ(sup.stats().quarantines, 1u);
-    const dispatch::ShardJob &bad = sup.ledger().jobs[1];
+    const dispatch::ShardJob &bad = sup.jobs()[1];
     EXPECT_EQ(bad.state, dispatch::ShardState::Quarantined);
     EXPECT_EQ(bad.attempts, 2u);
     EXPECT_GT(bad.lastFailure, 0); // a real wait status, not a code
@@ -425,10 +296,10 @@ TEST(Supervisor, HangingWorkerLeaseIsReclaimed)
     expectExactResult(*report);
     EXPECT_GE(sup.stats().leaseExpiries, 1u);
     // The hole was reclaimed, relaunched and finished: success clears
-    // lastFailure, and the extra attempt shows in the ledger.
-    EXPECT_EQ(sup.ledger().jobs[0].lastFailure, 0);
-    EXPECT_GE(sup.ledger().jobs[0].attempts, 2u);
-    EXPECT_EQ(sup.ledger().jobs[0].state, dispatch::ShardState::Done);
+    // lastFailure, and the extra attempt shows in the job.
+    EXPECT_EQ(sup.jobs()[0].lastFailure, 0);
+    EXPECT_GE(sup.jobs()[0].attempts, 2u);
+    EXPECT_EQ(sup.jobs()[0].state, dispatch::ShardState::Done);
 }
 
 TEST(Supervisor, ForceQuarantineHookExcludesTheShard)
@@ -444,7 +315,7 @@ TEST(Supervisor, ForceQuarantineHookExcludesTheShard)
     EXPECT_EQ(report->missing[0].begin, 4u);
     EXPECT_EQ(report->missing[0].end, 6u);
     EXPECT_EQ(sup.stats().launches, 2u);
-    EXPECT_EQ(sup.ledger().jobs[2].lastFailure,
+    EXPECT_EQ(sup.jobs()[2].lastFailure,
               dispatch::kFailureQuarantineHook);
 }
 
@@ -483,61 +354,98 @@ TEST(Supervisor, ResumeDemotesDoneJobsWithLostArtifacts)
     EXPECT_EQ(second.stats().launches, 1u);
 }
 
-TEST(Supervisor, ResumeReclaimsLeasedAndRetryingJobs)
+TEST(Supervisor, ResumeRelaunchesOnlyUnfinishedRanges)
 {
-    // A ledger as a kill -9'd supervisor would leave it: one shard
-    // Done (with its artifact), one Leased (orphaned), one Retrying.
-    const std::string dir = freshDir("resume_states");
-    dispatch::SupervisorConfig cfg = testConfig(dir);
-    dispatch::Ledger ledger;
-    ledger.campaignFingerprint = kFp;
-    ledger.totalTrials = kTotal;
-    uint32_t index = 0;
-    for (const shard::ShardRange &range : ranges3()) {
-        dispatch::ShardJob job;
-        job.index = index++;
-        job.range = range;
-        ledger.jobs.push_back(job);
+    // A degraded sweep leaves no record for its quarantined shard; the
+    // records are all a resume sees, so the quarantine does not outlive
+    // the sweep that forced it.
+    const std::string dir = freshDir("resume_quarantined");
+    {
+        dispatch::SupervisorConfig cfg = testConfig(dir);
+        cfg.forceQuarantine = {1};
+        dispatch::Supervisor first(cfg, forkWorker("ok"));
+        ASSERT_TRUE(
+            first.openSweep(kFp, kTotal, ranges3(), false).ok());
+        const auto degraded = first.runSweep();
+        ASSERT_TRUE(degraded.ok());
+        ASSERT_TRUE(degraded->partial());
     }
-    ledger.jobs[0].state = dispatch::ShardState::Done;
-    ledger.jobs[0].attempts = 1;
-    ledger.jobs[1].state = dispatch::ShardState::Leased;
-    ledger.jobs[1].attempts = 1;
-    ledger.jobs[2].state = dispatch::ShardState::Retrying;
-    ledger.jobs[2].attempts = 1;
-    ASSERT_TRUE(dispatch::saveLedger(cfg.ledgerPath, ledger).ok());
-    ASSERT_TRUE(attack::saveRangeRecord(cfg.artifactDir + "/shard_0.bin",
+    std::vector<uint32_t> launched;
+    dispatch::Supervisor second(
+        testConfig(dir), [&launched](const dispatch::WorkerSpec &spec) {
+            launched.push_back(spec.shardIndex);
+            return forkWorker("ok")(spec);
+        });
+    ASSERT_TRUE(second.openSweep(kFp, kTotal, ranges3(), true).ok());
+    const auto report = second.runSweep();
+    ASSERT_TRUE(report.ok()) << base::errorName(report.error());
+    expectExactResult(*report);
+    EXPECT_EQ(launched, std::vector<uint32_t>{1});
+}
+
+TEST(Supervisor, ResumeRelaunchesAnUnfinishedRecord)
+{
+    // The records a kill -9'd sweep leaves: shard 0 finished, shard 1
+    // stopped one trial in (its worker resumes that prefix), shard 2
+    // never started.
+    const std::string dir = freshDir("resume_unfinished");
+    dispatch::SupervisorConfig cfg = testConfig(dir);
+    ASSERT_TRUE(attack::saveRangeRecord(dir + "/shard_0.bin",
                                         shardFor({0, 2}))
                     .ok());
+    ASSERT_TRUE(attack::saveRangeRecord(dir + "/shard_1.bin",
+                                        unfinishedShardFor({2, 4}, 1))
+                    .ok());
 
-    dispatch::Supervisor sup(cfg, forkWorker("ok"));
+    std::vector<uint32_t> launched;
+    dispatch::Supervisor sup(
+        cfg, [&launched](const dispatch::WorkerSpec &spec) {
+            launched.push_back(spec.shardIndex);
+            return forkWorker("ok")(spec);
+        });
     ASSERT_TRUE(sup.openSweep(kFp, kTotal, ranges3(), true).ok());
+    EXPECT_EQ(sup.jobs()[0].state, dispatch::ShardState::Done);
+    EXPECT_EQ(sup.jobs()[1].state, dispatch::ShardState::Pending);
     const auto report = sup.runSweep();
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     expectExactResult(*report);
-    EXPECT_EQ(sup.stats().launches, 2u); // shard 0 was revalidated
+    EXPECT_EQ(launched, (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(Supervisor, ResumeRejectsAForeignCampaign)
 {
     const std::string dir = freshDir("resume_foreign");
-    dispatch::SupervisorConfig cfg = testConfig(dir);
-    {
-        dispatch::Supervisor first(cfg, forkWorker("ok"));
-        ASSERT_TRUE(
-            first.openSweep(kFp, kTotal, ranges3(), false).ok());
-        ASSERT_TRUE(first.runSweep().ok());
-    }
-    dispatch::Supervisor second(cfg, forkWorker("ok"));
-    EXPECT_FALSE(
-        second.openSweep(kFp + 1, kTotal, ranges3(), true).ok());
+    attack::RangeRecord foreign = shardFor({2, 4});
+    foreign.campaignFingerprint = kFp + 1;
+    ASSERT_TRUE(
+        attack::saveRangeRecord(dir + "/shard_1.bin", foreign).ok());
+    dispatch::Supervisor sup(testConfig(dir), forkWorker("ok"));
+    const base::Status opened =
+        sup.openSweep(kFp, kTotal, ranges3(), true);
+    EXPECT_EQ(opened, base::Status(base::ErrorCode::InvalidArgument));
 }
 
-TEST(Supervisor, ResumeWithoutALedgerIsAnError)
+TEST(Supervisor, ResumeRejectsARecordOfAnotherRange)
+{
+    // The records of a two-shard tiling cannot resume a three-shard
+    // sweep: shard 0's record covers [0, 3), not [0, 2).
+    const std::string dir = freshDir("resume_tiling");
+    ASSERT_TRUE(
+        attack::saveRangeRecord(dir + "/shard_0.bin", shardFor({0, 3}))
+            .ok());
+    dispatch::Supervisor sup(testConfig(dir), forkWorker("ok"));
+    EXPECT_FALSE(sup.openSweep(kFp, kTotal, ranges3(), true).ok());
+}
+
+TEST(Supervisor, ResumeOfAnEmptyDirectoryLaunchesEveryShard)
 {
     dispatch::Supervisor sup(testConfig(freshDir("resume_none")),
                              forkWorker("ok"));
-    EXPECT_FALSE(sup.openSweep(kFp, kTotal, ranges3(), true).ok());
+    ASSERT_TRUE(sup.openSweep(kFp, kTotal, ranges3(), true).ok());
+    const auto report = sup.runSweep();
+    ASSERT_TRUE(report.ok()) << base::errorName(report.error());
+    expectExactResult(*report);
+    EXPECT_EQ(sup.stats().launches, 3u);
 }
 
 // --------------------------------------------------------------- chaos

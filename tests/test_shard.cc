@@ -360,7 +360,7 @@ TEST(PartialMerge, TailHoleIsReported)
 TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
 {
     // An abandoned worker's partial artifact contributes nothing: its
-    // WHOLE range is a hole, so a later heal recomputes it from the
+    // WHOLE range is a hole, so a resumed sweep finishes it from the
     // checkpoint and a re-merge cannot double-count its prefix.
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));

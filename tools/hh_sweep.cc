@@ -4,11 +4,13 @@
  *
  * Splits a Monte-Carlo campaign of N trials into contiguous
  * seed-range shards and drives each shard as an independent OS
- * process under the hh::dispatch supervisor: leases with worker
- * heartbeats, deterministic retry backoff, a per-shard attempt cap
- * and quarantine, all recorded in a crash-safe ledger so `kill -9`
- * of the supervisor resumes with `sweep --resume`. Each process
- * profiles its own host -- the campaign is a pure function of the
+ * process under the hh::dispatch supervisor: leases refreshed by the
+ * workers' range records, deterministic retry backoff, a per-shard
+ * attempt cap and quarantine. The range records are the sweep's only
+ * on-disk state, so `kill -9` of the supervisor, or a degraded sweep,
+ * is finished by `sweep --resume`, which rescans them and relaunches
+ * only the ranges without a finishing record. Each process profiles
+ * its own host -- the campaign is a pure function of the
  * configuration, so every process derives the identical host-physical
  * profile and fingerprint -- and the merged result is
  * bitwise-identical to a single-process runAttempts() at any shard
@@ -22,22 +24,24 @@
  *         --range=B:E         ... or an explicit trial range
  *   merge FILE...           merge shard artifacts, print dump
  *   sweep --shards=K        supervise K shard workers, merge, print
- *   heal  --gaps=FILE       finish a degraded sweep's missing ranges
  *
  * Campaign flags: --trials=N --threads=N --seed=N --host-gib=N
  *   --fault-seed=N --fault-intensity=X (X > 0 installs a randomized
  *   FaultPlan) --checkpoint-every=N --resume --stop-after=N
- * Worker flags (run): --heartbeat=FILE
- * Merge flags: --allow-partial --stale-seconds=S --gap-manifest=FILE
- * Supervisor flags (sweep/heal): --jobs=P --lease-seconds=X
- *   --max-attempts=M --backoff-ms=N --backoff-cap-ms=N --ledger=FILE
- *   --gap-manifest=FILE --quarantine=I[,J...]
- *   --dispatch-fault-seed=N --dispatch-fault-intensity=X
+ * Merge flags: --allow-partial --stale-seconds=S
+ * Supervisor flags (sweep): --out-dir=DIR --jobs=P --lease-seconds=X
+ *   --max-attempts=M --backoff-ms=N --backoff-cap-ms=N
+ *   --quarantine=I[,J...] --dispatch-fault-seed=N
+ *   --dispatch-fault-intensity=X
+ * A numeric flag's value must parse whole, or the run is a usage
+ * error.
  *
  * Exit codes: 0 success (canonical dump on stdout), 1 error, 2 usage,
  * 3 stopped early (--stop-after test hook), 4 degraded -- the sweep
- * completed with missing ranges and wrote a gap manifest that
- * `hh_sweep heal` can close to the bitwise-identical full result.
+ * or merge completed with missing ranges, each named on stderr;
+ * `sweep --resume` (for a merge: `run --range=B:E --out=FILE
+ * --resume` per hole) closes them to the bitwise-identical full
+ * result.
  *
  * The dump deliberately excludes resumedTrials (bookkeeping of *how*
  * a result was computed, not *what* it is -- the same masking
@@ -46,10 +50,13 @@
  * byte-equal dump means a bitwise-equal result.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -62,12 +69,39 @@ using namespace hh;
 
 namespace {
 
+/**
+ * Parse @p text whole into @p out: an unsigned integer (any C base)
+ * or a double. An empty, partly parsed or out-of-range value is a
+ * usage error naming --@p flag.
+ */
+template <typename T>
+void
+parseNumber(const std::string &flag, const std::string &text, T &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    bool ok = !text.empty();
+    if constexpr (std::is_floating_point_v<T>) {
+        out = std::strtod(text.c_str(), &end);
+    } else {
+        const unsigned long long wide =
+            std::strtoull(text.c_str(), &end, 0);
+        ok = ok && std::isdigit(static_cast<unsigned char>(text[0]))
+            && wide <= std::numeric_limits<T>::max();
+        out = static_cast<T>(wide);
+    }
+    if (!ok || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "hh_sweep: bad --%s\n", flag.c_str());
+        std::exit(2);
+    }
+}
+
 struct SweepOptions
 {
     unsigned trials = 8;
     unsigned threads = 1;
     uint64_t seed = 1;
-    uint64_t hostBytes = 0;
+    uint64_t hostGib = 0; // 0 = 1 GiB
     uint64_t faultSeed = 0;
     double faultIntensity = 0.0;
     uint64_t checkpointEvery = 0;
@@ -79,23 +113,19 @@ struct SweepOptions
     shard::ShardRange range;
     std::string out;
     std::string outDir = ".";
-    std::string heartbeat;
     unsigned shards = 4;
     // Merge behaviour.
     bool allowPartial = false;
     double staleSeconds = 300.0;
-    std::string gapManifest;
     // Supervisor knobs.
     unsigned jobs = 0; // 0 = one worker per shard
     double leaseSeconds = 30.0;
     uint32_t maxAttempts = 3;
     uint64_t backoffMs = 200;
     uint64_t backoffCapMs = 5'000;
-    std::string ledger;
     std::vector<uint32_t> quarantine;
     uint64_t dispatchFaultSeed = 0;
     double dispatchFaultIntensity = 0.0;
-    std::string gaps;
     std::vector<std::string> files;
 
     static SweepOptions
@@ -104,118 +134,90 @@ struct SweepOptions
         SweepOptions opts;
         for (int i = 2; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&arg](const char *prefix) -> const char * {
-                const size_t len = std::strlen(prefix);
-                return arg.compare(0, len, prefix) == 0
-                    ? arg.c_str() + len : nullptr;
+            // "--name=v"; any other "--" argument matches no name.
+            const size_t eq = arg.find('=');
+            const bool valued =
+                eq != std::string::npos && arg.rfind("--", 0) == 0;
+            const std::string name = valued ? arg.substr(2, eq - 2) : "";
+            const std::string v = valued ? arg.substr(eq + 1) : "";
+            // The two halves of "A<sep>B", each parsed whole; a
+            // missing separator leaves B empty, a usage error.
+            const auto halves = [&v](char sep, const char *want,
+                                     auto &first, auto &second) {
+                const size_t at = v.find(sep);
+                parseNumber(want, v.substr(0, at), first);
+                parseNumber(want,
+                            at == std::string::npos ? "" : v.substr(at + 1),
+                            second);
             };
-            if (const char *v = value("--trials="))
-                opts.trials = static_cast<unsigned>(
-                    std::strtoul(v, nullptr, 0));
-            else if (const char *v2 = value("--threads="))
-                opts.threads = static_cast<unsigned>(
-                    std::strtoul(v2, nullptr, 0));
-            else if (const char *v3 = value("--seed="))
-                opts.seed = std::strtoull(v3, nullptr, 0);
-            else if (const char *v4 = value("--host-gib="))
-                opts.hostBytes =
-                    std::strtoull(v4, nullptr, 0) * 1_GiB;
-            else if (const char *v5 = value("--fault-seed="))
-                opts.faultSeed = std::strtoull(v5, nullptr, 0);
-            else if (const char *v6 = value("--fault-intensity="))
-                opts.faultIntensity = std::strtod(v6, nullptr);
-            else if (const char *v7 = value("--checkpoint-every="))
-                opts.checkpointEvery = std::strtoull(v7, nullptr, 0);
-            else if (const char *v8 = value("--stop-after="))
-                opts.stopAfter = std::strtoull(v8, nullptr, 0);
-            else if (const char *v9 = value("--shard=")) {
-                // I/K, e.g. --shard=2/4.
-                char *slash = nullptr;
-                opts.shardIndex = static_cast<unsigned>(
-                    std::strtoul(v9, &slash, 0));
-                if (slash == nullptr || *slash != '/') {
-                    std::fprintf(stderr,
-                                 "hh_sweep: bad --shard (want I/K)\n");
-                    std::exit(2);
-                }
-                opts.shardCount = static_cast<unsigned>(
-                    std::strtoul(slash + 1, nullptr, 0));
-            } else if (const char *v10 = value("--range=")) {
-                // B:E, a half-open absolute trial range.
-                char *colon = nullptr;
-                opts.range.begin = std::strtoull(v10, &colon, 0);
-                if (colon == nullptr || *colon != ':') {
-                    std::fprintf(stderr,
-                                 "hh_sweep: bad --range (want B:E)\n");
-                    std::exit(2);
-                }
-                opts.range.end =
-                    std::strtoull(colon + 1, nullptr, 0);
-                opts.haveRange = true;
-            } else if (const char *v11 = value("--out="))
-                opts.out = v11;
-            else if (const char *v12 = value("--out-dir="))
-                opts.outDir = v12;
-            else if (const char *v13 = value("--heartbeat="))
-                opts.heartbeat = v13;
-            else if (const char *v14 = value("--shards="))
-                opts.shards = static_cast<unsigned>(
-                    std::strtoul(v14, nullptr, 0));
-            else if (const char *v15 = value("--stale-seconds="))
-                opts.staleSeconds = std::strtod(v15, nullptr);
-            else if (const char *v16 = value("--gap-manifest="))
-                opts.gapManifest = v16;
-            else if (const char *v17 = value("--jobs="))
-                opts.jobs = static_cast<unsigned>(
-                    std::strtoul(v17, nullptr, 0));
-            else if (const char *v18 = value("--lease-seconds="))
-                opts.leaseSeconds = std::strtod(v18, nullptr);
-            else if (const char *v19 = value("--max-attempts="))
-                opts.maxAttempts = static_cast<uint32_t>(
-                    std::strtoul(v19, nullptr, 0));
-            else if (const char *v20 = value("--backoff-ms="))
-                opts.backoffMs = std::strtoull(v20, nullptr, 0);
-            else if (const char *v21 = value("--backoff-cap-ms="))
-                opts.backoffCapMs = std::strtoull(v21, nullptr, 0);
-            else if (const char *v22 = value("--ledger="))
-                opts.ledger = v22;
-            else if (const char *v23 = value("--quarantine=")) {
-                // I[,J...]: every entry has digits, followed by a
-                // comma or the end.
-                for (const char *p = v23;; ) {
-                    char *end = nullptr;
-                    const unsigned long index = std::strtoul(p, &end, 0);
-                    if (end == p || (*end != ',' && *end != '\0')) {
-                        std::fprintf(stderr,
-                                     "hh_sweep: bad --quarantine "
-                                     "(want I[,J...])\n");
-                        std::exit(2);
-                    }
-                    opts.quarantine.push_back(
-                        static_cast<uint32_t>(index));
-                    if (*end == '\0')
-                        break;
-                    p = end + 1;
-                }
-            } else if (const char *v24 =
-                           value("--dispatch-fault-seed="))
-                opts.dispatchFaultSeed =
-                    std::strtoull(v24, nullptr, 0);
-            else if (const char *v25 =
-                         value("--dispatch-fault-intensity="))
-                opts.dispatchFaultIntensity = std::strtod(v25, nullptr);
-            else if (const char *v26 = value("--gaps="))
-                opts.gaps = v26;
-            else if (arg == "--allow-partial")
+            if (arg == "--allow-partial")
                 opts.allowPartial = true;
             else if (arg == "--resume")
                 opts.resume = true;
-            else if (arg.rfind("--", 0) == 0) {
+            else if (arg.rfind("--", 0) != 0)
+                opts.files.push_back(arg);
+            else if (name == "trials")
+                parseNumber(name, v, opts.trials);
+            else if (name == "threads")
+                parseNumber(name, v, opts.threads);
+            else if (name == "seed")
+                parseNumber(name, v, opts.seed);
+            else if (name == "host-gib")
+                parseNumber(name, v, opts.hostGib);
+            else if (name == "fault-seed")
+                parseNumber(name, v, opts.faultSeed);
+            else if (name == "fault-intensity")
+                parseNumber(name, v, opts.faultIntensity);
+            else if (name == "checkpoint-every")
+                parseNumber(name, v, opts.checkpointEvery);
+            else if (name == "stop-after")
+                parseNumber(name, v, opts.stopAfter);
+            else if (name == "shard")
+                halves('/', "shard (want I/K)", opts.shardIndex,
+                       opts.shardCount);
+            else if (name == "range") {
+                halves(':', "range (want B:E)", opts.range.begin,
+                       opts.range.end);
+                opts.haveRange = true;
+            } else if (name == "out")
+                opts.out = v;
+            else if (name == "out-dir")
+                opts.outDir = v;
+            else if (name == "shards")
+                parseNumber(name, v, opts.shards);
+            else if (name == "stale-seconds")
+                parseNumber(name, v, opts.staleSeconds);
+            else if (name == "jobs")
+                parseNumber(name, v, opts.jobs);
+            else if (name == "lease-seconds")
+                parseNumber(name, v, opts.leaseSeconds);
+            else if (name == "max-attempts")
+                parseNumber(name, v, opts.maxAttempts);
+            else if (name == "backoff-ms")
+                parseNumber(name, v, opts.backoffMs);
+            else if (name == "backoff-cap-ms")
+                parseNumber(name, v, opts.backoffCapMs);
+            else if (name == "quarantine") {
+                // I[,J...]: every comma-separated entry is a number.
+                for (size_t at = 0;;) {
+                    const size_t comma = v.find(',', at);
+                    uint32_t index = 0;
+                    parseNumber("quarantine (want I[,J...])",
+                                v.substr(at, comma - at), index);
+                    opts.quarantine.push_back(index);
+                    if (comma == std::string::npos)
+                        break;
+                    at = comma + 1;
+                }
+            } else if (name == "dispatch-fault-seed")
+                parseNumber(name, v, opts.dispatchFaultSeed);
+            else if (name == "dispatch-fault-intensity")
+                parseNumber(name, v, opts.dispatchFaultIntensity);
+            else {
                 std::fprintf(stderr, "hh_sweep: unknown flag %s\n",
                              arg.c_str());
                 std::exit(2);
-            } else
-                opts.files.push_back(arg);
+            }
         }
         return opts;
     }
@@ -225,7 +227,7 @@ sys::SystemConfig
 campaignHostConfig(const SweepOptions &opts)
 {
     sys::SystemConfig cfg = sys::SystemConfig::s1(opts.seed).withMemory(
-        opts.hostBytes ? opts.hostBytes : 1_GiB);
+        (opts.hostGib ? opts.hostGib : 1) * 1_GiB);
     // Densify weak cells so attempts have material to work with at
     // this scale (same factor the orchestrator tests and the fault
     // soak use).
@@ -365,7 +367,6 @@ cmdRun(const SweepOptions &opts)
     policy.everyTrials = opts.checkpointEvery;
     policy.resume = opts.resume;
     policy.stopAfterTrials = opts.stopAfter;
-    policy.heartbeatPath = opts.heartbeat;
     std::fprintf(stderr,
                  "hh_sweep: shard trials [%llu, %llu)\n",
                  static_cast<unsigned long long>(range.begin),
@@ -398,16 +399,13 @@ cmdRun(const SweepOptions &opts)
  * non-terminal artifact younger than --stale-seconds belongs to a
  * worker that may still be running (hard Busy in every mode); a stale
  * one is abandoned and may be taken over -- dropped to a hole under
- * --allow-partial, or rejected with resume guidance otherwise. The
- * files of the terminal, complete records go to @p healthy.
+ * --allow-partial, or rejected with resume guidance otherwise.
  */
 int
 loadMergeInputs(const SweepOptions &opts,
-                const std::vector<std::string> &files,
-                std::vector<attack::RangeRecord> &shards,
-                std::vector<std::string> &healthy)
+                std::vector<attack::RangeRecord> &shards)
 {
-    for (const std::string &file : files) {
+    for (const std::string &file : opts.files) {
         auto loaded = attack::loadRangeRecord(file);
         if (!loaded) {
             if (opts.allowPartial) {
@@ -449,55 +447,26 @@ loadMergeInputs(const SweepOptions &opts,
                          file.c_str(), age);
             // Keep it in the input set: the partial merge reports a
             // non-terminal shard's whole range as missing.
-        } else {
-            healthy.push_back(file);
         }
         shards.push_back(std::move(*loaded));
     }
     return 0;
 }
 
-/** Degraded completion: write the gap manifest, report, exit 4. */
+/**
+ * Degraded completion: name every missing range on stderr with
+ * @p hint (how to close the holes), print the dump when it is exact
+ * anyway, exit 4.
+ */
 int
-finishDegraded(const SweepOptions &opts, const std::string &gap_path,
-               const std::vector<std::string> &healthy,
-               const shard::SweepReport &report)
+finishDegraded(const shard::SweepReport &report, const char *hint)
 {
-    dispatch::GapManifest manifest;
-    manifest.campaignFingerprint = report.campaignFingerprint;
-    manifest.totalTrials = report.totalTrials;
-    // The trial count comes from the shards' own manifests; the other
-    // campaign parameters are only known from the flags, so a manifest
-    // written by `merge` is healable only when the campaign flags were
-    // repeated on the merge command line (sweep always knows them).
-    manifest.campaign.trials = report.totalTrials;
-    manifest.campaign.threads = opts.threads;
-    manifest.campaign.seed = opts.seed;
-    manifest.campaign.hostGib =
-        (opts.hostBytes ? opts.hostBytes : 1_GiB) / 1_GiB;
-    manifest.campaign.faultSeed = opts.faultSeed;
-    manifest.campaign.faultIntensity = opts.faultIntensity;
-    manifest.campaign.checkpointEvery =
-        opts.checkpointEvery ? opts.checkpointEvery : 1;
-    manifest.artifacts = healthy;
-    manifest.missing = report.missing;
-    const base::Status saved =
-        dispatch::saveGapManifest(gap_path, manifest);
-    if (!saved.ok()) {
-        std::fprintf(stderr,
-                     "hh_sweep: cannot write gap manifest '%s'\n",
-                     gap_path.c_str());
-        return 1;
-    }
     for (const shard::ShardRange &hole : report.missing)
         std::fprintf(stderr,
                      "hh_sweep: missing trials [%llu, %llu)\n",
                      static_cast<unsigned long long>(hole.begin),
                      static_cast<unsigned long long>(hole.end));
-    std::fprintf(stderr,
-                 "hh_sweep: degraded sweep; close the holes with "
-                 "`hh_sweep heal --gaps=%s`\n",
-                 gap_path.c_str());
+    std::fprintf(stderr, "hh_sweep: %s\n", hint);
     if (report.exact) {
         // The holes start past the campaign's first success: the
         // degraded fold already IS the canonical result.
@@ -516,8 +485,7 @@ cmdMerge(const SweepOptions &opts)
         return 2;
     }
     std::vector<attack::RangeRecord> shards;
-    std::vector<std::string> healthy;
-    const int rc = loadMergeInputs(opts, opts.files, shards, healthy);
+    const int rc = loadMergeInputs(opts, shards);
     if (rc != 0)
         return rc;
     if (shards.empty()) {
@@ -539,10 +507,10 @@ cmdMerge(const SweepOptions &opts)
                     report->result);
         return 0;
     }
-    const std::string gap_path = opts.gapManifest.empty()
-        ? opts.outDir + "/gaps.json"
-        : opts.gapManifest;
-    return finishDegraded(opts, gap_path, healthy, *report);
+    return finishDegraded(*report,
+                          "degraded merge; finish each missing range "
+                          "with `hh_sweep run --range=B:E --out=FILE "
+                          "--resume` and merge again");
 }
 
 std::string
@@ -569,6 +537,11 @@ dispatch::WorkerLauncher
 forkLauncher(const std::string &exe, const SweepOptions &opts)
 {
     return [exe, opts](const dispatch::WorkerSpec &spec) -> long {
+        // %.17g round-trips the double (std::to_string keeps six
+        // decimals), so the worker rebuilds the exact campaign.
+        char intensity[32];
+        std::snprintf(intensity, sizeof(intensity), "%.17g",
+                      opts.faultIntensity);
         std::vector<std::string> args = {
             exe,
             "run",
@@ -576,19 +549,16 @@ forkLauncher(const std::string &exe, const SweepOptions &opts)
             "--threads=" + std::to_string(opts.threads),
             "--seed=" + std::to_string(opts.seed),
             "--fault-seed=" + std::to_string(opts.faultSeed),
-            "--fault-intensity=" + std::to_string(opts.faultIntensity),
+            "--fault-intensity=" + std::string(intensity),
             "--range=" + std::to_string(spec.range.begin) + ":"
                 + std::to_string(spec.range.end),
             "--out=" + spec.artifactPath,
             "--checkpoint-every="
                 + std::to_string(opts.checkpointEvery
                                      ? opts.checkpointEvery : 1),
-            "--heartbeat=" + spec.heartbeatPath,
+            "--host-gib=" + std::to_string(opts.hostGib),
             "--resume",
         };
-        if (opts.hostBytes)
-            args.push_back("--host-gib="
-                           + std::to_string(opts.hostBytes / 1_GiB));
 
         const pid_t pid = ::fork();
         if (pid < 0)
@@ -605,49 +575,6 @@ forkLauncher(const std::string &exe, const SweepOptions &opts)
         }
         return pid;
     };
-}
-
-dispatch::SupervisorConfig
-supervisorConfig(const SweepOptions &opts, size_t shard_count,
-                 const char *prefix, const char *ledger_default,
-                 fault::FaultInjector *injector)
-{
-    dispatch::SupervisorConfig cfg;
-    cfg.ledgerPath = opts.ledger.empty()
-        ? opts.outDir + "/" + ledger_default : opts.ledger;
-    cfg.artifactDir = opts.outDir;
-    cfg.artifactPrefix = prefix;
-    cfg.leaseSeconds = opts.leaseSeconds;
-    cfg.maxAttempts = opts.maxAttempts;
-    cfg.backoff.baseMs = opts.backoffMs;
-    cfg.backoff.capMs = opts.backoffCapMs;
-    cfg.maxParallel = opts.jobs != 0
-        ? opts.jobs : static_cast<uint32_t>(shard_count);
-    cfg.forceQuarantine = opts.quarantine;
-    cfg.injector = injector;
-    return cfg;
-}
-
-void
-printSweepStats(const dispatch::Supervisor &sup)
-{
-    const dispatch::SweepStats &s = sup.stats();
-    std::fprintf(stderr,
-                 "hh_sweep: launches=%llu retries=%llu "
-                 "leaseExpiries=%llu spawnFailures=%llu "
-                 "tornArtifacts=%llu heartbeatLoss=%llu "
-                 "quarantines=%llu mergeBusyRetries=%llu "
-                 "ledgerSaves=%llu\n",
-                 static_cast<unsigned long long>(s.launches),
-                 static_cast<unsigned long long>(s.retries),
-                 static_cast<unsigned long long>(s.leaseExpiries),
-                 static_cast<unsigned long long>(s.spawnFailures),
-                 static_cast<unsigned long long>(s.tornArtifacts),
-                 static_cast<unsigned long long>(
-                     s.heartbeatLossFaults),
-                 static_cast<unsigned long long>(s.quarantines),
-                 static_cast<unsigned long long>(s.mergeBusyRetries),
-                 static_cast<unsigned long long>(s.ledgerSaves));
 }
 
 int
@@ -673,21 +600,41 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
                                          opts.dispatchFaultIntensity),
             base::mix64(fingerprint, opts.dispatchFaultSeed));
 
-    dispatch::Supervisor sup(
-        supervisorConfig(opts, ranges.size(), "shard_", "ledger.bin",
-                         injector.get()),
-        forkLauncher(selfExe(argv0), opts));
+    dispatch::SupervisorConfig cfg;
+    cfg.artifactDir = opts.outDir;
+    cfg.leaseSeconds = opts.leaseSeconds;
+    cfg.maxAttempts = opts.maxAttempts;
+    cfg.backoff.baseMs = opts.backoffMs;
+    cfg.backoff.capMs = opts.backoffCapMs;
+    cfg.maxParallel = opts.jobs != 0 ? opts.jobs : opts.shards;
+    cfg.forceQuarantine = opts.quarantine;
+    cfg.injector = injector.get();
+    dispatch::Supervisor sup(cfg, forkLauncher(selfExe(argv0), opts));
     const base::Status opened =
         sup.openSweep(fingerprint, opts.trials, ranges, opts.resume);
     if (!opened.ok()) {
         std::fprintf(stderr, "hh_sweep: cannot open sweep: %s%s\n",
                      base::errorName(opened.error()),
-                     opts.resume ? " (ledger mismatch or unreadable)"
+                     opts.resume ? " (a record of another campaign or "
+                                   "range is in --out-dir)"
                                  : "");
         return 1;
     }
     auto report = sup.runSweep();
-    printSweepStats(sup);
+    const dispatch::SweepStats &s = sup.stats();
+    std::fprintf(stderr,
+                 "hh_sweep: launches=%llu retries=%llu "
+                 "leaseExpiries=%llu spawnFailures=%llu "
+                 "tornArtifacts=%llu heartbeatLoss=%llu "
+                 "quarantines=%llu mergeBusyRetries=%llu\n",
+                 static_cast<unsigned long long>(s.launches),
+                 static_cast<unsigned long long>(s.retries),
+                 static_cast<unsigned long long>(s.leaseExpiries),
+                 static_cast<unsigned long long>(s.spawnFailures),
+                 static_cast<unsigned long long>(s.tornArtifacts),
+                 static_cast<unsigned long long>(s.heartbeatLossFaults),
+                 static_cast<unsigned long long>(s.quarantines),
+                 static_cast<unsigned long long>(s.mergeBusyRetries));
     if (!report) {
         std::fprintf(stderr, "hh_sweep: sweep failed: %s\n",
                      base::errorName(report.error()));
@@ -697,138 +644,10 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
         printResult(fingerprint, opts.trials, report->result);
         return 0;
     }
-    std::vector<std::string> healthy;
-    for (const dispatch::ShardJob &job : sup.ledger().jobs) {
-        if (job.state == dispatch::ShardState::Done)
-            healthy.push_back(sup.artifactPath(job.index));
-    }
-    const std::string gap_path = opts.gapManifest.empty()
-        ? opts.outDir + "/gaps.json"
-        : opts.gapManifest;
-    return finishDegraded(opts, gap_path, healthy, *report);
-}
-
-int
-cmdHeal(const SweepOptions &opts, const char *argv0)
-{
-    if (opts.gaps.empty()) {
-        std::fprintf(stderr, "hh_sweep heal: --gaps=FILE required\n");
-        return 2;
-    }
-    auto manifest = dispatch::loadGapManifest(opts.gaps);
-    if (!manifest) {
-        std::fprintf(stderr,
-                     "hh_sweep heal: cannot load '%s': %s\n",
-                     opts.gaps.c_str(),
-                     base::errorName(manifest.error()));
-        return 1;
-    }
-
-    // Rebuild the campaign the manifest describes; supervisor knobs
-    // stay CLI-controlled.
-    SweepOptions copts = opts;
-    copts.trials = static_cast<unsigned>(manifest->campaign.trials);
-    copts.threads = manifest->campaign.threads;
-    copts.seed = manifest->campaign.seed;
-    copts.hostBytes = manifest->campaign.hostGib * 1_GiB;
-    copts.faultSeed = manifest->campaign.faultSeed;
-    copts.faultIntensity = manifest->campaign.faultIntensity;
-    copts.checkpointEvery = manifest->campaign.checkpointEvery;
-    Campaign campaign = buildCampaign(copts);
-    const uint64_t fingerprint =
-        campaign.attack->campaignFingerprint();
-    if (fingerprint != manifest->campaignFingerprint) {
-        std::fprintf(stderr,
-                     "hh_sweep heal: rebuilt campaign fingerprint "
-                     "%016llx does not match the manifest's %016llx\n",
-                     static_cast<unsigned long long>(fingerprint),
-                     static_cast<unsigned long long>(
-                         manifest->campaignFingerprint));
-        return 1;
-    }
-
-    // Every artifact merged -- the manifest's healthy ones and the
-    // holes healed below -- must finish its own range of this
-    // campaign.
-    std::vector<attack::RangeRecord> shards;
-    std::vector<std::string> healthy;
-    const auto collect = [&](const std::string &file) {
-        auto loaded = attack::loadRangeRecord(file);
-        if (!loaded
-            || !loaded->finishes(fingerprint, copts.trials,
-                                 loaded->begin, loaded->end)) {
-            std::fprintf(stderr,
-                         "hh_sweep heal: artifact '%s' is not usable\n",
-                         file.c_str());
-            return false;
-        }
-        shards.push_back(std::move(*loaded));
-        healthy.push_back(file);
-        return true;
-    };
-    for (const std::string &file : manifest->artifacts) {
-        if (!collect(file))
-            return 1;
-    }
-
-    if (!manifest->missing.empty()) {
-        (void)::mkdir(opts.outDir.c_str(), 0777); // EEXIST is fine
-        std::unique_ptr<fault::FaultInjector> injector;
-        if (opts.dispatchFaultIntensity > 0.0)
-            injector = std::make_unique<fault::FaultInjector>(
-                fault::FaultPlan::randomized(
-                    opts.dispatchFaultSeed,
-                    opts.dispatchFaultIntensity),
-                base::mix64(fingerprint, opts.dispatchFaultSeed));
-        dispatch::Supervisor sup(
-            supervisorConfig(opts, manifest->missing.size(), "heal_",
-                             "heal_ledger.bin", injector.get()),
-            forkLauncher(selfExe(argv0), copts));
-        const base::Status opened = sup.openSweep(
-            fingerprint, copts.trials, manifest->missing, opts.resume);
-        if (!opened.ok()) {
-            std::fprintf(stderr,
-                         "hh_sweep heal: cannot open: %s\n",
-                         base::errorName(opened.error()));
-            return 1;
-        }
-        auto healed = sup.runSweep();
-        printSweepStats(sup);
-        if (!healed) {
-            std::fprintf(stderr, "hh_sweep heal: failed: %s\n",
-                         base::errorName(healed.error()));
-            return 1;
-        }
-        for (const dispatch::ShardJob &job : sup.ledger().jobs) {
-            if (job.state == dispatch::ShardState::Done
-                && !collect(sup.artifactPath(job.index)))
-                return 1;
-        }
-        if (sup.ledger().quarantined() > 0) {
-            // Still degraded: leave an updated manifest behind so a
-            // later heal run only chases what remains.
-            shard::MergePolicy policy;
-            policy.allowPartial = true;
-            auto report =
-                shard::mergeShards(std::move(shards), policy);
-            if (!report) {
-                std::fprintf(stderr,
-                             "hh_sweep heal: merge failed: %s\n",
-                             base::errorName(report.error()));
-                return 1;
-            }
-            return finishDegraded(copts, opts.gaps, healthy, *report);
-        }
-    }
-
-    auto merged = shard::mergeShards(std::move(shards));
-    if (!merged) {
-        std::fprintf(stderr, "hh_sweep heal: merge failed: %s\n",
-                     base::errorName(merged.error()));
-        return 1;
-    }
-    printResult(fingerprint, copts.trials, *merged);
-    return 0;
+    return finishDegraded(*report,
+                          "degraded sweep; close the holes with "
+                          "`hh_sweep sweep <the same campaign flags> "
+                          "--resume`");
 }
 
 void
@@ -836,27 +655,28 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: hh_sweep <single|run|merge|sweep|heal> [flags]\n"
+        "usage: hh_sweep <single|run|merge|sweep> [flags]\n"
         "  single  run the whole campaign in-process, print dump\n"
         "  run     run one shard: --shard=I/K | --range=B:E, "
         "--out=FILE\n"
         "  merge   merge shard artifacts: FILE... "
-        "[--allow-partial --stale-seconds=S --gap-manifest=FILE]\n"
-        "  sweep   supervise --shards=K workers, merge, print\n"
-        "  heal    finish a degraded sweep: --gaps=FILE\n"
+        "[--allow-partial --stale-seconds=S]\n"
+        "  sweep   supervise --shards=K workers, merge, print;\n"
+        "          --resume relaunches only the ranges whose record "
+        "in --out-dir is unfinished\n"
         "campaign flags: --trials=N --threads=N --seed=N "
         "--host-gib=N\n"
         "       --fault-seed=N --fault-intensity=X\n"
         "       --checkpoint-every=N --resume --stop-after=N\n"
-        "       --heartbeat=FILE (run) --out-dir=DIR (sweep/heal)\n"
+        "       --out-dir=DIR (sweep)\n"
         "supervisor flags: --jobs=P --lease-seconds=X "
         "--max-attempts=M\n"
-        "       --backoff-ms=N --backoff-cap-ms=N --ledger=FILE\n"
-        "       --gap-manifest=FILE --quarantine=I[,J...]\n"
+        "       --backoff-ms=N --backoff-cap-ms=N "
+        "--quarantine=I[,J...]\n"
         "       --dispatch-fault-seed=N "
         "--dispatch-fault-intensity=X\n"
         "exit: 0 ok, 1 error, 2 usage, 3 stopped, 4 degraded "
-        "(gap manifest written)\n");
+        "(missing ranges named on stderr)\n");
 }
 
 } // namespace
@@ -878,8 +698,6 @@ main(int argc, char **argv)
         return cmdMerge(opts);
     if (cmd == "sweep")
         return cmdSweep(opts, argv[0]);
-    if (cmd == "heal")
-        return cmdHeal(opts, argv[0]);
     usage();
     return 2;
 }
