@@ -15,8 +15,7 @@
  *   hh::mitigate -- pluggable defenses and the evaluation matrix
  *   hh::attack   -- profiling, Page Steering, exploitation
  *   hh::snapshot -- file formats, checkpoint policy, resume identity
- *   hh::shard    -- sharded multi-process campaign sweeps
- *   hh::dispatch -- supervised fault-tolerant sweep dispatch
+ *   hh::shard    -- shard ranges and the range-record merge
  *   hh::analysis -- DRAMDig, TRRespass, report formatting
  *
  * Typical use: build a host from a preset, create a VM, and drive the
@@ -48,8 +47,6 @@
 #include "dram/ecc.h"
 #include "dram/fault_model.h"
 #include "dram/memory_backend.h"
-#include "dispatch/supervisor.h"
-#include "dispatch/wall.h"
 #include "dram/trr.h"
 #include "fault/fault.h"
 #include "iommu/viommu.h"

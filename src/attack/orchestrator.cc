@@ -421,12 +421,20 @@ RangeRecord::consistent() const
 }
 
 bool
+RangeRecord::belongsTo(uint64_t fingerprint, uint64_t total_trials,
+                       uint64_t range_begin, uint64_t range_end) const
+{
+    return campaignFingerprint == fingerprint
+        && totalTrials == total_trials && begin == range_begin
+        && end == range_end;
+}
+
+bool
 RangeRecord::finishes(uint64_t fingerprint, uint64_t total_trials,
                       uint64_t range_begin, uint64_t range_end) const
 {
-    return terminal && complete() && campaignFingerprint == fingerprint
-        && totalTrials == total_trials && begin == range_begin
-        && end == range_end;
+    return terminal && complete()
+        && belongsTo(fingerprint, total_trials, range_begin, range_end);
 }
 
 void
@@ -558,10 +566,9 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
                        "continues unprotected",
                        policy.path.c_str());
     };
-    // The record is written before any work, so the path holds this
-    // range's prefix even when nothing runs (an empty range, or one
-    // restored whole), and a supervising dispatcher sees the worker
-    // alive even when trial 0 takes a full lease window.
+    // The record is written before any work only so that a range in
+    // which nothing runs -- an empty range, or one restored whole --
+    // still leaves its record at the path.
     if (persist)
         save();
 

@@ -161,10 +161,10 @@ struct TrialRangeResult
 /**
  * The one persisted record of a trial range [begin, end): the range's
  * checkpoint while it runs and its shard artifact once terminal.
- * runTrialRange() writes it; resume, shard::mergeShards(), `hh_sweep
- * merge` and the dispatch supervisor read it back through
- * loadRangeRecord(). Two records merge only when fingerprint and
- * totalTrials agree; their ranges must tile the campaign.
+ * runTrialRange() writes it; resume, shard::mergeShards() and
+ * `hh_sweep` read it back through loadRangeRecord(). Two records
+ * merge only when fingerprint and totalTrials agree; their ranges
+ * must tile the campaign.
  */
 struct RangeRecord
 {
@@ -177,8 +177,8 @@ struct RangeRecord
     /**
      * The writer's final word on the range: true once it is complete.
      * A record left by a stop, a kill or a still-running worker is
-     * non-terminal; the strict merge answers Busy for it, and the
-     * supervisor never collects it.
+     * non-terminal; the strict merge answers Busy for it, and a
+     * partial merge makes its whole range a hole.
      */
     bool terminal = true;
     /** Completed prefix of the range, cut at its own first success. */
@@ -191,9 +191,17 @@ struct RangeRecord
     bool consistent() const;
 
     /**
+     * This record, finished or not, is of range [range_begin,
+     * range_end) of campaign (fingerprint, total_trials). `hh_sweep`
+     * refuses to write over a readable record that is not.
+     */
+    bool belongsTo(uint64_t fingerprint, uint64_t total_trials,
+                   uint64_t range_begin, uint64_t range_end) const;
+
+    /**
      * This record finishes range [range_begin, range_end) of campaign
-     * (fingerprint, total_trials): it is terminal, complete, and of
-     * that campaign and range.
+     * (fingerprint, total_trials): it is terminal, complete, and
+     * belongsTo() that campaign and range.
      */
     bool finishes(uint64_t fingerprint, uint64_t total_trials,
                   uint64_t range_begin, uint64_t range_end) const;

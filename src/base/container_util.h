@@ -5,18 +5,18 @@
  * Iterating a std::unordered_{map,set} directly is banned by hh-lint
  * (rule unordered-iteration): the visit order is implementation-defined,
  * so any result, merge, or side-effect sequence built from it is not
- * reproducible across standard libraries or even across runs. These
- * helpers are the sanctioned escape: they materialize a key-sorted
- * copy, which costs O(n log n) but yields a stable order. Use them
- * whenever an unordered container's contents feed anything observable;
- * keep O(1) lookups (find/count/contains) on the container itself.
+ * reproducible across standard libraries or even across runs.
+ * sortedKeys is the sanctioned escape: it materializes a sorted copy
+ * of the keys, which costs O(n log n) but yields a stable order; look
+ * each value up through its key. Use it whenever an unordered
+ * container's contents feed anything observable; keep O(1) lookups
+ * (find/count/contains) on the container itself.
  */
 
 #ifndef HYPERHAMMER_BASE_CONTAINER_UTIL_H
 #define HYPERHAMMER_BASE_CONTAINER_UTIL_H
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace hh::base {
@@ -36,23 +36,6 @@ sortedKeys(const Container &container)
     }
     std::sort(keys.begin(), keys.end());
     return keys;
-}
-
-/** Map items of @p container as (key, value) pairs, key-sorted. */
-template <typename Map>
-std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
-sortedItems(const Map &container)
-{
-    std::vector<std::pair<typename Map::key_type,
-                          typename Map::mapped_type>> items;
-    items.reserve(container.size());
-    for (const auto &entry : container)
-        items.emplace_back(entry.first, entry.second);
-    std::sort(items.begin(), items.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return items;
 }
 
 } // namespace hh::base

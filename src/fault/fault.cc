@@ -39,6 +39,8 @@ naturalKind(FaultSite site)
         return FaultKind::LostFlip;
     case FaultSite::SteerRelease:
         return FaultKind::SteerMiss;
+    // Retired sites keep their kinds: each plan entry's kind byte is
+    // part of the host config fingerprint.
     case FaultSite::DispatchSpawn:
         return FaultKind::SpawnFail;
     case FaultSite::DispatchHeartbeat:
@@ -128,9 +130,12 @@ FaultPlan::randomized(uint64_t plan_seed, double intensity)
         const bool hot = site == FaultSite::DramRead ||
                          site == FaultSite::KsmScan ||
                          site == FaultSite::DramEcc;
-        // Dispatch sites see a handful of consults per sweep (one per
-        // launch / lease scan / artifact collection), not millions, so
-        // they need a much denser gate to fire at all in a soak run.
+        // The retired dispatch sites keep the dense gate the sweep
+        // supervisor's few consults per sweep needed. Nothing consults
+        // them any more, but every entry (site, kind, window, gate) is
+        // part of the plan, hence of HostSystem::configFingerprint():
+        // dropping the gate would change the fingerprint of every
+        // fault-planned campaign.
         const bool dispatch = site == FaultSite::DispatchSpawn ||
                               site == FaultSite::DispatchHeartbeat ||
                               site == FaultSite::DispatchArtifact ||
@@ -138,9 +143,6 @@ FaultPlan::randomized(uint64_t plan_seed, double intensity)
         entry.probability =
             (hot ? 0.001 : dispatch ? 0.30 : 0.05) * intensity;
         if (dispatch) {
-            // Every consult must be eligible: with only a few
-            // occurrences per sweep, a sparse window would make the
-            // chaos legs vacuously green.
             entry.firstHit = rng.below(4);
             entry.every = 1;
         }

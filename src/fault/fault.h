@@ -43,10 +43,14 @@ enum class FaultKind : uint8_t
     ScanRace,       ///< sys: a guest write races KSM, page skipped
     LostFlip,       ///< attack: a hammer pass fails to retrigger a bit
     SteerMiss,      ///< attack: a release lands on the wrong sub-block
-    SpawnFail,      ///< dispatch: launching a shard worker fails
-    HeartbeatLoss,  ///< dispatch: a live worker's heartbeat goes silent
-    TornArtifact,   ///< dispatch: a shard artifact write is truncated
-    SpuriousBusy,   ///< dispatch: merge-time collection answers Busy
+    // Retired with the sweep dispatch supervisor: nothing injects
+    // them, but FaultPlan::randomized still writes each retired site's
+    // kind byte into every plan, and with it the host config
+    // fingerprint, so they keep their values.
+    SpawnFail,      ///< retired dispatch: a shard worker launch fails
+    HeartbeatLoss,  ///< retired dispatch: a worker heartbeat is lost
+    TornArtifact,   ///< retired dispatch: a shard artifact is torn
+    SpuriousBusy,   ///< retired dispatch: a merge answers Busy
 };
 
 /** Registered injection points (src/fault/fault_sites.def). */

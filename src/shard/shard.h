@@ -113,9 +113,10 @@ struct SweepReport
  * The reporting merge behind mergeShards(). With
  * policy.allowPartial == false it enforces the exact-tiling contract
  * (the strict overload forwards here); with allowPartial == true a
- * quarantined or still-running sweep can be folded degraded, and
- * `hh_sweep sweep --resume` later closes SweepReport::missing and
- * re-merges to the bitwise-identical full result.
+ * sweep with holes (a missing, unfinished or failed range) folds
+ * degraded, and rerunning the same `hh_sweep sweep` later closes
+ * SweepReport::missing and re-merges to the bitwise-identical full
+ * result.
  */
 [[nodiscard]] base::Expected<SweepReport>
 mergeShards(std::vector<attack::RangeRecord> shards,

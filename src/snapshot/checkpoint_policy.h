@@ -31,8 +31,7 @@ struct CheckpointPolicy
 
     /**
      * Write the record at range start and after every block of N
-     * trials; 0 runs the whole range as one block. Each write doubles
-     * as the heartbeat a supervising dispatcher watches.
+     * trials; 0 runs the whole range as one block.
      */
     uint64_t everyTrials = 0;
 

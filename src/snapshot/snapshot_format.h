@@ -4,8 +4,8 @@
  *
  * One kind of file is persisted: a trial range's record, framed by
  * base::saveArchiveFile() (magic, format version, payload length and
- * an FNV-1a checksum ahead of the payload). A supervised sweep keeps
- * no other state on disk; it rescans its range records. Worlds are
+ * an FNV-1a checksum ahead of the payload). A sweep keeps no other
+ * state on disk; it rescans its range records. Worlds are
  * never persisted: a world is rebuilt from its configuration and
  * trial index, and its saveState() stream is compared in memory,
  * never read back. The constants here pick the record's magic and pin

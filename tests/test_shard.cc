@@ -572,7 +572,7 @@ class SweepIdentityMatrix
 // (campaign, trial index), so one attack object can serve as every
 // "process": runTrialRange(begin, end) recomputes exactly what an
 // independent OS process computes for that range (tools/hh_sweep and
-// the sweep-identity CI leg prove the actual multi-process spelling;
+// the hh_sweep_resume_cycle ctest prove the multi-process spelling;
 // this matrix proves the algebra for 8 seeds x shard/thread shapes).
 TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
 {

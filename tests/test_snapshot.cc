@@ -478,7 +478,7 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
     (void)attack.profilePhase();
 
     // Finish range [0, 2), make its record the fallback file and tear
-    // the primary (a torn artifact the supervisor retries).
+    // the primary (a torn write a crash mid-save could leave).
     snapshot::CheckpointPolicy policy;
     policy.path = path;
     policy.everyTrials = 1;

@@ -41,9 +41,6 @@ TRACKED = [
     ("BENCH_soak.success_rate", "higher"),
     ("BENCH_soak.degraded_rate", "lower"),
     ("BENCH_soak.faults_fired", "info"),
-    ("BENCH_dispatch.shards_per_second", "higher"),
-    ("BENCH_dispatch.retries", "info"),
-    ("BENCH_dispatch.quarantines", "info"),
 ]
 
 SPARK = "▁▂▃▄▅▆▇█"

@@ -63,9 +63,6 @@ BENCHES = {
         "bench_mitigation_matrix", "--json-out=",
         ["--quick", "--host-gib=1", "--seed=2", "--trials=16",
          "--attacks=pairwise"]),
-    "BENCH_dispatch.json": (
-        "bench_dispatch_soak", "--json-out=",
-        ["--quick", "--seed-base=1", "--intensity=0.5"]),
 }
 
 # profile -> {json file -> {metric -> direction}}. A listed file is
@@ -88,11 +85,6 @@ PROFILES = {
         # trace and the tier-2 properties; here the report feeds the
         # cells_per_second trend only.
         "BENCH_mitigation.json": {},
-        # Dispatcher soak: control-plane counters vary with the chaos
-        # seed and shards_per_second with the runner, so the report is
-        # trended only; correctness (identity_failures == 0) is the
-        # bench's own exit status.
-        "BENCH_dispatch.json": {},
     },
 }
 

@@ -1,45 +1,46 @@
 /**
  * @file
- * Supervised sharded campaign sweep driver.
+ * Sharded campaign sweep driver.
  *
  * Splits a Monte-Carlo campaign of N trials into contiguous
- * seed-range shards and drives each shard as an independent OS
- * process under the hh::dispatch supervisor: leases refreshed by the
- * workers' range records, deterministic retry backoff, a per-shard
- * attempt cap and quarantine. The range records are the sweep's only
- * on-disk state, so `kill -9` of the supervisor, or a degraded sweep,
- * is finished by `sweep --resume`, which rescans them and relaunches
- * only the ranges without a finishing record. Each process profiles
- * its own host -- the campaign is a pure function of the
- * configuration, so every process derives the identical host-physical
- * profile and fingerprint -- and the merged result is
- * bitwise-identical to a single-process runAttempts() at any shard
- * count x thread count, which `single` and the sweep/merge paths make
- * checkable by printing the same canonical dump: CI byte-diffs the
- * two (docs/distributed_sweeps.md).
+ * seed-range shards, runs each shard as an independent OS process
+ * and merges their range records. `sweep` is a plain launcher over
+ * `run` and `merge`: it rescans <out-dir>/shard_I.bin, forks up to
+ * --jobs `run --resume` workers, one for each range without a
+ * finishing record, waits for all of them and merges the finishing
+ * records as `merge --allow-partial` does. The records are a sweep's
+ * only state, so rerunning the same sweep launches only its holes.
+ * There are no leases or retries: a hung worker hangs the sweep, and
+ * the caller's timeout bounds it. Each process profiles its own host
+ * -- the campaign is a pure function of the configuration, so every
+ * process derives the identical host-physical profile and fingerprint
+ * -- and the merged result is bitwise-identical to a single-process
+ * runAttempts() at any shard count x thread count, which `single` and
+ * the sweep/merge paths make checkable by printing the same canonical
+ * dump: the hh_sweep_resume_cycle ctest byte-diffs them
+ * (docs/distributed_sweeps.md).
  *
  * Subcommands:
  *   single                  run the campaign in-process, print dump
- *   run   --shard=I/K --out=F  run shard I of K, write artifact F
+ *   run   --shard=I/K --out=F  run shard I of K, write record F
  *         --range=B:E         ... or an explicit trial range
- *   merge FILE...           merge shard artifacts, print dump
- *   sweep --shards=K        supervise K shard workers, merge, print
+ *   merge FILE...           merge range records, print dump
+ *   sweep --shards=K        run K shard workers, merge, print
  *
  * Campaign flags: --trials=N --threads=N --seed=N --host-gib=N
  *   --fault-seed=N --fault-intensity=X (X > 0 installs a randomized
- *   FaultPlan) --checkpoint-every=N --resume --stop-after=N
- * Merge flags: --allow-partial --stale-seconds=S
- * Supervisor flags (sweep): --out-dir=DIR --jobs=P --lease-seconds=X
- *   --max-attempts=M --backoff-ms=N --backoff-cap-ms=N
- *   --quarantine=I[,J...] --dispatch-fault-seed=N
- *   --dispatch-fault-intensity=X
+ *   FaultPlan) --checkpoint-every=N
+ * Run flags: --resume (refuses a record of another campaign or range
+ *   at --out) --stop-after=N
+ * Merge flags: --allow-partial
+ * Sweep flags: --out-dir=DIR --jobs=P (0: one worker per range)
  * A numeric flag's value must parse whole, or the run is a usage
  * error.
  *
  * Exit codes: 0 success (canonical dump on stdout), 1 error, 2 usage,
  * 3 stopped early (--stop-after test hook), 4 degraded -- the sweep
  * or merge completed with missing ranges, each named on stderr;
- * `sweep --resume` (for a merge: `run --range=B:E --out=FILE
+ * rerunning the sweep (for a merge: `run --range=B:E --out=FILE
  * --resume` per hole) closes them to the bitwise-identical full
  * result.
  *
@@ -55,6 +56,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -114,18 +116,8 @@ struct SweepOptions
     std::string out;
     std::string outDir = ".";
     unsigned shards = 4;
-    // Merge behaviour.
+    unsigned jobs = 0; // 0 = one worker per range
     bool allowPartial = false;
-    double staleSeconds = 300.0;
-    // Supervisor knobs.
-    unsigned jobs = 0; // 0 = one worker per shard
-    double leaseSeconds = 30.0;
-    uint32_t maxAttempts = 3;
-    uint64_t backoffMs = 200;
-    uint64_t backoffCapMs = 5'000;
-    std::vector<uint32_t> quarantine;
-    uint64_t dispatchFaultSeed = 0;
-    double dispatchFaultIntensity = 0.0;
     std::vector<std::string> files;
 
     static SweepOptions
@@ -185,34 +177,8 @@ struct SweepOptions
                 opts.outDir = v;
             else if (name == "shards")
                 parseNumber(name, v, opts.shards);
-            else if (name == "stale-seconds")
-                parseNumber(name, v, opts.staleSeconds);
             else if (name == "jobs")
                 parseNumber(name, v, opts.jobs);
-            else if (name == "lease-seconds")
-                parseNumber(name, v, opts.leaseSeconds);
-            else if (name == "max-attempts")
-                parseNumber(name, v, opts.maxAttempts);
-            else if (name == "backoff-ms")
-                parseNumber(name, v, opts.backoffMs);
-            else if (name == "backoff-cap-ms")
-                parseNumber(name, v, opts.backoffCapMs);
-            else if (name == "quarantine") {
-                // I[,J...]: every comma-separated entry is a number.
-                for (size_t at = 0;;) {
-                    const size_t comma = v.find(',', at);
-                    uint32_t index = 0;
-                    parseNumber("quarantine (want I[,J...])",
-                                v.substr(at, comma - at), index);
-                    opts.quarantine.push_back(index);
-                    if (comma == std::string::npos)
-                        break;
-                    at = comma + 1;
-                }
-            } else if (name == "dispatch-fault-seed")
-                parseNumber(name, v, opts.dispatchFaultSeed);
-            else if (name == "dispatch-fault-intensity")
-                parseNumber(name, v, opts.dispatchFaultIntensity);
             else {
                 std::fprintf(stderr, "hh_sweep: unknown flag %s\n",
                              arg.c_str());
@@ -325,6 +291,28 @@ cmdSingle(const SweepOptions &opts)
     return 0;
 }
 
+/**
+ * True, after naming @p path on stderr, when @p record (loaded from
+ * @p path) is a readable record of another campaign or range than
+ * @p range of campaign (@p fingerprint, @p trials). `run --resume` and
+ * `sweep` refuse such a record before they write anything; a missing
+ * or unreadable one only means the range starts over.
+ */
+bool
+isForeign(const base::Expected<attack::RangeRecord> &record,
+          const std::string &path, uint64_t fingerprint, unsigned trials,
+          const shard::ShardRange &range)
+{
+    if (!record
+        || record->belongsTo(fingerprint, trials, range.begin, range.end))
+        return false;
+    std::fprintf(stderr,
+                 "hh_sweep: '%s' holds a record of another campaign or "
+                 "range; refusing to write over it\n",
+                 path.c_str());
+    return true;
+}
+
 int
 cmdRun(const SweepOptions &opts)
 {
@@ -359,6 +347,11 @@ cmdRun(const SweepOptions &opts)
         range = ranges[opts.shardIndex];
     }
     Campaign campaign = buildCampaign(opts);
+    if (opts.resume
+        && isForeign(attack::loadRangeRecord(opts.out), opts.out,
+                     campaign.attack->campaignFingerprint(), opts.trials,
+                     range))
+        return 1;
 
     // The range record at --out is both the checkpoint a resume
     // reads and the artifact merge reads.
@@ -380,9 +373,8 @@ cmdRun(const SweepOptions &opts)
         return 1;
     }
     if (ranged.stopped) {
-        // The record left behind is the abandoned-partial case the
-        // merge staleness check and the supervisor takeover must
-        // handle: it is non-terminal and the strict merge answers Busy.
+        // The record left behind is non-terminal: the strict merge
+        // answers Busy for it and a partial merge names it a hole.
         std::fprintf(stderr,
                      "hh_sweep: shard stopped after %zu trials; "
                      "rerun with --resume to finish\n",
@@ -395,86 +387,39 @@ cmdRun(const SweepOptions &opts)
 }
 
 /**
- * Load merge inputs, classifying partial/abandoned artifacts: a
- * non-terminal artifact younger than --stale-seconds belongs to a
- * worker that may still be running (hard Busy in every mode); a stale
- * one is abandoned and may be taken over -- dropped to a hole under
- * --allow-partial, or rejected with resume guidance otherwise.
+ * Merge @p shards and print the outcome: the dump and 0 when they
+ * finish the campaign. Under @p allow_partial an unfinished or absent
+ * range is a hole: each is named on stderr with @p hint (how to close
+ * them), the dump follows when it is exact anyway, and the exit is 4.
+ * Any other merge failure (strictly: an unfinished record is Busy) is
+ * an error (1).
  */
 int
-loadMergeInputs(const SweepOptions &opts,
-                std::vector<attack::RangeRecord> &shards)
+printMerge(std::vector<attack::RangeRecord> shards, bool allow_partial,
+           const char *hint)
 {
-    for (const std::string &file : opts.files) {
-        auto loaded = attack::loadRangeRecord(file);
-        if (!loaded) {
-            if (opts.allowPartial) {
-                std::fprintf(stderr,
-                             "hh_sweep: skipping unreadable '%s' "
-                             "(%s); its range becomes a hole\n",
-                             file.c_str(),
-                             base::errorName(loaded.error()));
-                continue;
-            }
-            std::fprintf(stderr, "hh_sweep: cannot load '%s': %s\n",
-                         file.c_str(),
-                         base::errorName(loaded.error()));
-            return 1;
-        }
-        if (!loaded->terminal || !loaded->complete()) {
-            const double age = dispatch::fileAgeSeconds(file);
-            if (age >= 0.0 && age <= opts.staleSeconds) {
-                std::fprintf(stderr,
-                             "hh_sweep: '%s' is a fresh partial "
-                             "artifact (age %.0fs); its worker may "
-                             "still be running -- retry after it "
-                             "finishes or exceeds --stale-seconds\n",
-                             file.c_str(), age);
-                return 1;
-            }
-            if (!opts.allowPartial) {
-                std::fprintf(stderr,
-                             "hh_sweep: '%s' is an abandoned partial "
-                             "artifact; finish it with `run --resume` "
-                             "or merge with --allow-partial to take "
-                             "over its range as a hole\n",
-                             file.c_str());
-                return 1;
-            }
-            std::fprintf(stderr,
-                         "hh_sweep: taking over abandoned '%s' "
-                         "(age %.0fs); its range becomes a hole\n",
-                         file.c_str(), age);
-            // Keep it in the input set: the partial merge reports a
-            // non-terminal shard's whole range as missing.
-        }
-        shards.push_back(std::move(*loaded));
+    shard::MergePolicy policy;
+    policy.allowPartial = allow_partial;
+    auto report = shard::mergeShards(std::move(shards), policy);
+    if (!report) {
+        std::fprintf(stderr, "hh_sweep: merge failed: %s\n",
+                     base::errorName(report.error()));
+        return 1;
     }
-    return 0;
-}
-
-/**
- * Degraded completion: name every missing range on stderr with
- * @p hint (how to close the holes), print the dump when it is exact
- * anyway, exit 4.
- */
-int
-finishDegraded(const shard::SweepReport &report, const char *hint)
-{
-    for (const shard::ShardRange &hole : report.missing)
+    for (const shard::ShardRange &hole : report->missing)
         std::fprintf(stderr,
                      "hh_sweep: missing trials [%llu, %llu)\n",
                      static_cast<unsigned long long>(hole.begin),
                      static_cast<unsigned long long>(hole.end));
-    std::fprintf(stderr, "hh_sweep: %s\n", hint);
-    if (report.exact) {
-        // The holes start past the campaign's first success: the
-        // degraded fold already IS the canonical result.
-        printResult(report.campaignFingerprint,
-                    static_cast<unsigned>(report.totalTrials),
-                    report.result);
-    }
-    return 4;
+    if (report->partial())
+        std::fprintf(stderr, "hh_sweep: %s\n", hint);
+    // A degraded fold whose holes all start past the campaign's first
+    // success already IS the canonical result.
+    if (report->exact)
+        printResult(report->campaignFingerprint,
+                    static_cast<unsigned>(report->totalTrials),
+                    report->result);
+    return report->partial() ? 4 : 0;
 }
 
 int
@@ -484,33 +429,29 @@ cmdMerge(const SweepOptions &opts)
         std::fprintf(stderr, "hh_sweep merge: no shard files given\n");
         return 2;
     }
+    // An unreadable record is skipped under --allow-partial, so the
+    // merge names its range a hole, and is an error otherwise.
     std::vector<attack::RangeRecord> shards;
-    const int rc = loadMergeInputs(opts, shards);
-    if (rc != 0)
-        return rc;
+    for (const std::string &file : opts.files) {
+        auto loaded = attack::loadRangeRecord(file);
+        if (loaded) {
+            shards.push_back(std::move(*loaded));
+            continue;
+        }
+        std::fprintf(stderr, "hh_sweep: cannot load '%s': %s%s\n",
+                     file.c_str(), base::errorName(loaded.error()),
+                     opts.allowPartial ? "; its range becomes a hole" : "");
+        if (!opts.allowPartial)
+            return 1;
+    }
     if (shards.empty()) {
-        std::fprintf(stderr, "hh_sweep merge: no usable artifacts\n");
+        std::fprintf(stderr, "hh_sweep merge: no usable records\n");
         return 1;
     }
-    shard::MergePolicy policy;
-    policy.allowPartial = opts.allowPartial;
-    auto report =
-        shard::mergeShards(std::move(shards), policy);
-    if (!report) {
-        std::fprintf(stderr, "hh_sweep: merge failed: %s\n",
-                     base::errorName(report.error()));
-        return 1;
-    }
-    if (!report->partial()) {
-        printResult(report->campaignFingerprint,
-                    static_cast<unsigned>(report->totalTrials),
-                    report->result);
-        return 0;
-    }
-    return finishDegraded(*report,
-                          "degraded merge; finish each missing range "
-                          "with `hh_sweep run --range=B:E --out=FILE "
-                          "--resume` and merge again");
+    return printMerge(std::move(shards), opts.allowPartial,
+                      "degraded merge; finish each missing range "
+                      "with `hh_sweep run --range=B:E --out=FILE "
+                      "--resume` and merge again");
 }
 
 std::string
@@ -527,54 +468,49 @@ selfExe(const char *argv0)
 }
 
 /**
- * The production WorkerLauncher: fork + exec this binary's `run`
- * subcommand for one shard range. Workers always resume from the
- * range record at their artifact path (an absent record starts at the
- * range begin) and rewrite it every block, so a reclaimed lease never
- * recomputes a completed-trial prefix.
+ * Fork + exec @p exe's `run --resume` for @p range with its record at
+ * @p out; the worker's pid, or -1 when the fork fails. The worker
+ * resumes whatever prefix the record holds (an absent one starts at
+ * the range begin) and rewrites it every block.
  */
-dispatch::WorkerLauncher
-forkLauncher(const std::string &exe, const SweepOptions &opts)
+pid_t
+launchWorker(const std::string &exe, const SweepOptions &opts,
+             const shard::ShardRange &range, const std::string &out)
 {
-    return [exe, opts](const dispatch::WorkerSpec &spec) -> long {
-        // %.17g round-trips the double (std::to_string keeps six
-        // decimals), so the worker rebuilds the exact campaign.
-        char intensity[32];
-        std::snprintf(intensity, sizeof(intensity), "%.17g",
-                      opts.faultIntensity);
-        std::vector<std::string> args = {
-            exe,
-            "run",
-            "--trials=" + std::to_string(opts.trials),
-            "--threads=" + std::to_string(opts.threads),
-            "--seed=" + std::to_string(opts.seed),
-            "--fault-seed=" + std::to_string(opts.faultSeed),
-            "--fault-intensity=" + std::string(intensity),
-            "--range=" + std::to_string(spec.range.begin) + ":"
-                + std::to_string(spec.range.end),
-            "--out=" + spec.artifactPath,
-            "--checkpoint-every="
-                + std::to_string(opts.checkpointEvery
-                                     ? opts.checkpointEvery : 1),
-            "--host-gib=" + std::to_string(opts.hostGib),
-            "--resume",
-        };
-
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            return -1;
-        if (pid == 0) {
-            std::vector<char *> argv;
-            argv.reserve(args.size() + 1);
-            for (std::string &arg : args)
-                argv.push_back(arg.data());
-            argv.push_back(nullptr);
-            ::execv(exe.c_str(), argv.data());
-            std::fprintf(stderr, "hh_sweep: execv failed\n");
-            ::_exit(127);
-        }
-        return pid;
+    // %.17g round-trips the double (std::to_string keeps six
+    // decimals), so the worker rebuilds the exact campaign.
+    char intensity[32];
+    std::snprintf(intensity, sizeof(intensity), "%.17g",
+                  opts.faultIntensity);
+    std::vector<std::string> args = {
+        exe,
+        "run",
+        "--trials=" + std::to_string(opts.trials),
+        "--threads=" + std::to_string(opts.threads),
+        "--seed=" + std::to_string(opts.seed),
+        "--fault-seed=" + std::to_string(opts.faultSeed),
+        "--fault-intensity=" + std::string(intensity),
+        "--range=" + std::to_string(range.begin) + ":"
+            + std::to_string(range.end),
+        "--out=" + out,
+        "--checkpoint-every="
+            + std::to_string(opts.checkpointEvery ? opts.checkpointEvery
+                                                  : 1),
+        "--host-gib=" + std::to_string(opts.hostGib),
+        "--resume",
     };
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        std::vector<char *> argv;
+        argv.reserve(args.size() + 1);
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        argv.push_back(nullptr);
+        ::execv(exe.c_str(), argv.data());
+        std::fprintf(stderr, "hh_sweep: execv failed\n");
+        ::_exit(127);
+    }
+    return pid;
 }
 
 int
@@ -590,64 +526,82 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
         campaign.attack->campaignFingerprint();
     const std::vector<shard::ShardRange> ranges =
         shard::planShards(opts.trials, opts.shards);
+    std::vector<std::string> paths;
+    for (size_t i = 0; i < ranges.size(); ++i)
+        paths.push_back(opts.outDir + "/shard_" + std::to_string(i)
+                        + ".bin");
 
-    // Chaos plan for the dispatch.* sites. Host sites in the plan are
-    // irrelevant here: the supervisor only consults dispatch sites.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (opts.dispatchFaultIntensity > 0.0)
-        injector = std::make_unique<fault::FaultInjector>(
-            fault::FaultPlan::randomized(opts.dispatchFaultSeed,
-                                         opts.dispatchFaultIntensity),
-            base::mix64(fingerprint, opts.dispatchFaultSeed));
+    // Rescan before anything is written: a foreign record refuses the
+    // sweep, and every range without a finishing record is launched.
+    std::vector<size_t> todo;
+    for (size_t i = 0; i < ranges.size(); ++i) {
+        const auto record = attack::loadRangeRecord(paths[i]);
+        if (isForeign(record, paths[i], fingerprint, opts.trials,
+                      ranges[i]))
+            return 1;
+        if (!record
+            || !record->finishes(fingerprint, opts.trials,
+                                 ranges[i].begin, ranges[i].end))
+            todo.push_back(i);
+    }
 
-    dispatch::SupervisorConfig cfg;
-    cfg.artifactDir = opts.outDir;
-    cfg.leaseSeconds = opts.leaseSeconds;
-    cfg.maxAttempts = opts.maxAttempts;
-    cfg.backoff.baseMs = opts.backoffMs;
-    cfg.backoff.capMs = opts.backoffCapMs;
-    cfg.maxParallel = opts.jobs != 0 ? opts.jobs : opts.shards;
-    cfg.forceQuarantine = opts.quarantine;
-    cfg.injector = injector.get();
-    dispatch::Supervisor sup(cfg, forkLauncher(selfExe(argv0), opts));
-    const base::Status opened =
-        sup.openSweep(fingerprint, opts.trials, ranges, opts.resume);
-    if (!opened.ok()) {
-        std::fprintf(stderr, "hh_sweep: cannot open sweep: %s%s\n",
-                     base::errorName(opened.error()),
-                     opts.resume ? " (a record of another campaign or "
-                                   "range is in --out-dir)"
-                                 : "");
-        return 1;
+    // Keep up to --jobs workers running until every one has exited.
+    const std::string exe = selfExe(argv0);
+    const size_t jobs = opts.jobs != 0 ? opts.jobs : todo.size();
+    std::map<pid_t, size_t> running; // worker pid -> range index
+    std::vector<bool> failed(ranges.size(), false);
+    const auto fail = [&](size_t i) {
+        failed[i] = true;
+        std::fprintf(stderr,
+                     "hh_sweep: the worker of trials [%llu, %llu) failed\n",
+                     static_cast<unsigned long long>(ranges[i].begin),
+                     static_cast<unsigned long long>(ranges[i].end));
+    };
+    for (size_t next = 0; next < todo.size() || !running.empty();) {
+        if (next < todo.size() && running.size() < jobs) {
+            const size_t i = todo[next++];
+            std::fprintf(stderr,
+                         "hh_sweep: launching trials [%llu, %llu)\n",
+                         static_cast<unsigned long long>(ranges[i].begin),
+                         static_cast<unsigned long long>(ranges[i].end));
+            const pid_t pid =
+                launchWorker(exe, opts, ranges[i], paths[i]);
+            if (pid < 0)
+                fail(i);
+            else
+                running[pid] = i;
+            continue;
+        }
+        int status = 0;
+        const pid_t pid = ::waitpid(-1, &status, 0);
+        if (pid < 0 && errno != EINTR)
+            break; // no worker left to wait for
+        const auto worker = running.find(pid);
+        if (worker == running.end())
+            continue;
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
+            fail(worker->second);
+        running.erase(worker);
     }
-    auto report = sup.runSweep();
-    const dispatch::SweepStats &s = sup.stats();
-    std::fprintf(stderr,
-                 "hh_sweep: launches=%llu retries=%llu "
-                 "leaseExpiries=%llu spawnFailures=%llu "
-                 "tornArtifacts=%llu heartbeatLoss=%llu "
-                 "quarantines=%llu mergeBusyRetries=%llu\n",
-                 static_cast<unsigned long long>(s.launches),
-                 static_cast<unsigned long long>(s.retries),
-                 static_cast<unsigned long long>(s.leaseExpiries),
-                 static_cast<unsigned long long>(s.spawnFailures),
-                 static_cast<unsigned long long>(s.tornArtifacts),
-                 static_cast<unsigned long long>(s.heartbeatLossFaults),
-                 static_cast<unsigned long long>(s.quarantines),
-                 static_cast<unsigned long long>(s.mergeBusyRetries));
-    if (!report) {
-        std::fprintf(stderr, "hh_sweep: sweep failed: %s\n",
-                     base::errorName(report.error()));
-        return 1;
+
+    // Merge every finishing record. A range without one, or whose
+    // worker failed even though its record finishes, is a hole.
+    std::vector<attack::RangeRecord> shards;
+    for (size_t i = 0; i < ranges.size(); ++i) {
+        auto record = attack::loadRangeRecord(paths[i]);
+        if (!failed[i] && record
+            && record->finishes(fingerprint, opts.trials, ranges[i].begin,
+                                ranges[i].end))
+            shards.push_back(std::move(*record));
     }
-    if (!report->partial()) {
-        printResult(fingerprint, opts.trials, report->result);
-        return 0;
-    }
-    return finishDegraded(*report,
-                          "degraded sweep; close the holes with "
-                          "`hh_sweep sweep <the same campaign flags> "
-                          "--resume`");
+    // With no finishing record at all, one empty unfinished record
+    // stands for the campaign, so the merge names all of it a hole.
+    if (shards.empty())
+        shards.push_back(attack::RangeRecord{fingerprint, opts.trials, 0,
+                                             opts.trials, false, {}});
+    return printMerge(std::move(shards), true,
+                      "degraded sweep; rerun the same sweep to launch "
+                      "only the missing ranges");
 }
 
 void
@@ -659,22 +613,17 @@ usage()
         "  single  run the whole campaign in-process, print dump\n"
         "  run     run one shard: --shard=I/K | --range=B:E, "
         "--out=FILE\n"
-        "  merge   merge shard artifacts: FILE... "
-        "[--allow-partial --stale-seconds=S]\n"
-        "  sweep   supervise --shards=K workers, merge, print;\n"
-        "          --resume relaunches only the ranges whose record "
-        "in --out-dir is unfinished\n"
+        "          [--resume --stop-after=N]\n"
+        "  merge   merge range records: FILE... [--allow-partial]\n"
+        "  sweep   run --shards=K workers, --jobs=P at a time, with "
+        "records in\n"
+        "          --out-dir=DIR, then merge and print; a rerun "
+        "launches only\n"
+        "          the ranges without a finishing record\n"
         "campaign flags: --trials=N --threads=N --seed=N "
         "--host-gib=N\n"
-        "       --fault-seed=N --fault-intensity=X\n"
-        "       --checkpoint-every=N --resume --stop-after=N\n"
-        "       --out-dir=DIR (sweep)\n"
-        "supervisor flags: --jobs=P --lease-seconds=X "
-        "--max-attempts=M\n"
-        "       --backoff-ms=N --backoff-cap-ms=N "
-        "--quarantine=I[,J...]\n"
-        "       --dispatch-fault-seed=N "
-        "--dispatch-fault-intensity=X\n"
+        "       --fault-seed=N --fault-intensity=X "
+        "--checkpoint-every=N\n"
         "exit: 0 ok, 1 error, 2 usage, 3 stopped, 4 degraded "
         "(missing ranges named on stderr)\n");
 }
