@@ -59,7 +59,6 @@
 #include "shard/shard.h"
 #include "snapshot/checkpoint_policy.h"
 #include "snapshot/resume_identity.h"
-#include "snapshot/snapshot_format.h"
 #include "sys/host_system.h"
 #include "sys/ksm.h"
 #include "virtio/virtio_mem.h"

@@ -9,7 +9,7 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "mitigate/defense.h"
-#include "snapshot/snapshot_format.h"
+#include "snapshot/checkpoint_policy.h"
 
 namespace hh::attack {
 
@@ -469,6 +469,24 @@ RangeRecord::loadState(base::ArchiveReader &r)
     return base::Status::success();
 }
 
+namespace {
+
+/** Magic of a range record file: "HHCKPT\n" and a 0x01 byte. */
+constexpr uint64_t kRangeRecordMagic = 0x4848434b50540a01ull;
+
+/**
+ * Format version of a range record file, the one layout that reaches
+ * disk: RangeRecord::saveState() and writeOutcome(). Bump it whenever
+ * either changes shape; tools/hh_lint.py (rule `snapshot-version`)
+ * pins both definitions in tools/snapshot_manifest.json and fails
+ * until it is bumped. A record of another version is refused, never
+ * reinterpreted. A world's saveState() stream never leaves memory and
+ * carries no version.
+ */
+constexpr uint32_t kSnapshotFormatVersion = 10;
+
+} // namespace
+
 base::Status
 saveRangeRecord(const std::string &path, const RangeRecord &record)
 {
@@ -478,21 +496,18 @@ saveRangeRecord(const std::string &path, const RangeRecord &record)
     // harmlessly when this is the first write.
     const std::string prev = path + snapshot::kCheckpointPrevSuffix;
     (void)std::rename(path.c_str(), prev.c_str());
-    return base::saveArchiveFile(path, snapshot::kRangeRecordMagic,
-                                 snapshot::kSnapshotFormatVersion,
-                                 w.buffer());
+    return base::saveArchiveFile(path, kRangeRecordMagic,
+                                 kSnapshotFormatVersion, w.buffer());
 }
 
 base::Expected<RangeRecord>
 loadRangeRecord(const std::string &path)
 {
-    auto loaded = base::loadArchiveFile(
-        path, snapshot::kRangeRecordMagic,
-        snapshot::kSnapshotFormatVersion,
-        snapshot::kSnapshotFormatVersion);
-    if (!loaded)
-        return loaded.error();
-    base::ArchiveReader r(loaded->payload);
+    auto payload = base::loadArchiveFile(path, kRangeRecordMagic,
+                                         kSnapshotFormatVersion);
+    if (!payload)
+        return payload.error();
+    base::ArchiveReader r(*payload);
     RangeRecord record;
     if (!record.loadState(r).ok() || !r.atEnd()) {
         base::warn("range record '%s': malformed outcomes or range",

@@ -104,9 +104,9 @@ saveArchiveFile(const std::string &path, uint64_t magic,
     return Status::success();
 }
 
-Expected<LoadedArchive>
+Expected<std::vector<uint8_t>>
 loadArchiveFile(const std::string &path, uint64_t magic,
-                uint32_t min_version, uint32_t max_version)
+                uint32_t version)
 {
     FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
@@ -120,7 +120,7 @@ loadArchiveFile(const std::string &path, uint64_t magic,
         return ErrorCode::InvalidArgument;
     }
     const uint64_t file_magic = getLe64(header.data());
-    const uint32_t version = getLe32(header.data() + 8);
+    const uint32_t file_version = getLe32(header.data() + 8);
     const uint64_t payload_size = getLe64(header.data() + 12);
     const uint64_t checksum = getLe64(header.data() + 20);
 
@@ -131,11 +131,10 @@ loadArchiveFile(const std::string &path, uint64_t magic,
              (unsigned long long)magic);
         return ErrorCode::InvalidArgument;
     }
-    if (version < min_version || version > max_version) {
+    if (file_version != version) {
         std::fclose(f);
-        warn("snapshot: %s has format version %u, supported range is "
-             "[%u, %u]",
-             path.c_str(), version, min_version, max_version);
+        warn("snapshot: %s has format version %u, expected %u",
+             path.c_str(), file_version, version);
         return ErrorCode::InvalidArgument;
     }
 
@@ -160,20 +159,16 @@ loadArchiveFile(const std::string &path, uint64_t magic,
         return ErrorCode::InvalidArgument;
     }
 
-    LoadedArchive loaded;
-    loaded.version = version;
-    loaded.payload.resize(payload_size);
+    std::vector<uint8_t> payload(payload_size);
     if (payload_size != 0 &&
-        std::fread(loaded.payload.data(), 1, payload_size, f) !=
-            payload_size) {
+        std::fread(payload.data(), 1, payload_size, f) != payload_size) {
         std::fclose(f);
         warn("snapshot: truncated read of %s", path.c_str());
         return ErrorCode::InvalidArgument;
     }
     std::fclose(f);
 
-    const uint64_t actual =
-        fnv1a64(loaded.payload.data(), loaded.payload.size());
+    const uint64_t actual = fnv1a64(payload.data(), payload.size());
     if (actual != checksum) {
         warn("snapshot: %s checksum mismatch (stored %016llx, computed "
              "%016llx)",
@@ -181,7 +176,7 @@ loadArchiveFile(const std::string &path, uint64_t magic,
              (unsigned long long)actual);
         return ErrorCode::InvalidArgument;
     }
-    return loaded;
+    return payload;
 }
 
 } // namespace hh::base

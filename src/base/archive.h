@@ -72,8 +72,6 @@ class ArchiveWriter
         u32(static_cast<uint32_t>(v >> 32));
     }
 
-    void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-
     /** Doubles travel as their IEEE-754 bit pattern: exact round-trip. */
     void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
 
@@ -156,8 +154,6 @@ class ArchiveReader
         return lo | (hi << 32);
     }
 
-    int64_t i64() { return static_cast<int64_t>(u64()); }
-
     /**
      * Element count prefix, validated against the bytes that remain:
      * a corrupted length can never drive a multi-gigabyte allocation.
@@ -185,13 +181,6 @@ class ArchiveReader
     bool failed = false;
 };
 
-/** A loaded archive: its format version and raw payload. */
-struct LoadedArchive
-{
-    uint32_t version = 0;
-    std::vector<uint8_t> payload;
-};
-
 /**
  * Atomically write @p payload to @p path framed as
  * [magic u64 | version u32 | payload size u64 | FNV-1a u64 | payload].
@@ -203,14 +192,15 @@ struct LoadedArchive
                                      const std::vector<uint8_t> &payload);
 
 /**
- * Load and validate an archive written by saveArchiveFile().
- * Fails with NotFound when the file does not exist and
- * InvalidArgument (with a logged reason) on a wrong magic, an
- * unsupported version, a truncated body, or a checksum mismatch.
+ * Load and validate an archive written by saveArchiveFile() and
+ * return its payload. Fails with NotFound when the file does not
+ * exist and InvalidArgument (with a logged reason) on a wrong magic,
+ * a version other than @p version, a truncated body, or a checksum
+ * mismatch.
  */
-[[nodiscard]] Expected<LoadedArchive>
+[[nodiscard]] Expected<std::vector<uint8_t>>
 loadArchiveFile(const std::string &path, uint64_t magic,
-                uint32_t min_version, uint32_t max_version);
+                uint32_t version);
 
 } // namespace hh::base
 

@@ -315,10 +315,10 @@ HostSystem::noiseTick()
 uint64_t
 HostSystem::configFingerprint() const
 {
-    // Canonical encoding of everything that shapes serialized state.
-    // Field order is part of the format: changing it (or adding a
-    // field) invalidates old snapshots, which is the intended
-    // behaviour -- see snapshot/snapshot_format.h.
+    // Canonical encoding of everything that shapes a world. It feeds
+    // the campaign fingerprint, so changing a field or the field
+    // order refuses an old range record as another campaign's; the
+    // record is never misread.
     base::ArchiveWriter w;
     w.str(cfg.name);
     w.u64(cfg.seed);

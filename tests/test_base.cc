@@ -259,9 +259,9 @@ TEST(SizeLiterals, Values)
 // Every stochastic subsystem derives its streams from splitMix64 /
 // mix64 / SeedSequence, so these constants pin the whole simulator's
 // random universe: a change here silently invalidates every golden
-// trace and every stored snapshot fingerprint. If one of these tests
-// fails, the generator changed -- re-baseline tests/golden/ and bump
-// the snapshot format version, or revert.
+// trace and every stored range record. If one of these tests fails,
+// the generator changed -- re-baseline tests/golden/ and bump
+// kSnapshotFormatVersion, or revert.
 
 TEST(RngVectors, SplitMix64Pinned)
 {

@@ -2,11 +2,12 @@
  * @file
  * hh::shard unit and identity tests.
  *
- * Two halves. The synthetic half exercises planShards and the merge
- * validation matrix (uneven ranges, duplicates/overlaps, missing
- * shards, fingerprint mismatches, interrupted shards, ordering
- * independence) on hand-built RangeRecords -- no worlds are
- * constructed, so these are fast. The SweepIdentityMatrix half is the
+ * Two halves. The synthetic half exercises planShards, the range
+ * record's file (its bytes pinned) and the merge validation matrix
+ * (uneven ranges, duplicates/overlaps, missing shards, fingerprint
+ * mismatches, interrupted shards, ordering independence) on
+ * hand-built RangeRecords -- no worlds are constructed, so these are
+ * fast. The SweepIdentityMatrix half is the
  * ISSUE 7 acceptance sweep: for 8 seeds, with and without a
  * randomized FaultPlan, a campaign split into {1, 2, 4} shards run at
  * {1, 4} threads and merged must be bitwise-identical to the
@@ -117,6 +118,39 @@ TEST(PlanShards, ZeroCountBehavesAsOne)
     EXPECT_EQ(ranges[0].end, 6u);
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+std::string
+hexOf(const std::string &bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const char c : bytes) {
+        const auto byte = static_cast<uint8_t>(c);
+        hex += kDigits[byte >> 4];
+        hex += kDigits[byte & 15];
+    }
+    return hex;
+}
+
+void
+expectSameRecord(const attack::RangeRecord &actual,
+                 const attack::RangeRecord &expected)
+{
+    EXPECT_EQ(actual.campaignFingerprint, expected.campaignFingerprint);
+    EXPECT_EQ(actual.totalTrials, expected.totalTrials);
+    EXPECT_EQ(actual.begin, expected.begin);
+    EXPECT_EQ(actual.end, expected.end);
+    EXPECT_EQ(actual.terminal, expected.terminal);
+    EXPECT_EQ(actual.outcomes, expected.outcomes);
+}
+
 TEST(ShardArtifact, SaveLoadRoundTrips)
 {
     const std::string path = ::testing::TempDir() + "shard_rt.bin";
@@ -125,18 +159,69 @@ TEST(ShardArtifact, SaveLoadRoundTrips)
     ASSERT_TRUE(attack::saveRangeRecord(path, shard).ok());
     const auto loaded = attack::loadRangeRecord(path);
     ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    EXPECT_EQ(loaded->campaignFingerprint, 0xf00dull);
-    EXPECT_EQ(loaded->totalTrials, 8u);
-    EXPECT_EQ(loaded->begin, 2u);
-    EXPECT_EQ(loaded->end, 6u);
-    ASSERT_EQ(loaded->outcomes.size(), shard.outcomes.size());
-    for (size_t i = 0; i < shard.outcomes.size(); ++i) {
-        EXPECT_EQ(loaded->outcomes[i].duration,
-                  shard.outcomes[i].duration);
-        EXPECT_EQ(loaded->outcomes[i].success,
-                  shard.outcomes[i].success);
-    }
+    expectSameRecord(*loaded, shard);
     EXPECT_TRUE(loaded->complete());
+}
+
+TEST(ShardArtifact, RecordBytesArePinned)
+{
+    // The one layout that reaches disk, byte for byte. Every field of
+    // each outcome holds a value no other field holds, so a reordered,
+    // resized or re-encoded field changes the file even when writer
+    // and reader change alike and the record still round-trips.
+    attack::RangeRecord record;
+    record.campaignFingerprint = 0x0123456789abcdefull;
+    record.totalTrials = 40;
+    record.begin = 16;
+    record.end = 24;
+    record.terminal = false;
+    record.outcomes.resize(2);
+    attack::AttemptOutcome &first = record.outcomes[0];
+    first.success = false;
+    first.bitsTargeted = 12;
+    first.releasedSubBlocks = 3;
+    first.demotions = 351;
+    first.changedPages = 5;
+    first.epteCandidates = 2;
+    first.duration = 31'212'746'475;
+    first.retries = 1;
+    first.backoffTime = 10'000'000;
+    first.faultsFired = 7;
+    attack::AttemptOutcome &second = record.outcomes[1];
+    second.success = true;
+    second.bitsTargeted = 11;
+    second.releasedSubBlocks = 4;
+    second.demotions = 352;
+    second.changedPages = 6;
+    second.epteCandidates = 9;
+    second.duration = 29'876'543'210;
+    second.retries = 3;
+    second.backoffTime = 30'000'000;
+    second.faultsFired = 8;
+
+    const std::string path = ::testing::TempDir() + "shard_pinned.bin";
+    ASSERT_TRUE(attack::saveRangeRecord(path, record).ok());
+    EXPECT_EQ(hexOf(fileBytes(path)),
+              // Frame: magic, format version 10, payload length 171,
+              // FNV-1a of the payload.
+              "010a54504b434848" "0a000000" "ab00000000000000"
+              "a6b8ea3abb2b35cd"
+              // Record: fingerprint, campaign size 40, range [16, 24),
+              // not terminal, 2 outcomes.
+              "efcdab8967452301" "2800000000000000" "1000000000000000"
+              "1800000000000000" "00" "0200000000000000"
+              // Outcomes: success, bits targeted, released sub-blocks,
+              // demotions, changed pages, EPTE candidates, duration,
+              // retries, backoff time, faults fired.
+              "00" "0c000000" "0300000000000000" "5f01000000000000"
+              "0500000000000000" "0200000000000000" "ebb66c4407000000"
+              "01000000" "8096980000000000" "0700000000000000"
+              "01" "0b000000" "0400000000000000" "6001000000000000"
+              "0600000000000000" "0900000000000000" "eadec7f406000000"
+              "03000000" "80c3c90100000000" "0800000000000000");
+    const auto loaded = attack::loadRangeRecord(path);
+    ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
+    expectSameRecord(*loaded, record);
 }
 
 TEST(ShardArtifact, TruncatedFileIsRejected)
@@ -146,13 +231,7 @@ TEST(ShardArtifact, TruncatedFileIsRejected)
         attack::saveRangeRecord(path, syntheticShard(1, 4, 0, 4)).ok());
     // Chop the tail off: framing (payload length + checksum) must
     // catch it.
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in.good());
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
+    std::string bytes = fileBytes(path);
     ASSERT_GT(bytes.size(), 9u);
     bytes.resize(bytes.size() - 9);
     {

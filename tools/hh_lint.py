@@ -23,11 +23,13 @@ Rules (see docs/static_analysis.md for the rationale and how to add one):
                       registered in src/fault/fault_sites.def, and each
                       site may be consumed by at most one injection
                       point (site identity seeds the fault stream)
-  snapshot-version    every saveState() body is hashed and pinned in
-                      tools/snapshot_manifest.json; changing a
-                      serialized layout without bumping
-                      kSnapshotFormatVersion would let old snapshots be
-                      silently reinterpreted instead of rejected
+  snapshot-version    the definitions tools/snapshot_manifest.json
+                      names -- the encoders whose bytes reach disk,
+                      RangeRecord::saveState() and writeOutcome() --
+                      are hashed and compared with their pins; changing
+                      one without bumping kSnapshotFormatVersion would
+                      let records already on disk be misread instead
+                      of refused
   no-deep-world-copy  a copy constructor on a world-state type
                       (HostSystem, DramSystem, BuddyAllocator,
                       MemoryBackend, FrameStore) that is not = delete:
@@ -36,9 +38,10 @@ Rules (see docs/static_analysis.md for the rationale and how to add one):
   bad-waiver          an hh-lint waiver without a justification
 
 After an intentional format change: bump kSnapshotFormatVersion in
-src/snapshot/snapshot_format.h, then regenerate the manifest with
+src/attack/orchestrator.cc, then re-pin with
 `hh_lint.py --update-snapshot-manifest` (it refuses to re-pin while
-the version is unchanged).
+the version is unchanged). A new persisted encoder joins the manifest
+by hand: add its `<path>::<name>` key, then bump and re-pin.
 
 Waivers: append `// hh-lint: allow(rule-a,rule-b) -- why it is safe`
 to the offending line (or put the comment alone on the line above).
@@ -77,8 +80,8 @@ RULES = {
     "fault-site": "HH_FAULT_POINT site must be registered in "
                   "src/fault/fault_sites.def and consumed by at most "
                   "one injection point",
-    "snapshot-version": "serialized saveState() layout changed without "
-                        "a kSnapshotFormatVersion bump; bump it and run "
+    "snapshot-version": "persisted layout changed without a "
+                        "kSnapshotFormatVersion bump; bump it and run "
                         "hh_lint.py --update-snapshot-manifest",
     "no-deep-world-copy": "world-state types clone via their CoW fork "
                           "paths (fork()/forkTrial()/forkFrom()); "
@@ -156,12 +159,10 @@ NAKED_DELETE_RE = re.compile(r"(?<![\w.])delete(?:\s*\[\s*\])?\s+[\w(*]")
 FAULT_POINT_RE = re.compile(r"\bHH_FAULT_POINT\s*\(")
 FAULT_SITE_NAME_RE = re.compile(r"\bFaultSite\s*::\s*(\w+)")
 FAULT_SITE_DEF_RE = re.compile(r"\bHH_FAULT_SITE\s*\(\s*(\w+)\s*,")
-SAVE_STATE_DEF_RE = re.compile(r"\b(?:(\w+)\s*::\s*)?saveState\s*\(")
 # Qualifiers allowed between a parameter list and the function body.
 FUNC_BODY_OPEN_RE = re.compile(
     r"(?:\s|\bconst\b|\bnoexcept\b|\boverride\b|\bfinal\b)*\{")
 SNAPSHOT_VERSION_RE = re.compile(r"\bkSnapshotFormatVersion\s*=\s*(\d+)")
-CLASS_NAME_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
 # World-state types whose duplication must go through the CoW fork
 # paths. A copy-ctor *declaration* of one of these (first parameter a
 # const reference to the same type) fires unless the same line deletes
@@ -338,43 +339,43 @@ def find_matching(text, open_idx, open_ch, close_ch):
     return -1
 
 
-def scan_save_states(path, stripped, waivers, enabled_for, records):
-    """Collect every saveState() *definition* in this file.
+def pinned_definition(repo_root, key):
+    """Find and hash the definition a manifest key names.
 
-    Each record pins the function's normalized body under a stable hash
-    so check_snapshot_manifest can detect a serialized-layout change
-    that was not accompanied by a kSnapshotFormatVersion bump.
-    Declarations and call sites (no `{` after the parameter list) are
-    skipped.
+    A key is `<relpath>::<name>`, where name is `f` or `Class::f`
+    spelled as at the definition. The first definition of that name
+    in the file is normalized and hashed; declarations and calls (no
+    body after the parameter list) are skipped. None when the file or
+    the definition is gone.
     """
-    if records is None or not enabled_for("snapshot-version"):
-        return
-    for m in SAVE_STATE_DEF_RE.finditer(stripped):
+    rel, _, name = key.partition("::")
+    path = repo_root / rel
+    if not path.is_file():
+        return None
+    raw = path.read_text(errors="replace")
+    stripped = strip_code(raw)
+    name_re = re.compile(r"(?<![\w:.])" + r"\s*::\s*".join(
+        re.escape(part) for part in name.split("::")) + r"\s*\(")
+    for m in name_re.finditer(stripped):
         params_close = find_matching(stripped, m.end() - 1, "(", ")")
-        if params_close == -1:
-            continue
-        body = FUNC_BODY_OPEN_RE.match(stripped, params_close + 1)
+        body = (FUNC_BODY_OPEN_RE.match(stripped, params_close + 1)
+                if params_close != -1 else None)
         if body is None:
             continue  # declaration or call, not a definition
         body_close = find_matching(stripped, body.end() - 1, "{", "}")
         if body_close == -1:
             continue
-        name = m.group(1)
-        if not name:
-            # Inline member definition: attribute it to the nearest
-            # preceding class/struct.
-            classes = CLASS_NAME_RE.findall(stripped[:m.start()])
-            name = classes[-1] if classes else "?"
         lineno = stripped.count("\n", 0, m.start()) + 1
         normalized = " ".join(stripped[m.start():body_close + 1].split())
-        records.append({
+        waivers, _ = parse_waivers(raw.splitlines())
+        return {
             "path": path,
             "line": lineno,
-            "name": name,
             "hash": hashlib.sha256(
                 normalized.encode()).hexdigest()[:16],
             "waived": "snapshot-version" in waivers.get(lineno, set()),
-        })
+        }
+    return None
 
 
 def scan_snapshot_versions(path, stripped, waivers, versions):
@@ -392,7 +393,7 @@ def scan_snapshot_versions(path, stripped, waivers, versions):
 
 
 def lint_file(path, enabled_for, fault_registry=None, site_uses=None,
-              save_states=None, versions=None):
+              versions=None):
     """Return the findings for one file. @p enabled_for maps a rule name
     to True when this path is subject to it (allow_paths applied)."""
     raw = path.read_text(errors="replace")
@@ -419,7 +420,6 @@ def lint_file(path, enabled_for, fault_registry=None, site_uses=None,
 
     scan_fault_points(path, texts[0], waivers, enabled_for,
                       fault_registry, site_uses, findings)
-    scan_save_states(path, texts[0], waivers, enabled_for, save_states)
     scan_snapshot_versions(path, texts[0], waivers, versions)
 
     is_header = path.suffix in (".h", ".hh")
@@ -517,26 +517,14 @@ def snapshot_manifest_path(paths, config, repo_root):
     return repo_root / "tools" / "snapshot_manifest.json"
 
 
-def snapshot_struct_map(save_states, repo_root):
-    """Key each saveState record as `<relpath>::<owner>` (with a `#N`
-    suffix for same-named siblings in one file)."""
-    counts = {}
-    structs = {}
-    for rec in save_states:
-        base = f"{relpath(rec['path'], repo_root)}::{rec['name']}"
-        counts[base] = counts.get(base, 0) + 1
-        key = base if counts[base] == 1 else f"{base}#{counts[base]}"
-        structs[key] = rec
-    return structs
-
-
-def check_snapshot_manifest(paths, config, repo_root, save_states,
-                            versions, findings):
-    """The snapshot-version rule's whole-tree pass.
+def check_snapshot_manifest(paths, config, repo_root, versions,
+                            findings):
+    """The snapshot-version rule's whole-tree pass: every definition
+    the manifest names must still hash to its pin. An unnamed
+    saveState() is an in-memory identity stream, not a finding.
 
     Inert when the scanned set defines no kSnapshotFormatVersion (a
-    partial lint run, or a tree without the snapshot layer) or when no
-    manifest exists yet.
+    partial lint run) or when no manifest exists.
     """
     manifest_path = snapshot_manifest_path(paths, config, repo_root)
     if not versions or not manifest_path.exists():
@@ -562,70 +550,61 @@ def check_snapshot_manifest(paths, config, repo_root, save_states,
              f"records {manifest.get('version')}; run hh_lint.py "
              "--update-snapshot-manifest to re-pin the layouts")
         return
-    structs = snapshot_struct_map(save_states, repo_root)
-    recorded = manifest.get("structs", {})
-    for key, rec in structs.items():
-        if key not in recorded:
-            flag(rec, f"new serialized layout '{key}' is not pinned in "
-                      f"{manifest_rel}; bump kSnapshotFormatVersion and "
-                      "run --update-snapshot-manifest")
-        elif recorded[key] != rec["hash"]:
-            flag(rec, f"serialized layout of '{key}' changed but "
-                      "kSnapshotFormatVersion did not; old snapshots "
-                      "would be reinterpreted, not rejected -- bump it "
+    for key, pin in sorted(manifest.get("definitions", {}).items()):
+        rec = pinned_definition(repo_root, key)
+        if rec is None:
+            flag(anchor, f"{manifest_rel} pins '{key}' but that "
+                         "definition is gone; bump "
+                         "kSnapshotFormatVersion and fix the key")
+        elif rec["hash"] != pin:
+            flag(rec, f"persisted layout '{key}' changed but "
+                      "kSnapshotFormatVersion did not; records already "
+                      "on disk would be misread, not refused -- bump it "
                       "and run --update-snapshot-manifest")
-    for key in sorted(set(recorded) - set(structs)):
-        flag(anchor, f"{manifest_rel} pins '{key}' but that saveState() "
-                     "definition is gone; bump kSnapshotFormatVersion "
-                     "and run --update-snapshot-manifest")
-
-
-def collect_snapshot_state(paths, config, repo_root):
-    """(save_states, versions) for --update-snapshot-manifest."""
-    save_states, versions = [], []
-    for f in iter_files(paths, config, repo_root):
-        raw = f.read_text(errors="replace")
-        stripped = strip_code(raw)
-        waivers, _ = parse_waivers(raw.splitlines())
-        scan_save_states(f, stripped, waivers, lambda rule: True,
-                         save_states)
-        scan_snapshot_versions(f, stripped, waivers, versions)
-    return save_states, versions
 
 
 def update_snapshot_manifest(config, repo_root):
-    """Regenerate tools/snapshot_manifest.json at the tree's current
-    format version. Refuses while layouts changed under an unchanged
-    version: the bump is the point of the rule."""
-    paths = [repo_root / r for r in config["roots"]]
-    save_states, versions = collect_snapshot_state(paths, config,
-                                                   repo_root)
+    """Re-hash the definitions tools/snapshot_manifest.json names at
+    the tree's current format version. Refuses while a pinned body
+    changed under an unchanged version: the bump is the point of the
+    rule."""
+    versions = []
+    for f in iter_files([repo_root / r for r in config["roots"]],
+                        config, repo_root):
+        raw = f.read_text(errors="replace")
+        waivers, _ = parse_waivers(raw.splitlines())
+        scan_snapshot_versions(f, strip_code(raw), waivers, versions)
     if not versions:
         print("hh-lint: no kSnapshotFormatVersion in the tree; "
               "nothing to pin", file=sys.stderr)
         return 2
     current = versions[0]["value"]
-    structs = {key: rec["hash"] for key, rec in
-               snapshot_struct_map(save_states, repo_root).items()}
     manifest_path = repo_root / "tools" / "snapshot_manifest.json"
-    if manifest_path.exists():
-        try:
-            old = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            old = None
-        if (old is not None and old.get("version") == current
-                and old.get("structs") != structs):
-            print("hh-lint: refusing to re-pin: serialized layouts "
-                  "changed but kSnapshotFormatVersion is still "
-                  f"{current}; bump it in src/snapshot/"
-                  "snapshot_format.h first", file=sys.stderr)
+    manifest_rel = relpath(manifest_path, repo_root)
+    try:
+        old = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"hh-lint: cannot read {manifest_rel}: {err}",
+              file=sys.stderr)
+        return 2
+    pins = {}
+    for key in sorted(old.get("definitions", {})):
+        rec = pinned_definition(repo_root, key)
+        if rec is None:
+            print(f"hh-lint: {manifest_rel} pins '{key}' but that "
+                  "definition is gone; fix the key by hand",
+                  file=sys.stderr)
             return 2
+        pins[key] = rec["hash"]
+    if old.get("version") == current and old.get("definitions") != pins:
+        print("hh-lint: refusing to re-pin: a persisted layout changed "
+              f"but kSnapshotFormatVersion is still {current}; bump it "
+              "in src/attack/orchestrator.cc first", file=sys.stderr)
+        return 2
     manifest_path.write_text(json.dumps(
-        {"version": current, "structs": dict(sorted(structs.items()))},
-        indent=2) + "\n")
-    print(f"hh-lint: pinned {len(structs)} serialized layout(s) at "
-          f"format version {current} in "
-          f"{relpath(manifest_path, repo_root)}")
+        {"version": current, "definitions": pins}, indent=2) + "\n")
+    print(f"hh-lint: pinned {len(pins)} persisted layout(s) at "
+          f"format version {current} in {manifest_rel}")
     return 0
 
 
@@ -633,7 +612,6 @@ def run_lint(paths, config, repo_root):
     findings = []
     fault_registry = load_fault_registry(repo_root)
     site_uses = {}
-    save_states = []
     versions = []
     for f in iter_files(paths, config, repo_root):
         rel = relpath(f, repo_root)
@@ -643,11 +621,11 @@ def run_lint(paths, config, repo_root):
                            for prefix in config["allow"].get(rule, []))
 
         for finding in lint_file(f, enabled_for, fault_registry,
-                                 site_uses, save_states, versions):
+                                 site_uses, versions):
             finding.path = rel
             findings.append(finding)
-    check_snapshot_manifest(paths, config, repo_root, save_states,
-                            versions, findings)
+    check_snapshot_manifest(paths, config, repo_root, versions,
+                            findings)
     for name in sorted(site_uses):
         uses = site_uses[name]
         first = f"{relpath(uses[0][0], repo_root)}:{uses[0][1]}"
@@ -708,10 +686,10 @@ def main(argv):
     parser.add_argument("--self-test", metavar="FIXTURE_DIR",
                         help="run the rule fixtures instead of linting")
     parser.add_argument("--update-snapshot-manifest", action="store_true",
-                        help="re-pin saveState() layout hashes in "
-                             "tools/snapshot_manifest.json (requires a "
-                             "kSnapshotFormatVersion bump when layouts "
-                             "changed)")
+                        help="re-hash the definitions "
+                             "tools/snapshot_manifest.json pins "
+                             "(requires a kSnapshotFormatVersion bump "
+                             "when one changed)")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
 
