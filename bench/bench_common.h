@@ -1,7 +1,9 @@
 /**
  * @file
  * Shared plumbing for the table/figure reproduction binaries: flag
- * parsing (scale, seed, quick mode) and common setup helpers.
+ * parsing (scale, seed, quick mode) and common setup helpers. A
+ * numeric flag's value must parse whole: "--trials=x" exits 2 with
+ * "bad --trials" (base::parseNumber).
  *
  * Every bench prints the paper's reference numbers next to the
  * measured ones; EXPERIMENTS.md records a snapshot of both.
@@ -16,9 +18,21 @@
 #include <string>
 #include <vector>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 namespace hh::bench {
+
+/**
+ * The value of @p arg when it is "<prefix><value>", else null. Bench
+ * parsers share one argv and skip each other's flags.
+ */
+inline const char *
+flagValue(const std::string &arg, const char *prefix)
+{
+    const size_t len = std::strlen(prefix);
+    return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
+}
 
 /** Command-line options shared by the bench binaries. */
 struct Options
@@ -39,20 +53,16 @@ struct Options
         Options opts;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&arg](const char *prefix) -> const char * {
-                const size_t len = std::strlen(prefix);
-                return arg.compare(0, len, prefix) == 0
-                    ? arg.c_str() + len : nullptr;
-            };
-            if (const char *v = value("--host-gib=")) {
-                opts.hostBytes = std::strtoull(v, nullptr, 0) * 1_GiB;
-            } else if (const char *v2 = value("--seed=")) {
-                opts.seed = std::strtoull(v2, nullptr, 0);
-            } else if (const char *v3 = value("--system=")) {
+            if (const char *v = flagValue(arg, "--host-gib=")) {
+                uint64_t gib = 0;
+                base::parseNumber(argv[0], "host-gib", v, gib);
+                opts.hostBytes = gib * 1_GiB;
+            } else if (const char *v2 = flagValue(arg, "--seed=")) {
+                base::parseNumber(argv[0], "seed", v2, opts.seed);
+            } else if (const char *v3 = flagValue(arg, "--system=")) {
                 opts.system = v3;
-            } else if (const char *v4 = value("--threads=")) {
-                opts.threads = static_cast<unsigned>(
-                    std::strtoul(v4, nullptr, 0));
+            } else if (const char *v4 = flagValue(arg, "--threads=")) {
+                base::parseNumber(argv[0], "threads", v4, opts.threads);
             } else if (arg == "--quick") {
                 opts.quick = true;
             } else if (arg == "--help" || arg == "-h") {

@@ -6,7 +6,8 @@
  * Each trial installs FaultPlan::randomized(seed_base + trial,
  * intensity) on a small S1 host, profiles, runs the campaign through
  * runAttempts() (every attempt a forked trial world, checkpointed
- * when --checkpoint-every is set), and prints one line with the
+ * when --checkpoint-every is set; a rerun with the same flags resumes
+ * each campaign's record), and prints one line with the
  * campaign's status, retry/degradation counters and the number of
  * faults the trial injectors fired. Every line is fully reproducible
  * from its plan seed, so a failing nightly run can be replayed locally
@@ -33,10 +34,11 @@ struct SoakOptions
     double intensity = 1.0;
     /** Checkpoint each campaign every N attempts (0 = off). */
     uint64_t checkpointEvery = 0;
-    /** Base path; campaign files get a "_s<plan seed>" suffix. */
+    /**
+     * Base path; campaign files get a "_s<plan seed>" suffix. A
+     * campaign resumes the record at its file.
+     */
     std::string checkpointPath = "fault_soak.ckpt";
-    /** Restore valid checkpoints instead of starting from scratch. */
-    bool resume = false;
     /** Simulated crash: stop each campaign after N attempts. */
     uint64_t killAt = 0;
     /**
@@ -52,30 +54,25 @@ struct SoakOptions
         SoakOptions soak;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&arg](const char *prefix) -> const char * {
-                const size_t len = std::strlen(prefix);
-                return arg.compare(0, len, prefix) == 0
-                    ? arg.c_str() + len : nullptr;
-            };
-            if (const char *v = value("--trials="))
-                soak.trials = static_cast<unsigned>(
-                    std::strtoul(v, nullptr, 0));
-            else if (const char *v2 = value("--seed-base="))
-                soak.seedBase = std::strtoull(v2, nullptr, 0);
-            else if (const char *v3 = value("--intensity="))
-                soak.intensity = std::strtod(v3, nullptr);
-            else if (const char *v4 = value("--checkpoint-every="))
-                soak.checkpointEvery = std::strtoull(v4, nullptr, 0);
-            else if (const char *v5 = value("--checkpoint-path="))
+            if (const char *v = flagValue(arg, "--trials="))
+                base::parseNumber(argv[0], "trials", v, soak.trials);
+            else if (const char *v2 = flagValue(arg, "--seed-base="))
+                base::parseNumber(argv[0], "seed-base", v2,
+                                  soak.seedBase);
+            else if (const char *v3 = flagValue(arg, "--intensity="))
+                base::parseNumber(argv[0], "intensity", v3,
+                                  soak.intensity);
+            else if (const char *v4 =
+                         flagValue(arg, "--checkpoint-every="))
+                base::parseNumber(argv[0], "checkpoint-every", v4,
+                                  soak.checkpointEvery);
+            else if (const char *v5 =
+                         flagValue(arg, "--checkpoint-path="))
                 soak.checkpointPath = v5;
-            else if (const char *v6 = value("--kill-at="))
-                soak.killAt = std::strtoull(v6, nullptr, 0);
-            else if (arg == "--resume")
-                soak.resume = true;
-            else if (const char *v7 = value("--resume="))
-                soak.resume = true, soak.checkpointPath = v7;
-            else if (const char *v8 = value("--json-out="))
-                soak.jsonOut = v8;
+            else if (const char *v6 = flagValue(arg, "--kill-at="))
+                base::parseNumber(argv[0], "kill-at", v6, soak.killAt);
+            else if (const char *v7 = flagValue(arg, "--json-out="))
+                soak.jsonOut = v7;
         }
         return soak;
     }
@@ -139,18 +136,17 @@ main(int argc, char **argv)
                                          host.dram().mapping(), acfg);
         attack.profilePhase();
         // Attempts are pure per-index trials, so a checkpointed run
-        // killed here and resumed with --resume reproduces the
+        // killed here and rerun with the same flags reproduces the
         // straight run's table bit for bit.
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         if (soak.checkpointEvery > 0) {
             policy.path = soak.checkpointPath + "_s" +
                 std::to_string(plan_seed);
             policy.everyTrials = soak.checkpointEvery;
-            policy.resume = soak.resume;
             policy.stopAfterTrials = soak.killAt;
         }
         const attack::AttackResult result =
-            attack.runAttempts(acfg.maxAttempts, opts.threads, policy);
+            attack.runAttempts(opts.threads, policy);
 
         uint64_t retries = 0;
         for (const attack::AttemptOutcome &outcome : result.outcomes)

@@ -44,20 +44,15 @@ struct MatrixOptions
         MatrixOptions opts;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&arg](const char *prefix) -> const char * {
-                const size_t len = std::strlen(prefix);
-                return arg.compare(0, len, prefix) == 0
-                    ? arg.c_str() + len : nullptr;
-            };
             if (arg == "--smoke")
                 opts.smoke = true;
-            else if (const char *v = value("--trials="))
-                opts.trials = std::strtoull(v, nullptr, 0);
-            else if (const char *v2 = value("--defenses="))
+            else if (const char *v = flagValue(arg, "--trials="))
+                base::parseNumber(argv[0], "trials", v, opts.trials);
+            else if (const char *v2 = flagValue(arg, "--defenses="))
                 opts.defenses = v2;
-            else if (const char *v3 = value("--attacks="))
+            else if (const char *v3 = flagValue(arg, "--attacks="))
                 opts.attacks = v3;
-            else if (const char *v4 = value("--json-out="))
+            else if (const char *v4 = flagValue(arg, "--json-out="))
                 opts.jsonOut = v4;
         }
         return opts;

@@ -76,8 +76,7 @@ main(int argc, char **argv)
     }
 
     std::printf("[2/3] attack loop (steer, hammer, escalate)...\n");
-    const attack::AttackResult result =
-        attack.runAttempts(attack_cfg.maxAttempts, 0);
+    const attack::AttackResult result = attack.runAttempts(0);
 
     std::printf("[3/3] result: %s after %u attempts, %s (virtual), "
                 "avg %.1f s/attempt\n",

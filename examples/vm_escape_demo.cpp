@@ -26,6 +26,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "hyperhammer/hyperhammer.h"
 
@@ -46,22 +50,28 @@ runSnapshotDemo(uint64_t seed)
     // "crashed" after 2 trials must agree on every field.
     std::printf("[ckpt]  straight vs. kill-at-2-then-resume "
                 "campaign...\n");
-    snapshot::ResumeIdentityOptions options;
-    options.attempts = 4;
+    attack::ResumeIdentityOptions options;
     options.threads = 2;
     options.checkpointEvery = 1;
     options.killAfterTrials = 2;
-    options.checkpointPath = "/tmp/vm_escape_demo.ckpt";
+    // A record of its own: a path always resumes, and concurrent demos
+    // must neither share nor rotate each other's record. The harness
+    // removes it (and its .prev) when done.
+    options.checkpointPath =
+        (std::filesystem::temp_directory_path()
+         / ("vm_escape_demo_" + std::to_string(::getpid()) + ".ckpt"))
+            .string();
 
     sys::SystemConfig atk_cfg =
         sys::SystemConfig::s1(seed).withMemory(1_GiB);
     atk_cfg.dram.fault.weakCellsPerRow *= 8; // keep the demo short
     attack::AttackConfig mc_cfg;
+    mc_cfg.maxAttempts = 4;
     mc_cfg.steering.exhaustMappings = 2'500;
-    const snapshot::ResumeIdentityReport report =
-        snapshot::verifyResumeIdentity(atk_cfg, vm_cfg,
-                                       atk_cfg.dram.mapping, mc_cfg,
-                                       options);
+    const attack::ResumeIdentityReport report =
+        attack::verifyResumeIdentity(atk_cfg, vm_cfg,
+                                     atk_cfg.dram.mapping, mc_cfg,
+                                     options);
     std::printf("[ckpt]  killed midway: %s; %u trial(s) restored from "
                 "the checkpoint\n",
                 report.killedMidway ? "yes" : "no (finished early)",
@@ -225,6 +235,7 @@ main(int argc, char **argv)
     mc_vm.virtioMemRegionSize = 1_GiB;
     mc_vm.virtioMemPlugged = 640_MiB;
     attack::AttackConfig mc_cfg;
+    mc_cfg.maxAttempts = attempts;
     mc_cfg.steering.exhaustMappings = 2'500;
     attack::HyperHammerAttack batch(mc_host, mc_vm,
                                     mc_host.dram().mapping(), mc_cfg);
@@ -233,8 +244,7 @@ main(int argc, char **argv)
         std::printf("[mc]    no usable bits at this seed; try another\n");
         return 0;
     }
-    const attack::AttackResult mc =
-        batch.runAttempts(attempts, threads);
+    const attack::AttackResult mc = batch.runAttempts(threads);
     uint64_t flips = 0;
     uint64_t bits = 0;
     for (const attack::AttemptOutcome &outcome : mc.outcomes) {

@@ -13,9 +13,9 @@
  *   hh::vm       -- a guest VM and its guest-facing operations
  *   hh::sys      -- host assembly and the S1/S2/S3 presets
  *   hh::mitigate -- pluggable defenses and the evaluation matrix
- *   hh::attack   -- profiling, Page Steering, exploitation
- *   hh::snapshot -- file formats, checkpoint policy, resume identity
- *   hh::shard    -- shard ranges and the range-record merge
+ *   hh::attack   -- profiling, Page Steering, exploitation, and the
+ *                   range record: checkpoint policy, resume, shard
+ *                   merge, resume identity
  *   hh::analysis -- DRAMDig, TRRespass, report formatting
  *
  * Typical use: build a host from a preset, create a VM, and drive the
@@ -32,6 +32,7 @@
 #include "attack/orchestrator.h"
 #include "attack/page_steering.h"
 #include "attack/profiler.h"
+#include "attack/resume_identity.h"
 #include "attack/types.h"
 #include "base/bitops.h"
 #include "base/log.h"
@@ -56,9 +57,6 @@
 #include "mitigate/matrix.h"
 #include "mm/buddy_allocator.h"
 #include "mm/page.h"
-#include "shard/shard.h"
-#include "snapshot/checkpoint_policy.h"
-#include "snapshot/resume_identity.h"
 #include "sys/host_system.h"
 #include "sys/ksm.h"
 #include "virtio/virtio_mem.h"

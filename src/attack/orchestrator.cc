@@ -9,7 +9,6 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "mitigate/defense.h"
-#include "snapshot/checkpoint_policy.h"
 
 namespace hh::attack {
 
@@ -494,7 +493,7 @@ saveRangeRecord(const std::string &path, const RangeRecord &record)
     record.saveState(w);
     // Keep the previous record as the fallback file; the rename fails
     // harmlessly when this is the first write.
-    const std::string prev = path + snapshot::kCheckpointPrevSuffix;
+    const std::string prev = path + kCheckpointPrevSuffix;
     (void)std::rename(path.c_str(), prev.c_str());
     return base::saveArchiveFile(path, kRangeRecordMagic,
                                  kSnapshotFormatVersion, w.buffer());
@@ -520,23 +519,24 @@ loadRangeRecord(const std::string &path)
 namespace {
 
 /**
- * The completed prefix a resumed range starts from: the record at
- * @p path, else at path + ".prev", whichever is first of this
- * campaign and this range start. Empty when neither is.
+ * The completed prefix a range starts from: the outcomes of the
+ * record at @p path, else at path + ".prev", whichever first
+ * belongsTo() the campaign and range of @p range. Empty when neither
+ * does.
  */
 std::vector<AttemptOutcome>
-restoreRange(const std::string &path, uint64_t fingerprint,
-             uint64_t begin)
+restoreRange(const std::string &path, const RangeRecord &range)
 {
-    for (const std::string &file :
-         {path, path + snapshot::kCheckpointPrevSuffix}) {
+    for (const std::string &file : {path, path + kCheckpointPrevSuffix}) {
         auto record = loadRangeRecord(file);
-        if (record && record->campaignFingerprint == fingerprint
-            && record->begin == begin)
+        if (record
+            && record->belongsTo(range.campaignFingerprint,
+                                 range.totalTrials, range.begin,
+                                 range.end))
             return std::move(record->outcomes);
         if (record)
             base::warn("range record '%s' is of another campaign or "
-                       "range start; ignoring",
+                       "range; ignoring",
                        file.c_str());
     }
     return {};
@@ -547,7 +547,7 @@ restoreRange(const std::string &path, uint64_t fingerprint,
 TrialRangeResult
 HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
                                  unsigned threads,
-                                 const snapshot::CheckpointPolicy &policy)
+                                 const CheckpointPolicy &policy)
 {
     HH_ASSERT(begin <= end);
     const uint64_t total = end - begin;
@@ -564,12 +564,8 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     RangeRecord record{persist ? campaignFingerprint() : 0,
                        cfg.maxAttempts, begin, end, false, {}};
     std::vector<AttemptOutcome> &outcomes = record.outcomes;
-    if (persist && policy.resume) {
-        outcomes = restoreRange(policy.path, record.campaignFingerprint,
-                                begin);
-        if (outcomes.size() > total)
-            outcomes.resize(total);
-    }
+    if (persist)
+        outcomes = restoreRange(policy.path, record);
     outcomes.reserve(total);
     range.resumedTrials = static_cast<unsigned>(outcomes.size());
 
@@ -662,8 +658,8 @@ HyperHammerAttack::aggregateOutcomes(std::vector<AttemptOutcome> outcomes)
 }
 
 AttackResult
-HyperHammerAttack::runAttempts(unsigned attempts, unsigned threads,
-                               const snapshot::CheckpointPolicy &policy)
+HyperHammerAttack::runAttempts(unsigned threads,
+                               const CheckpointPolicy &policy)
 {
     if (bits.empty()) {
         AttackResult result;
@@ -672,7 +668,7 @@ HyperHammerAttack::runAttempts(unsigned attempts, unsigned threads,
         return result;
     }
     TrialRangeResult range =
-        runTrialRange(0, attempts, threads, policy);
+        runTrialRange(0, cfg.maxAttempts, threads, policy);
     const bool stopped = range.stopped;
     const unsigned resumed = range.resumedTrials;
     AttackResult result = aggregateOutcomes(std::move(range.outcomes));
@@ -684,6 +680,112 @@ HyperHammerAttack::runAttempts(unsigned attempts, unsigned threads,
         result.degraded = false;
     }
     return result;
+}
+
+std::vector<ShardRange>
+planShards(uint64_t total_trials, unsigned count)
+{
+    if (count == 0)
+        count = 1;
+    std::vector<ShardRange> ranges;
+    ranges.reserve(count);
+    const uint64_t base = total_trials / count;
+    const uint64_t extra = total_trials % count;
+    uint64_t begin = 0;
+    for (unsigned i = 0; i < count; ++i) {
+        const uint64_t size = base + (i < extra ? 1 : 0);
+        ranges.push_back(ShardRange{begin, begin + size});
+        begin += size;
+    }
+    return ranges;
+}
+
+namespace {
+
+/** Append a hole, coalescing with an adjacent predecessor. */
+void
+addMissing(std::vector<ShardRange> &missing, ShardRange hole)
+{
+    if (!missing.empty() && missing.back().end == hole.begin) {
+        missing.back().end = hole.end;
+        return;
+    }
+    missing.push_back(hole);
+}
+
+} // namespace
+
+base::Expected<SweepReport>
+mergeShards(std::vector<RangeRecord> records)
+{
+    if (records.empty())
+        return base::ErrorCode::InvalidArgument;
+    for (const RangeRecord &record : records) {
+        if (!record.consistent()
+            || record.campaignFingerprint
+                != records.front().campaignFingerprint
+            || record.totalTrials != records.front().totalTrials)
+            return base::ErrorCode::InvalidArgument;
+    }
+
+    // Canonical order: any arrival order merges identically.
+    std::sort(records.begin(), records.end(),
+              [](const RangeRecord &a, const RangeRecord &b) {
+                  if (a.begin != b.begin)
+                      return a.begin < b.begin;
+                  return a.end < b.end;
+              });
+
+    // Fold the finishing records in trial order and name every range
+    // they do not cover. An incomplete or non-terminal record
+    // contributes nothing: its *whole* range becomes a hole, because
+    // the worker that closes the hole finishes the full range into
+    // one record -- folding its prefix here and that record later
+    // would double-count on re-merge.
+    SweepReport report;
+    report.campaignFingerprint = records.front().campaignFingerprint;
+    report.totalTrials = records.front().totalTrials;
+    // totalTrials is read from a file: it bounds no allocation.
+    const uint64_t total = report.totalTrials;
+    std::vector<AttemptOutcome> outcomes;
+    uint64_t next = 0; // first trial index not yet accounted
+    uint64_t first_success = total;
+    for (const RangeRecord &record : records) {
+        // Two records claiming the same trials is corruption, not a
+        // hole a rerun could close.
+        if (record.begin < next)
+            return base::ErrorCode::Exists;
+        const ShardRange range{record.begin, record.end};
+        if (range.begin > next)
+            addMissing(report.missing, ShardRange{next, range.begin});
+        next = range.end;
+        if (!record.complete() || !record.terminal) {
+            if (!range.empty())
+                addMissing(report.missing, range);
+            continue;
+        }
+        for (size_t i = 0;
+             i < record.outcomes.size() && first_success == total; ++i) {
+            if (record.outcomes[i].success)
+                first_success = range.begin + i;
+        }
+        outcomes.insert(outcomes.end(), record.outcomes.begin(),
+                        record.outcomes.end());
+    }
+    if (next < total)
+        addMissing(report.missing, ShardRange{next, total});
+
+    // aggregateOutcomes truncates at the first success in the folded
+    // sequence -- the campaign's sequential stopping point. Trials a
+    // sequential run never reaches (including every hole past that
+    // success) cannot influence the canonical result, which is what
+    // makes a degraded fold `exact` when the success precedes the
+    // first hole.
+    report.result =
+        HyperHammerAttack::aggregateOutcomes(std::move(outcomes));
+    report.exact = report.missing.empty()
+        || (first_success < report.missing.front().begin);
+    return report;
 }
 
 } // namespace hh::attack

@@ -10,7 +10,9 @@
  * forked from a shared template (runTrialRange, folded by
  * aggregateOutcomes), reproduces the paper's profiling-reuse oracle (a
  * debug hypercall translating GPA to HPA, Section 5.3.2) and records
- * the Table 3 statistics.
+ * the Table 3 statistics. It also owns the campaign's only persisted
+ * state, the range record: when a range writes one, which one it
+ * resumes, and how records of a sharded campaign merge.
  */
 
 #ifndef HYPERHAMMER_ATTACK_ORCHESTRATOR_H
@@ -26,7 +28,7 @@
 #include "attack/profiler.h"
 #include "attack/types.h"
 #include "base/archive.h"
-#include "snapshot/checkpoint_policy.h"
+#include "base/status.h"
 #include "sys/host_system.h"
 
 namespace hh::mitigate {
@@ -46,8 +48,8 @@ struct AttackConfig
      */
     uint64_t sprayBytes = 0;
     /**
-     * Attempt budget of a campaign, the @c attempts callers pass to
-     * runAttempts(); it is part of the campaign fingerprint.
+     * Campaign size: runAttempts() runs trials [0, maxAttempts). It is
+     * part of the campaign fingerprint and of every range record.
      */
     unsigned maxAttempts = 1'000;
     /**
@@ -141,6 +143,39 @@ struct AttackResult
     double avgAttemptSeconds() const;
 };
 
+/** Suffix of a range record's rotated previous file, its fallback. */
+inline const char *const kCheckpointPrevSuffix = ".prev";
+
+/**
+ * Where and how often a trial range keeps its range record. A path is
+ * the only switch: a range with one always resumes the record there
+ * (DESIGN.md section 3.4).
+ */
+struct CheckpointPolicy
+{
+    /**
+     * The range's record (RangeRecord), its checkpoint and its shard
+     * artifact; empty disables checkpointing entirely.
+     */
+    std::string path;
+
+    /**
+     * Write the record at range start and after every block of N
+     * trials; 0 runs the whole range as one block.
+     */
+    uint64_t everyTrials = 0;
+
+    /**
+     * Test hook simulating a crash: stop (with a Busy status and the
+     * record freshly written) at the first block end where at least
+     * this many trials have completed. 0 runs to completion. Lets
+     * resume-identity tests exercise the kill/resume path
+     * deterministically in-process; the CI soak job uses a real
+     * SIGKILL instead.
+     */
+    uint64_t stopAfterTrials = 0;
+};
+
 /**
  * Raw product of a contiguous trial range [begin, end): the completed
  * outcome prefix (relative to @c begin, truncated at the range's first
@@ -161,10 +196,9 @@ struct TrialRangeResult
 /**
  * The one persisted record of a trial range [begin, end): the range's
  * checkpoint while it runs and its shard artifact once terminal.
- * runTrialRange() writes it; resume, shard::mergeShards() and
- * `hh_sweep` read it back through loadRangeRecord(). Two records
- * merge only when fingerprint and totalTrials agree; their ranges
- * must tile the campaign.
+ * runTrialRange() writes it; resume, mergeShards() and `hh_sweep`
+ * read it back through loadRangeRecord(). Two records merge only when
+ * fingerprint and totalTrials agree and their ranges do not overlap.
  */
 struct RangeRecord
 {
@@ -177,8 +211,7 @@ struct RangeRecord
     /**
      * The writer's final word on the range: true once it is complete.
      * A record left by a stop, a kill or a still-running worker is
-     * non-terminal; the strict merge answers Busy for it, and a
-     * partial merge makes its whole range a hole.
+     * non-terminal, and mergeShards() makes its whole range a hole.
      */
     bool terminal = true;
     /** Completed prefix of the range, cut at its own first success. */
@@ -192,8 +225,9 @@ struct RangeRecord
 
     /**
      * This record, finished or not, is of range [range_begin,
-     * range_end) of campaign (fingerprint, total_trials). `hh_sweep`
-     * refuses to write over a readable record that is not.
+     * range_end) of campaign (fingerprint, total_trials). A range
+     * resumes only a record that is; `hh_sweep` refuses to write over
+     * a readable record that is not.
      */
     bool belongsTo(uint64_t fingerprint, uint64_t total_trials,
                    uint64_t range_begin, uint64_t range_end) const;
@@ -226,6 +260,67 @@ struct RangeRecord
  */
 [[nodiscard]] base::Expected<RangeRecord>
 loadRangeRecord(const std::string &path);
+
+/** A contiguous, half-open range of absolute trial indices. */
+struct ShardRange
+{
+    uint64_t begin = 0;
+    uint64_t end = 0;
+
+    uint64_t size() const { return end - begin; }
+    bool empty() const { return begin == end; }
+};
+
+/**
+ * Split @p total_trials into @p count contiguous near-even ranges:
+ * the first (total % count) shards get one extra trial. Ranges tile
+ * [0, total_trials) in order; with count > total_trials the surplus
+ * shards come back empty (begin == end), which merge accepts. count
+ * of 0 is treated as 1.
+ */
+std::vector<ShardRange> planShards(uint64_t total_trials,
+                                   unsigned count);
+
+/**
+ * Product of mergeShards(): the folded result plus exactly which
+ * trial ranges did not contribute. `exact` says whether the result is
+ * already the canonical full-campaign result -- true when nothing is
+ * missing, or when the folded prefix reaches a success before the
+ * first hole (aggregateOutcomes truncates there, so trials past it
+ * can never influence the canonical result).
+ */
+struct SweepReport
+{
+    AttackResult result;
+    uint64_t campaignFingerprint = 0;
+    uint64_t totalTrials = 0;
+    /** Uncovered ranges, sorted and coalesced; empty when complete. */
+    std::vector<ShardRange> missing;
+    /** True when `result` equals the canonical full-campaign result. */
+    bool exact = false;
+
+    /** At least one range is missing (the sweep ran degraded). */
+    bool partial() const { return !missing.empty(); }
+};
+
+/**
+ * The one merge of range records. It folds every finishing record's
+ * outcomes in trial order through
+ * HyperHammerAttack::aggregateOutcomes -- the same pure function of
+ * the outcome sequence a single-process run computes -- and names
+ * every range without one in SweepReport::missing: a gap between
+ * records, or the whole range of an incomplete or non-terminal
+ * record. Rerunning those ranges and merging again gives the
+ * bitwise-identical full result.
+ *
+ * Only adversarial input is an error: InvalidArgument for no records,
+ * records of different campaigns (fingerprint or totalTrials) or a
+ * record inconsistent with itself; Exists for duplicate or
+ * overlapping ranges. Input order is irrelevant: records are sorted
+ * by range first.
+ */
+[[nodiscard]] base::Expected<SweepReport>
+mergeShards(std::vector<RangeRecord> records);
 
 /**
  * Expected end-to-end time (Section 5.3.3): profiling each attempt
@@ -270,9 +365,9 @@ class HyperHammerAttack
     ProfileResult profilePhase();
 
     /**
-     * The whole-campaign driver: up to @p attempts independent trials
-     * [0, attempts) via runTrialRange() on up to @p threads worker
-     * threads (0 = hardware concurrency), folded by
+     * The whole-campaign driver: up to AttackConfig::maxAttempts
+     * independent trials [0, maxAttempts) via runTrialRange() on up to
+     * @p threads worker threads (0 = hardware concurrency), folded by
      * aggregateOutcomes(). An empty host profile ends the campaign
      * with NotFound before any trial runs. Requires profilePhase()
      * first.
@@ -286,21 +381,21 @@ class HyperHammerAttack
      * the result is bitwise-identical for any thread count.
      *
      * @p policy adds crash-safe checkpointing exactly as
-     * runTrialRange() does for the range [0, attempts). Trials are
+     * runTrialRange() does for the range [0, maxAttempts). Trials are
      * pure functions of (configuration, trial index), so the merged
      * result is bitwise-identical to an uncheckpointed run for any
      * block size, thread count or kill/resume history. A
      * stopAfterTrials stop returns a Busy status with the partial
      * outcomes.
      */
-    AttackResult runAttempts(unsigned attempts, unsigned threads,
-                             const snapshot::CheckpointPolicy &policy = {});
+    AttackResult runAttempts(unsigned threads,
+                             const CheckpointPolicy &policy = {});
 
     /**
      * Run the contiguous trial range [begin, end) of a campaign:
      * every trial executes at its absolute index, so outcome
      * i of the returned prefix is the same pure function of
-     * (configuration, begin + i) a single-process runAttempts(end)
+     * (configuration, begin + i) a single-process runAttempts()
      * computes for that trial. The range stops early at its first
      * success (later trials in the range are never observable in a
      * sequential run).
@@ -309,28 +404,29 @@ class HyperHammerAttack
      * (0: the whole range is one block), and at range start and after
      * each block the range's RangeRecord -- campaign fingerprint,
      * campaign size (maxAttempts), range, completed prefix -- is saved
-     * at the path by saveRangeRecord(). It turns terminal when the range is
-     * complete. When the call returns, the path holds the record of
-     * the whole completed prefix. With policy.resume the range first
-     * restores the record at the path, else at path + ".prev", and
-     * re-runs nothing it holds; a record of another campaign or
-     * another range start is ignored. policy.stopAfterTrials counts
-     * range-relative completions and fires only at a block end.
+     * at the path by saveRangeRecord(). It turns terminal when the
+     * range is complete. Before any of that the range restores the
+     * record at the path, else at path + ".prev", that
+     * RangeRecord::belongsTo() this campaign and range, and re-runs
+     * nothing it holds; any other record is ignored. When the call
+     * returns, the path holds the record of the whole completed
+     * prefix. policy.stopAfterTrials counts range-relative
+     * completions and fires only at a block end.
      *
      * This is the shard entry point -- callers merge the returned
      * outcomes through aggregateOutcomes(), or the records through
-     * shard::mergeShards(). Requires profilePhase() first.
+     * mergeShards(). Requires profilePhase() first.
      */
     TrialRangeResult
     runTrialRange(uint64_t begin, uint64_t end, unsigned threads,
-                  const snapshot::CheckpointPolicy &policy);
+                  const CheckpointPolicy &policy);
 
     /**
      * The sanctioned outcome -> AttackResult merge: truncates
      * @p outcomes at the first success (idempotent on already
      * truncated prefixes), sums the integer totals and derives
      * success/attempts/status/degraded exactly like a sequential run.
-     * runAttempts() and shard::mergeShards() funnel through here,
+     * runAttempts() and mergeShards() funnel through here,
      * which is what makes "bitwise-identical at any shard count x
      * thread count" a single code path rather than a test-enforced
      * coincidence.

@@ -2,14 +2,10 @@
 
 #include <cstdio>
 
-#include "base/log.h"
-#include "snapshot/checkpoint_policy.h"
-
-namespace hh::snapshot {
+namespace hh::attack {
 
 std::vector<std::string>
-diffAttackResults(const attack::AttackResult &a,
-                  const attack::AttackResult &b)
+diffAttackResults(const AttackResult &a, const AttackResult &b)
 {
     std::vector<std::string> out;
     if (a.success != b.success)
@@ -39,7 +35,7 @@ ResumeIdentityReport
 verifyResumeIdentity(const sys::SystemConfig &host_cfg,
                      const vm::VmConfig &vm_cfg,
                      const dram::AddressMapping &mapping,
-                     const attack::AttackConfig &attack_cfg,
+                     const AttackConfig &attack_cfg,
                      const ResumeIdentityOptions &options)
 {
     ResumeIdentityReport report;
@@ -52,52 +48,46 @@ verifyResumeIdentity(const sys::SystemConfig &host_cfg,
     (void)std::remove(prev.c_str());
 
     // Control: one straight, uncheckpointed campaign.
-    attack::AttackResult straight;
+    AttackResult straight;
     {
         sys::HostSystem host(host_cfg);
-        attack::HyperHammerAttack attack(host, vm_cfg, mapping,
-                                         attack_cfg);
+        HyperHammerAttack attack(host, vm_cfg, mapping, attack_cfg);
         (void)attack.profilePhase();
-        straight = attack.runAttempts(options.attempts,
-                                      options.threads);
+        straight = attack.runAttempts(options.threads);
     }
 
     // Experiment, phase 1: checkpoint and die mid-campaign.
     {
         sys::HostSystem host(host_cfg);
-        attack::HyperHammerAttack attack(host, vm_cfg, mapping,
-                                         attack_cfg);
+        HyperHammerAttack attack(host, vm_cfg, mapping, attack_cfg);
         (void)attack.profilePhase();
         CheckpointPolicy policy;
         policy.path = options.checkpointPath;
         policy.everyTrials = options.checkpointEvery;
         policy.stopAfterTrials = options.killAfterTrials;
-        const attack::AttackResult partial = attack.runAttempts(
-            options.attempts, options.threads, policy);
+        const AttackResult partial =
+            attack.runAttempts(options.threads, policy);
         report.killedMidway =
             partial.status == base::Status(base::ErrorCode::Busy);
     }
 
     // Experiment, phase 2: a new process-equivalent (fresh host,
     // fresh attack object) resumes from the checkpoint.
-    attack::AttackResult resumed;
+    AttackResult resumed;
     {
         sys::HostSystem host(host_cfg);
-        attack::HyperHammerAttack attack(host, vm_cfg, mapping,
-                                         attack_cfg);
+        HyperHammerAttack attack(host, vm_cfg, mapping, attack_cfg);
         (void)attack.profilePhase();
         CheckpointPolicy policy;
         policy.path = options.checkpointPath;
         policy.everyTrials = options.checkpointEvery;
-        policy.resume = true;
-        resumed = attack.runAttempts(options.attempts, options.threads,
-                                     policy);
+        resumed = attack.runAttempts(options.threads, policy);
     }
     report.resumedTrials = resumed.resumedTrials;
 
     // The straight run never resumes; mask the one field that is
     // *about* the resume mechanism rather than the campaign results.
-    attack::AttackResult straight_masked = straight;
+    AttackResult straight_masked = straight;
     straight_masked.resumedTrials = resumed.resumedTrials;
     report.mismatches = diffAttackResults(straight_masked, resumed);
     report.identical = report.mismatches.empty();
@@ -107,4 +97,4 @@ verifyResumeIdentity(const sys::SystemConfig &host_cfg,
     return report;
 }
 
-} // namespace hh::snapshot
+} // namespace hh::attack

@@ -13,8 +13,8 @@
  * directly at the field or attempt that diverged.
  */
 
-#ifndef HYPERHAMMER_SNAPSHOT_RESUME_IDENTITY_H
-#define HYPERHAMMER_SNAPSHOT_RESUME_IDENTITY_H
+#ifndef HYPERHAMMER_ATTACK_RESUME_IDENTITY_H
+#define HYPERHAMMER_ATTACK_RESUME_IDENTITY_H
 
 #include <cstdint>
 #include <string>
@@ -23,13 +23,14 @@
 #include "attack/orchestrator.h"
 #include "sys/host_system.h"
 
-namespace hh::snapshot {
+namespace hh::attack {
 
-/** One resume-identity experiment. */
+/**
+ * One resume-identity experiment. The campaign runs the trials
+ * [0, AttackConfig::maxAttempts).
+ */
 struct ResumeIdentityOptions
 {
-    /** Trials in the campaign. */
-    unsigned attempts = 8;
     /** Worker threads for both runs. */
     unsigned threads = 1;
     /** Checkpoint cadence of the killed run. */
@@ -63,7 +64,7 @@ ResumeIdentityReport
 verifyResumeIdentity(const sys::SystemConfig &host_cfg,
                      const vm::VmConfig &vm_cfg,
                      const dram::AddressMapping &mapping,
-                     const attack::AttackConfig &attack_cfg,
+                     const AttackConfig &attack_cfg,
                      const ResumeIdentityOptions &options);
 
 /**
@@ -73,9 +74,8 @@ verifyResumeIdentity(const sys::SystemConfig &host_cfg,
  * recomputed in different processes.
  */
 std::vector<std::string>
-diffAttackResults(const attack::AttackResult &a,
-                  const attack::AttackResult &b);
+diffAttackResults(const AttackResult &a, const AttackResult &b);
 
-} // namespace hh::snapshot
+} // namespace hh::attack
 
-#endif // HYPERHAMMER_SNAPSHOT_RESUME_IDENTITY_H
+#endif // HYPERHAMMER_ATTACK_RESUME_IDENTITY_H

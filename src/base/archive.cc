@@ -74,7 +74,7 @@ saveArchiveFile(const std::string &path, uint64_t magic,
     const std::string tmp = path + ".tmp";
     FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) {
-        warn("snapshot: cannot open %s for writing: %s", tmp.c_str(),
+        warn("archive: cannot open %s for writing: %s", tmp.c_str(),
              std::strerror(errno));
         return Status(ErrorCode::Denied);
     }
@@ -90,13 +90,13 @@ saveArchiveFile(const std::string &path, uint64_t magic,
     if (std::fclose(f) != 0)
         ok = false;
     if (!ok) {
-        warn("snapshot: short write to %s: %s", tmp.c_str(),
+        warn("archive: short write to %s: %s", tmp.c_str(),
              std::strerror(errno));
         (void)std::remove(tmp.c_str());
         return Status(ErrorCode::NoMemory);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("snapshot: rename %s -> %s failed: %s", tmp.c_str(),
+        warn("archive: rename %s -> %s failed: %s", tmp.c_str(),
              path.c_str(), std::strerror(errno));
         (void)std::remove(tmp.c_str());
         return Status(ErrorCode::Denied);
@@ -115,7 +115,7 @@ loadArchiveFile(const std::string &path, uint64_t magic,
     std::array<uint8_t, kHeaderBytes> header{};
     if (std::fread(header.data(), 1, header.size(), f) != header.size()) {
         std::fclose(f);
-        warn("snapshot: %s is shorter than the %zu-byte header",
+        warn("archive: %s is shorter than the %zu-byte header",
              path.c_str(), kHeaderBytes);
         return ErrorCode::InvalidArgument;
     }
@@ -126,14 +126,14 @@ loadArchiveFile(const std::string &path, uint64_t magic,
 
     if (file_magic != magic) {
         std::fclose(f);
-        warn("snapshot: %s has magic %016llx, expected %016llx",
+        warn("archive: %s has magic %016llx, expected %016llx",
              path.c_str(), (unsigned long long)file_magic,
              (unsigned long long)magic);
         return ErrorCode::InvalidArgument;
     }
     if (file_version != version) {
         std::fclose(f);
-        warn("snapshot: %s has format version %u, expected %u",
+        warn("archive: %s has format version %u, expected %u",
              path.c_str(), file_version, version);
         return ErrorCode::InvalidArgument;
     }
@@ -149,7 +149,7 @@ loadArchiveFile(const std::string &path, uint64_t magic,
     if (file_end < body_start ||
         payload_size != static_cast<uint64_t>(file_end - body_start)) {
         std::fclose(f);
-        warn("snapshot: %s declares %llu payload bytes but holds %lld",
+        warn("archive: %s declares %llu payload bytes but holds %lld",
              path.c_str(), (unsigned long long)payload_size,
              (long long)(file_end - body_start));
         return ErrorCode::InvalidArgument;
@@ -163,14 +163,14 @@ loadArchiveFile(const std::string &path, uint64_t magic,
     if (payload_size != 0 &&
         std::fread(payload.data(), 1, payload_size, f) != payload_size) {
         std::fclose(f);
-        warn("snapshot: truncated read of %s", path.c_str());
+        warn("archive: truncated read of %s", path.c_str());
         return ErrorCode::InvalidArgument;
     }
     std::fclose(f);
 
     const uint64_t actual = fnv1a64(payload.data(), payload.size());
     if (actual != checksum) {
-        warn("snapshot: %s checksum mismatch (stored %016llx, computed "
+        warn("archive: %s checksum mismatch (stored %016llx, computed "
              "%016llx)",
              path.c_str(), (unsigned long long)checksum,
              (unsigned long long)actual);

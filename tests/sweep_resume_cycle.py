@@ -7,21 +7,24 @@ finishing record. Every dump below is byte-diffed against `single`:
 
   1. Sweep identity: a clean 4-shard sweep, the same sweep under a
      fault plan (whose campaign fingerprint is pinned), and a shard
-     stopped by --stop-after, then resumed, all print the
-     single-process dump. The faulted pair is the slowest step, so it
-     runs alongside the others.
+     stopped by --stop-after, then resumed by a plain rerun, all print
+     the single-process dump; a merge of the stopped record exits 4
+     naming its range. A `run` over its own finished record, even with
+     --stop-after, runs nothing, exits 0 and leaves the record as it
+     was. The faulted pair is the slowest step, so it runs alongside
+     the others.
   2. A landed SIGKILL: a range is killed while it is still running,
-     after its first block's record; a strict merge of what it left
-     fails, and a sweep over its directory finishes it.
+     after its first block's record; a merge of what it left exits 4
+     naming the range, and a sweep over its directory finishes it.
   3. Holes from missing records: with 6 of 8 shards run by hand,
-     `merge --allow-partial` exits 4 naming both holes, and the sweep
-     launches exactly those two ranges; the output directory then
-     holds only range records and their .prev rotations.
+     `merge` exits 4 naming both holes, and the sweep launches exactly
+     those two ranges; the output directory then holds only range
+     records and their .prev rotations.
   4. A failed worker leaves a hole: a worker that cannot write its
      record makes the sweep exit 4 naming its range; once the cause is
      gone, the same sweep launches only that range.
   5. A foreign record (another campaign, another tiling) refuses the
-     sweep or `run --resume` before anything is written.
+     sweep or a `run` before anything is written.
   6. A numeric flag that does not parse whole is a usage error (2).
   7. Workers rebuild the sweep's exact campaign: a fault intensity
      with more than six decimals still merges to the single dump (a
@@ -86,7 +89,8 @@ def faulted_identity(faulted_ref, faulted):
 
 
 def sweep_identity(sweep, tmp):
-    """Step 1, clean: a 4-shard sweep and a stopped + resumed shard."""
+    """Step 1, clean: a 4-shard sweep, a rerun over a finished record
+    and a stopped + resumed shard."""
     ref = run(sweep, "single", *SEED3)
     check(ref.returncode == 0, "seed-3 single", ref)
     shards = tmp / "seed3"
@@ -95,16 +99,30 @@ def sweep_identity(sweep, tmp):
     check(clean.returncode == 0 and clean.stdout == ref.stdout,
           "clean 4-shard sweep equals single", clean)
 
-    shard = ["run", *SEED3, "--shard=1/4", f"--out={shards}/shard_1.bin",
+    finished = shards / "shard_1.bin"
+    kept = finished.read_bytes()
+    rerun = run(sweep, "run", *SEED3, "--shard=1/4", f"--out={finished}",
+                "--checkpoint-every=1", "--stop-after=1")
+    check(rerun.returncode == 0 and finished.read_bytes() == kept,
+          "a run over its own finished record exits 0 and keeps it",
+          rerun)
+
+    # Stop + resume at a path that holds no record yet.
+    out = tmp / "seed3_stop" / "shard_1.bin"
+    out.parent.mkdir()
+    shard = ["run", *SEED3, "--shard=1/4", f"--out={out}",
              "--checkpoint-every=1"]
     stopped = run(sweep, *shard, "--stop-after=1")
     check(stopped.returncode == 3, "--stop-after exits 3", stopped)
-    busy = run(sweep, "merge", *records(shards))
-    check(busy.returncode != 0, "strict merge refuses a stopped record",
-          busy)
-    resumed = run(sweep, *shard, "--resume")
+    files = [*(str(shards / f"shard_{i}.bin") for i in (0, 2, 3)),
+             str(out)]
+    holed = run(sweep, "merge", *files)
+    check(holed.returncode == 4
+          and "hh_sweep: missing trials [2, 4)" in holed.stderr,
+          "a merge names the stopped record's range", holed)
+    resumed = run(sweep, *shard)
     check(resumed.returncode == 0, "stopped shard resumes", resumed)
-    merged = run(sweep, "merge", *records(shards))
+    merged = run(sweep, "merge", *files)
     check(merged.returncode == 0 and merged.stdout == ref.stdout,
           "stop + resume merges to single", merged)
 
@@ -129,9 +147,13 @@ def landed_kill(sweep, tmp, ref):
     check(prev.exists() and alive,
           f"range still running after its first block (rc={rc})")
     check(rc == -signal.SIGKILL, f"SIGKILL landed (rc={rc})")
-    busy = run(sweep, "merge", *records(out_dir))
-    check(busy.returncode != 0, "strict merge refuses a killed record",
-          busy)
+    # The newest record the kill left: one that lands mid-rotation
+    # leaves only the .prev.
+    left = out if out.exists() else prev
+    holed = run(sweep, "merge", str(left))
+    check(holed.returncode == 4
+          and "hh_sweep: missing trials [0, 16)" in holed.stderr,
+          "a merge names the killed record's range", holed)
     finished = run(sweep, "sweep", *CAMPAIGN, "--shards=1",
                    f"--out-dir={out_dir}")
     check(finished.returncode == 0 and finished.stdout == ref.stdout,
@@ -164,12 +186,12 @@ def main():
             shard = run(sweep, "run", *CAMPAIGN, f"--shard={index}/8",
                         f"--out={out_dir}/shard_{index}.bin")
             check(shard.returncode == 0, f"shard {index} runs", shard)
-        degraded = run(sweep, "merge", "--allow-partial",
-                       *records(out_dir))
-        check(degraded.returncode == 4, "partial merge exits 4", degraded)
+        degraded = run(sweep, "merge", *records(out_dir))
+        check(degraded.returncode == 4, "merge with holes exits 4",
+              degraded)
         for hole in ("[4, 6)", "[10, 12)"):
             check(f"hh_sweep: missing trials {hole}" in degraded.stderr,
-                  f"partial merge names {hole}", degraded)
+                  f"merge names {hole}", degraded)
 
         closed = run(sweep, *sweep_args)
         check(closed.returncode == 0, "sweep over the holes exits 0",
@@ -209,9 +231,9 @@ def main():
                 ("sweep of another tiling",
                  ["sweep", *CAMPAIGN, "--shards=4",
                   f"--out-dir={out_dir}"]),
-                ("run --resume of another campaign",
+                ("run of another campaign",
                  ["run", *other, "--shard=1/8",
-                  f"--out={out_dir}/shard_1.bin", "--resume"])):
+                  f"--out={out_dir}/shard_1.bin"])):
             foreign = run(sweep, *args)
             check(foreign.returncode == 1
                   and "of another campaign or range" in foreign.stderr,

@@ -471,7 +471,7 @@ TEST(FaultOrchestrator, EmptyPlanBuildsNoInjectorAndChangesNothing)
                                          host.dram().mapping(),
                                          attackConfig(2));
         (void)attack.profilePhase();
-        return attack.runAttempts(2, 2);
+        return attack.runAttempts(2);
     };
     const attack::AttackResult a = run_one(plain);
     const attack::AttackResult b = run_one(with_empty);
@@ -495,7 +495,7 @@ TEST(FaultOrchestrator, RunWithoutProfileDegradesInsteadOfAborting)
                                      host.dram().mapping(),
                                      attackConfig(2));
     // No profilePhase(): the empty profile ends the campaign.
-    const attack::AttackResult result = attack.runAttempts(2, 2);
+    const attack::AttackResult result = attack.runAttempts(2);
     EXPECT_FALSE(result.success);
     EXPECT_TRUE(result.degraded);
     EXPECT_EQ(result.status.error(), base::ErrorCode::NotFound);
@@ -517,7 +517,7 @@ TEST(FaultOrchestrator, SteerMissesTriggerRetriesAndPartialResult)
                                      attackConfig(2));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const attack::AttackResult result = attack.runAttempts(2, 2);
+    const attack::AttackResult result = attack.runAttempts(2);
 
     EXPECT_FALSE(result.success);
     EXPECT_TRUE(result.degraded);
@@ -546,7 +546,7 @@ TEST(FaultOrchestrator, LostFlipsTriggerHammerRetries)
                                      attackConfig(1));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const attack::AttackResult result = attack.runAttempts(1, 1);
+    const attack::AttackResult result = attack.runAttempts(1);
     EXPECT_FALSE(result.success);
     ASSERT_EQ(result.outcomes.size(), 1u);
     const attack::AttemptOutcome &outcome = result.outcomes[0];
@@ -583,7 +583,7 @@ TEST(FaultOrchestrator, FaultsFiredCoverTheTrialWorldsBootAndSpawn)
                                      attackConfig(2));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const attack::AttackResult result = attack.runAttempts(2, 2);
+    const attack::AttackResult result = attack.runAttempts(2);
     EXPECT_FALSE(result.success);
     EXPECT_TRUE(result.degraded);
     ASSERT_EQ(result.outcomes.size(), 2u);
@@ -602,9 +602,9 @@ TEST(FaultOrchestrator, RunAttemptsBitwiseIdenticalAcrossThreadCounts)
         sys::HostSystem host(hostConfig(11, 8.0).withFaults(plan));
         attack::HyperHammerAttack attack(host, vmConfig(),
                                          host.dram().mapping(),
-                                         attackConfig());
+                                         attackConfig(8));
         (void)attack.profilePhase();
-        return attack.runAttempts(8, threads);
+        return attack.runAttempts(threads);
     };
     const attack::AttackResult t1 = run_with(1);
     const attack::AttackResult t4 = run_with(4);

@@ -119,7 +119,7 @@ TEST(Orchestrator, RunExecutesAttemptsAndRespawns)
     HyperHammerAttack attack(host, vmConfig(),
                              host.dram().mapping(), attackConfig(3));
     (void)attack.profilePhase();
-    const AttackResult result = attack.runAttempts(3, 2);
+    const AttackResult result = attack.runAttempts(2);
     EXPECT_EQ(result.attempts, result.success ? result.attempts : 3u);
     EXPECT_EQ(result.outcomes.size(), result.attempts);
     // Every attempt pays its own VM spawn.
@@ -136,7 +136,7 @@ TEST(Orchestrator, AttemptsReleaseAndSprayWhenTargetsRelocate)
                              host.dram().mapping(), attackConfig(6));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
-    const AttackResult result = attack.runAttempts(6, 2);
+    const AttackResult result = attack.runAttempts(2);
     uint64_t total_targeted = 0;
     uint64_t total_demotions = 0;
     for (const AttemptOutcome &outcome : result.outcomes) {
@@ -157,7 +157,7 @@ TEST(Orchestrator, QuarantineStopsTheAttack)
     HyperHammerAttack attack(host, vm_cfg, host.dram().mapping(),
                              attackConfig(3));
     (void)attack.profilePhase();
-    const AttackResult result = attack.runAttempts(3, 2);
+    const AttackResult result = attack.runAttempts(2);
     EXPECT_FALSE(result.success);
     for (const AttemptOutcome &outcome : result.outcomes)
         EXPECT_EQ(outcome.releasedSubBlocks, 0u);
@@ -174,7 +174,7 @@ TEST(Orchestrator, BatchCappedBySprayBudget)
     HyperHammerAttack attack(host, vmConfig(),
                              host.dram().mapping(), cfg);
     (void)attack.profilePhase();
-    const AttackResult result = attack.runAttempts(2, 2);
+    const AttackResult result = attack.runAttempts(2);
     for (const AttemptOutcome &outcome : result.outcomes)
         EXPECT_LE(outcome.bitsTargeted, 1u);
 }

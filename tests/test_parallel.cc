@@ -152,9 +152,10 @@ trialVmConfig()
 }
 
 attack::AttackConfig
-trialAttackConfig()
+trialAttackConfig(unsigned attempts)
 {
     attack::AttackConfig cfg;
+    cfg.maxAttempts = attempts;
     cfg.steering.exhaustMappings = 1'200;
     return cfg;
 }
@@ -164,14 +165,14 @@ TEST(RunAttempts, BitwiseIdenticalAcrossThreadCounts)
     sys::HostSystem host(trialHostConfig());
     attack::HyperHammerAttack attack(host, trialVmConfig(),
                                      host.dram().mapping(),
-                                     trialAttackConfig());
+                                     trialAttackConfig(4));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
 
-    const attack::AttackResult ref = attack.runAttempts(4, 1);
+    const attack::AttackResult ref = attack.runAttempts(1);
     EXPECT_EQ(ref.outcomes.size(), ref.attempts);
     for (unsigned threads : {2u, 8u}) {
-        const attack::AttackResult got = attack.runAttempts(4, threads);
+        const attack::AttackResult got = attack.runAttempts(threads);
         EXPECT_EQ(got.success, ref.success) << threads << " threads";
         EXPECT_EQ(got.attempts, ref.attempts) << threads << " threads";
         EXPECT_EQ(got.totalTime, ref.totalTime) << threads << " threads";
@@ -184,11 +185,11 @@ TEST(RunAttempts, TrialsAreIndependentSamples)
     sys::HostSystem host(trialHostConfig(7));
     attack::HyperHammerAttack attack(host, trialVmConfig(),
                                      host.dram().mapping(),
-                                     trialAttackConfig());
+                                     trialAttackConfig(3));
     (void)attack.profilePhase();
     ASSERT_GT(attack.hostProfile().size(), 0u);
 
-    const attack::AttackResult result = attack.runAttempts(3, 2);
+    const attack::AttackResult result = attack.runAttempts(2);
     EXPECT_GE(result.attempts, 1u);
     EXPECT_LE(result.attempts, 3u);
     EXPECT_EQ(result.outcomes.size(), result.attempts);

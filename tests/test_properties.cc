@@ -399,7 +399,7 @@ TEST(SeedSweep, AttackSuccessIsMonotoneInExploitableCells)
             (void)attack.profilePhase();
             EXPECT_TRUE(attack.hostProfile().empty());
             const attack::AttackResult result =
-                attack.runAttempts(atk_cfg.maxAttempts, 2);
+                attack.runAttempts(2);
             EXPECT_FALSE(result.success);
             EXPECT_TRUE(result.degraded);
             EXPECT_EQ(result.status.error(), base::ErrorCode::NotFound);
@@ -414,7 +414,7 @@ TEST(SeedSweep, AttackSuccessIsMonotoneInExploitableCells)
                                              atk_cfg);
             (void)attack.profilePhase();
             const attack::AttackResult result =
-                attack.runAttempts(atk_cfg.maxAttempts, 2);
+                attack.runAttempts(2);
             if (scale == 2.0) {
                 cells_low += attack.hostProfile().size();
                 success_low += result.success ? 1 : 0;

@@ -5,7 +5,7 @@
  * kills a checkpointed campaign mid-run, resumes it in a fresh
  * process-equivalent, and requires the merged result to be bitwise
  * identical to a straight uncheckpointed run -- every total and every
- * attempt record, via snapshot::diffAttackResults.
+ * attempt record, via attack::diffAttackResults.
  *
  * Slow by design (each cell runs three campaigns); registered under
  * the tier2 label.
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "attack/resume_identity.h"
 #include "mitigate/defense.h"
-#include "snapshot/resume_identity.h"
 #include "sys/host_system.h"
 
 namespace hh {
@@ -150,18 +150,17 @@ TEST_P(ResumeIdentityMatrix, KillResumeIsBitwiseIdentical)
 
     const sys::SystemConfig host_cfg = hostConfig(seed);
 
-    snapshot::ResumeIdentityOptions options;
-    options.attempts = 4;
+    attack::ResumeIdentityOptions options;
     options.threads = threads;
     options.checkpointEvery = 1;
     options.killAfterTrials = 2;
     options.checkpointPath = ::testing::TempDir() + "resume_identity_s" +
         std::to_string(seed) + "_t" + std::to_string(threads) + ".ckpt";
 
-    const snapshot::ResumeIdentityReport report =
-        snapshot::verifyResumeIdentity(host_cfg, vmConfig(),
-                                       host_cfg.dram.mapping,
-                                       attackConfig(), options);
+    const attack::ResumeIdentityReport report =
+        attack::verifyResumeIdentity(host_cfg, vmConfig(),
+                                     host_cfg.dram.mapping,
+                                     attackConfig(), options);
 
     std::string mismatch_list;
     for (const std::string &field : report.mismatches)
@@ -189,28 +188,28 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Kill/resume identity on a defended world: SilozDomains installs a
-// multi-domain buddy layout with pinned guard rows, so this cell
-// drives the domained allocator's state through the whole
-// checkpoint/restore pipeline -- the snapshot must reproduce domain
-// free lists and guard reservations bit for bit.
+// multi-domain buddy layout with pinned guard rows. No world is saved
+// or restored: every trial, before and after the kill, rebuilds its
+// domained world from the configuration and its index, so the
+// resumed campaign's outcomes must match the straight run's bit for
+// bit.
 TEST(ResumeIdentityDefended, SilozWorldKillResumeIsBitwiseIdentical)
 {
     mitigate::SilozDomains siloz;
     sys::SystemConfig host_cfg = hostConfig(3);
     siloz.applyHostConfig(host_cfg);
 
-    snapshot::ResumeIdentityOptions options;
-    options.attempts = 4;
+    attack::ResumeIdentityOptions options;
     options.threads = 2;
     options.checkpointEvery = 1;
     options.killAfterTrials = 2;
     options.checkpointPath =
         ::testing::TempDir() + "resume_identity_siloz.ckpt";
 
-    const snapshot::ResumeIdentityReport report =
-        snapshot::verifyResumeIdentity(host_cfg, vmConfig(),
-                                       host_cfg.dram.mapping,
-                                       attackConfig(), options);
+    const attack::ResumeIdentityReport report =
+        attack::verifyResumeIdentity(host_cfg, vmConfig(),
+                                     host_cfg.dram.mapping,
+                                     attackConfig(), options);
     std::string mismatch_list;
     for (const std::string &field : report.mismatches)
         mismatch_list += " " + field;

@@ -1,18 +1,20 @@
 /**
  * @file
- * hh::shard unit and identity tests.
+ * Sharded-sweep unit and identity tests: planShards, the range
+ * record's file and mergeShards.
  *
  * Two halves. The synthetic half exercises planShards, the range
- * record's file (its bytes pinned) and the merge validation matrix
- * (uneven ranges, duplicates/overlaps, missing shards, fingerprint
- * mismatches, interrupted shards, ordering independence) on
- * hand-built RangeRecords -- no worlds are constructed, so these are
- * fast. The SweepIdentityMatrix half is the
+ * record's file (its bytes pinned) and the merge on hand-built
+ * RangeRecords: its rejections (duplicates/overlaps, fingerprint
+ * mismatches) and the holes it names (gaps, a missing tail,
+ * interrupted records), uneven ranges and ordering independence -- no
+ * worlds are constructed, so these are fast. The SweepIdentityMatrix
+ * half is the
  * ISSUE 7 acceptance sweep: for 8 seeds, with and without a
  * randomized FaultPlan, a campaign split into {1, 2, 4} shards run at
  * {1, 4} threads and merged must be bitwise-identical to the
  * single-process runAttempts() result, field by field via
- * snapshot::diffAttackResults -- including a shard that is stopped
+ * attack::diffAttackResults -- including a shard that is stopped
  * mid-range, resumed from its range record, and then merged from the
  * records both ranges left on disk.
  *
@@ -30,8 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "shard/shard.h"
-#include "snapshot/resume_identity.h"
+#include "attack/resume_identity.h"
 #include "sys/host_system.h"
 
 namespace hh {
@@ -76,10 +77,10 @@ syntheticShard(uint64_t fingerprint, uint64_t total, uint64_t begin,
 
 TEST(PlanShards, EvenSplitTilesTheCampaign)
 {
-    const auto ranges = shard::planShards(8, 4);
+    const auto ranges = attack::planShards(8, 4);
     ASSERT_EQ(ranges.size(), 4u);
     uint64_t expected = 0;
-    for (const shard::ShardRange &range : ranges) {
+    for (const attack::ShardRange &range : ranges) {
         EXPECT_EQ(range.begin, expected);
         EXPECT_EQ(range.size(), 2u);
         expected = range.end;
@@ -89,7 +90,7 @@ TEST(PlanShards, EvenSplitTilesTheCampaign)
 
 TEST(PlanShards, UnevenSplitFrontLoadsTheRemainder)
 {
-    const auto ranges = shard::planShards(10, 4);
+    const auto ranges = attack::planShards(10, 4);
     ASSERT_EQ(ranges.size(), 4u);
     EXPECT_EQ(ranges[0].size(), 3u);
     EXPECT_EQ(ranges[1].size(), 3u);
@@ -101,7 +102,7 @@ TEST(PlanShards, UnevenSplitFrontLoadsTheRemainder)
 
 TEST(PlanShards, MoreShardsThanTrialsYieldsEmptyRanges)
 {
-    const auto ranges = shard::planShards(2, 5);
+    const auto ranges = attack::planShards(2, 5);
     ASSERT_EQ(ranges.size(), 5u);
     EXPECT_EQ(ranges[0].size(), 1u);
     EXPECT_EQ(ranges[1].size(), 1u);
@@ -112,7 +113,7 @@ TEST(PlanShards, MoreShardsThanTrialsYieldsEmptyRanges)
 
 TEST(PlanShards, ZeroCountBehavesAsOne)
 {
-    const auto ranges = shard::planShards(6, 0);
+    const auto ranges = attack::planShards(6, 0);
     ASSERT_EQ(ranges.size(), 1u);
     EXPECT_EQ(ranges[0].begin, 0u);
     EXPECT_EQ(ranges[0].end, 6u);
@@ -257,7 +258,7 @@ TEST(ShardArtifact, InconsistentManifestIsRejected)
 
 TEST(MergeShards, NoShardsIsInvalid)
 {
-    const auto merged = shard::mergeShards({});
+    const auto merged = attack::mergeShards({});
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.error(), base::ErrorCode::InvalidArgument);
 }
@@ -267,7 +268,7 @@ TEST(MergeShards, FingerprintMismatchIsInvalid)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(2, 8, 4, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.error(), base::ErrorCode::InvalidArgument);
 }
@@ -277,7 +278,7 @@ TEST(MergeShards, CampaignSizeMismatchIsInvalid)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 10, 4, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.error(), base::ErrorCode::InvalidArgument);
 }
@@ -287,52 +288,21 @@ TEST(MergeShards, OverlappingRangesAreRejected)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 5));
     shards.push_back(syntheticShard(1, 8, 3, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.error(), base::ErrorCode::Exists);
 }
 
 TEST(MergeShards, DuplicateShardsAreRejected)
 {
+    // Two records claiming the same trials is corruption, not a hole:
+    // an error even though [4, 8) is missing as well.
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    shards.push_back(syntheticShard(1, 8, 4, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.error(), base::ErrorCode::Exists);
-}
-
-TEST(MergeShards, CoverageGapIsMissingShard)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 3));
-    shards.push_back(syntheticShard(1, 8, 5, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error(), base::ErrorCode::NotFound);
-}
-
-TEST(MergeShards, MissingTailShardIsDetected)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    const auto merged = shard::mergeShards(std::move(shards));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error(), base::ErrorCode::NotFound);
-}
-
-TEST(MergeShards, InterruptedShardIsBusy)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
-    cut.outcomes.resize(2); // stopped mid-range, no success
-    EXPECT_FALSE(cut.complete());
-    shards.push_back(std::move(cut));
-    const auto merged = shard::mergeShards(std::move(shards));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error(), base::ErrorCode::Busy);
 }
 
 TEST(MergeShards, SuccessTerminatedShardMergesAndTruncates)
@@ -343,24 +313,40 @@ TEST(MergeShards, SuccessTerminatedShardMergesAndTruncates)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4, /*success_at=*/2));
     shards.push_back(syntheticShard(1, 8, 4, 8));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
-    EXPECT_TRUE(merged->success);
-    EXPECT_EQ(merged->attempts, 3u);
-    EXPECT_TRUE(merged->outcomes.back().success);
-    EXPECT_TRUE(merged->status.ok());
+    EXPECT_FALSE(merged->partial());
+    EXPECT_TRUE(merged->result.success);
+    EXPECT_EQ(merged->result.attempts, 3u);
+    EXPECT_TRUE(merged->result.outcomes.back().success);
+    EXPECT_TRUE(merged->result.status.ok());
 }
 
 TEST(MergeShards, EmptyRangesAreAccepted)
 {
     // planShards(2, 5): three of the five shards are empty.
     std::vector<attack::RangeRecord> shards;
-    for (const shard::ShardRange &range : shard::planShards(2, 5))
+    for (const attack::ShardRange &range : attack::planShards(2, 5))
         shards.push_back(
             syntheticShard(1, 2, range.begin, range.end));
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
-    EXPECT_EQ(merged->attempts, 2u);
+    EXPECT_FALSE(merged->partial());
+    EXPECT_EQ(merged->result.attempts, 2u);
+}
+
+TEST(MergeShards, HugeCampaignSizeIsOnlyAHole)
+{
+    // A record's campaign size comes from its file: one that claims an
+    // enormous campaign merges to a hole, and drives no allocation.
+    const uint64_t huge = uint64_t{1} << 62;
+    std::vector<attack::RangeRecord> shards;
+    shards.push_back(syntheticShard(1, huge, 0, 2));
+    const auto report = attack::mergeShards(std::move(shards));
+    ASSERT_TRUE(report.ok()) << base::errorName(report.error());
+    ASSERT_EQ(report->missing.size(), 1u);
+    EXPECT_EQ(report->missing[0].begin, 2u);
+    EXPECT_EQ(report->missing[0].end, huge);
 }
 
 TEST(MergeShards, ArrivalOrderIsIrrelevant)
@@ -374,45 +360,39 @@ TEST(MergeShards, ArrivalOrderIsIrrelevant)
         return shards;
     };
     auto sorted = build();
-    const auto reference = shard::mergeShards(std::move(sorted));
+    const auto reference = attack::mergeShards(std::move(sorted));
     ASSERT_TRUE(reference.ok());
+    EXPECT_FALSE(reference->partial());
 
     // Every rotation and the full reversal must merge identically.
     for (size_t rot = 1; rot < 4; ++rot) {
         auto rotated = build();
         std::rotate(rotated.begin(), rotated.begin() + rot,
                     rotated.end());
-        const auto merged = shard::mergeShards(std::move(rotated));
+        const auto merged = attack::mergeShards(std::move(rotated));
         ASSERT_TRUE(merged.ok());
-        EXPECT_TRUE(snapshot::diffAttackResults(*reference, *merged)
+        EXPECT_TRUE(attack::diffAttackResults(reference->result,
+                                              merged->result)
                         .empty())
             << "rotation " << rot;
     }
     auto reversed = build();
     std::reverse(reversed.begin(), reversed.end());
-    const auto merged = shard::mergeShards(std::move(reversed));
+    const auto merged = attack::mergeShards(std::move(reversed));
     ASSERT_TRUE(merged.ok());
     EXPECT_TRUE(
-        snapshot::diffAttackResults(*reference, *merged).empty());
+        attack::diffAttackResults(reference->result, merged->result)
+            .empty());
 }
 
-// ----------------------------------------------------------- partial merge
-
-shard::MergePolicy
-partialPolicy()
-{
-    shard::MergePolicy policy;
-    policy.allowPartial = true;
-    return policy;
-}
+// ------------------------------------------------------------ merge holes
 
 TEST(PartialMerge, CoverageGapBecomesMissingRange)
 {
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 3));
     shards.push_back(syntheticShard(1, 8, 5, 8));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     EXPECT_TRUE(report->partial());
     ASSERT_EQ(report->missing.size(), 1u);
@@ -428,8 +408,7 @@ TEST(PartialMerge, TailHoleIsReported)
 {
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     ASSERT_EQ(report->missing.size(), 1u);
     EXPECT_EQ(report->missing[0].begin, 4u);
@@ -447,8 +426,7 @@ TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
     cut.outcomes.resize(2);
     cut.terminal = false;
     shards.push_back(std::move(cut));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     ASSERT_EQ(report->missing.size(), 1u);
     EXPECT_EQ(report->missing[0].begin, 4u);
@@ -465,23 +443,10 @@ TEST(PartialMerge, NonTerminalCompleteShardIsStillAHole)
     attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.terminal = false;
     shards.push_back(std::move(cut));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     ASSERT_EQ(report->missing.size(), 1u);
     EXPECT_EQ(report->missing[0].begin, 4u);
-}
-
-TEST(PartialMerge, NonTerminalShardIsBusyInStrictMode)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
-    cut.terminal = false;
-    shards.push_back(std::move(cut));
-    const auto merged = shard::mergeShards(std::move(shards));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error(), base::ErrorCode::Busy);
 }
 
 TEST(PartialMerge, AdjacentHolesCoalesce)
@@ -494,8 +459,7 @@ TEST(PartialMerge, AdjacentHolesCoalesce)
     cut.terminal = false;
     shards.push_back(std::move(cut));
     shards.push_back(syntheticShard(1, 8, 6, 8));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     ASSERT_EQ(report->missing.size(), 1u);
     EXPECT_EQ(report->missing[0].begin, 2u);
@@ -506,20 +470,21 @@ TEST(PartialMerge, ExactWhenSuccessPrecedesTheFirstHole)
 {
     // The campaign succeeded at trial 2, so the sequential run never
     // reaches the hole at [4, 8): the degraded fold IS the canonical
-    // result, and must equal the strict merge of a tiling set.
+    // result, and must equal the merge of a tiling set.
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4, /*success_at=*/2));
-    auto degraded =
-        shard::mergeShards({shards[0]}, partialPolicy());
+    auto degraded = attack::mergeShards({shards[0]});
     ASSERT_TRUE(degraded.ok()) << base::errorName(degraded.error());
     EXPECT_TRUE(degraded->partial());
     EXPECT_TRUE(degraded->exact);
 
     shards.push_back(syntheticShard(1, 8, 4, 8));
-    const auto full = shard::mergeShards(std::move(shards));
+    const auto full = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(full.ok());
-    EXPECT_TRUE(snapshot::diffAttackResults(degraded->result, *full)
-                    .empty());
+    ASSERT_FALSE(full->partial());
+    EXPECT_TRUE(
+        attack::diffAttackResults(degraded->result, full->result)
+            .empty());
 }
 
 TEST(PartialMerge, NotExactWhenSuccessFollowsTheFirstHole)
@@ -527,8 +492,7 @@ TEST(PartialMerge, NotExactWhenSuccessFollowsTheFirstHole)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 2));
     shards.push_back(syntheticShard(1, 8, 4, 8, /*success_at=*/5));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     ASSERT_EQ(report->missing.size(), 1u);
     EXPECT_EQ(report->missing[0].begin, 2u);
@@ -542,53 +506,11 @@ TEST(PartialMerge, FullTilingIsExactAndNotPartial)
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 4));
     shards.push_back(syntheticShard(1, 8, 4, 8));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
+    const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
     EXPECT_FALSE(report->partial());
     EXPECT_TRUE(report->exact);
     EXPECT_TRUE(report->missing.empty());
-}
-
-TEST(PartialMerge, DuplicatesAreStillRejected)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.error(), base::ErrorCode::Exists);
-}
-
-TEST(PartialMerge, OverlapsAreStillRejected)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 5));
-    shards.push_back(syntheticShard(1, 8, 3, 8));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.error(), base::ErrorCode::Exists);
-}
-
-TEST(PartialMerge, ForeignFingerprintIsStillRejected)
-{
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    shards.push_back(syntheticShard(2, 8, 4, 8));
-    const auto report =
-        shard::mergeShards(std::move(shards), partialPolicy());
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.error(), base::ErrorCode::InvalidArgument);
-}
-
-TEST(PartialMerge, EmptyInputIsStillInvalid)
-{
-    const auto report =
-        shard::mergeShards({}, partialPolicy());
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.error(), base::ErrorCode::InvalidArgument);
 }
 
 TEST(ShardArtifact, TerminalFlagRoundTrips)
@@ -667,19 +589,16 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
     if (attack.hostProfile().empty())
         GTEST_SKIP() << "no exploitable bits at seed " << seed;
 
-    const attack::AttackResult reference = attack.runAttempts(
-        kAttempts, 1, snapshot::CheckpointPolicy{});
+    const attack::AttackResult reference = attack.runAttempts(1);
     const uint64_t fingerprint = attack.campaignFingerprint();
 
     for (const unsigned shard_count : {1u, 2u, 4u}) {
         for (const unsigned threads : {1u, 4u}) {
             std::vector<attack::RangeRecord> shards;
-            for (const shard::ShardRange &range :
-                 shard::planShards(kAttempts, shard_count)) {
-                attack::TrialRangeResult ranged =
-                    attack.runTrialRange(range.begin, range.end,
-                                         threads,
-                                         snapshot::CheckpointPolicy{});
+            for (const attack::ShardRange &range :
+                 attack::planShards(kAttempts, shard_count)) {
+                attack::TrialRangeResult ranged = attack.runTrialRange(
+                    range.begin, range.end, threads, {});
                 ASSERT_FALSE(ranged.stopped);
                 attack::RangeRecord one;
                 one.campaignFingerprint = fingerprint;
@@ -689,11 +608,12 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
                 one.outcomes = std::move(ranged.outcomes);
                 shards.push_back(std::move(one));
             }
-            const auto merged = shard::mergeShards(std::move(shards));
+            const auto merged = attack::mergeShards(std::move(shards));
             ASSERT_TRUE(merged.ok())
                 << base::errorName(merged.error());
+            ASSERT_FALSE(merged->partial());
             const std::vector<std::string> mismatches =
-                snapshot::diffAttackResults(reference, *merged);
+                attack::diffAttackResults(reference, merged->result);
             std::string joined;
             for (const std::string &field : mismatches)
                 joined += " " + field;
@@ -724,26 +644,25 @@ TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
     if (attack.hostProfile().empty())
         GTEST_SKIP() << "no exploitable bits at seed " << seed;
 
-    const attack::AttackResult reference = attack.runAttempts(
-        kAttempts, 1, snapshot::CheckpointPolicy{});
-    const auto ranges = shard::planShards(kAttempts, 2);
+    const attack::AttackResult reference = attack.runAttempts(1);
+    const auto ranges = attack::planShards(kAttempts, 2);
     const std::string stem = ::testing::TempDir() + "shard_kill_s" +
         std::to_string(seed) + (faulted ? "_f" : "");
     const std::string paths[2] = {stem + "_0.bin", stem + "_1.bin"};
     for (const std::string &path : paths) {
         std::remove(path.c_str());
-        std::remove((path + snapshot::kCheckpointPrevSuffix).c_str());
+        std::remove((path + attack::kCheckpointPrevSuffix).c_str());
     }
 
     // Shard 0 runs to completion in the "first process".
-    snapshot::CheckpointPolicy straight;
+    attack::CheckpointPolicy straight;
     straight.path = paths[0];
     ASSERT_FALSE(attack.runTrialRange(ranges[0].begin, ranges[0].end,
                                       1, straight)
                      .stopped);
 
     // Shard 1 is killed after one trial...
-    snapshot::CheckpointPolicy killer;
+    attack::CheckpointPolicy killer;
     killer.path = paths[1];
     killer.everyTrials = 1;
     killer.stopAfterTrials = 1;
@@ -765,10 +684,9 @@ TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
         attack2.profilePhase();
         ASSERT_EQ(attack2.campaignFingerprint(),
                   attack.campaignFingerprint());
-        snapshot::CheckpointPolicy resumer;
+        attack::CheckpointPolicy resumer;
         resumer.path = paths[1];
         resumer.everyTrials = 1;
-        resumer.resume = true;
         attack::TrialRangeResult ranged = attack2.runTrialRange(
             ranges[1].begin, ranges[1].end, 1, resumer);
         ASSERT_FALSE(ranged.stopped);
@@ -781,10 +699,11 @@ TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
         ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
         shards.push_back(std::move(*loaded));
     }
-    const auto merged = shard::mergeShards(std::move(shards));
+    const auto merged = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
+    ASSERT_FALSE(merged->partial());
     const std::vector<std::string> mismatches =
-        snapshot::diffAttackResults(reference, *merged);
+        attack::diffAttackResults(reference, merged->result);
     std::string joined;
     for (const std::string &field : mismatches)
         joined += " " + field;

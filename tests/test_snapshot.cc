@@ -24,7 +24,6 @@
 #include "base/archive.h"
 #include "fault/fault.h"
 #include "mitigate/defense.h"
-#include "snapshot/checkpoint_policy.h"
 #include "sys/host_system.h"
 
 namespace hh {
@@ -220,10 +219,10 @@ campaignVm()
 }
 
 attack::AttackConfig
-campaignAttack()
+campaignAttack(unsigned attempts = 4)
 {
     attack::AttackConfig cfg;
-    cfg.maxAttempts = 4;
+    cfg.maxAttempts = attempts;
     cfg.steering.exhaustMappings = 2'500;
     return cfg;
 }
@@ -232,10 +231,10 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
 {
     const std::string path = tempPath("campaign.ckpt");
     const std::string prev =
-        path + snapshot::kCheckpointPrevSuffix;
+        path + attack::kCheckpointPrevSuffix;
     std::remove(path.c_str());
     std::remove(prev.c_str());
-    const unsigned attempts = 4;
+    const unsigned attempts = campaignAttack().maxAttempts;
 
     // Control: the uncheckpointed campaign.
     attack::AttackResult straight;
@@ -245,7 +244,7 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        straight = attack.runAttempts(attempts, 2);
+        straight = attack.runAttempts(2);
     }
     ASSERT_EQ(straight.outcomes.size(), attempts);
     EXPECT_TRUE(std::any_of(
@@ -263,12 +262,12 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
         policy.stopAfterTrials = 2;
         const attack::AttackResult partial =
-            attack.runAttempts(attempts, 2, policy);
+            attack.runAttempts(2, policy);
         if (partial.status == base::Status(base::ErrorCode::Busy)) {
             EXPECT_EQ(partial.attempts, 2u);
         }
@@ -288,11 +287,10 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.resume = true;
-        resumed = attack.runAttempts(attempts, 2, policy);
+        resumed = attack.runAttempts(2, policy);
     }
     EXPECT_GT(resumed.resumedTrials, 0u);
 
@@ -308,7 +306,7 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
 {
     const std::string path = tempPath("campaign_defended.ckpt");
     const std::string prev =
-        path + snapshot::kCheckpointPrevSuffix;
+        path + attack::kCheckpointPrevSuffix;
     std::remove(path.c_str());
     std::remove(prev.c_str());
 
@@ -324,14 +322,14 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
         sys::HostSystem host(host_cfg);
         attack::HyperHammerAttack attack(host, vm_cfg,
                                          host.dram().mapping(),
-                                         campaignAttack());
+                                         campaignAttack(2));
         attack.attachDefenses(&*defenses);
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
         policy.stopAfterTrials = 1;
-        (void)attack.runAttempts(3, 1, policy);
+        (void)attack.runAttempts(1, policy);
     }
 
     // With a fresh stack of the same spec attached the checkpoint is
@@ -342,15 +340,14 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
         sys::HostSystem host(host_cfg);
         attack::HyperHammerAttack attack(host, vm_cfg,
                                          host.dram().mapping(),
-                                         campaignAttack());
+                                         campaignAttack(2));
         attack.attachDefenses(&*resumed_set);
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.resume = true;
         const attack::AttackResult result =
-            attack.runAttempts(2, 1, policy);
+            attack.runAttempts(1, policy);
         EXPECT_GT(result.resumedTrials, 0u);
     }
 
@@ -362,14 +359,13 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
         sys::HostSystem host(host_cfg);
         attack::HyperHammerAttack attack(host, vm_cfg,
                                          host.dram().mapping(),
-                                         campaignAttack());
+                                         campaignAttack(2));
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.resume = true;
         const attack::AttackResult result =
-            attack.runAttempts(2, 1, policy);
+            attack.runAttempts(1, policy);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
     std::remove(path.c_str());
@@ -380,7 +376,7 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
 {
     const std::string path = tempPath("campaign_mismatch.ckpt");
     const std::string prev =
-        path + snapshot::kCheckpointPrevSuffix;
+        path + attack::kCheckpointPrevSuffix;
     std::remove(path.c_str());
     std::remove(prev.c_str());
 
@@ -389,13 +385,13 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
         sys::HostSystem host(campaignHost(5));
         attack::HyperHammerAttack attack(host, campaignVm(),
                                          host.dram().mapping(),
-                                         campaignAttack());
+                                         campaignAttack(2));
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
         policy.stopAfterTrials = 1;
-        (void)attack.runAttempts(3, 1, policy);
+        (void)attack.runAttempts(1, policy);
     }
     // ...and resume under seed 6: the fingerprint must reject it and
     // the campaign must start over rather than mix foreign outcomes.
@@ -403,14 +399,13 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
         sys::HostSystem host(campaignHost(6));
         attack::HyperHammerAttack attack(host, campaignVm(),
                                          host.dram().mapping(),
-                                         campaignAttack());
+                                         campaignAttack(2));
         (void)attack.profilePhase();
-        snapshot::CheckpointPolicy policy;
+        attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.resume = true;
         const attack::AttackResult result =
-            attack.runAttempts(2, 1, policy);
+            attack.runAttempts(1, policy);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
     std::remove(path.c_str());
@@ -421,7 +416,7 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
 {
     const std::string path = tempPath("campaign_range_start.ckpt");
     const std::string prev =
-        path + snapshot::kCheckpointPrevSuffix;
+        path + attack::kCheckpointPrevSuffix;
     std::remove(path.c_str());
     std::remove(prev.c_str());
 
@@ -432,7 +427,7 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     (void)attack.profilePhase();
 
     // Stop range [0, 2) after one trial: its record starts at 0...
-    snapshot::CheckpointPolicy stopper;
+    attack::CheckpointPolicy stopper;
     stopper.path = path;
     stopper.everyTrials = 1;
     stopper.stopAfterTrials = 1;
@@ -441,10 +436,9 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
 
     // ...so range [2, 4) resuming at the same path must not take
     // trial 0's outcome for trial 2's.
-    snapshot::CheckpointPolicy resumer;
+    attack::CheckpointPolicy resumer;
     resumer.path = path;
     resumer.everyTrials = 1;
-    resumer.resume = true;
     const attack::TrialRangeResult resumed =
         attack.runTrialRange(2, 4, 1, resumer);
     EXPECT_EQ(resumed.resumedTrials, 0u);
@@ -460,11 +454,71 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     std::remove(prev.c_str());
 }
 
+TEST(Checkpoint, RecordOfAnotherEndIsIgnored)
+{
+    const std::string path = tempPath("campaign_range_end.ckpt");
+    const std::string prev =
+        path + attack::kCheckpointPrevSuffix;
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+
+    sys::HostSystem host(faultedCampaignHost());
+    attack::HyperHammerAttack attack(host, campaignVm(),
+                                     host.dram().mapping(),
+                                     campaignAttack());
+    (void)attack.profilePhase();
+
+    // Finish range [0, 2): its record shares the campaign and the
+    // start of range [0, 4), but not its end...
+    attack::CheckpointPolicy policy;
+    policy.path = path;
+    policy.everyTrials = 1;
+    const attack::TrialRangeResult shorter =
+        attack.runTrialRange(0, 2, 1, policy);
+    ASSERT_EQ(shorter.outcomes.size(), 2u);
+
+    // ...so range [0, 4) at the same path restores none of it.
+    const attack::TrialRangeResult longer =
+        attack.runTrialRange(0, 4, 1, policy);
+    EXPECT_EQ(longer.resumedTrials, 0u);
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
+TEST(Checkpoint, SecondRunResumesEverything)
+{
+    const std::string path = tempPath("campaign_second_run.ckpt");
+    const std::string prev =
+        path + attack::kCheckpointPrevSuffix;
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+
+    sys::HostSystem host(faultedCampaignHost());
+    attack::HyperHammerAttack attack(host, campaignVm(),
+                                     host.dram().mapping(),
+                                     campaignAttack(2));
+    (void)attack.profilePhase();
+
+    // A path is the only switch: the second run at the same path
+    // restores the first run's finished record and runs no trial.
+    attack::CheckpointPolicy policy;
+    policy.path = path;
+    policy.everyTrials = 1;
+    const attack::AttackResult first = attack.runAttempts(1, policy);
+    EXPECT_EQ(first.resumedTrials, 0u);
+    const attack::AttackResult second = attack.runAttempts(1, policy);
+    ASSERT_FALSE(second.outcomes.empty());
+    EXPECT_EQ(second.resumedTrials, second.outcomes.size());
+    EXPECT_EQ(second.outcomes, first.outcomes);
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
 TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
 {
     const std::string path = tempPath("campaign_torn.ckpt");
     const std::string prev =
-        path + snapshot::kCheckpointPrevSuffix;
+        path + attack::kCheckpointPrevSuffix;
     std::remove(path.c_str());
     std::remove(prev.c_str());
 
@@ -476,7 +530,7 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
 
     // Finish range [0, 2), make its record the fallback file and tear
     // the primary (a torn write a crash mid-save could leave).
-    snapshot::CheckpointPolicy policy;
+    attack::CheckpointPolicy policy;
     policy.path = path;
     policy.everyTrials = 1;
     const attack::TrialRangeResult finished =
@@ -489,7 +543,6 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
 
     // The resume restores every trial from the fallback and still
     // leaves a loadable terminal record at the path.
-    policy.resume = true;
     const attack::TrialRangeResult resumed =
         attack.runTrialRange(0, 2, 1, policy);
     EXPECT_EQ(resumed.resumedTrials, finished.outcomes.size());

@@ -20,9 +20,9 @@ Rules (see docs/static_analysis.md for the rationale):
                            identity tests and corrupts resume
                            identity (DESIGN.md 3.4)
   determinism-taint        call paths from trial-outcome code
-                           (src/attack, src/shard, src/analysis) that
-                           reach std::random_device / rand / wall
-                           clocks through wrappers the textual
+                           (src/attack, src/analysis) that reach
+                           std::random_device / rand / wall clocks
+                           through wrappers the textual
                            raw-rand/wall-clock rules cannot see
   status-discard           a Status/Expected-returning call whose
                            result is dropped: `(void)` casts (which
@@ -101,7 +101,7 @@ DEFAULT_SANCTIONED = (
 
 # Directories whose functions produce trial outcomes; a taint chain
 # reaching them is a finding. Overridden by [analyze] taint_roots.
-DEFAULT_TAINT_ROOTS = ("src/attack", "src/shard", "src/analysis")
+DEFAULT_TAINT_ROOTS = ("src/attack", "src/analysis")
 
 C_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "do",

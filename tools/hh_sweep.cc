@@ -6,10 +6,10 @@
  * seed-range shards, runs each shard as an independent OS process
  * and merges their range records. `sweep` is a plain launcher over
  * `run` and `merge`: it rescans <out-dir>/shard_I.bin, forks up to
- * --jobs `run --resume` workers, one for each range without a
- * finishing record, waits for all of them and merges the finishing
- * records as `merge --allow-partial` does. The records are a sweep's
- * only state, so rerunning the same sweep launches only its holes.
+ * --jobs `run` workers, one for each range without a finishing
+ * record, waits for all of them and merges the finishing records as
+ * `merge` does. The records are a sweep's only state, so rerunning
+ * the same sweep launches only its holes.
  * There are no leases or retries: a hung worker hangs the sweep, and
  * the caller's timeout bounds it. Each process profiles its own host
  * -- the campaign is a pure function of the configuration, so every
@@ -22,17 +22,18 @@
  *
  * Subcommands:
  *   single                  run the campaign in-process, print dump
- *   run   --shard=I/K --out=F  run shard I of K, write record F
- *         --range=B:E         ... or an explicit trial range
+ *   run   --shard=I/K --out=F  run shard I of K, write record F,
+ *         --range=B:E         ... or an explicit trial range; a
+ *                             record of that range at F is resumed
+ *                             and one of another campaign or range
+ *                             is refused
  *   merge FILE...           merge range records, print dump
  *   sweep --shards=K        run K shard workers, merge, print
  *
  * Campaign flags: --trials=N --threads=N --seed=N --host-gib=N
  *   --fault-seed=N --fault-intensity=X (X > 0 installs a randomized
  *   FaultPlan) --checkpoint-every=N
- * Run flags: --resume (refuses a record of another campaign or range
- *   at --out) --stop-after=N
- * Merge flags: --allow-partial
+ * Run flags: --stop-after=N
  * Sweep flags: --out-dir=DIR --jobs=P (0: one worker per range)
  * A numeric flag's value must parse whole, or the run is a usage
  * error.
@@ -40,63 +41,34 @@
  * Exit codes: 0 success (canonical dump on stdout), 1 error, 2 usage,
  * 3 stopped early (--stop-after test hook), 4 degraded -- the sweep
  * or merge completed with missing ranges, each named on stderr;
- * rerunning the sweep (for a merge: `run --range=B:E --out=FILE
- * --resume` per hole) closes them to the bitwise-identical full
- * result.
+ * rerunning the sweep (for a merge: `run --range=B:E --out=FILE` per
+ * hole) closes them to the bitwise-identical full result. To start a
+ * range over, delete its record (and the record's .prev).
  *
  * The dump deliberately excludes resumedTrials (bookkeeping of *how*
  * a result was computed, not *what* it is -- the same masking
- * snapshot::verifyResumeIdentity applies). Everything else is an
+ * attack::verifyResumeIdentity applies). Everything else is an
  * integer -- the campaign totals and every outcome record -- so a
  * byte-equal dump means a bitwise-equal result.
  */
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
 
 namespace {
-
-/**
- * Parse @p text whole into @p out: an unsigned integer (any C base)
- * or a double. An empty, partly parsed or out-of-range value is a
- * usage error naming --@p flag.
- */
-template <typename T>
-void
-parseNumber(const std::string &flag, const std::string &text, T &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    bool ok = !text.empty();
-    if constexpr (std::is_floating_point_v<T>) {
-        out = std::strtod(text.c_str(), &end);
-    } else {
-        const unsigned long long wide =
-            std::strtoull(text.c_str(), &end, 0);
-        ok = ok && std::isdigit(static_cast<unsigned char>(text[0]))
-            && wide <= std::numeric_limits<T>::max();
-        out = static_cast<T>(wide);
-    }
-    if (!ok || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "hh_sweep: bad --%s\n", flag.c_str());
-        std::exit(2);
-    }
-}
 
 struct SweepOptions
 {
@@ -107,17 +79,15 @@ struct SweepOptions
     uint64_t faultSeed = 0;
     double faultIntensity = 0.0;
     uint64_t checkpointEvery = 0;
-    bool resume = false;
     uint64_t stopAfter = 0;
     unsigned shardIndex = 0;
     unsigned shardCount = 1;
     bool haveRange = false;
-    shard::ShardRange range;
+    attack::ShardRange range;
     std::string out;
     std::string outDir = ".";
     unsigned shards = 4;
     unsigned jobs = 0; // 0 = one worker per range
-    bool allowPartial = false;
     std::vector<std::string> files;
 
     static SweepOptions
@@ -134,36 +104,33 @@ struct SweepOptions
             const std::string v = valued ? arg.substr(eq + 1) : "";
             // The two halves of "A<sep>B", each parsed whole; a
             // missing separator leaves B empty, a usage error.
-            const auto halves = [&v](char sep, const char *want,
-                                     auto &first, auto &second) {
+            const auto halves = [&v, argv](char sep, const char *want,
+                                           auto &first, auto &second) {
                 const size_t at = v.find(sep);
-                parseNumber(want, v.substr(0, at), first);
-                parseNumber(want,
-                            at == std::string::npos ? "" : v.substr(at + 1),
-                            second);
+                base::parseNumber(argv[0], want, v.substr(0, at), first);
+                base::parseNumber(
+                    argv[0], want,
+                    at == std::string::npos ? "" : v.substr(at + 1),
+                    second);
             };
-            if (arg == "--allow-partial")
-                opts.allowPartial = true;
-            else if (arg == "--resume")
-                opts.resume = true;
-            else if (arg.rfind("--", 0) != 0)
+            if (arg.rfind("--", 0) != 0)
                 opts.files.push_back(arg);
             else if (name == "trials")
-                parseNumber(name, v, opts.trials);
+                base::parseNumber(argv[0], name, v, opts.trials);
             else if (name == "threads")
-                parseNumber(name, v, opts.threads);
+                base::parseNumber(argv[0], name, v, opts.threads);
             else if (name == "seed")
-                parseNumber(name, v, opts.seed);
+                base::parseNumber(argv[0], name, v, opts.seed);
             else if (name == "host-gib")
-                parseNumber(name, v, opts.hostGib);
+                base::parseNumber(argv[0], name, v, opts.hostGib);
             else if (name == "fault-seed")
-                parseNumber(name, v, opts.faultSeed);
+                base::parseNumber(argv[0], name, v, opts.faultSeed);
             else if (name == "fault-intensity")
-                parseNumber(name, v, opts.faultIntensity);
+                base::parseNumber(argv[0], name, v, opts.faultIntensity);
             else if (name == "checkpoint-every")
-                parseNumber(name, v, opts.checkpointEvery);
+                base::parseNumber(argv[0], name, v, opts.checkpointEvery);
             else if (name == "stop-after")
-                parseNumber(name, v, opts.stopAfter);
+                base::parseNumber(argv[0], name, v, opts.stopAfter);
             else if (name == "shard")
                 halves('/', "shard (want I/K)", opts.shardIndex,
                        opts.shardCount);
@@ -176,9 +143,9 @@ struct SweepOptions
             else if (name == "out-dir")
                 opts.outDir = v;
             else if (name == "shards")
-                parseNumber(name, v, opts.shards);
+                base::parseNumber(argv[0], name, v, opts.shards);
             else if (name == "jobs")
-                parseNumber(name, v, opts.jobs);
+                base::parseNumber(argv[0], name, v, opts.jobs);
             else {
                 std::fprintf(stderr, "hh_sweep: unknown flag %s\n",
                              arg.c_str());
@@ -285,7 +252,7 @@ cmdSingle(const SweepOptions &opts)
 {
     Campaign campaign = buildCampaign(opts);
     const attack::AttackResult result =
-        campaign.attack->runAttempts(opts.trials, opts.threads);
+        campaign.attack->runAttempts(opts.threads);
     printResult(campaign.attack->campaignFingerprint(), opts.trials,
                 result);
     return 0;
@@ -294,14 +261,14 @@ cmdSingle(const SweepOptions &opts)
 /**
  * True, after naming @p path on stderr, when @p record (loaded from
  * @p path) is a readable record of another campaign or range than
- * @p range of campaign (@p fingerprint, @p trials). `run --resume` and
- * `sweep` refuse such a record before they write anything; a missing
- * or unreadable one only means the range starts over.
+ * @p range of campaign (@p fingerprint, @p trials). `run` and `sweep`
+ * refuse such a record before they write anything; a missing or
+ * unreadable one only means the range starts over.
  */
 bool
 isForeign(const base::Expected<attack::RangeRecord> &record,
           const std::string &path, uint64_t fingerprint, unsigned trials,
-          const shard::ShardRange &range)
+          const attack::ShardRange &range)
 {
     if (!record
         || record->belongsTo(fingerprint, trials, range.begin, range.end))
@@ -327,7 +294,7 @@ cmdRun(const SweepOptions &opts)
                              "--checkpoint-every\n");
         return 2;
     }
-    shard::ShardRange range;
+    attack::ShardRange range;
     if (opts.haveRange) {
         range = opts.range;
         if (range.begin > range.end || range.end > opts.trials) {
@@ -342,23 +309,20 @@ cmdRun(const SweepOptions &opts)
                          opts.shardIndex, opts.shardCount);
             return 2;
         }
-        const std::vector<shard::ShardRange> ranges =
-            shard::planShards(opts.trials, opts.shardCount);
-        range = ranges[opts.shardIndex];
+        range = attack::planShards(opts.trials,
+                                   opts.shardCount)[opts.shardIndex];
     }
     Campaign campaign = buildCampaign(opts);
-    if (opts.resume
-        && isForeign(attack::loadRangeRecord(opts.out), opts.out,
-                     campaign.attack->campaignFingerprint(), opts.trials,
-                     range))
+    if (isForeign(attack::loadRangeRecord(opts.out), opts.out,
+                  campaign.attack->campaignFingerprint(), opts.trials,
+                  range))
         return 1;
 
-    // The range record at --out is both the checkpoint a resume
-    // reads and the artifact merge reads.
-    snapshot::CheckpointPolicy policy;
+    // The range record at --out is both the checkpoint this run
+    // resumes and the artifact merge reads.
+    attack::CheckpointPolicy policy;
     policy.path = opts.out;
     policy.everyTrials = opts.checkpointEvery;
-    policy.resume = opts.resume;
     policy.stopAfterTrials = opts.stopAfter;
     std::fprintf(stderr,
                  "hh_sweep: shard trials [%llu, %llu)\n",
@@ -373,11 +337,11 @@ cmdRun(const SweepOptions &opts)
         return 1;
     }
     if (ranged.stopped) {
-        // The record left behind is non-terminal: the strict merge
-        // answers Busy for it and a partial merge names it a hole.
+        // The record left behind is non-terminal: a merge names its
+        // range a hole.
         std::fprintf(stderr,
                      "hh_sweep: shard stopped after %zu trials; "
-                     "rerun with --resume to finish\n",
+                     "rerun without --stop-after to finish\n",
                      ranged.outcomes.size());
         return 3; // incomplete by request (--stop-after test hook)
     }
@@ -388,25 +352,21 @@ cmdRun(const SweepOptions &opts)
 
 /**
  * Merge @p shards and print the outcome: the dump and 0 when they
- * finish the campaign. Under @p allow_partial an unfinished or absent
- * range is a hole: each is named on stderr with @p hint (how to close
- * them), the dump follows when it is exact anyway, and the exit is 4.
- * Any other merge failure (strictly: an unfinished record is Busy) is
- * an error (1).
+ * finish the campaign. An unfinished or absent range is a hole: each
+ * is named on stderr with @p hint (how to close them), the dump
+ * follows when it is exact anyway, and the exit is 4. A merge error
+ * (records that do not form one campaign) is an error (1).
  */
 int
-printMerge(std::vector<attack::RangeRecord> shards, bool allow_partial,
-           const char *hint)
+printMerge(std::vector<attack::RangeRecord> shards, const char *hint)
 {
-    shard::MergePolicy policy;
-    policy.allowPartial = allow_partial;
-    auto report = shard::mergeShards(std::move(shards), policy);
+    auto report = attack::mergeShards(std::move(shards));
     if (!report) {
         std::fprintf(stderr, "hh_sweep: merge failed: %s\n",
                      base::errorName(report.error()));
         return 1;
     }
-    for (const shard::ShardRange &hole : report->missing)
+    for (const attack::ShardRange &hole : report->missing)
         std::fprintf(stderr,
                      "hh_sweep: missing trials [%llu, %llu)\n",
                      static_cast<unsigned long long>(hole.begin),
@@ -429,29 +389,27 @@ cmdMerge(const SweepOptions &opts)
         std::fprintf(stderr, "hh_sweep merge: no shard files given\n");
         return 2;
     }
-    // An unreadable record is skipped under --allow-partial, so the
-    // merge names its range a hole, and is an error otherwise.
+    // An unreadable record is skipped, so the merge names its range
+    // a hole.
     std::vector<attack::RangeRecord> shards;
     for (const std::string &file : opts.files) {
         auto loaded = attack::loadRangeRecord(file);
-        if (loaded) {
+        if (loaded)
             shards.push_back(std::move(*loaded));
-            continue;
-        }
-        std::fprintf(stderr, "hh_sweep: cannot load '%s': %s%s\n",
-                     file.c_str(), base::errorName(loaded.error()),
-                     opts.allowPartial ? "; its range becomes a hole" : "");
-        if (!opts.allowPartial)
-            return 1;
+        else
+            std::fprintf(stderr,
+                         "hh_sweep: cannot load '%s': %s; its range "
+                         "becomes a hole\n",
+                         file.c_str(), base::errorName(loaded.error()));
     }
     if (shards.empty()) {
         std::fprintf(stderr, "hh_sweep merge: no usable records\n");
         return 1;
     }
-    return printMerge(std::move(shards), opts.allowPartial,
+    return printMerge(std::move(shards),
                       "degraded merge; finish each missing range "
-                      "with `hh_sweep run --range=B:E --out=FILE "
-                      "--resume` and merge again");
+                      "with `hh_sweep run --range=B:E --out=FILE` and "
+                      "merge again");
 }
 
 std::string
@@ -468,14 +426,14 @@ selfExe(const char *argv0)
 }
 
 /**
- * Fork + exec @p exe's `run --resume` for @p range with its record at
- * @p out; the worker's pid, or -1 when the fork fails. The worker
- * resumes whatever prefix the record holds (an absent one starts at
- * the range begin) and rewrites it every block.
+ * Fork + exec @p exe's `run` for @p range with its record at @p out;
+ * the worker's pid, or -1 when the fork fails. The worker resumes
+ * whatever prefix the record holds (an absent one starts at the range
+ * begin) and rewrites it every block.
  */
 pid_t
 launchWorker(const std::string &exe, const SweepOptions &opts,
-             const shard::ShardRange &range, const std::string &out)
+             const attack::ShardRange &range, const std::string &out)
 {
     // %.17g round-trips the double (std::to_string keeps six
     // decimals), so the worker rebuilds the exact campaign.
@@ -497,7 +455,6 @@ launchWorker(const std::string &exe, const SweepOptions &opts,
             + std::to_string(opts.checkpointEvery ? opts.checkpointEvery
                                                   : 1),
         "--host-gib=" + std::to_string(opts.hostGib),
-        "--resume",
     };
     const pid_t pid = ::fork();
     if (pid == 0) {
@@ -524,8 +481,8 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
     Campaign campaign = buildCampaign(opts);
     const uint64_t fingerprint =
         campaign.attack->campaignFingerprint();
-    const std::vector<shard::ShardRange> ranges =
-        shard::planShards(opts.trials, opts.shards);
+    const std::vector<attack::ShardRange> ranges =
+        attack::planShards(opts.trials, opts.shards);
     std::vector<std::string> paths;
     for (size_t i = 0; i < ranges.size(); ++i)
         paths.push_back(opts.outDir + "/shard_" + std::to_string(i)
@@ -599,7 +556,7 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
     if (shards.empty())
         shards.push_back(attack::RangeRecord{fingerprint, opts.trials, 0,
                                              opts.trials, false, {}});
-    return printMerge(std::move(shards), true,
+    return printMerge(std::move(shards),
                       "degraded sweep; rerun the same sweep to launch "
                       "only the missing ranges");
 }
@@ -613,8 +570,10 @@ usage()
         "  single  run the whole campaign in-process, print dump\n"
         "  run     run one shard: --shard=I/K | --range=B:E, "
         "--out=FILE\n"
-        "          [--resume --stop-after=N]\n"
-        "  merge   merge range records: FILE... [--allow-partial]\n"
+        "          [--stop-after=N]; resumes a record of its range at "
+        "FILE\n"
+        "          (delete FILE and FILE.prev to start over)\n"
+        "  merge   merge range records: FILE...\n"
         "  sweep   run --shards=K workers, --jobs=P at a time, with "
         "records in\n"
         "          --out-dir=DIR, then merge and print; a rerun "
