@@ -6,12 +6,16 @@
  * Each trial installs FaultPlan::randomized(seed_base + trial,
  * intensity) on a small S1 host, profiles, runs the campaign through
  * runAttempts() (every attempt a forked trial world, checkpointed
- * when --checkpoint-every is set; a rerun with the same flags resumes
- * each campaign's record), and prints one line with the
+ * when --checkpoint-every is set), and prints one line with the
  * campaign's status, retry/degradation counters and the number of
  * faults the trial injectors fired. Every line is fully reproducible
  * from its plan seed, so a failing nightly run can be replayed locally
  * with --seed-base=<seed> --trials=1.
+ *
+ * A checkpointed soak killed at any moment (the nightly kill/resume
+ * leg sends a real kill -9) and rerun with the same flags resumes
+ * each campaign's record and prints the straight run's table byte for
+ * byte.
  *
  * The exit code is non-zero only when a trial violates the degradation
  * contract (aborts instead of returning a partial-result Status); a
@@ -39,8 +43,6 @@ struct SoakOptions
      * campaign resumes the record at its file.
      */
     std::string checkpointPath = "fault_soak.ckpt";
-    /** Simulated crash: stop each campaign after N attempts. */
-    uint64_t killAt = 0;
     /**
      * Telemetry report (BENCH_soak.json shape) for the nightly trend
      * pipeline; empty = off. Status messages go to stderr because the
@@ -69,10 +71,8 @@ struct SoakOptions
             else if (const char *v5 =
                          flagValue(arg, "--checkpoint-path="))
                 soak.checkpointPath = v5;
-            else if (const char *v6 = flagValue(arg, "--kill-at="))
-                base::parseNumber(argv[0], "kill-at", v6, soak.killAt);
-            else if (const char *v7 = flagValue(arg, "--json-out="))
-                soak.jsonOut = v7;
+            else if (const char *v6 = flagValue(arg, "--json-out="))
+                soak.jsonOut = v6;
         }
         return soak;
     }
@@ -143,7 +143,6 @@ main(int argc, char **argv)
             policy.path = soak.checkpointPath + "_s" +
                 std::to_string(plan_seed);
             policy.everyTrials = soak.checkpointEvery;
-            policy.stopAfterTrials = soak.killAt;
         }
         const attack::AttackResult result =
             attack.runAttempts(opts.threads, policy);

@@ -12,11 +12,12 @@
  * machine and prints a census of what an attacker would learn.
  *
  * Usage: profile_dimm [seed] [host-gib]
+ * An argument that does not parse whole as a number exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
@@ -24,10 +25,12 @@ using namespace hh;
 int
 main(int argc, char **argv)
 {
-    const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                   : 7;
-    const uint64_t gib = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                  : 2;
+    uint64_t seed = 7;
+    uint64_t gib = 2;
+    if (argc > 1)
+        base::parseNumber(argv[0], "seed", argv[1], seed);
+    if (argc > 2)
+        base::parseNumber(argv[0], "host-gib", argv[2], gib);
 
     sys::SystemConfig config =
         sys::SystemConfig::s1(seed).withMemory(gib * 1_GiB);

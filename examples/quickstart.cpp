@@ -17,11 +17,12 @@
  * deterministic walkthrough of the final stage.
  *
  * Usage: quickstart [seed] [max-attempts]
+ * An argument that does not parse whole as a number exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
@@ -29,11 +30,12 @@ using namespace hh;
 int
 main(int argc, char **argv)
 {
-    const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                   : 42;
-    const unsigned max_attempts = argc > 2
-        ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 0))
-        : 150;
+    uint64_t seed = 42;
+    unsigned max_attempts = 150;
+    if (argc > 1)
+        base::parseNumber(argv[0], "seed", argv[1], seed);
+    if (argc > 2)
+        base::parseNumber(argv[0], "max-attempts", argv[2], max_attempts);
 
     // A scaled-down S1: same DRAM geometry behaviour, 2 GB host.
     sys::SystemConfig config = sys::SystemConfig::s1(seed)

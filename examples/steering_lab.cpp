@@ -8,11 +8,12 @@
  * frames the VM "voluntarily" released.
  *
  * Usage: steering_lab [seed] [host-gib]
+ * An argument that does not parse whole as a number exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
@@ -47,10 +48,12 @@ printFreeListState(sys::HostSystem &host, const char *moment)
 int
 main(int argc, char **argv)
 {
-    const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                   : 3;
-    const uint64_t gib = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                  : 4;
+    uint64_t seed = 3;
+    uint64_t gib = 4;
+    if (argc > 1)
+        base::parseNumber(argv[0], "seed", argv[1], seed);
+    if (argc > 2)
+        base::parseNumber(argv[0], "host-gib", argv[2], gib);
 
     sys::SystemConfig config =
         sys::SystemConfig::s1(seed).withMemory(gib * 1_GiB);

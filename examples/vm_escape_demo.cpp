@@ -15,22 +15,24 @@
  * (--threads=T workers, bitwise-identical results for any T).
  *
  * With --snapshot-demo it instead walks the crash-safety machinery:
- * a checkpointed campaign killed mid-run and resumed from its range
- * record to the same result. Worlds themselves are never saved: each
+ * a checkpointed campaign runs straight, then a second one resumes
+ * from the record a kill after its second trial would have left and
+ * must reach the same result. Worlds themselves are never saved: each
  * trial rebuilds its world from the configuration and trial index.
  *
  * Usage: vm_escape_demo [seed] [--attempts=N] [--threads=T]
  *                       [--snapshot-demo]
+ * A numeric argument that does not parse whole exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 
 #include <unistd.h>
 
+#include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
@@ -45,42 +47,82 @@ runSnapshotDemo(uint64_t seed)
     vm_cfg.bootMemBytes = 64_MiB;
     vm_cfg.virtioMemRegionSize = 1_GiB;
     vm_cfg.virtioMemPlugged = 640_MiB;
-
-    // Checkpoint/kill/resume: the straight campaign and the one that
-    // "crashed" after 2 trials must agree on every field.
-    std::printf("[ckpt]  straight vs. kill-at-2-then-resume "
-                "campaign...\n");
-    attack::ResumeIdentityOptions options;
-    options.threads = 2;
-    options.checkpointEvery = 1;
-    options.killAfterTrials = 2;
-    // A record of its own: a path always resumes, and concurrent demos
-    // must neither share nor rotate each other's record. The harness
-    // removes it (and its .prev) when done.
-    options.checkpointPath =
-        (std::filesystem::temp_directory_path()
-         / ("vm_escape_demo_" + std::to_string(::getpid()) + ".ckpt"))
-            .string();
-
-    sys::SystemConfig atk_cfg =
+    sys::SystemConfig host_cfg =
         sys::SystemConfig::s1(seed).withMemory(1_GiB);
-    atk_cfg.dram.fault.weakCellsPerRow *= 8; // keep the demo short
-    attack::AttackConfig mc_cfg;
-    mc_cfg.maxAttempts = 4;
-    mc_cfg.steering.exhaustMappings = 2'500;
-    const attack::ResumeIdentityReport report =
-        attack::verifyResumeIdentity(atk_cfg, vm_cfg,
-                                     atk_cfg.dram.mapping, mc_cfg,
-                                     options);
-    std::printf("[ckpt]  killed midway: %s; %u trial(s) restored from "
-                "the checkpoint\n",
-                report.killedMidway ? "yes" : "no (finished early)",
-                report.resumedTrials);
-    if (!report.identical) {
-        std::printf("[ckpt]  MISMATCH in:");
-        for (const std::string &field : report.mismatches)
-            std::printf(" %s", field.c_str());
-        std::printf("\n");
+    host_cfg.dram.fault.weakCellsPerRow *= 8; // keep the demo short
+    attack::AttackConfig atk_cfg;
+    atk_cfg.maxAttempts = 4;
+    atk_cfg.steering.exhaustMappings = 2'500;
+
+    // A record of its own: a path always resumes, and concurrent demos
+    // must neither share nor rotate each other's record.
+    attack::CheckpointPolicy policy;
+    policy.path = (std::filesystem::temp_directory_path()
+                   / ("vm_escape_demo_" + std::to_string(::getpid())
+                      + ".ckpt"))
+                      .string();
+    policy.everyTrials = 1;
+    const std::string prev = policy.path + attack::kCheckpointPrevSuffix;
+    const auto forget = [&] {
+        std::remove(policy.path.c_str());
+        std::remove(prev.c_str());
+    };
+    // Each campaign builds its own host, as a new process would.
+    const auto campaign = [&] {
+        sys::HostSystem host(host_cfg);
+        attack::HyperHammerAttack attack(host, vm_cfg,
+                                         host.dram().mapping(), atk_cfg);
+        (void)attack.profilePhase();
+        return attack.runAttempts(2, policy);
+    };
+
+    forget();
+    std::printf("[ckpt]  straight campaign of %u trials, its range "
+                "record rewritten after each...\n",
+                atk_cfg.maxAttempts);
+    const attack::AttackResult straight = campaign();
+    // What a kill -9 after trial 2 leaves: the record of the first two
+    // trials, not yet terminal.
+    constexpr unsigned kKilledAfter = 2;
+    auto record = attack::loadRangeRecord(policy.path);
+    forget();
+    if (!record || record->outcomes.size() <= kKilledAfter) {
+        std::printf("[ckpt]  the campaign ran %zu trial(s), too few to "
+                    "kill midway; try another seed\n",
+                    straight.outcomes.size());
+        return 1;
+    }
+    record->outcomes.resize(kKilledAfter);
+    record->terminal = false;
+    if (!attack::saveRangeRecord(policy.path, *record).ok()) {
+        std::printf("[ckpt]  cannot write %s\n", policy.path.c_str());
+        return 1;
+    }
+    std::printf("[ckpt]  killed after trial %u; resuming from its "
+                "record...\n",
+                kKilledAfter);
+    const attack::AttackResult resumed = campaign();
+    forget();
+    std::printf("[ckpt]  %u trial(s) restored from the record\n",
+                resumed.resumedTrials);
+
+    // resumedTrials says how the result was computed, not what it is.
+    std::string mismatches;
+    const auto expect = [&](bool same, const std::string &field) {
+        if (!same)
+            mismatches += " " + field;
+    };
+    expect(resumed.resumedTrials == kKilledAfter, "resumedTrials");
+    expect(straight.success == resumed.success, "success");
+    expect(straight.attempts == resumed.attempts, "attempts");
+    expect(straight.totalTime == resumed.totalTime, "totalTime");
+    expect(straight.status == resumed.status, "status");
+    expect(straight.degraded == resumed.degraded, "degraded");
+    expect(straight.faultsInjected == resumed.faultsInjected,
+           "faultsInjected");
+    expect(straight.outcomes == resumed.outcomes, "outcomes");
+    if (!mismatches.empty()) {
+        std::printf("[ckpt]  MISMATCH in:%s\n", mismatches.c_str());
         return 1;
     }
     std::printf("[ckpt]  bitwise identical -- every attempt record "
@@ -101,15 +143,14 @@ main(int argc, char **argv)
     bool snapshot_demo = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--attempts=", 11) == 0)
-            attempts = static_cast<unsigned>(
-                std::strtoul(argv[i] + 11, nullptr, 0));
+            base::parseNumber(argv[0], "attempts", argv[i] + 11,
+                              attempts);
         else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 0));
+            base::parseNumber(argv[0], "threads", argv[i] + 10, threads);
         else if (std::strcmp(argv[i], "--snapshot-demo") == 0)
             snapshot_demo = true;
         else
-            seed = std::strtoull(argv[i], nullptr, 0);
+            base::parseNumber(argv[0], "seed", argv[i], seed);
     }
     if (snapshot_demo)
         return runSnapshotDemo(seed);

@@ -15,7 +15,7 @@
  *   hh::mitigate -- pluggable defenses and the evaluation matrix
  *   hh::attack   -- profiling, Page Steering, exploitation, and the
  *                   range record: checkpoint policy, resume, shard
- *                   merge, resume identity
+ *                   merge
  *   hh::analysis -- DRAMDig, TRRespass, report formatting
  *
  * Typical use: build a host from a preset, create a VM, and drive the
@@ -32,7 +32,6 @@
 #include "attack/orchestrator.h"
 #include "attack/page_steering.h"
 #include "attack/profiler.h"
-#include "attack/resume_identity.h"
 #include "attack/types.h"
 #include "base/bitops.h"
 #include "base/log.h"

@@ -597,7 +597,7 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     // record is complete once every trial ran or one succeeded.
     const uint64_t block =
         policy.everyTrials > 0 ? policy.everyTrials : total;
-    while (!record.complete() && !range.stopped) {
+    while (!record.complete()) {
         const uint64_t done = outcomes.size();
         const uint64_t todo = std::min<uint64_t>(block, total - done);
         std::vector<AttemptOutcome> chunk(todo);
@@ -613,13 +613,8 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
         outcomes.insert(outcomes.end(), chunk.begin(),
                         chunk.begin()
                             + static_cast<std::ptrdiff_t>(keep));
-        if (persist) {
+        if (persist)
             save();
-            if (policy.stopAfterTrials != 0
-                && outcomes.size() >= policy.stopAfterTrials
-                && !record.complete())
-                range.stopped = true; // simulated crash (test hook)
-        }
     }
     range.outcomes = std::move(outcomes);
     return range;
@@ -669,16 +664,8 @@ HyperHammerAttack::runAttempts(unsigned threads,
     }
     TrialRangeResult range =
         runTrialRange(0, cfg.maxAttempts, threads, policy);
-    const bool stopped = range.stopped;
-    const unsigned resumed = range.resumedTrials;
     AttackResult result = aggregateOutcomes(std::move(range.outcomes));
-    result.resumedTrials = resumed;
-    if (stopped) {
-        // An interrupted campaign is unfinished, not failed: report
-        // Busy with the partial outcomes and no degradation verdict.
-        result.status = base::ErrorCode::Busy;
-        result.degraded = false;
-    }
+    result.resumedTrials = range.resumedTrials;
     return result;
 }
 

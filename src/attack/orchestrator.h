@@ -126,10 +126,8 @@ struct AttackResult
     /**
      * How the run ended: Ok on escalation, LimitExceeded when the
      * attempt budget ran out, NotFound when the profile held no
-     * exploitable bits (no trial runs then), Busy when a
-     * stopAfterTrials stop interrupted it. A non-Ok status still
-     * carries the partial outcomes -- the attack degrades, it does not
-     * abort.
+     * exploitable bits (no trial runs then). A non-Ok status still
+     * carries the outcomes -- the attack degrades, it does not abort.
      */
     base::Status status = base::Status::success();
     /** True when the run ended early on a degraded path. */
@@ -164,31 +162,19 @@ struct CheckpointPolicy
      * trials; 0 runs the whole range as one block.
      */
     uint64_t everyTrials = 0;
-
-    /**
-     * Test hook simulating a crash: stop (with a Busy status and the
-     * record freshly written) at the first block end where at least
-     * this many trials have completed. 0 runs to completion. Lets
-     * resume-identity tests exercise the kill/resume path
-     * deterministically in-process; the CI soak job uses a real
-     * SIGKILL instead.
-     */
-    uint64_t stopAfterTrials = 0;
 };
 
 /**
  * Raw product of a contiguous trial range [begin, end): the completed
  * outcome prefix (relative to @c begin, truncated at the range's first
- * success), how many of those trials were restored from a checkpoint,
- * and whether a stopAfterTrials stop cut the range short.
+ * success) and how many of those trials were restored from a
+ * checkpoint.
  */
 struct TrialRangeResult
 {
     std::vector<AttemptOutcome> outcomes;
     /** Trials restored from a checkpoint rather than re-run. */
     unsigned resumedTrials = 0;
-    /** True when policy.stopAfterTrials ended the range early. */
-    bool stopped = false;
     /** Outcome of the last range-record write (success when none). */
     base::Status saved = base::Status::success();
 };
@@ -210,7 +196,7 @@ struct RangeRecord
     uint64_t end = 0;
     /**
      * The writer's final word on the range: true once it is complete.
-     * A record left by a stop, a kill or a still-running worker is
+     * A record left by a kill or a still-running worker is
      * non-terminal, and mergeShards() makes its whole range a hole.
      */
     bool terminal = true;
@@ -384,9 +370,7 @@ class HyperHammerAttack
      * runTrialRange() does for the range [0, maxAttempts). Trials are
      * pure functions of (configuration, trial index), so the merged
      * result is bitwise-identical to an uncheckpointed run for any
-     * block size, thread count or kill/resume history. A
-     * stopAfterTrials stop returns a Busy status with the partial
-     * outcomes.
+     * block size, thread count or kill/resume history.
      */
     AttackResult runAttempts(unsigned threads,
                              const CheckpointPolicy &policy = {});
@@ -410,8 +394,10 @@ class HyperHammerAttack
      * RangeRecord::belongsTo() this campaign and range, and re-runs
      * nothing it holds; any other record is ignored. When the call
      * returns, the path holds the record of the whole completed
-     * prefix. policy.stopAfterTrials counts range-relative
-     * completions and fires only at a block end.
+     * prefix. A process killed mid-range leaves the record of its
+     * last finished block at the path and the one before it in
+     * path + ".prev" (only that one when the kill lands between the
+     * rotation and the rename); rerunning the range resumes it.
      *
      * This is the shard entry point -- callers merge the returned
      * outcomes through aggregateOutcomes(), or the records through

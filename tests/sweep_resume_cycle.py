@@ -5,14 +5,11 @@ A sweep is `run` + `merge`: its only state is the range records in
 --out-dir, and rerunning it launches only the ranges without a
 finishing record. Every dump below is byte-diffed against `single`:
 
-  1. Sweep identity: a clean 4-shard sweep, the same sweep under a
-     fault plan (whose campaign fingerprint is pinned), and a shard
-     stopped by --stop-after, then resumed by a plain rerun, all print
-     the single-process dump; a merge of the stopped record exits 4
-     naming its range. A `run` over its own finished record, even with
-     --stop-after, runs nothing, exits 0 and leaves the record as it
-     was. The faulted pair is the slowest step, so it runs alongside
-     the others.
+  1. Sweep identity: a clean 4-shard sweep and the same sweep under a
+     fault plan (whose campaign fingerprint is pinned) print the
+     single-process dump. A `run` over its own finished record runs
+     nothing, exits 0 and leaves the record as it was. The faulted
+     pair is the slowest step, so it runs alongside the others.
   2. A landed SIGKILL: a range is killed while it is still running,
      after its first block's record; a merge of what it left exits 4
      naming the range, and a sweep over its directory finishes it.
@@ -25,7 +22,8 @@ finishing record. Every dump below is byte-diffed against `single`:
      gone, the same sweep launches only that range.
   5. A foreign record (another campaign, another tiling) refuses the
      sweep or a `run` before anything is written.
-  6. A numeric flag that does not parse whole is a usage error (2).
+  6. A numeric flag that does not parse whole, or an unknown flag, is
+     a usage error (2).
   7. Workers rebuild the sweep's exact campaign: a fault intensity
      with more than six decimals still merges to the single dump (a
      worker of a rounded campaign would leave a foreign record).
@@ -89,8 +87,8 @@ def faulted_identity(faulted_ref, faulted):
 
 
 def sweep_identity(sweep, tmp):
-    """Step 1, clean: a 4-shard sweep, a rerun over a finished record
-    and a stopped + resumed shard."""
+    """Step 1, clean: a 4-shard sweep and a rerun over a finished
+    record."""
     ref = run(sweep, "single", *SEED3)
     check(ref.returncode == 0, "seed-3 single", ref)
     shards = tmp / "seed3"
@@ -102,29 +100,10 @@ def sweep_identity(sweep, tmp):
     finished = shards / "shard_1.bin"
     kept = finished.read_bytes()
     rerun = run(sweep, "run", *SEED3, "--shard=1/4", f"--out={finished}",
-                "--checkpoint-every=1", "--stop-after=1")
+                "--checkpoint-every=1")
     check(rerun.returncode == 0 and finished.read_bytes() == kept,
           "a run over its own finished record exits 0 and keeps it",
           rerun)
-
-    # Stop + resume at a path that holds no record yet.
-    out = tmp / "seed3_stop" / "shard_1.bin"
-    out.parent.mkdir()
-    shard = ["run", *SEED3, "--shard=1/4", f"--out={out}",
-             "--checkpoint-every=1"]
-    stopped = run(sweep, *shard, "--stop-after=1")
-    check(stopped.returncode == 3, "--stop-after exits 3", stopped)
-    files = [*(str(shards / f"shard_{i}.bin") for i in (0, 2, 3)),
-             str(out)]
-    holed = run(sweep, "merge", *files)
-    check(holed.returncode == 4
-          and "hh_sweep: missing trials [2, 4)" in holed.stderr,
-          "a merge names the stopped record's range", holed)
-    resumed = run(sweep, *shard)
-    check(resumed.returncode == 0, "stopped shard resumes", resumed)
-    merged = run(sweep, "merge", *files)
-    check(merged.returncode == 0 and merged.stdout == ref.stdout,
-          "stop + resume merges to single", merged)
 
 
 def landed_kill(sweep, tmp, ref):
@@ -249,6 +228,11 @@ def main():
                     "--fault-intensity=0.5x", "--shards=x", "--jobs=x"):
             usage = run(sweep, "single", bad)
             check(usage.returncode == 2, f"{bad} is a usage error", usage)
+        unknown = run(sweep, "run", *SEED3, "--shard=1/4",
+                      f"--out={tmp / 'unused.bin'}", "--stop-after=1")
+        check(unknown.returncode == 2
+              and "unknown flag --stop-after=1" in unknown.stderr,
+              "--stop-after is an unknown flag", unknown)
 
         # Step 7: the exact fault intensity reaches the workers.
         precise = ["--trials=2", "--threads=2", "--seed=3",

@@ -1,24 +1,22 @@
 /**
  * @file
- * The ISSUE 5 acceptance matrix: resume-identity must hold for at
- * least 8 seeds x {1, 4} threads x a randomized FaultPlan. Each cell
- * kills a checkpointed campaign mid-run, resumes it in a fresh
- * process-equivalent, and requires the merged result to be bitwise
- * identical to a straight uncheckpointed run -- every total and every
- * attempt record, via attack::diffAttackResults.
+ * World-fork identity: a trial world forked from the pristine template
+ * is bit-identical to a freshly constructed host, also when the fork
+ * reuses the storage of a dropped fork. Campaign kill/resume identity
+ * is tested on the range records a kill leaves, in test_shard.cc
+ * (SweepIdentityMatrix) and test_snapshot.cc (Checkpoint).
  *
- * Slow by design (each cell runs three campaigns); registered under
- * the tier2 label.
+ * Registered under the tier2 label: each test builds several 1 GiB
+ * worlds.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "attack/resume_identity.h"
-#include "mitigate/defense.h"
+#include "base/archive.h"
+#include "base/rng.h"
 #include "sys/host_system.h"
 
 namespace hh {
@@ -42,15 +40,6 @@ vmConfig()
     cfg.bootMemBytes = 64_MiB;
     cfg.virtioMemRegionSize = 1_GiB;
     cfg.virtioMemPlugged = 640_MiB;
-    return cfg;
-}
-
-attack::AttackConfig
-attackConfig()
-{
-    attack::AttackConfig cfg;
-    cfg.maxAttempts = 4;
-    cfg.steering.exhaustMappings = 2'500;
     return cfg;
 }
 
@@ -136,85 +125,6 @@ TEST(WorldForkIdentity, ForkAfterDroppedForkMatchesFresh)
         sys::HostSystem::forkTrial(*tmpl, trial_cfg(0));
     EXPECT_EQ(spilledWorldBytes(*again), first_bytes);
     EXPECT_EQ(again->dram().backend().allocatedBlocks(), 0u);
-}
-
-class ResumeIdentityMatrix
-    : public ::testing::TestWithParam<std::tuple<uint64_t, unsigned>>
-{
-};
-
-TEST_P(ResumeIdentityMatrix, KillResumeIsBitwiseIdentical)
-{
-    const uint64_t seed = std::get<0>(GetParam());
-    const unsigned threads = std::get<1>(GetParam());
-
-    const sys::SystemConfig host_cfg = hostConfig(seed);
-
-    attack::ResumeIdentityOptions options;
-    options.threads = threads;
-    options.checkpointEvery = 1;
-    options.killAfterTrials = 2;
-    options.checkpointPath = ::testing::TempDir() + "resume_identity_s" +
-        std::to_string(seed) + "_t" + std::to_string(threads) + ".ckpt";
-
-    const attack::ResumeIdentityReport report =
-        attack::verifyResumeIdentity(host_cfg, vmConfig(),
-                                     host_cfg.dram.mapping,
-                                     attackConfig(), options);
-
-    std::string mismatch_list;
-    for (const std::string &field : report.mismatches)
-        mismatch_list += " " + field;
-    EXPECT_TRUE(report.identical)
-        << "seed " << seed << ", " << threads
-        << " thread(s): mismatched fields:" << mismatch_list;
-    // A campaign that finished before the kill point never exercises
-    // resume; the matrix parameters are tuned so that most cells kill
-    // midway, but identity must hold either way.
-    if (report.killedMidway) {
-        EXPECT_GT(report.resumedTrials, 0u)
-            << "seed " << seed << ", " << threads << " thread(s)";
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, ResumeIdentityMatrix,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
-                       ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, unsigned>>
-           &info) {
-        return "seed" + std::to_string(std::get<0>(info.param)) +
-            "_threads" + std::to_string(std::get<1>(info.param));
-    });
-
-// Kill/resume identity on a defended world: SilozDomains installs a
-// multi-domain buddy layout with pinned guard rows. No world is saved
-// or restored: every trial, before and after the kill, rebuilds its
-// domained world from the configuration and its index, so the
-// resumed campaign's outcomes must match the straight run's bit for
-// bit.
-TEST(ResumeIdentityDefended, SilozWorldKillResumeIsBitwiseIdentical)
-{
-    mitigate::SilozDomains siloz;
-    sys::SystemConfig host_cfg = hostConfig(3);
-    siloz.applyHostConfig(host_cfg);
-
-    attack::ResumeIdentityOptions options;
-    options.threads = 2;
-    options.checkpointEvery = 1;
-    options.killAfterTrials = 2;
-    options.checkpointPath =
-        ::testing::TempDir() + "resume_identity_siloz.ckpt";
-
-    const attack::ResumeIdentityReport report =
-        attack::verifyResumeIdentity(host_cfg, vmConfig(),
-                                     host_cfg.dram.mapping,
-                                     attackConfig(), options);
-    std::string mismatch_list;
-    for (const std::string &field : report.mismatches)
-        mismatch_list += " " + field;
-    EXPECT_TRUE(report.identical)
-        << "mismatched fields:" << mismatch_list;
 }
 
 } // namespace

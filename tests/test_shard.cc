@@ -9,14 +9,13 @@
  * mismatches) and the holes it names (gaps, a missing tail,
  * interrupted records), uneven ranges and ordering independence -- no
  * worlds are constructed, so these are fast. The SweepIdentityMatrix
- * half is the
- * ISSUE 7 acceptance sweep: for 8 seeds, with and without a
+ * half runs whole campaigns: for 8 seeds, with and without a
  * randomized FaultPlan, a campaign split into {1, 2, 4} shards run at
- * {1, 4} threads and merged must be bitwise-identical to the
- * single-process runAttempts() result, field by field via
- * attack::diffAttackResults -- including a shard that is stopped
- * mid-range, resumed from its range record, and then merged from the
- * records both ranges left on disk.
+ * {1, 4} threads and merged must equal the single-process
+ * runAttempts() result in every total and every outcome. It is also
+ * the kill/resume matrix: a shard resumed from the records a kill
+ * leaves, at 1 and 4 threads, merges to the same result, on every
+ * seed and on one Siloz-defended world.
  *
  * Slow by design (the matrix runs whole campaigns); registered under
  * the tier2 label.
@@ -32,7 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "attack/resume_identity.h"
+#include "attack/orchestrator.h"
+#include "mitigate/defense.h"
 #include "sys/host_system.h"
 
 namespace hh {
@@ -150,6 +150,38 @@ expectSameRecord(const attack::RangeRecord &actual,
     EXPECT_EQ(actual.end, expected.end);
     EXPECT_EQ(actual.terminal, expected.terminal);
     EXPECT_EQ(actual.outcomes, expected.outcomes);
+}
+
+/**
+ * Every campaign total and every outcome of @p actual equal
+ * @p expected's; a failure names the field or the outcome index.
+ * resumedTrials is not compared: it says how a result was computed,
+ * not what it is.
+ */
+void
+expectSameResult(const attack::AttackResult &actual,
+                 const attack::AttackResult &expected,
+                 const std::string &where)
+{
+    EXPECT_EQ(actual.success, expected.success) << where << ": success";
+    EXPECT_EQ(actual.attempts, expected.attempts)
+        << where << ": attempts";
+    EXPECT_EQ(actual.totalTime, expected.totalTime)
+        << where << ": totalTime";
+    EXPECT_STREQ(base::errorName(actual.status.error()),
+                 base::errorName(expected.status.error()))
+        << where << ": status";
+    EXPECT_EQ(actual.degraded, expected.degraded)
+        << where << ": degraded";
+    EXPECT_EQ(actual.faultsInjected, expected.faultsInjected)
+        << where << ": faultsInjected";
+    EXPECT_EQ(actual.outcomes.size(), expected.outcomes.size())
+        << where << ": outcomes.size";
+    for (size_t i = 0;
+         i < std::min(actual.outcomes.size(), expected.outcomes.size());
+         ++i)
+        EXPECT_EQ(actual.outcomes[i], expected.outcomes[i])
+            << where << ": outcomes[" << i << "]";
 }
 
 TEST(ShardArtifact, SaveLoadRoundTrips)
@@ -371,18 +403,14 @@ TEST(MergeShards, ArrivalOrderIsIrrelevant)
                     rotated.end());
         const auto merged = attack::mergeShards(std::move(rotated));
         ASSERT_TRUE(merged.ok());
-        EXPECT_TRUE(attack::diffAttackResults(reference->result,
-                                              merged->result)
-                        .empty())
-            << "rotation " << rot;
+        expectSameResult(merged->result, reference->result,
+                         "rotation " + std::to_string(rot));
     }
     auto reversed = build();
     std::reverse(reversed.begin(), reversed.end());
     const auto merged = attack::mergeShards(std::move(reversed));
     ASSERT_TRUE(merged.ok());
-    EXPECT_TRUE(
-        attack::diffAttackResults(reference->result, merged->result)
-            .empty());
+    expectSameResult(merged->result, reference->result, "reversed");
 }
 
 // ------------------------------------------------------------ merge holes
@@ -482,9 +510,7 @@ TEST(PartialMerge, ExactWhenSuccessPrecedesTheFirstHole)
     const auto full = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(full.ok());
     ASSERT_FALSE(full->partial());
-    EXPECT_TRUE(
-        attack::diffAttackResults(degraded->result, full->result)
-            .empty());
+    expectSameResult(degraded->result, full->result, "degraded fold");
 }
 
 TEST(PartialMerge, NotExactWhenSuccessFollowsTheFirstHole)
@@ -533,10 +559,10 @@ hostConfig(uint64_t seed, bool faulted)
 {
     sys::SystemConfig cfg =
         sys::SystemConfig::s1(seed).withMemory(1_GiB);
-    // Milder than the resume-identity matrix's 0.5: at 0.5 most
-    // seeds lose profiling to injected faults and the cell turns
-    // vacuous (no bits, nothing to shard). 0.35 keeps faults firing
-    // during trials while most seeds still profile.
+    // At intensity 0.5 most seeds lose profiling to injected faults
+    // and the cell turns vacuous (no bits, nothing to shard). 0.35
+    // keeps faults firing during trials while most seeds still
+    // profile.
     if (faulted)
         cfg = cfg.withFaults(
             fault::FaultPlan::randomized(seed * 31 + 7, 0.35));
@@ -564,6 +590,21 @@ attackConfig(unsigned attempts)
     return cfg;
 }
 
+/** A profiled campaign on a host of its own, as one process has it. */
+struct Campaign
+{
+    sys::HostSystem host;
+    attack::HyperHammerAttack attack;
+
+    Campaign(const sys::SystemConfig &cfg, unsigned attempts)
+        : host(cfg),
+          attack(host, vmConfig(), host.dram().mapping(),
+                 attackConfig(attempts))
+    {
+        attack.profilePhase();
+    }
+};
+
 class SweepIdentityMatrix
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>>
 {
@@ -581,11 +622,8 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
     const bool faulted = std::get<1>(GetParam());
     constexpr unsigned kAttempts = 4;
 
-    sys::HostSystem host(hostConfig(seed, faulted));
-    attack::HyperHammerAttack attack(host, vmConfig(),
-                                     host.dram().mapping(),
-                                     attackConfig(kAttempts));
-    attack.profilePhase();
+    Campaign campaign(hostConfig(seed, faulted), kAttempts);
+    attack::HyperHammerAttack &attack = campaign.attack;
     if (attack.hostProfile().empty())
         GTEST_SKIP() << "no exploitable bits at seed " << seed;
 
@@ -599,7 +637,6 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
                  attack::planShards(kAttempts, shard_count)) {
                 attack::TrialRangeResult ranged = attack.runTrialRange(
                     range.begin, range.end, threads, {});
-                ASSERT_FALSE(ranged.stopped);
                 attack::RangeRecord one;
                 one.campaignFingerprint = fingerprint;
                 one.totalTrials = kAttempts;
@@ -612,104 +649,126 @@ TEST_P(SweepIdentityMatrix, ShardedMergeEqualsSingleProcess)
             ASSERT_TRUE(merged.ok())
                 << base::errorName(merged.error());
             ASSERT_FALSE(merged->partial());
-            const std::vector<std::string> mismatches =
-                attack::diffAttackResults(reference, merged->result);
-            std::string joined;
-            for (const std::string &field : mismatches)
-                joined += " " + field;
-            EXPECT_TRUE(mismatches.empty())
-                << "seed " << seed << (faulted ? " faulted" : "")
-                << ", " << shard_count << " shard(s) x " << threads
-                << " thread(s): mismatched fields:" << joined;
+            expectSameResult(merged->result, reference,
+                             "seed " + std::to_string(seed)
+                                 + (faulted ? " faulted, " : ", ")
+                                 + std::to_string(shard_count)
+                                 + " shard(s) x "
+                                 + std::to_string(threads)
+                                 + " thread(s)");
         }
     }
 }
 
-// A shard that is stopped mid-range (the simulated SIGKILL hook),
-// resumed from its range record by a fresh attack object -- a
-// stand-in for a fresh OS process -- and merged from the records both
-// ranges left on disk must leave no trace in the result.
+void
+removeRecords(const std::string &path)
+{
+    std::remove(path.c_str());
+    std::remove((path + attack::kCheckpointPrevSuffix).c_str());
+}
+
+/** @p record as its writer saved it after @p trials outcomes. */
+attack::RangeRecord
+cutRecord(attack::RangeRecord record, uint64_t trials)
+{
+    record.outcomes.resize(trials);
+    record.terminal = false;
+    return record;
+}
+
+/**
+ * The kill/resume cell of campaign @p cfg. Both shards of a 4-trial
+ * campaign finish their records. Shard 1's record then becomes the
+ * files a kill after its first trial leaves: the record of that trial
+ * at the path, and the range-start record the writer rotated to .prev
+ * (Checkpoint.EveryBlockEndLeavesItsRecord). A fresh campaign object
+ * -- a stand-in for a fresh OS process -- resumes them at 1 and at 4
+ * threads, and each merge of the two records must equal the
+ * single-process result.
+ */
+void
+expectKilledShardMergesIdentically(const sys::SystemConfig &cfg,
+                                   const std::string &cell)
+{
+    constexpr unsigned kAttempts = 4;
+    constexpr uint64_t kKilledAfter = 1;
+    Campaign straight(cfg, kAttempts);
+    if (straight.attack.hostProfile().empty())
+        GTEST_SKIP() << "no exploitable bits: " << cell;
+    const attack::AttackResult reference =
+        straight.attack.runAttempts(1);
+
+    const auto ranges = attack::planShards(kAttempts, 2);
+    const std::string stem =
+        ::testing::TempDir() + "shard_kill_" + cell;
+    const std::string paths[2] = {stem + "_0.bin", stem + "_1.bin"};
+    attack::CheckpointPolicy policy;
+    policy.everyTrials = 1;
+    for (size_t i = 0; i < 2; ++i) {
+        removeRecords(paths[i]);
+        policy.path = paths[i];
+        (void)straight.attack.runTrialRange(ranges[i].begin,
+                                            ranges[i].end, 1, policy);
+    }
+    const auto finished = attack::loadRangeRecord(paths[1]);
+    ASSERT_TRUE(finished.ok()) << base::errorName(finished.error());
+    ASSERT_GT(finished->outcomes.size(), kKilledAfter)
+        << cell << ": no trial left to resume";
+
+    Campaign fresh(cfg, kAttempts);
+    ASSERT_EQ(fresh.attack.campaignFingerprint(),
+              straight.attack.campaignFingerprint());
+    policy.path = paths[1];
+    for (const unsigned threads : {1u, 4u}) {
+        const std::string where =
+            cell + ", " + std::to_string(threads) + " thread(s)";
+        removeRecords(paths[1]);
+        ASSERT_TRUE(attack::saveRangeRecord(
+                        paths[1], cutRecord(*finished, kKilledAfter - 1))
+                        .ok());
+        ASSERT_TRUE(attack::saveRangeRecord(
+                        paths[1], cutRecord(*finished, kKilledAfter))
+                        .ok());
+        const attack::TrialRangeResult resumed =
+            fresh.attack.runTrialRange(ranges[1].begin, ranges[1].end,
+                                       threads, policy);
+        EXPECT_EQ(resumed.resumedTrials, kKilledAfter) << where;
+
+        std::vector<attack::RangeRecord> shards;
+        for (const std::string &path : paths) {
+            auto loaded = attack::loadRangeRecord(path);
+            ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
+            shards.push_back(std::move(*loaded));
+        }
+        const auto merged = attack::mergeShards(std::move(shards));
+        ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
+        ASSERT_FALSE(merged->partial()) << where;
+        expectSameResult(merged->result, reference, where);
+    }
+    for (const std::string &path : paths)
+        removeRecords(path);
+}
+
 TEST_P(SweepIdentityMatrix, KilledAndResumedShardMergesIdentically)
 {
     const uint64_t seed = std::get<0>(GetParam());
     const bool faulted = std::get<1>(GetParam());
-    constexpr unsigned kAttempts = 4;
-    const sys::SystemConfig cfg = hostConfig(seed, faulted);
+    expectKilledShardMergesIdentically(
+        hostConfig(seed, faulted),
+        "s" + std::to_string(seed) + (faulted ? "_faulted" : "_clean"));
+}
 
-    sys::HostSystem host(cfg);
-    attack::HyperHammerAttack attack(host, vmConfig(),
-                                     host.dram().mapping(),
-                                     attackConfig(kAttempts));
-    attack.profilePhase();
-    if (attack.hostProfile().empty())
-        GTEST_SKIP() << "no exploitable bits at seed " << seed;
-
-    const attack::AttackResult reference = attack.runAttempts(1);
-    const auto ranges = attack::planShards(kAttempts, 2);
-    const std::string stem = ::testing::TempDir() + "shard_kill_s" +
-        std::to_string(seed) + (faulted ? "_f" : "");
-    const std::string paths[2] = {stem + "_0.bin", stem + "_1.bin"};
-    for (const std::string &path : paths) {
-        std::remove(path.c_str());
-        std::remove((path + attack::kCheckpointPrevSuffix).c_str());
-    }
-
-    // Shard 0 runs to completion in the "first process".
-    attack::CheckpointPolicy straight;
-    straight.path = paths[0];
-    ASSERT_FALSE(attack.runTrialRange(ranges[0].begin, ranges[0].end,
-                                      1, straight)
-                     .stopped);
-
-    // Shard 1 is killed after one trial...
-    attack::CheckpointPolicy killer;
-    killer.path = paths[1];
-    killer.everyTrials = 1;
-    killer.stopAfterTrials = 1;
-    attack::TrialRangeResult cut = attack.runTrialRange(
-        ranges[1].begin, ranges[1].end, 1, killer);
-    // When the range's very first trial succeeded, the shard finished
-    // before the kill point; its record still has to merge
-    // identically.
-    if (cut.stopped) {
-        ASSERT_LT(cut.outcomes.size(), ranges[1].size());
-
-        // ...and resumed by a fresh attack object over a fresh host
-        // (the "second process" re-derives the identical profile from
-        // the same configuration).
-        sys::HostSystem host2(cfg);
-        attack::HyperHammerAttack attack2(host2, vmConfig(),
-                                          host2.dram().mapping(),
-                                          attackConfig(kAttempts));
-        attack2.profilePhase();
-        ASSERT_EQ(attack2.campaignFingerprint(),
-                  attack.campaignFingerprint());
-        attack::CheckpointPolicy resumer;
-        resumer.path = paths[1];
-        resumer.everyTrials = 1;
-        attack::TrialRangeResult ranged = attack2.runTrialRange(
-            ranges[1].begin, ranges[1].end, 1, resumer);
-        ASSERT_FALSE(ranged.stopped);
-        EXPECT_GT(ranged.resumedTrials, 0u);
-    }
-
-    std::vector<attack::RangeRecord> shards;
-    for (const std::string &path : paths) {
-        auto loaded = attack::loadRangeRecord(path);
-        ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-        shards.push_back(std::move(*loaded));
-    }
-    const auto merged = attack::mergeShards(std::move(shards));
-    ASSERT_TRUE(merged.ok()) << base::errorName(merged.error());
-    ASSERT_FALSE(merged->partial());
-    const std::vector<std::string> mismatches =
-        attack::diffAttackResults(reference, merged->result);
-    std::string joined;
-    for (const std::string &field : mismatches)
-        joined += " " + field;
-    EXPECT_TRUE(mismatches.empty())
-        << "seed " << seed << (faulted ? " faulted" : "")
-        << ": mismatched fields:" << joined;
+// The same cell on a defended, faulted world: SilozDomains installs a
+// multi-domain buddy layout with pinned guard rows, and every trial,
+// before and after the kill, rebuilds that world from the
+// configuration and its index. Seed 3's plan at intensity 0.5 still
+// profiles a bit here.
+TEST(SweepIdentityDefended, KilledAndResumedSilozShardMergesIdentically)
+{
+    sys::SystemConfig cfg = hostConfig(3, false).withFaults(
+        fault::FaultPlan::randomized(3 * 31 + 7, 0.5));
+    mitigate::SilozDomains().applyHostConfig(cfg);
+    expectKilledShardMergesIdentically(cfg, "siloz_s3_faulted");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,10 @@
  * with fallback to the rotated previous file, and the defense stack's
  * share of the campaign identity.
  *
+ * A kill is checked on the record files it leaves, built from the
+ * writer's own finished record; EveryBlockEndLeavesItsRecord shows
+ * those are the files the writer leaves between blocks.
+ *
  * Worlds are rebuilt, never restored, so no world state is read back
  * here: a world's saveState() stream is its identity, compared in
  * memory by the fork-vs-fresh tests (test_resume_identity,
@@ -18,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/orchestrator.h"
@@ -227,16 +232,80 @@ campaignAttack(unsigned attempts = 4)
     return cfg;
 }
 
+void
+removeRecords(const std::string &path)
+{
+    std::remove(path.c_str());
+    std::remove((path + attack::kCheckpointPrevSuffix).c_str());
+}
+
+/** @p record as its writer saved it after @p trials outcomes. */
+attack::RangeRecord
+cutRecord(attack::RangeRecord record, uint64_t trials)
+{
+    record.outcomes.resize(trials);
+    record.terminal = false;
+    return record;
+}
+
+// A kill between two blocks leaves the newest record at the path and
+// the one before it in .prev: the writer saves after every block and
+// rotates the record it replaces. Shown on two ranges of the seed-3
+// campaign hh_sweep runs: the clean [0, 8) and a faulted [2, 6) whose
+// trials each print a record of their own.
+TEST(Checkpoint, EveryBlockEndLeavesItsRecord)
+{
+    const std::string path = tempPath("campaign_blocks.ckpt");
+    const sys::SystemConfig faulted =
+        campaignHost(3).withFaults(fault::FaultPlan::randomized(99, 0.5));
+    for (const auto &[host_cfg, begin, end] :
+         {std::tuple{campaignHost(3), 0u, 8u},
+          std::tuple{faulted, 2u, 6u}}) {
+        removeRecords(path);
+        sys::HostSystem host(host_cfg);
+        attack::HyperHammerAttack attack(host, campaignVm(),
+                                         host.dram().mapping(),
+                                         campaignAttack(8));
+        (void)attack.profilePhase();
+        attack::CheckpointPolicy policy;
+        policy.path = path;
+        policy.everyTrials = 1;
+        const attack::TrialRangeResult ran =
+            attack.runTrialRange(begin, end, 1, policy);
+        ASSERT_GE(ran.outcomes.size(), 2u)
+            << "[" << begin << ", " << end << ")";
+
+        const auto last = attack::loadRangeRecord(path);
+        const auto before = attack::loadRangeRecord(
+            path + attack::kCheckpointPrevSuffix);
+        ASSERT_TRUE(last.ok()) << base::errorName(last.error());
+        ASSERT_TRUE(before.ok()) << base::errorName(before.error());
+        EXPECT_TRUE(last->terminal);
+        EXPECT_EQ(last->outcomes, ran.outcomes);
+        const attack::RangeRecord expected =
+            cutRecord(*last, last->outcomes.size() - 1);
+        EXPECT_EQ(before->campaignFingerprint,
+                  expected.campaignFingerprint);
+        EXPECT_EQ(before->totalTrials, expected.totalTrials);
+        EXPECT_EQ(before->begin, expected.begin);
+        EXPECT_EQ(before->end, expected.end);
+        EXPECT_FALSE(before->terminal);
+        EXPECT_EQ(before->outcomes, expected.outcomes)
+            << "[" << begin << ", " << end << ")";
+    }
+    removeRecords(path);
+}
+
 TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
 {
     const std::string path = tempPath("campaign.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
     const unsigned attempts = campaignAttack().maxAttempts;
+    attack::CheckpointPolicy policy;
+    policy.path = path;
+    policy.everyTrials = 1;
 
-    // Control: the uncheckpointed campaign.
+    // Control: the straight campaign, its record written every trial.
     attack::AttackResult straight;
     {
         sys::HostSystem host(faultedCampaignHost());
@@ -244,7 +313,7 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        straight = attack.runAttempts(2);
+        straight = attack.runAttempts(2, policy);
     }
     ASSERT_EQ(straight.outcomes.size(), attempts);
     EXPECT_TRUE(std::any_of(
@@ -255,26 +324,16 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
         << "every trial printed the same record: the outcome "
            "comparison below could not see a misplaced trial";
 
-    // Checkpoint every trial, "crash" after the second.
-    {
-        sys::HostSystem host(faultedCampaignHost());
-        attack::HyperHammerAttack attack(host, campaignVm(),
-                                         host.dram().mapping(),
-                                         campaignAttack());
-        (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
-        policy.stopAfterTrials = 2;
-        const attack::AttackResult partial =
-            attack.runAttempts(2, policy);
-        if (partial.status == base::Status(base::ErrorCode::Busy)) {
-            EXPECT_EQ(partial.attempts, 2u);
-        }
-    }
+    // What a kill after the third trial leaves: the record of three
+    // trials at the path and the record of two in .prev.
+    const auto finished = attack::loadRangeRecord(path);
+    ASSERT_TRUE(finished.ok()) << base::errorName(finished.error());
+    removeRecords(path);
+    ASSERT_TRUE(attack::saveRangeRecord(path, cutRecord(*finished, 2)).ok());
+    ASSERT_TRUE(attack::saveRangeRecord(path, cutRecord(*finished, 3)).ok());
 
-    // Corrupt the newest checkpoint: resume must fall back to the
-    // rotated previous file and still finish identically.
+    // Corrupt the newest record: resume must fall back to the older,
+    // partial one in .prev and still finish identically.
     std::vector<uint8_t> newest = readFile(path);
     ASSERT_FALSE(newest.empty());
     newest[newest.size() / 2] ^= 0x10;
@@ -287,28 +346,21 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
         resumed = attack.runAttempts(2, policy);
     }
-    EXPECT_GT(resumed.resumedTrials, 0u);
+    EXPECT_EQ(resumed.resumedTrials, 2u);
 
     EXPECT_EQ(straight.success, resumed.success);
     EXPECT_EQ(straight.attempts, resumed.attempts);
     EXPECT_EQ(straight.totalTime, resumed.totalTime);
     EXPECT_EQ(straight.outcomes, resumed.outcomes);
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, DefenseAttachmentMismatchRejected)
 {
     const std::string path = tempPath("campaign_defended.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 
     auto defenses = mitigate::makeDefenseSet("quarantine");
     ASSERT_TRUE(defenses.ok());
@@ -317,7 +369,7 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
     vm::VmConfig vm_cfg = campaignVm();
     defenses->applyVmConfig(vm_cfg);
 
-    // Checkpoint one trial of the defended campaign.
+    // Finish the defended campaign: its record stays at the path.
     {
         sys::HostSystem host(host_cfg);
         attack::HyperHammerAttack attack(host, vm_cfg,
@@ -328,12 +380,11 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
         attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.stopAfterTrials = 1;
         (void)attack.runAttempts(1, policy);
     }
 
-    // With a fresh stack of the same spec attached the checkpoint is
-    // accepted and the campaign picks up after the stored trial.
+    // With a fresh stack of the same spec attached the record is
+    // accepted: the campaign restores every trial it holds.
     {
         auto resumed_set = mitigate::makeDefenseSet("quarantine");
         ASSERT_TRUE(resumed_set.ok());
@@ -348,13 +399,14 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
         policy.everyTrials = 1;
         const attack::AttackResult result =
             attack.runAttempts(1, policy);
-        EXPECT_GT(result.resumedTrials, 0u);
+        ASSERT_FALSE(result.outcomes.empty());
+        EXPECT_EQ(result.resumedTrials, result.outcomes.size());
     }
 
     // Resuming the same defended world WITHOUT the stack attached
-    // must start over: a defended checkpoint never resumes into an
+    // must start over: a defended record never resumes into an
     // undefended campaign. (Runs last -- its campaign rewrites the
-    // checkpoint file as undefended once the resume is refused.)
+    // record as undefended once the resume is refused.)
     {
         sys::HostSystem host(host_cfg);
         attack::HyperHammerAttack attack(host, vm_cfg,
@@ -368,19 +420,15 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
             attack.runAttempts(1, policy);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
 {
     const std::string path = tempPath("campaign_mismatch.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 
-    // Write a checkpoint under seed 5...
+    // Finish a campaign under seed 5...
     {
         sys::HostSystem host(campaignHost(5));
         attack::HyperHammerAttack attack(host, campaignVm(),
@@ -390,7 +438,6 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
         attack::CheckpointPolicy policy;
         policy.path = path;
         policy.everyTrials = 1;
-        policy.stopAfterTrials = 1;
         (void)attack.runAttempts(1, policy);
     }
     // ...and resume under seed 6: the fingerprint must reject it and
@@ -408,17 +455,13 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
             attack.runAttempts(1, policy);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
 {
     const std::string path = tempPath("campaign_range_start.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 
     sys::HostSystem host(faultedCampaignHost());
     attack::HyperHammerAttack attack(host, campaignVm(),
@@ -426,41 +469,33 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
                                      campaignAttack());
     (void)attack.profilePhase();
 
-    // Stop range [0, 2) after one trial: its record starts at 0...
-    attack::CheckpointPolicy stopper;
-    stopper.path = path;
-    stopper.everyTrials = 1;
-    stopper.stopAfterTrials = 1;
-    const attack::TrialRangeResult stopped =
-        attack.runTrialRange(0, 2, 1, stopper);
+    // Finish range [0, 2): its record starts at 0...
+    attack::CheckpointPolicy policy;
+    policy.path = path;
+    policy.everyTrials = 1;
+    const attack::TrialRangeResult first =
+        attack.runTrialRange(0, 2, 1, policy);
 
     // ...so range [2, 4) resuming at the same path must not take
     // trial 0's outcome for trial 2's.
-    attack::CheckpointPolicy resumer;
-    resumer.path = path;
-    resumer.everyTrials = 1;
     const attack::TrialRangeResult resumed =
-        attack.runTrialRange(2, 4, 1, resumer);
+        attack.runTrialRange(2, 4, 1, policy);
     EXPECT_EQ(resumed.resumedTrials, 0u);
     const attack::TrialRangeResult fresh =
         attack.runTrialRange(2, 4, 1, {});
     EXPECT_EQ(resumed.outcomes, fresh.outcomes);
     // Trials 0 and 2 print different records, so the comparison above
     // fails on its own when trial 0's outcome stands in for trial 2's.
-    ASSERT_FALSE(stopped.outcomes.empty());
+    ASSERT_FALSE(first.outcomes.empty());
     ASSERT_FALSE(fresh.outcomes.empty());
-    EXPECT_NE(stopped.outcomes.front(), fresh.outcomes.front());
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    EXPECT_NE(first.outcomes.front(), fresh.outcomes.front());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, RecordOfAnotherEndIsIgnored)
 {
     const std::string path = tempPath("campaign_range_end.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 
     sys::HostSystem host(faultedCampaignHost());
     attack::HyperHammerAttack attack(host, campaignVm(),
@@ -481,17 +516,13 @@ TEST(Checkpoint, RecordOfAnotherEndIsIgnored)
     const attack::TrialRangeResult longer =
         attack.runTrialRange(0, 4, 1, policy);
     EXPECT_EQ(longer.resumedTrials, 0u);
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, SecondRunResumesEverything)
 {
     const std::string path = tempPath("campaign_second_run.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 
     sys::HostSystem host(faultedCampaignHost());
     attack::HyperHammerAttack attack(host, campaignVm(),
@@ -510,17 +541,14 @@ TEST(Checkpoint, SecondRunResumesEverything)
     ASSERT_FALSE(second.outcomes.empty());
     EXPECT_EQ(second.resumedTrials, second.outcomes.size());
     EXPECT_EQ(second.outcomes, first.outcomes);
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
 {
     const std::string path = tempPath("campaign_torn.ckpt");
-    const std::string prev =
-        path + attack::kCheckpointPrevSuffix;
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    const std::string prev = path + attack::kCheckpointPrevSuffix;
+    removeRecords(path);
 
     sys::HostSystem host(campaignHost(5));
     attack::HyperHammerAttack attack(host, campaignVm(),
@@ -551,8 +579,7 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
     ASSERT_TRUE(reloaded.ok()) << base::errorName(reloaded.error());
     EXPECT_TRUE(reloaded->terminal);
     EXPECT_EQ(reloaded->outcomes, finished.outcomes);
-    std::remove(path.c_str());
-    std::remove(prev.c_str());
+    removeRecords(path);
 }
 
 // --- defense identity ----------------------------------------------------

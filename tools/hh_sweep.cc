@@ -33,21 +33,20 @@
  * Campaign flags: --trials=N --threads=N --seed=N --host-gib=N
  *   --fault-seed=N --fault-intensity=X (X > 0 installs a randomized
  *   FaultPlan) --checkpoint-every=N
- * Run flags: --stop-after=N
  * Sweep flags: --out-dir=DIR --jobs=P (0: one worker per range)
  * A numeric flag's value must parse whole, or the run is a usage
  * error.
  *
  * Exit codes: 0 success (canonical dump on stdout), 1 error, 2 usage,
- * 3 stopped early (--stop-after test hook), 4 degraded -- the sweep
- * or merge completed with missing ranges, each named on stderr;
- * rerunning the sweep (for a merge: `run --range=B:E --out=FILE` per
- * hole) closes them to the bitwise-identical full result. To start a
- * range over, delete its record (and the record's .prev).
+ * 4 degraded -- the sweep or merge completed with missing ranges,
+ * each named on stderr; rerunning the sweep (for a merge: `run
+ * --range=B:E --out=FILE` per hole) closes them to the
+ * bitwise-identical full result. A `run` killed mid-range leaves an
+ * unfinished record that rerunning it resumes. To start a range over,
+ * delete its record (and the record's .prev).
  *
  * The dump deliberately excludes resumedTrials (bookkeeping of *how*
- * a result was computed, not *what* it is -- the same masking
- * attack::verifyResumeIdentity applies). Everything else is an
+ * a result was computed, not *what* it is). Everything else is an
  * integer -- the campaign totals and every outcome record -- so a
  * byte-equal dump means a bitwise-equal result.
  */
@@ -79,7 +78,6 @@ struct SweepOptions
     uint64_t faultSeed = 0;
     double faultIntensity = 0.0;
     uint64_t checkpointEvery = 0;
-    uint64_t stopAfter = 0;
     unsigned shardIndex = 0;
     unsigned shardCount = 1;
     bool haveRange = false;
@@ -129,8 +127,6 @@ struct SweepOptions
                 base::parseNumber(argv[0], name, v, opts.faultIntensity);
             else if (name == "checkpoint-every")
                 base::parseNumber(argv[0], name, v, opts.checkpointEvery);
-            else if (name == "stop-after")
-                base::parseNumber(argv[0], name, v, opts.stopAfter);
             else if (name == "shard")
                 halves('/', "shard (want I/K)", opts.shardIndex,
                        opts.shardCount);
@@ -287,13 +283,6 @@ cmdRun(const SweepOptions &opts)
         std::fprintf(stderr, "hh_sweep run: --out=FILE required\n");
         return 2;
     }
-    if (opts.stopAfter > 0 && opts.checkpointEvery == 0) {
-        // A range stops only at a block end, and without a cadence the
-        // whole range is one block.
-        std::fprintf(stderr, "hh_sweep run: --stop-after needs "
-                             "--checkpoint-every\n");
-        return 2;
-    }
     attack::ShardRange range;
     if (opts.haveRange) {
         range = opts.range;
@@ -323,7 +312,6 @@ cmdRun(const SweepOptions &opts)
     attack::CheckpointPolicy policy;
     policy.path = opts.out;
     policy.everyTrials = opts.checkpointEvery;
-    policy.stopAfterTrials = opts.stopAfter;
     std::fprintf(stderr,
                  "hh_sweep: shard trials [%llu, %llu)\n",
                  static_cast<unsigned long long>(range.begin),
@@ -335,15 +323,6 @@ cmdRun(const SweepOptions &opts)
                      opts.out.c_str(),
                      base::errorName(ranged.saved.error()));
         return 1;
-    }
-    if (ranged.stopped) {
-        // The record left behind is non-terminal: a merge names its
-        // range a hole.
-        std::fprintf(stderr,
-                     "hh_sweep: shard stopped after %zu trials; "
-                     "rerun without --stop-after to finish\n",
-                     ranged.outcomes.size());
-        return 3; // incomplete by request (--stop-after test hook)
     }
     std::fprintf(stderr, "hh_sweep: wrote %s (%zu outcomes)\n",
                  opts.out.c_str(), ranged.outcomes.size());
@@ -569,9 +548,8 @@ usage()
         "usage: hh_sweep <single|run|merge|sweep> [flags]\n"
         "  single  run the whole campaign in-process, print dump\n"
         "  run     run one shard: --shard=I/K | --range=B:E, "
-        "--out=FILE\n"
-        "          [--stop-after=N]; resumes a record of its range at "
-        "FILE\n"
+        "--out=FILE;\n"
+        "          resumes a record of its range at FILE\n"
         "          (delete FILE and FILE.prev to start over)\n"
         "  merge   merge range records: FILE...\n"
         "  sweep   run --shards=K workers, --jobs=P at a time, with "
@@ -583,7 +561,7 @@ usage()
         "--host-gib=N\n"
         "       --fault-seed=N --fault-intensity=X "
         "--checkpoint-every=N\n"
-        "exit: 0 ok, 1 error, 2 usage, 3 stopped, 4 degraded "
+        "exit: 0 ok, 1 error, 2 usage, 4 degraded "
         "(missing ranges named on stderr)\n");
 }
 
