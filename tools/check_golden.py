@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Golden-trace regression check for the experiment benches.
 
-Runs each configured bench at its pinned flags (seed 1; most at 1 GiB
-and --quick, E1 also at paper scale) and diffs its stdout against the
-checked-in trace in tests/golden/. The simulator is
+Runs each configured bench or example at its pinned flags (most at
+1 GiB and --quick, E1 also at paper scale) and diffs its stdout
+against the checked-in trace in tests/golden/. The simulator is
 bitwise-deterministic for a fixed seed, so any diff is a behaviour
 change that must be either fixed or explicitly re-baselined with
 --update.
@@ -46,7 +46,12 @@ SMALL = ["--host-gib=1", "--seed=1", "--quick"]
 # whole trials, mark and detect included, under fault plans; its
 # "Faults fired" column counts every fault-site hit, dram.read among
 # them, so a change to the number or order of DRAM reads on the trial
-# path shows here.
+# path shows here. E7 and the three small examples pin what no other
+# trace reaches: DramDig's conflict-set search and timed accesses
+# (E7, profile_dimm), TRRespass's pattern sweep and a profile of the
+# same DIMM (profile_dimm), steering's IOVA exhaustion and spray on
+# its own (steering_lab), and a whole campaign with its escalation
+# (quickstart). An example is named relative to --bench-dir.
 TRACES = [
     ("bench_table1_profiling", "e1_profiling_seed1.txt", SMALL),
     ("bench_table1_profiling", "e1_profiling_full_seed1.txt", []),
@@ -55,6 +60,10 @@ TRACES = [
      [*SMALL, "--smoke", "--json-out=/dev/null"]),
     ("bench_fault_soak", "fault_soak_seed41.txt",
      [*SMALL, "--trials=8", "--seed-base=41", "--intensity=1.0"]),
+    ("bench_dramdig", "e7_dramdig_seed1.txt", SMALL),
+    ("../examples/profile_dimm", "profile_dimm_1_1.txt", ["1", "1"]),
+    ("../examples/steering_lab", "steering_lab_1_1.txt", ["1", "1"]),
+    ("../examples/quickstart", "quickstart_42_4.txt", ["42", "4"]),
 ]
 
 
@@ -93,7 +102,8 @@ def write_step_summary(failed: list[str], diff_text: str) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench-dir", required=True, type=pathlib.Path,
-                        help="directory holding the bench binaries")
+                        help="directory holding the bench binaries "
+                             "(examples sit in its ../examples)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the golden files instead of diffing")
     parser.add_argument("--diff-file", type=pathlib.Path,
