@@ -4,16 +4,33 @@
 #include <bit>
 
 #include "base/bitops.h"
-#include "base/log.h"
 
 namespace hh::analysis {
 
+namespace {
+
+/** Addresses collected per same-bank conflict set. */
+constexpr unsigned kConflictSetSize = 96;
+/** Independent conflict sets used for cross-validation. */
+constexpr unsigned kConflictSets = 4;
+/** Random candidates probed while building each set. */
+constexpr unsigned kProbeBudget = 40'000;
+/** Lowest / highest physical-address bit considered by a mask. */
+constexpr unsigned kMaskLoBit = 6;
+constexpr unsigned kMaskHiBit = 25;
+/** Maximum bits per candidate mask. */
+constexpr unsigned kMaxMaskWeight = 6;
+/** Timed accesses averaged per pair measurement. */
+constexpr unsigned kMeasurementsPerPair = 4;
+
+static_assert(kMaskHiBit > kMaskLoBit);
+static_assert(kMaskHiBit - kMaskLoBit + 1 <= 32);
+
+} // namespace
+
 DramDig::DramDig(dram::DramSystem &dram, DramDigConfig config)
-    : dram(dram), cfg(config), rng(config.seed)
-{
-    HH_ASSERT(cfg.maskHiBit > cfg.maskLoBit);
-    HH_ASSERT(cfg.maskHiBit - cfg.maskLoBit + 1 <= 32);
-}
+    : dram(dram), rng(config.seed)
+{}
 
 HostPhysAddr
 DramDig::randomAddr()
@@ -31,12 +48,12 @@ DramDig::measurePair(HostPhysAddr a, HostPhysAddr b)
     // Latencies are integer SimTime ticks: sum them exactly as
     // integers and divide once, so the mean is order-independent.
     base::SimTime total = 0;
-    for (unsigned i = 0; i < cfg.measurementsPerPair; ++i) {
+    for (unsigned i = 0; i < kMeasurementsPerPair; ++i) {
         total += dram.timedAccess(a);
         total += dram.timedAccess(b);
         timedAccesses += 2;
     }
-    return static_cast<double>(total) / (2.0 * cfg.measurementsPerPair);
+    return static_cast<double>(total) / (2.0 * kMeasurementsPerPair);
 }
 
 void
@@ -73,7 +90,7 @@ DramDig::collectConflictSet()
     const HostPhysAddr pivot = randomAddr();
     set.push_back(pivot);
     for (unsigned probe = 0;
-         probe < cfg.probeBudget && set.size() < cfg.conflictSetSize;
+         probe < kProbeBudget && set.size() < kConflictSetSize;
          ++probe) {
         const HostPhysAddr candidate = randomAddr();
         if (conflicts(pivot, candidate))
@@ -87,16 +104,16 @@ DramDig::constantParityMasks(
     const std::vector<std::vector<HostPhysAddr>> &sets)
 {
     // Enumerate masks as combinations of bit positions in
-    // [maskLoBit, maskHiBit] with weight <= maxMaskWeight.
-    const unsigned width = cfg.maskHiBit - cfg.maskLoBit + 1;
+    // [kMaskLoBit, kMaskHiBit] with weight <= kMaxMaskWeight.
+    const unsigned width = kMaskHiBit - kMaskLoBit + 1;
     std::vector<uint64_t> found;
     for (uint32_t combo = 1; combo < (1u << width); ++combo) {
         if (static_cast<unsigned>(std::popcount(combo))
-            > cfg.maxMaskWeight) {
+            > kMaxMaskWeight) {
             continue;
         }
         const uint64_t mask = static_cast<uint64_t>(combo)
-            << cfg.maskLoBit;
+            << kMaskLoBit;
         bool constant = true;
         for (const auto &set : sets) {
             const unsigned ref =
@@ -184,7 +201,7 @@ DramDig::run()
     result.latencyThreshold = threshold;
 
     std::vector<std::vector<HostPhysAddr>> sets;
-    for (unsigned i = 0; i < cfg.conflictSets; ++i) {
+    for (unsigned i = 0; i < kConflictSets; ++i) {
         auto set = collectConflictSet();
         if (set.size() >= 8)
             sets.push_back(std::move(set));

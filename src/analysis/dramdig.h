@@ -28,19 +28,6 @@ namespace hh::analysis {
 /** DRAMDig tunables. */
 struct DramDigConfig
 {
-    /** Addresses collected per same-bank conflict set. */
-    unsigned conflictSetSize = 96;
-    /** Independent conflict sets used for cross-validation. */
-    unsigned conflictSets = 4;
-    /** Random candidates probed while building each set. */
-    unsigned probeBudget = 40'000;
-    /** Lowest / highest physical-address bit considered by a mask. */
-    unsigned maskLoBit = 6;
-    unsigned maskHiBit = 25;
-    /** Maximum bits per candidate mask. */
-    unsigned maxMaskWeight = 6;
-    /** Timed accesses averaged per pair measurement. */
-    unsigned measurementsPerPair = 4;
     uint64_t seed = 0xd1d;
 };
 
@@ -87,7 +74,6 @@ class DramDig
 
   private:
     dram::DramSystem &dram;
-    DramDigConfig cfg;
     base::Rng rng;
     double threshold = 0.0;
     uint64_t timedAccesses = 0;
@@ -104,7 +90,7 @@ class DramDig
     /** Collect one set of mutually conflicting addresses. */
     std::vector<HostPhysAddr> collectConflictSet();
 
-    /** Masks of weight <= maxMaskWeight constant-parity over all sets. */
+    /** Masks of weight <= kMaxMaskWeight constant-parity over all sets. */
     std::vector<uint64_t>
     constantParityMasks(const std::vector<std::vector<HostPhysAddr>> &sets);
 };

@@ -2,6 +2,13 @@
 
 namespace hh::analysis {
 
+namespace {
+
+/** Hammer rounds per trial. */
+constexpr uint64_t kRounds = 250'000;
+
+} // namespace
+
 Trrespass::Trrespass(dram::DramSystem &dram, TrrespassConfig config)
     : dram(dram), cfg(config), rng(config.seed)
 {}
@@ -38,7 +45,7 @@ Trrespass::tryPattern(unsigned aggressor_rows)
                 dram.fillPage((stripe_base + off) / kPageSize, fill);
             }
         }
-        flips += dram.hammer(aggressors, cfg.rounds).size();
+        flips += dram.hammer(aggressors, kRounds).size();
     }
     return flips;
 }

@@ -27,8 +27,6 @@ struct TrrespassConfig
 {
     /** Largest n-sided pattern tried. */
     unsigned maxAggressorRows = 12;
-    /** Hammer rounds per trial. */
-    uint64_t rounds = 250'000;
     /** Trials per pattern size (different random placements). */
     unsigned trialsPerSize = 24;
     uint64_t seed = 0x7e5;

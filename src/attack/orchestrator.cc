@@ -12,6 +12,20 @@
 
 namespace hh::attack {
 
+namespace {
+
+/**
+ * Per-phase retries when injected faults are detected (lost flips
+ * after hammering, steering misses / refused unplugs after the
+ * release step). Retries never trigger on the fault-free path, so
+ * a null FaultPlan keeps pre-fault behaviour bit for bit.
+ */
+constexpr unsigned kMaxPhaseRetries = 3;
+/** Initial retry backoff (virtual time); doubles per retry. */
+constexpr base::SimTime kRetryBackoff = 10 * base::kMillisecond;
+
+} // namespace
+
 double
 AttackResult::avgAttemptSeconds() const
 {
@@ -232,10 +246,9 @@ HyperHammerAttack::attemptIn(sys::HostSystem &on_host,
     const auto retry_phase = [&](const auto &detected, const auto &redo) {
         if (injector == nullptr)
             return;
-        base::SimTime backoff = cfg.retryBackoff;
+        base::SimTime backoff = kRetryBackoff;
         uint64_t new_faults = detected();
-        for (unsigned r = 0; r < cfg.maxPhaseRetries && new_faults > 0;
-             ++r) {
+        for (unsigned r = 0; r < kMaxPhaseRetries && new_faults > 0; ++r) {
             on_host.clock().advance(backoff);
             outcome.backoffTime += backoff;
             backoff *= 2;
@@ -376,8 +389,10 @@ HyperHammerAttack::campaignFingerprint() const
     w.u32(cfg.bitsPerAttempt);
     w.u64(cfg.sprayBytes);
     w.u32(cfg.maxAttempts);
-    w.u32(cfg.maxPhaseRetries);
-    w.u64(cfg.retryBackoff);
+    // The slots of the two retry knobs, now constants, written at
+    // their values for the same reason as the re-profiling slot below.
+    w.u32(kMaxPhaseRetries);
+    w.u64(kRetryBackoff);
     // The slot of the retired re-profiling knob, written at its last
     // default: range records and the benchmark's reference tables pin
     // fingerprints taken with it.

@@ -52,15 +52,6 @@ struct AttackConfig
      * part of the campaign fingerprint and of every range record.
      */
     unsigned maxAttempts = 1'000;
-    /**
-     * Per-phase retries when injected faults are detected (lost flips
-     * after hammering, steering misses / refused unplugs after the
-     * release step). Retries never trigger on the fault-free path, so
-     * a null FaultPlan keeps pre-fault behaviour bit for bit.
-     */
-    unsigned maxPhaseRetries = 3;
-    /** Initial retry backoff (virtual time); doubles per retry. */
-    base::SimTime retryBackoff = 10 * base::kMillisecond;
     ProfilerConfig profiler;
     SteeringConfig steering;
     ExploitConfig exploit;

@@ -14,6 +14,12 @@ constexpr base::SimTime kIovaMapCost = 10 * base::kMicrosecond;
 constexpr base::SimTime kUnplugCost = 2 * base::kMillisecond;
 /** Exec fault + hugepage demotion handling in the hypervisor. */
 constexpr base::SimTime kDemotionFaultCost = 100 * base::kMicrosecond;
+/** First IOVA used for noise-page exhaustion (paper: 0x1 0000 0000). */
+constexpr IoVirtAddr kIovaBase{0x1'0000'0000ull};
+/** IOVA spacing; 2 MB forces one IOPT leaf page per mapping. */
+constexpr uint64_t kIovaStride = kHugePageSize;
+/** GPA of the single donor page every IOVA maps to. */
+constexpr GuestPhysAddr kDonorPage{0};
 
 } // namespace
 
@@ -29,7 +35,7 @@ PageSteering::exhaustNoisePages(
     const std::function<void(uint64_t)> &sample, uint32_t sample_every)
 {
     uint64_t created = 0;
-    IoVirtAddr iova = cfg.iovaBase;
+    IoVirtAddr iova = kIovaBase;
     const uint32_t group_count = machine.iommuGroupCount();
     if (group_count == 0)
         return 0;
@@ -37,14 +43,14 @@ PageSteering::exhaustNoisePages(
     for (uint32_t group = 0; group < group_count; ++group) {
         while (created < cfg.exhaustMappings) {
             const base::Status status = machine.iommuMap(
-                group, iova, cfg.donorPage);
+                group, iova, kDonorPage);
             clock.advance(kIovaMapCost);
             if (status.error() == base::ErrorCode::LimitExceeded)
                 break; // next IOMMU group, if any
             if (!status.ok())
                 return created;
             ++created;
-            iova += cfg.iovaStride;
+            iova += kIovaStride;
             if (sample && created % sample_every == 0)
                 sample(created);
         }

@@ -32,14 +32,8 @@ namespace hh::attack {
 /** Page Steering tunables (defaults follow Section 5.2). */
 struct SteeringConfig
 {
-    /** First IOVA used for noise-page exhaustion (paper: 0x1 0000 0000). */
-    IoVirtAddr iovaBase{0x1'0000'0000ull};
-    /** IOVA spacing; 2 MB forces one IOPT leaf page per mapping. */
-    uint64_t iovaStride = kHugePageSize;
     /** Mappings to create across all groups (paper: 60,000). */
     uint32_t exhaustMappings = 60'000;
-    /** GPA of the single donor page every IOVA maps to. */
-    GuestPhysAddr donorPage{0};
 };
 
 /** Outcome of one steering run. */

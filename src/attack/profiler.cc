@@ -8,6 +8,22 @@
 
 namespace hh::attack {
 
+namespace {
+
+/** Hammer rounds per (border, bank) combination. */
+constexpr uint64_t kHammerRounds = 250'000;
+/** Re-hammers used to classify a bit as stable. */
+constexpr unsigned kStabilityRepeats = 3;
+/**
+ * Lowest exploitable EPTE bit. Section 4.1 argues bits below 21
+ * stay inside the same 2 MB region, but the Section 5.1
+ * evaluation counts the range 20..ceil(log2(mem)); we follow the
+ * evaluation's counting for Table 1 comparability.
+ */
+constexpr unsigned kExploitLoBit = 20;
+
+} // namespace
+
 uint64_t
 ProfileResult::countOneToZero() const
 {
@@ -63,15 +79,11 @@ MemoryProfiler::MemoryProfiler(vm::VirtualMachine &machine,
     : machine(machine),
       clock(clock),
       mapping(std::move(mapping)),
-      cfg(config)
+      cfg(config),
+      exploitHiBit(base::ceilLog2(machine.hostMemoryBytes()))
 {
-    if (cfg.exploitHiBit == 0) {
-        // The paper's Section 5.1 range tops out at ceil(log2(mem));
-        // derive from the machine spec.
-        cfg.exploitHiBit = base::ceilLog2(machine.hostMemoryBytes());
-    }
-    HH_ASSERT(cfg.exploitHiBit > cfg.exploitLoBit);
-    HH_ASSERT(cfg.exploitHiBit < 64);
+    HH_ASSERT(exploitHiBit > kExploitLoBit);
+    HH_ASSERT(exploitHiBit < 64);
 }
 
 unsigned
@@ -186,8 +198,8 @@ MemoryProfiler::harvestFlips(const std::vector<dram::FlipEvent> &events,
 
         bit.stable = retestStability(bit, fill);
 
-        bit.exploitable = bit.bitInWord >= cfg.exploitLoBit
-            && bit.bitInWord <= cfg.exploitHiBit;
+        bit.exploitable = bit.bitInWord >= kExploitLoBit
+            && bit.bitInWord <= exploitHiBit;
         bit.releasable = bit.victimHugePage != bit.aggressorHugePage;
         if (bit.exploitable && bit.releasable)
             ++usableFound;
@@ -199,10 +211,10 @@ MemoryProfiler::harvestFlips(const std::vector<dram::FlipEvent> &events,
 bool
 MemoryProfiler::retestStability(VulnerableBit &bit, uint64_t fill)
 {
-    for (unsigned repeat = 0; repeat < cfg.stabilityRepeats; ++repeat) {
+    for (unsigned repeat = 0; repeat < kStabilityRepeats; ++repeat) {
         // hh-lint: allow(status-discard) -- retest fill; the read-back below is the actual check
         (void)machine.write64(bit.wordGpa, fill);
-        (void)machine.hammer(bit.aggressors, cfg.hammerRounds);
+        (void)machine.hammer(bit.aggressors, kHammerRounds);
         auto value = machine.read64(bit.wordGpa);
         if (!value)
             return false;
@@ -244,7 +256,7 @@ MemoryProfiler::profile(const std::vector<GuestPhysAddr> &region)
                 if (done)
                     break;
                 for (const auto &pair : aggressorCandidates(hp, top)) {
-                    auto events = machine.hammer(pair, cfg.hammerRounds);
+                    auto events = machine.hammer(pair, kHammerRounds);
                     ++result.combinations;
                     // The real attacker follows every combination
                     // with a scan of all other 2 MB regions (Section

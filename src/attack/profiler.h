@@ -69,6 +69,11 @@ class MemoryProfiler
     base::SimClock &clock;
     dram::AddressMapping mapping;
     ProfilerConfig cfg;
+    /**
+     * Highest exploitable EPTE bit: ceil(log2(mem)) of the host, the
+     * paper's Section 5.1 counting (16 GB hosts give 34).
+     */
+    const unsigned exploitHiBit;
 
     /** Host hugepage frame -> guest hugepage GPA (simulation index). */
     std::unordered_map<uint64_t, GuestPhysAddr> hostToGuestHugePage;

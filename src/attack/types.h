@@ -77,23 +77,6 @@ struct ProfileResult
 /** Profiling tunables (defaults follow Section 5.1). */
 struct ProfilerConfig
 {
-    /** Hammer rounds per (border, bank) combination. */
-    uint64_t hammerRounds = 250'000;
-    /** Re-hammers used to classify a bit as stable. */
-    unsigned stabilityRepeats = 3;
-    /**
-     * Lowest exploitable EPTE bit. Section 4.1 argues bits below 21
-     * stay inside the same 2 MB region, but the Section 5.1
-     * evaluation counts the range 20..ceil(log2(mem)); we follow the
-     * evaluation's counting for Table 1 comparability.
-     */
-    unsigned exploitLoBit = 20;
-    /**
-     * Highest exploitable EPTE bit.
-     * 0 = derive from the host memory size as ceil(log2(mem)), the
-     * paper's Section 5.1 counting (16 GB hosts give 34).
-     */
-    unsigned exploitHiBit = 0;
     /**
      * When non-zero, stop as soon as this many exploitable bits are
      * found (the early-exit of Section 5.3.3).

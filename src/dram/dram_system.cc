@@ -57,7 +57,7 @@ DramSystem::maxRowId() const
 uint64_t
 DramSystem::read64(HostPhysAddr addr)
 {
-    clock.advance(cfg.timing.rowHitLatency);
+    clock.advance(kRowHitLatency);
     uint64_t value = data.read64(addr);
     // Transient read corruption: the returned word is wrong, the
     // stored value is untouched (a re-read sees the true data).
@@ -72,14 +72,14 @@ DramSystem::read64(HostPhysAddr addr)
 void
 DramSystem::write64(HostPhysAddr addr, uint64_t value)
 {
-    clock.advance(cfg.timing.rowHitLatency);
+    clock.advance(kRowHitLatency);
     data.write64(addr, value);
 }
 
 void
 DramSystem::fillPage(Pfn pfn, uint64_t pattern)
 {
-    clock.advance(cfg.timing.pageFillCost);
+    clock.advance(kPageFillCost);
     data.fillPage(pfn, pattern);
 }
 
@@ -92,11 +92,11 @@ DramSystem::timedAccess(HostPhysAddr addr)
 
     base::SimTime latency;
     if (openRows[bank] == row)
-        latency = cfg.timing.rowHitLatency;
+        latency = kRowHitLatency;
     else if (openRows[bank] == kNoOpenRow)
-        latency = cfg.timing.rowMissLatency;
+        latency = kRowMissLatency;
     else
-        latency = cfg.timing.rowConflictLatency;
+        latency = kRowConflictLatency;
     openRows[bank] = row;
     clock.advance(latency);
     return latency;
@@ -153,7 +153,7 @@ DramSystem::press(const std::vector<HostPhysAddr> &aggressors,
 {
     const double amplification = 1.0
         + static_cast<double>(open_time_per_activation)
-            / static_cast<double>(cfg.timing.rowPressHalfLife);
+            / static_cast<double>(kRowPressHalfLife);
     return hammerImpl(aggressors, rounds, amplification,
                       open_time_per_activation);
 }
@@ -196,7 +196,7 @@ DramSystem::hammerImpl(const std::vector<HostPhysAddr> &aggressors,
     // Charge virtual time for every activation (RowPress keeps the
     // row open longer per activation).
     const base::SimTime per_activation =
-        cfg.timing.rowCycle + extra_time_per_activation;
+        kRowCycle + extra_time_per_activation;
     const uint64_t activations = rounds * agg_rows.size();
     clock.advance(activations * per_activation);
 
@@ -204,8 +204,7 @@ DramSystem::hammerImpl(const std::vector<HostPhysAddr> &aggressors,
     // disturbance per window is capped, and longer bursts span several
     // windows (each an independent chance for unstable cells).
     const uint64_t window_cap = std::max<uint64_t>(
-        1, cfg.timing.refreshWindow
-               / (per_activation * agg_rows.size()));
+        1, kRefreshWindow / (per_activation * agg_rows.size()));
     uint64_t disturbance = static_cast<uint64_t>(
         static_cast<double>(std::min(rounds, window_cap))
         * amplification);

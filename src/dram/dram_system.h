@@ -28,29 +28,35 @@
 
 namespace hh::dram {
 
-/** DRAM latency/time parameters (nanoseconds of virtual time). */
+/*
+ * DRAM latencies (nanoseconds of virtual time): one calibration that
+ * S1-S3 share.
+ */
+
+/** Access hitting the open row in its bank. */
+constexpr base::SimTime kRowHitLatency = 45;
+/** Access to an idle bank (row activation needed). */
+constexpr base::SimTime kRowMissLatency = 90;
+/** Access conflicting with a different open row (precharge+act). */
+constexpr base::SimTime kRowConflictLatency = 135;
+/** Activate-to-activate time (tRC); cost of one hammer access. */
+constexpr base::SimTime kRowCycle = 47;
+/** Refresh window (tREFW); disturbance counters reset at this rate. */
+constexpr base::SimTime kRefreshWindow = 64 * base::kMillisecond;
+/**
+ * RowPress time constant: the per-activation open time that
+ * doubles the effective disturbance. Luo et al. measure
+ * orders-of-magnitude AC_min reductions at tens of microseconds
+ * of open time, i.e. the damage doubles every few tens of
+ * nanoseconds the row stays open.
+ */
+constexpr base::SimTime kRowPressHalfLife = 20;
+/** Modeled cost of memset-style filling one 4 KB page. */
+constexpr base::SimTime kPageFillCost = 500;
+
+/** DRAM time parameters a system preset sets (virtual ns). */
 struct TimingConfig
 {
-    /** Access hitting the open row in its bank. */
-    base::SimTime rowHitLatency = 45;
-    /** Access to an idle bank (row activation needed). */
-    base::SimTime rowMissLatency = 90;
-    /** Access conflicting with a different open row (precharge+act). */
-    base::SimTime rowConflictLatency = 135;
-    /** Activate-to-activate time (tRC); cost of one hammer access. */
-    base::SimTime rowCycle = 47;
-    /** Refresh window (tREFW); disturbance counters reset at this rate. */
-    base::SimTime refreshWindow = 64 * base::kMillisecond;
-    /**
-     * RowPress time constant: the per-activation open time that
-     * doubles the effective disturbance. Luo et al. measure
-     * orders-of-magnitude AC_min reductions at tens of microseconds
-     * of open time, i.e. the damage doubles every few tens of
-     * nanoseconds the row stays open.
-     */
-    base::SimTime rowPressHalfLife = 20;
-    /** Modeled cost of memset-style filling one 4 KB page. */
-    base::SimTime pageFillCost = 500;
     /**
      * Modeled cost of scanning one 4 KB page for mismatches
      * (~40 GB/s streaming reads). Dominates profiling time, which the
@@ -220,7 +226,7 @@ class DramSystem
      * introduction): keeping an aggressor row *open* for a long time
      * per activation amplifies the disturbance, so far fewer
      * activations suffice. Modeled as an amplification factor of
-     * 1 + open_time / rowPressHalfLife applied to the effective
+     * 1 + open_time / kRowPressHalfLife applied to the effective
      * activation count before the threshold check.
      */
     std::vector<FlipEvent>

@@ -80,7 +80,7 @@ FaultModel::weakCellsInRow(BankId bank, RowId row,
         cell.threshold = cfg.minThreshold
             + static_cast<uint32_t>(next_u() * span);
         cell.flipProbability = next_u() < cfg.stableFraction
-            ? 1.0 : cfg.unstableFlipProbability;
+            ? 1.0 : kUnstableFlipProbability;
         out.push_back(cell);
     }
 }

@@ -63,6 +63,9 @@ struct WeakCell
     bool stable() const { return flipProbability >= 1.0; }
 };
 
+/** Flip probability of non-stable cells. */
+constexpr double kUnstableFlipProbability = 0.35;
+
 /** Tunable parameters of the fault model. */
 struct FaultModelConfig
 {
@@ -77,8 +80,6 @@ struct FaultModelConfig
     double oneToZeroFraction = 0.5;
     /** Fraction of weak cells that are stable (flipProbability = 1). */
     double stableFraction = 0.6;
-    /** Flip probability of non-stable cells. */
-    double unstableFlipProbability = 0.35;
     /** Minimum activation threshold of any weak cell. */
     uint32_t minThreshold = 40'000;
     /** Maximum activation threshold of any weak cell. */

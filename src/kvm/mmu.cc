@@ -4,6 +4,20 @@
 
 namespace hh::kvm {
 
+namespace {
+
+/**
+ * Kernel metadata pages allocated per hugepage split: the
+ * kvm_mmu_page descriptor, the 512-entry rmap array (4 KB by
+ * itself), parent-PTE tracking and slab overhead. These unmovable
+ * allocations interleave with the EPT pages and compete for the
+ * same released blocks -- Table 2's R_E stays well below 100 %
+ * because of them.
+ */
+constexpr unsigned kSplitMetadataPages = 3;
+
+} // namespace
+
 Mmu::Mmu(dram::DramSystem &dram, mm::BuddyAllocator &buddy,
          MmuConfig config, uint16_t owner_id)
     : dram(dram),
@@ -168,12 +182,10 @@ Mmu::demote(const Slot &pd)
     // Split bookkeeping: rmap array, kvm_mmu_page, page tracking --
     // ordinary unmovable kernel allocations that interleave with the
     // table pages and dilute the attacker's placement (Table 2). The
-    // count varies around the configured mean: slab pages are shared
+    // count varies around kSplitMetadataPages: slab pages are shared
     // between splits, so the per-split demand is batchy, not fixed.
-    unsigned metadata = cfg.splitMetadataPages;
-    if (metadata > 0)
-        metadata = static_cast<unsigned>(
-            rng.between(metadata > 1 ? metadata - 1 : 0, metadata + 1));
+    const auto metadata = static_cast<unsigned>(rng.between(
+        kSplitMetadataPages - 1, kSplitMetadataPages + 1));
     for (unsigned i = 0; i < metadata; ++i) {
         auto meta = cfg.tableAlloc == TableAllocPolicy::AnyList
             ? buddy.allocPagesAnyType(0, mm::PageUse::KernelData, owner)

@@ -56,15 +56,6 @@ struct MmuConfig
     bool itlbMultihitErratum = true;
     /** Table-page allocation policy (KVM vs. Xen ablation). */
     TableAllocPolicy tableAlloc = TableAllocPolicy::UnmovableLists;
-    /**
-     * Kernel metadata pages allocated per hugepage split: the
-     * kvm_mmu_page descriptor, the 512-entry rmap array (4 KB by
-     * itself), parent-PTE tracking and slab overhead. These unmovable
-     * allocations interleave with the EPT pages and compete for the
-     * same released blocks -- Table 2's R_E stays well below 100 %
-     * because of them.
-     */
-    unsigned splitMetadataPages = 3;
 };
 
 /** Result of a guest access through the EPT. */

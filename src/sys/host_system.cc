@@ -80,14 +80,6 @@ SystemConfig::withMemory(uint64_t bytes)
 }
 
 SystemConfig &
-SystemConfig::withSeed(uint64_t new_seed)
-{
-    seed = new_seed;
-    dram.seed = base::mix64(new_seed, 0xd5);
-    return *this;
-}
-
-SystemConfig &
 SystemConfig::withFaults(fault::FaultPlan plan)
 {
     faults = std::move(plan);
@@ -330,17 +322,22 @@ HostSystem::configFingerprint() const
     w.f64(cfg.dram.fault.weakCellsPerRow);
     w.f64(cfg.dram.fault.oneToZeroFraction);
     w.f64(cfg.dram.fault.stableFraction);
-    w.f64(cfg.dram.fault.unstableFlipProbability);
+    // The slot of the unstable-cell flip probability, now a constant,
+    // written at its value: range records and the benchmark's
+    // reference tables pin fingerprints taken with it.
+    w.f64(dram::kUnstableFlipProbability);
     w.u32(cfg.dram.fault.minThreshold);
     w.u32(cfg.dram.fault.maxThreshold);
     w.f64(cfg.dram.fault.distanceTwoFactor);
-    w.u64(cfg.dram.timing.rowHitLatency);
-    w.u64(cfg.dram.timing.rowMissLatency);
-    w.u64(cfg.dram.timing.rowConflictLatency);
-    w.u64(cfg.dram.timing.rowCycle);
-    w.u64(cfg.dram.timing.refreshWindow);
-    w.u64(cfg.dram.timing.rowPressHalfLife);
-    w.u64(cfg.dram.timing.pageFillCost);
+    // The slots of the seven DRAM latencies that became constants,
+    // written at their values for the same reason.
+    w.u64(dram::kRowHitLatency);
+    w.u64(dram::kRowMissLatency);
+    w.u64(dram::kRowConflictLatency);
+    w.u64(dram::kRowCycle);
+    w.u64(dram::kRefreshWindow);
+    w.u64(dram::kRowPressHalfLife);
+    w.u64(dram::kPageFillCost);
     w.u64(cfg.dram.timing.pageScanCost);
     w.boolean(cfg.dram.trr.enabled);
     w.u32(cfg.dram.trr.trackerCapacity);

@@ -81,8 +81,6 @@ struct SystemConfig
 
     /** Scale host memory (and the row range) down for fast tests. */
     SystemConfig &withMemory(uint64_t bytes);
-    /** Replace the RNG seed everywhere it matters. */
-    SystemConfig &withSeed(uint64_t seed);
     /** Install a fault-injection plan. */
     SystemConfig &withFaults(fault::FaultPlan plan);
 };

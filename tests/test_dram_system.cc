@@ -74,18 +74,17 @@ class DramSystemTest : public ::testing::Test
 TEST_F(DramSystemTest, TimedAccessLatencies)
 {
     DramSystem dram(testConfig(), clock);
-    const TimingConfig &t = dram.config().timing;
     const AddressMapping &map = dram.mapping();
 
     const HostPhysAddr a = map.address(0, 10);
     const HostPhysAddr b = map.address(0, 20); // same bank, other row
     // First access to an idle bank: row miss.
-    EXPECT_EQ(dram.timedAccess(a), t.rowMissLatency);
+    EXPECT_EQ(dram.timedAccess(a), kRowMissLatency);
     // Same row again: hit.
-    EXPECT_EQ(dram.timedAccess(a), t.rowHitLatency);
+    EXPECT_EQ(dram.timedAccess(a), kRowHitLatency);
     // Different row, same bank: conflict.
-    EXPECT_EQ(dram.timedAccess(b), t.rowConflictLatency);
-    EXPECT_EQ(dram.timedAccess(a), t.rowConflictLatency);
+    EXPECT_EQ(dram.timedAccess(b), kRowConflictLatency);
+    EXPECT_EQ(dram.timedAccess(a), kRowConflictLatency);
 }
 
 TEST_F(DramSystemTest, DifferentBanksDoNotConflict)
@@ -97,8 +96,8 @@ TEST_F(DramSystemTest, DifferentBanksDoNotConflict)
     (void)dram.timedAccess(a);
     (void)dram.timedAccess(b);
     // Both rows stay open in their banks.
-    EXPECT_EQ(dram.timedAccess(a), dram.config().timing.rowHitLatency);
-    EXPECT_EQ(dram.timedAccess(b), dram.config().timing.rowHitLatency);
+    EXPECT_EQ(dram.timedAccess(a), kRowHitLatency);
+    EXPECT_EQ(dram.timedAccess(b), kRowHitLatency);
 }
 
 TEST_F(DramSystemTest, AccessChargesClock)
@@ -217,7 +216,7 @@ TEST_F(DramSystemTest, HammerChargesRowCycles)
     (void)dram.hammer({map.address(0, 10), map.address(0, 11)},
                       100'000);
     const base::SimTime charged = clock.now() - before;
-    EXPECT_EQ(charged, 2u * 100'000 * dram.config().timing.rowCycle);
+    EXPECT_EQ(charged, 2u * 100'000 * kRowCycle);
 }
 
 TEST_F(DramSystemTest, TrrBlocksSmallPatterns)

@@ -101,7 +101,7 @@ TEST(FaultModel, CellPropertiesInBounds)
             stable += cell.stable();
             if (!cell.stable()) {
                 EXPECT_DOUBLE_EQ(cell.flipProbability,
-                                 cfg.unstableFlipProbability);
+                                 kUnstableFlipProbability);
             }
         }
     }

@@ -54,11 +54,15 @@ TEST(SystemConfig, WithMemoryScalesNoise)
                 noise_full / 8.0, 2.0);
 }
 
-TEST(SystemConfig, WithSeedChangesDramSeed)
+TEST(SystemConfig, SeedAndPresetPickTheDramSeed)
 {
-    SystemConfig a = SystemConfig::s1().withSeed(1);
-    SystemConfig b = SystemConfig::s1().withSeed(2);
-    EXPECT_NE(a.dram.seed, b.dram.seed);
+    EXPECT_NE(SystemConfig::s1(1).dram.seed, SystemConfig::s1(2).dram.seed);
+    const uint64_t s1 = SystemConfig::s1(1).dram.seed;
+    const uint64_t s2 = SystemConfig::s2(1).dram.seed;
+    const uint64_t s3 = SystemConfig::s3(1).dram.seed;
+    EXPECT_NE(s1, s2);
+    EXPECT_NE(s1, s3);
+    EXPECT_NE(s2, s3);
 }
 
 TEST(HostSystem, BootLeavesConfiguredNoise)

@@ -220,7 +220,7 @@ TEST_F(SteeringTest, FullSteerPlacesEptesOnReleasedFrames)
         << "EPT spray missed the released vulnerable block";
     EXPECT_GT(reused_ept + reused_meta, 400u)
         << "the released block was not consumed by the spray";
-    // EPT share ~ 1 / (1 + splitMetadataPages).
+    // EPT share ~ 1 / (1 + kSplitMetadataPages).
     EXPECT_NEAR(static_cast<double>(reused_ept)
                     / (reused_ept + reused_meta),
                 0.25, 0.08);

@@ -247,14 +247,21 @@ TEST_F(ProfilerTest, EarlyStopAfterEnoughUsableBits)
 
 TEST_F(ProfilerTest, ExploitHiBitDerivedFromHostMemory)
 {
-    boot();
-    ProfilerConfig cfg; // exploitHiBit = 0 -> auto
+    boot(42, 4.0);
     MemoryProfiler profiler(*machine, host->clock(),
-                            host->dram().mapping(), cfg);
-    // 1 GiB host: ceil(log2) - 1 = 29. Checked indirectly through
-    // FindsGroundTruthBits; here just ensure construction works and
-    // profiles run.
-    SUCCEED();
+                            host->dram().mapping(), ProfilerConfig{});
+    const ProfileResult result = profiler.profile(region());
+    // 1 GiB host: the exploitable EPTE bits are 20..ceil(log2) = 30.
+    bool saw_exploitable = false;
+    bool saw_other = false;
+    for (const VulnerableBit &bit : result.bits) {
+        const bool in_range = 20 <= bit.bitInWord && bit.bitInWord <= 30;
+        EXPECT_EQ(bit.exploitable, in_range) << "bit " << bit.bitInWord;
+        saw_exploitable |= in_range;
+        saw_other |= !in_range;
+    }
+    EXPECT_TRUE(saw_exploitable);
+    EXPECT_TRUE(saw_other);
 }
 
 TEST_F(ProfilerTest, DeterministicAcrossRuns)

@@ -173,7 +173,7 @@ TEST_F(VmTest, IommuMapWithoutDeviceFails)
 TEST_F(VmTest, HammerTranslatesAggressors)
 {
     VirtualMachine machine(*dram, *buddy, smallConfig(), 1);
-    const base::SimTime burst = 1'000 * dram->config().timing.rowCycle;
+    const base::SimTime burst = 1'000 * dram::kRowCycle;
     const std::vector<GuestPhysAddr> aggressors{
         kVirtioMemRegionStart, kVirtioMemRegionStart + kHugePageSize};
     // No weak cells: both rows are activated, nothing flips.
@@ -194,7 +194,7 @@ TEST_F(VmTest, HammerDropsAggressorMappedPastMemory)
     ASSERT_TRUE(machine.execute(page).demotedHugePage);
     ASSERT_TRUE(
         machine.mmu().remapLeaf4k(page, dram->pageCount() + 1, true).ok());
-    const base::SimTime burst = 1'000 * dram->config().timing.rowCycle;
+    const base::SimTime burst = 1'000 * dram::kRowCycle;
     const base::SimTime before = clock.now();
     EXPECT_TRUE(machine.hammer({page}, 1'000).empty());
     EXPECT_LT(clock.now() - before, burst);
