@@ -56,10 +56,10 @@ TEST(SystemConfig, WithMemoryScalesNoise)
 
 TEST(SystemConfig, SeedAndPresetPickTheDramSeed)
 {
-    EXPECT_NE(SystemConfig::s1(1).dram.seed, SystemConfig::s1(2).dram.seed);
     const uint64_t s1 = SystemConfig::s1(1).dram.seed;
     const uint64_t s2 = SystemConfig::s2(1).dram.seed;
     const uint64_t s3 = SystemConfig::s3(1).dram.seed;
+    EXPECT_NE(s1, SystemConfig::s1(2).dram.seed);
     EXPECT_NE(s1, s2);
     EXPECT_NE(s1, s3);
     EXPECT_NE(s2, s3);
