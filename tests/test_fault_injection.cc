@@ -528,8 +528,10 @@ TEST(FaultOrchestrator, SteerMissesTriggerRetriesAndPartialResult)
         if (outcome.bitsTargeted == 0)
             continue;
         EXPECT_EQ(outcome.releasedSubBlocks, 0u);
-        EXPECT_GT(outcome.retries, 0u);
-        EXPECT_GT(outcome.backoffTime, 0u);
+        // Every retry misses again, so the phase uses all three, with
+        // backoffs of 10, 20 and 40 ms.
+        EXPECT_EQ(outcome.retries, 3u);
+        EXPECT_EQ(outcome.backoffTime, 70 * base::kMillisecond);
         EXPECT_GT(outcome.faultsFired, 0u);
     }
 }
@@ -551,7 +553,8 @@ TEST(FaultOrchestrator, LostFlipsTriggerHammerRetries)
     ASSERT_EQ(result.outcomes.size(), 1u);
     const attack::AttemptOutcome &outcome = result.outcomes[0];
     ASSERT_GT(outcome.bitsTargeted, 0u);
-    EXPECT_GT(outcome.retries, 0u);
+    EXPECT_EQ(outcome.retries, 3u);
+    EXPECT_EQ(outcome.backoffTime, 70 * base::kMillisecond);
     EXPECT_GT(outcome.faultsFired, 0u);
 }
 
