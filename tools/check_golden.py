@@ -42,11 +42,13 @@ SMALL = ["--host-gib=1", "--seed=1", "--quick"]
 # once at the paper's scale (16 GiB S1 and S2, 12 GiB profiled, the
 # Table 1 rows); E3 covers steering (virtio-mem, buddy placement, EPT
 # spray); E11's --smoke covers the mitigation matrix (defense
-# transforms, sharded cells, matrix fingerprint). The fault soak runs
-# whole trials, mark and detect included, under fault plans; its
-# "Faults fired" column counts every fault-site hit, dram.read among
-# them, so a change to the number or order of DRAM reads on the trial
-# path shows here. E7 and the three small examples pin what no other
+# transforms, sharded cells, matrix fingerprint), and the whole quick
+# matrix pins every defense's bytes in its campaign fingerprints
+# (siloz, catt, catt-hole and trr-ecc, which the smoke leaves out).
+# The fault soak runs whole trials, mark and detect included, under
+# fault plans; its "Faults fired" column counts every fault-site hit,
+# dram.read among them, so a change to the number or order of DRAM
+# reads on the trial path shows here. E7 and the three small examples pin what no other
 # trace reaches: DramDig's conflict-set search and timed accesses
 # (E7, profile_dimm), TRRespass's pattern sweep and a profile of the
 # same DIMM (profile_dimm), steering's IOVA exhaustion and spray on
@@ -58,6 +60,8 @@ TRACES = [
     ("bench_table2_page_steering", "e3_page_steering_seed1.txt", SMALL),
     ("bench_mitigation_matrix", "e11_mitigation_smoke_seed1.txt",
      [*SMALL, "--smoke", "--json-out=/dev/null"]),
+    ("bench_mitigation_matrix", "e11_mitigation_quick_seed1.txt",
+     [*SMALL, "--json-out=/dev/null"]),
     ("bench_fault_soak", "fault_soak_seed41.txt",
      [*SMALL, "--trials=8", "--seed-base=41", "--intensity=1.0"]),
     ("bench_dramdig", "e7_dramdig_seed1.txt", SMALL),
