@@ -383,9 +383,12 @@ HyperHammerAttack::campaignFingerprint() const
     // absent for the same reason as the re-profiling slot below.
     w.boolean(false);
     w.boolean(vmCfg.quarantine.enabled);
-    w.u64(vmCfg.quarantine.toleranceSubBlocks);
-    w.u64(vmCfg.quarantine.graceRequests);
-    w.u64(vmCfg.quarantine.windowRequests);
+    // The slots of the three retired quarantine tuning knobs, written
+    // at their only value for the same reason as the re-profiling
+    // slot below.
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
     w.u32(cfg.bitsPerAttempt);
     w.u64(cfg.sprayBytes);
     w.u32(cfg.maxAttempts);

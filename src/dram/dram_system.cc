@@ -147,21 +147,8 @@ DramSystem::evaluateVictimRow(BankId bank, RowId row, uint64_t disturbance,
 }
 
 std::vector<FlipEvent>
-DramSystem::press(const std::vector<HostPhysAddr> &aggressors,
-                  uint64_t rounds,
-                  base::SimTime open_time_per_activation)
-{
-    const double amplification = 1.0
-        + static_cast<double>(open_time_per_activation)
-            / static_cast<double>(kRowPressHalfLife);
-    return hammerImpl(aggressors, rounds, amplification,
-                      open_time_per_activation);
-}
-
-std::vector<FlipEvent>
-DramSystem::hammerImpl(const std::vector<HostPhysAddr> &aggressors,
-                       uint64_t rounds, double amplification,
-                       base::SimTime extra_time_per_activation)
+DramSystem::hammer(const std::vector<HostPhysAddr> &aggressors,
+                   uint64_t rounds)
 {
     std::vector<FlipEvent> applied;
     if (aggressors.empty() || rounds == 0)
@@ -193,21 +180,16 @@ DramSystem::hammerImpl(const std::vector<HostPhysAddr> &aggressors,
         i = j;
     }
 
-    // Charge virtual time for every activation (RowPress keeps the
-    // row open longer per activation).
-    const base::SimTime per_activation =
-        kRowCycle + extra_time_per_activation;
+    // Charge virtual time for every activation.
     const uint64_t activations = rounds * agg_rows.size();
-    clock.advance(activations * per_activation);
+    clock.advance(activations * kRowCycle);
 
     // A refresh window fits only so many activations of this pattern;
     // disturbance per window is capped, and longer bursts span several
     // windows (each an independent chance for unstable cells).
     const uint64_t window_cap = std::max<uint64_t>(
-        1, kRefreshWindow / (per_activation * agg_rows.size()));
-    uint64_t disturbance = static_cast<uint64_t>(
-        static_cast<double>(std::min(rounds, window_cap))
-        * amplification);
+        1, kRefreshWindow / (kRowCycle * agg_rows.size()));
+    uint64_t disturbance = std::min(rounds, window_cap);
     const unsigned windows = static_cast<unsigned>(std::min<uint64_t>(
         64, (rounds + window_cap - 1) / window_cap));
 
@@ -241,23 +223,12 @@ DramSystem::hammerImpl(const std::vector<HostPhysAddr> &aggressors,
             ++trrSuppressed;
             continue;
         }
-        auto add = [&, bank = bank, row = row](int64_t delta,
-                                               double factor) {
-            const int64_t v = static_cast<int64_t>(row) + delta;
-            if (v < 0 || v > static_cast<int64_t>(max_row))
-                return;
-            const auto amount =
-                static_cast<uint64_t>(disturbance * factor);
-            if (amount)
-                victims.push_back(
-                    {{bank, static_cast<RowId>(v)}, amount});
-        };
-        add(-1, 1.0);
-        add(+1, 1.0);
-        if (cfg.fault.distanceTwoFactor > 0.0) {
-            add(-2, cfg.fault.distanceTwoFactor);
-            add(+2, cfg.fault.distanceTwoFactor);
-        }
+        if (disturbance == 0)
+            continue;
+        if (row > 0)
+            victims.push_back({{bank, row - 1}, disturbance});
+        if (row < max_row)
+            victims.push_back({{bank, row + 1}, disturbance});
     }
 
     // Merge-sum duplicate victim rows. Sorting restores the exact

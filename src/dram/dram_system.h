@@ -43,14 +43,6 @@ constexpr base::SimTime kRowConflictLatency = 135;
 constexpr base::SimTime kRowCycle = 47;
 /** Refresh window (tREFW); disturbance counters reset at this rate. */
 constexpr base::SimTime kRefreshWindow = 64 * base::kMillisecond;
-/**
- * RowPress time constant: the per-activation open time that
- * doubles the effective disturbance. Luo et al. measure
- * orders-of-magnitude AC_min reductions at tens of microseconds
- * of open time, i.e. the damage doubles every few tens of
- * nanoseconds the row stays open.
- */
-constexpr base::SimTime kRowPressHalfLife = 20;
 /** Modeled cost of memset-style filling one 4 KB page. */
 constexpr base::SimTime kPageFillCost = 500;
 
@@ -205,9 +197,9 @@ class DramSystem
      *
      * Each aggressor address identifies its (bank, row); duplicates are
      * merged. All aggressors are activated round-robin @p rounds times.
-     * Disturbance reaches rows at distance one (and optionally two) in
-     * the same bank; weak cells over threshold flip if their direction
-     * matches the stored data, subject to TRR and ECC.
+     * Disturbance reaches the rows at distance one in the same bank;
+     * weak cells over threshold flip if their direction matches the
+     * stored data, subject to TRR and ECC.
      *
      * Virtual time is charged for every activation; disturbance within
      * one refresh window is capped by what fits in the window, and
@@ -216,22 +208,7 @@ class DramSystem
      * @return flips actually applied to memory
      */
     std::vector<FlipEvent>
-    hammer(const std::vector<HostPhysAddr> &aggressors, uint64_t rounds)
-    {
-        return hammerImpl(aggressors, rounds, 1.0);
-    }
-
-    /**
-     * RowPress variant (Luo et al., ISCA'23; cited in the paper's
-     * introduction): keeping an aggressor row *open* for a long time
-     * per activation amplifies the disturbance, so far fewer
-     * activations suffice. Modeled as an amplification factor of
-     * 1 + open_time / kRowPressHalfLife applied to the effective
-     * activation count before the threshold check.
-     */
-    std::vector<FlipEvent>
-    press(const std::vector<HostPhysAddr> &aggressors, uint64_t rounds,
-          base::SimTime open_time_per_activation);
+    hammer(const std::vector<HostPhysAddr> &aggressors, uint64_t rounds);
 
     /**
      * Scan a 4 KB frame against an expected uniform fill. Returns the
@@ -301,12 +278,6 @@ class DramSystem
 
     /** Highest valid row index (bounded by memory size and row bits). */
     RowId maxRowId() const;
-
-    /** Shared hammer/press machinery; amplification >= 1. */
-    std::vector<FlipEvent>
-    hammerImpl(const std::vector<HostPhysAddr> &aggressors,
-               uint64_t rounds, double amplification,
-               base::SimTime extra_time_per_activation = 0);
 
     /** Collect candidate flips for one victim row under disturbance. */
     void evaluateVictimRow(BankId bank, RowId row, uint64_t disturbance,

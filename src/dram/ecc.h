@@ -17,18 +17,18 @@
 
 namespace hh::dram {
 
+/**
+ * Bits correctable per 64-bit word: SEC-DED, as on commodity server
+ * DIMMs. kEccCorrectBits + 1 flips are detected (machine check);
+ * anything beyond that may escape as a miscorrection.
+ */
+constexpr uint32_t kEccCorrectBits = 1;
+
 /** ECC configuration. */
 struct EccConfig
 {
     /** Master switch; disabled reproduces the paper's DIMMs. */
     bool enabled = false;
-    /**
-     * Bits correctable per 64-bit word. 1 is SEC-DED (commodity server
-     * DIMMs); 2 models chipkill-style DEC-TED codes. correctBits + 1
-     * flips are detected (machine check); anything beyond that may
-     * escape as a miscorrection. The mitigation matrix sweeps this.
-     */
-    uint32_t correctBits = 1;
 };
 
 /** Outcome of ECC evaluation for one 64-bit word in one hammer burst. */
@@ -55,9 +55,9 @@ class EccModel
     {
         if (!cfg.enabled)
             return EccOutcome::NoEcc;
-        if (flips_in_word <= cfg.correctBits)
+        if (flips_in_word <= kEccCorrectBits)
             return EccOutcome::Corrected;
-        if (flips_in_word == cfg.correctBits + 1)
+        if (flips_in_word == kEccCorrectBits + 1)
             return EccOutcome::Detected;
         return EccOutcome::Uncorrectable;
     }

@@ -84,11 +84,6 @@ struct FaultModelConfig
     uint32_t minThreshold = 40'000;
     /** Maximum activation threshold of any weak cell. */
     uint32_t maxThreshold = 220'000;
-    /**
-     * Disturbance attenuation for rows two away from an aggressor
-     * (Half-Double style far-aggressor coupling); 0 disables it.
-     */
-    double distanceTwoFactor = 0.0;
 };
 
 /**

@@ -21,30 +21,27 @@
 
 namespace hh::dram {
 
+/**
+ * Number of distinct aggressor rows (per bank, per refresh window) the
+ * sampler can track. Patterns using at most this many rows in a bank
+ * are fully mitigated.
+ */
+constexpr unsigned kTrrTrackerCapacity = 4;
+
 /** TRR configuration. */
 struct TrrConfig
 {
     /** Master switch; disabled reproduces the paper's DIMMs. */
     bool enabled = false;
-    /**
-     * Number of distinct aggressor rows (per bank, per refresh window)
-     * the sampler can track. Patterns using at most this many rows in a
-     * bank are fully mitigated.
-     */
-    unsigned trackerCapacity = 4;
-    /**
-     * When the pattern exceeds the tracker, each aggressor still gets
-     * sampled with probability capacity / aggressors; a sampled
-     * aggressor's neighbours are refreshed and take no disturbance in
-     * that window.
-     */
-    bool probabilisticOverflow = true;
 };
 
 /**
  * Evaluates which aggressor rows of a hammer burst are neutralised by
  * TRR. Stateless apart from configuration; the caller supplies
- * randomness so system-level determinism is preserved.
+ * randomness so system-level determinism is preserved. When the
+ * pattern exceeds the tracker, each aggressor still gets sampled with
+ * probability capacity / aggressors; a sampled aggressor's neighbours
+ * are refreshed and take no disturbance in that window.
  */
 class TrrModel
 {
@@ -68,11 +65,9 @@ class TrrModel
     {
         if (!cfg.enabled)
             return false;
-        if (aggressors_in_bank <= cfg.trackerCapacity)
+        if (aggressors_in_bank <= kTrrTrackerCapacity)
             return true;
-        if (!cfg.probabilisticOverflow)
-            return false;
-        const double p = static_cast<double>(cfg.trackerCapacity)
+        const double p = static_cast<double>(kTrrTrackerCapacity)
             / static_cast<double>(aggressors_in_bank);
         return uniform_draw < p;
     }

@@ -203,8 +203,7 @@ Mmu::execDuringPageSizeChange(GuestPhysAddr gpa)
     auto entry = leafEntry(gpa);
     if (!entry)
         return base::Status(entry.error());
-    if (entry->largePage() && entry->executable()
-        && cfg.itlbMultihitErratum) {
+    if (entry->largePage() && entry->executable()) {
         // Executable hugepage + concurrent resize + erratum: the CPU
         // can hit both iTLB entries and raises a machine check. This
         // is the DoS the NX-hugepage countermeasure exists to prevent.

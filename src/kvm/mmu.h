@@ -48,12 +48,6 @@ struct MmuConfig
      * an exec fault. KVM enables this by default on affected parts.
      */
     bool nxHugePages = true;
-    /**
-     * Whether the host CPU has the iTLB Multihit erratum at all. With
-     * the erratum present and the countermeasure off, an exec on a
-     * freshly resized hugepage machine-checks (DoS).
-     */
-    bool itlbMultihitErratum = true;
     /** Table-page allocation policy (KVM vs. Xen ablation). */
     TableAllocPolicy tableAlloc = TableAllocPolicy::UnmovableLists;
 };
@@ -121,9 +115,10 @@ class Mmu
 
     /**
      * Model the iTLB Multihit erratum itself: execute at @p gpa while
-     * its mapping is being resized. With the erratum present and the
-     * countermeasure disabled this raises a machine check (Fault), the
-     * DoS the NX-hugepage mitigation prevents.
+     * its mapping is being resized. The modelled host CPU always has
+     * the erratum, so with the countermeasure disabled this raises a
+     * machine check (Fault), the DoS the NX-hugepage mitigation
+     * prevents.
      */
     [[nodiscard]] base::Status execDuringPageSizeChange(GuestPhysAddr gpa);
 

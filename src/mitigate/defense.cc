@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "base/log.h"
+#include "dram/ecc.h"
+#include "dram/trr.h"
 
 namespace hh::mitigate {
 
@@ -25,6 +27,21 @@ noiseReservePages(const sys::SystemConfig &cfg)
         * 5 / 4;
 }
 
+/** Siloz's EPT/IOPT domain size. */
+constexpr uint64_t kSilozEptDomainBytes = 32_MiB;
+/** Siloz's guard rows per domain boundary. */
+constexpr unsigned kSilozGuardRows = 2;
+
+/**
+ * TrrEccSweep's slowdown: refresh-management cost grows with the
+ * sampler depth; ECC adds a flat check-bit penalty. Estimates, not
+ * measurements: the cell report carries them as the defense's cost
+ * axis. Summed in this order, the double is the one every pinned
+ * fingerprint holds.
+ */
+constexpr double kTrrEccSlowdown = 1.0
+    + 0.005 * static_cast<double>(dram::kTrrTrackerCapacity) + 0.02;
+
 } // namespace
 
 void
@@ -37,38 +54,24 @@ Defense::saveState(base::ArchiveWriter &w) const
 
 // --- SilozDomains ---------------------------------------------------
 
-uint64_t
-SilozDomains::reservePages(const sys::SystemConfig &cfg) const
-{
-    if (hostReserveBytes != 0)
-        return hostReserveBytes / kPageSize;
-    return noiseReservePages(cfg);
-}
-
 void
 SilozDomains::applyHostConfig(sys::SystemConfig &cfg) const
 {
-    const uint64_t total_pages = cfg.dram.totalBytes / kPageSize;
     // A guard must cover whole DRAM rows: any PFN-adjacent spill-over
-    // from hammering sits within guardRows row stripes of the
-    // aggressor, so guardRows stripes of never-allocated frames make
+    // from hammering sits within kSilozGuardRows row stripes of the
+    // aggressor, so that many stripes of never-allocated frames make
     // cross-domain disturbance physically impossible.
-    const uint64_t guard = static_cast<uint64_t>(guardRows)
+    const uint64_t guard = static_cast<uint64_t>(kSilozGuardRows)
         * (cfg.dram.mapping.rowStripeBytes() / kPageSize);
-    const uint64_t reserve = reservePages(cfg);
     const uint64_t ept_pages =
-        std::max<uint64_t>(eptDomainBytes / kPageSize, guard + 1);
+        std::max<uint64_t>(kSilozEptDomainBytes / kPageSize, guard + 1);
 
     mm::DomainLayout layout;
     layout.domains.push_back({ept_pages, mm::DomainClass::Ept, guard});
-    layout.domains.push_back({reserve, mm::DomainClass::Kernel, guard});
-    const unsigned n_guest = std::max(1u, guestDomains);
-    const uint64_t used = ept_pages + reserve;
-    const uint64_t rest = total_pages > used ? total_pages - used : 0;
-    for (unsigned i = 0; i + 1 < n_guest; ++i)
-        layout.domains.push_back(
-            {rest / n_guest, mm::DomainClass::Guest, guard});
-    // The final domain has no right-hand neighbour to guard against.
+    layout.domains.push_back(
+        {noiseReservePages(cfg), mm::DomainClass::Kernel, guard});
+    // The guest domain is last: it has no right-hand neighbour to
+    // guard against.
     layout.domains.push_back({0, mm::DomainClass::Guest, 0});
     cfg.domains = layout;
 }
@@ -76,10 +79,9 @@ SilozDomains::applyHostConfig(sys::SystemConfig &cfg) const
 base::Status
 SilozDomains::configure(sys::HostSystem &host)
 {
-    const size_t expected = 2 + std::max(1u, guestDomains);
-    if (host.buddy().domainCount() != expected) {
-        base::warn("siloz: host has %zu domains, expected %zu",
-                   host.buddy().domainCount(), expected);
+    if (host.buddy().domainCount() != 3) {
+        base::warn("siloz: host has %zu domains, expected 3",
+                   host.buddy().domainCount());
         return base::ErrorCode::InvalidArgument;
     }
     ovh.reservedBytes = host.buddy().guardPageCount() * kPageSize;
@@ -90,10 +92,15 @@ void
 SilozDomains::saveState(base::ArchiveWriter &w) const
 {
     Defense::saveState(w);
-    w.u64(hostReserveBytes);
-    w.u64(eptDomainBytes);
-    w.u32(guestDomains);
-    w.u32(guardRows);
+    // The slots of the four retired Siloz knobs, written at their only
+    // values: the host-domain size (0, sized from the noise config),
+    // the EPT domain size, the guest-domain count and the guard rows.
+    // Range records and E11's golden matrix pin fingerprints taken
+    // with them.
+    w.u64(0);
+    w.u64(kSilozEptDomainBytes);
+    w.u32(1);
+    w.u32(kSilozGuardRows);
 }
 
 // --- VirtioQuarantine -----------------------------------------------
@@ -102,18 +109,17 @@ void
 VirtioQuarantine::applyVmConfig(vm::VmConfig &cfg) const
 {
     cfg.quarantine.enabled = true;
-    cfg.quarantine.toleranceSubBlocks = toleranceSubBlocks;
-    cfg.quarantine.graceRequests = graceRequests;
-    cfg.quarantine.windowRequests = windowRequests;
 }
 
 void
 VirtioQuarantine::saveState(base::ArchiveWriter &w) const
 {
     Defense::saveState(w);
-    w.u64(toleranceSubBlocks);
-    w.u64(graceRequests);
-    w.u64(windowRequests);
+    // The slots of the retired tolerance and grace-window knobs,
+    // written at their only value for the same reason as Siloz's.
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
 }
 
 // --- TrrEccSweep ----------------------------------------------------
@@ -121,24 +127,15 @@ VirtioQuarantine::saveState(base::ArchiveWriter &w) const
 void
 TrrEccSweep::applyHostConfig(sys::SystemConfig &cfg) const
 {
-    cfg.dram.trr.enabled = trrEnabled;
-    cfg.dram.trr.trackerCapacity = trackerCapacity;
-    cfg.dram.trr.probabilisticOverflow = probabilisticOverflow;
-    cfg.dram.ecc.enabled = eccEnabled;
-    cfg.dram.ecc.correctBits = eccCorrectBits;
+    cfg.dram.trr.enabled = true;
+    cfg.dram.ecc.enabled = true;
 }
 
 base::Status
 TrrEccSweep::configure(sys::HostSystem &host)
 {
     (void)host;
-    // Refresh-management cost grows with the sampler depth; ECC adds
-    // a flat check-bit penalty. Estimates, not measurements: the cell
-    // report carries them as the defense's cost axis.
-    ovh.slowdownFactor = 1.0
-        + (trrEnabled ? 0.005 * static_cast<double>(trackerCapacity)
-                      : 0.0)
-        + (eccEnabled ? 0.02 : 0.0);
+    ovh.slowdownFactor = kTrrEccSlowdown;
     return base::Status::success();
 }
 
@@ -146,11 +143,15 @@ void
 TrrEccSweep::saveState(base::ArchiveWriter &w) const
 {
     Defense::saveState(w);
-    w.boolean(trrEnabled);
-    w.u32(trackerCapacity);
-    w.boolean(probabilisticOverflow);
-    w.boolean(eccEnabled);
-    w.u32(eccCorrectBits);
+    // The slots of the five retired TRR/ECC knobs, written at their
+    // only values for the same reason as Siloz's: TRR on, its tracker
+    // capacity, probabilistic overflow, ECC on and its correction
+    // strength.
+    w.boolean(true);
+    w.u32(dram::kTrrTrackerCapacity);
+    w.boolean(true);
+    w.boolean(true);
+    w.u32(dram::kEccCorrectBits);
 }
 
 // --- CattPartition --------------------------------------------------
@@ -164,9 +165,8 @@ CattPartition::applyHostConfig(sys::SystemConfig &cfg) const
         // Authentic CATT: a kernel partition sized for the host's own
         // footprint plus page-table headroom, the rest user-side. No
         // guard rows -- CATT isolates by allocation policy alone.
-        uint64_t kernel_pages = kernelBytes / kPageSize;
-        if (kernel_pages == 0)
-            kernel_pages = noiseReservePages(cfg) + total_pages / 64;
+        const uint64_t kernel_pages =
+            noiseReservePages(cfg) + total_pages / 64;
         layout.domains.push_back(
             {kernel_pages, mm::DomainClass::Kernel, 0});
         layout.domains.push_back({0, mm::DomainClass::User, 0});
@@ -181,12 +181,7 @@ CattPartition::applyHostConfig(sys::SystemConfig &cfg) const
         // identifies as double-owned, straddles into the kernel
         // partition, where released blocks land back on the same
         // free lists the EPT spray allocates from.
-        uint64_t kernel_pages = kernelBytes / kPageSize;
-        if (kernel_pages == 0)
-            kernel_pages = total_pages - total_pages / 16;
-        const uint64_t user_pages = total_pages > kernel_pages
-            ? total_pages - kernel_pages
-            : total_pages / 2;
+        const uint64_t user_pages = total_pages / 16;
         layout.domains.push_back(
             {user_pages, mm::DomainClass::User, 0});
         layout.domains.push_back({0, mm::DomainClass::KernelDma, 0});
@@ -198,7 +193,10 @@ void
 CattPartition::saveState(base::ArchiveWriter &w) const
 {
     Defense::saveState(w);
-    w.u64(kernelBytes);
+    // The slot of the retired kernel-partition size, written at its
+    // only value (0, sized from the layout) for the same reason as
+    // Siloz's.
+    w.u64(0);
     w.boolean(doubleOwnershipHole);
 }
 

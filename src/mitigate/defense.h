@@ -15,9 +15,8 @@
  *   - SilozDomains: Siloz-style physical isolation domains with
  *     guard rows between them (EPT pages, host kernel memory and
  *     guest memory live in disjoint row ranges);
- *   - VirtioQuarantine: the authors' QEMU quarantine patch with the
- *     generalized tolerance / grace-window knobs;
- *   - TrrEccSweep: in-DRAM TRR sampling plus ECC correction strength;
+ *   - VirtioQuarantine: the authors' QEMU quarantine patch;
+ *   - TrrEccSweep: in-DRAM TRR sampling plus SEC-DED ECC;
  *   - CattPartition: CATT-style kernel/user buddy partitioning, with
  *     the CATTmew double-ownership hole as an opt-in flag.
  */
@@ -93,8 +92,8 @@ class Defense
     const DefenseOverhead &overhead() const { return ovh; }
 
     /**
-     * Serialize the defense's knobs and accounted overhead: every knob
-     * that shapes trial outcomes, so the bytes are its identity.
+     * Serialize the defense's accounted overhead and its parameter
+     * slots, so the bytes are its identity.
      */
     virtual void saveState(base::ArchiveWriter &w) const;
 
@@ -105,67 +104,41 @@ class Defense
 /**
  * Siloz-style isolation domains (guard-row physical partitioning).
  * The layout carves, in PFN order: one EPT/IOPT domain, one
- * host-kernel domain, then guestDomains guest domains over the rest,
- * each boundary padded with guardRows DRAM rows of permanently
- * reserved guard frames. Hammering inside one domain can therefore
- * never disturb rows of another -- in particular, guest aggressors
- * cannot reach EPT or host-kernel victim rows.
+ * host-kernel domain sized from the noise config, then one guest
+ * domain over the rest, each boundary padded with guard DRAM rows of
+ * permanently reserved frames. Hammering inside one domain can
+ * therefore never disturb rows of another -- in particular, guest
+ * aggressors cannot reach EPT or host-kernel victim rows.
  */
 class SilozDomains final : public Defense
 {
   public:
-    /** Host-kernel domain size; 0 sizes it from the noise config. */
-    uint64_t hostReserveBytes = 0;
-    /** EPT/IOPT domain size. */
-    uint64_t eptDomainBytes = 32_MiB;
-    /** Guest domains carved from the remainder. */
-    unsigned guestDomains = 1;
-    /** Guard rows per domain boundary. */
-    unsigned guardRows = 2;
-
     const char *name() const override { return "siloz"; }
     void applyHostConfig(sys::SystemConfig &cfg) const override;
     [[nodiscard]] base::Status configure(sys::HostSystem &host) override;
     void saveState(base::ArchiveWriter &w) const override;
-
-  private:
-    /** The kernel-domain page budget applyHostConfig() installs. */
-    uint64_t reservePages(const sys::SystemConfig &cfg) const;
 };
 
 /**
- * The Section 6 QEMU quarantine patch, generalized: NACK virtio-mem
- * requests that overshoot or move away from the requested size, with
- * tunable tolerance and a grace window (all zero reproduces the
- * original patch exactly).
+ * The Section 6 QEMU quarantine patch: NACK virtio-mem requests that
+ * overshoot or move away from the requested size.
  */
 class VirtioQuarantine final : public Defense
 {
   public:
-    uint64_t toleranceSubBlocks = 0;
-    uint64_t graceRequests = 0;
-    uint64_t windowRequests = 0;
-
     const char *name() const override { return "quarantine"; }
     void applyVmConfig(vm::VmConfig &cfg) const override;
     void saveState(base::ArchiveWriter &w) const override;
 };
 
 /**
- * In-DRAM mitigations: a TRR sampler of tunable tracker depth plus
- * ECC of tunable correction strength. The slowdown estimate models
- * the refresh-management and check-bit overhead.
+ * In-DRAM mitigations: a TRR sampler (dram::kTrrTrackerCapacity rows
+ * per bank) plus SEC-DED ECC. The slowdown estimate models the
+ * refresh-management and check-bit overhead.
  */
 class TrrEccSweep final : public Defense
 {
   public:
-    bool trrEnabled = true;
-    unsigned trackerCapacity = 4;
-    bool probabilisticOverflow = true;
-    bool eccEnabled = true;
-    /** 1 = SEC-DED, 2 = chipkill-style DEC-TED. */
-    uint32_t eccCorrectBits = 1;
-
     const char *name() const override { return "trr-ecc"; }
     void applyHostConfig(sys::SystemConfig &cfg) const override;
     [[nodiscard]] base::Status configure(sys::HostSystem &host) override;
@@ -188,8 +161,6 @@ class TrrEccSweep final : public Defense
 class CattPartition final : public Defense
 {
   public:
-    /** Kernel partition size; 0 sizes it from the noise config. */
-    uint64_t kernelBytes = 0;
     /** Re-open the CATTmew double-ownership hole. */
     bool doubleOwnershipHole = false;
 
@@ -205,8 +176,8 @@ class CattPartition final : public Defense
 /**
  * An ordered, owning list of defenses composed into one transform.
  * Config transforms chain in insertion order; state serializes as a
- * name-tagged sequence, so two stacks that differ in order, members
- * or any knob serialize differently.
+ * name-tagged sequence, so two stacks that differ in order or members
+ * serialize differently.
  */
 class DefenseSet
 {

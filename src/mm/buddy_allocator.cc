@@ -66,8 +66,7 @@ PageTypeInfo::totalPages(MigrateType mt) const
 }
 
 BuddyAllocator::BuddyAllocator(BuddyConfig config)
-    : frames(config.totalPages), pcpCfg(config.pcp),
-      crossFallback(config.layout.crossDomainFallback)
+    : frames(config.totalPages), pcpCfg(config.pcp)
 {
     HH_ASSERT(config.totalPages > 0);
     // Carve the domain table. The undefended layout is one General
@@ -147,8 +146,7 @@ BuddyAllocator::BuddyAllocator(BuddyConfig config)
 
 BuddyAllocator::BuddyAllocator(ForkTag, const BuddyAllocator &src)
     : frames(src.frames.fork()), domains(src.domains),
-      freeCount(src.freeCount), pcpCfg(src.pcpCfg),
-      crossFallback(src.crossFallback)
+      freeCount(src.freeCount), pcpCfg(src.pcpCfg)
 {}
 
 const PageFrame &
@@ -205,14 +203,9 @@ BuddyAllocator::domainOnPass(const Domain &dom, PageUse use, int pass)
 {
     // Pass 0: dedicated domains that admit this use, in layout order
     // (Siloz lists its EPT domain before the host domain, so EPT pages
-    // prefer it). Pass 1: General domains. Pass 2 (only with
-    // crossDomainFallback): everything not tried yet.
+    // prefer it). Pass 1: General domains.
     const bool specific = dom.cls != DomainClass::General;
-    switch (pass) {
-      case 0: return specific && classAdmits(dom.cls, use);
-      case 1: return !specific;
-      default: return specific && !classAdmits(dom.cls, use);
-    }
+    return pass == 0 ? specific && classAdmits(dom.cls, use) : !specific;
 }
 
 void
@@ -354,8 +347,7 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt, PageUse use,
                 || f->param == static_cast<uint64_t>(use)))
             return base::ErrorCode::NoMemory;
     }
-    const int passes = crossFallback ? 3 : 2;
-    for (int pass = 0; pass < passes; ++pass) {
+    for (int pass = 0; pass < 2; ++pass) {
         for (Domain &dom : domains) {
             if (!domainOnPass(dom, use, pass))
                 continue;
@@ -411,8 +403,7 @@ BuddyAllocator::allocPagesAnyType(unsigned order, PageUse use,
 {
     HH_ASSERT(order < kMaxOrder);
     HH_ASSERT(use != PageUse::GuardRow);
-    const int passes = crossFallback ? 3 : 2;
-    for (int pass = 0; pass < passes; ++pass) {
+    for (int pass = 0; pass < 2; ++pass) {
         for (Domain &dom : domains) {
             if (!domainOnPass(dom, use, pass))
                 continue;

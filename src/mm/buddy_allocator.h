@@ -271,8 +271,6 @@ class BuddyAllocator
     /** PCP front-end configuration, shared by every domain. */
     // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
     PcpConfig pcpCfg;
-    // hh-lint: allow(snapshot-field-coverage) -- configuration fixed at construction, not state
-    bool crossFallback = false;
     fault::FaultInjector *faultInjector = nullptr;
 
     Domain &domainOf(Pfn pfn);
@@ -302,7 +300,7 @@ class BuddyAllocator
     /**
      * True when @p dom should be tried for @p use on this preference
      * pass: 0 = specific admitting domains in layout order, 1 =
-     * General domains, 2 = the cross-domain fallback over the rest.
+     * General domains.
      */
     static bool domainOnPass(const Domain &dom, PageUse use, int pass);
 

@@ -127,18 +127,13 @@ struct DomainSpec
 /**
  * The whole-host partitioning policy. An empty domain list is the
  * undefended configuration: one General domain spanning all of memory,
- * byte-identical in behaviour to the pre-domain allocator.
+ * byte-identical in behaviour to the pre-domain allocator. Isolation
+ * is hard: an allocation that no admitting domain can satisfy fails
+ * rather than falling back to another domain.
  */
 struct DomainLayout
 {
     std::vector<DomainSpec> domains;
-    /**
-     * When true, an allocation that cannot be satisfied by any
-     * admitting domain falls back to the remaining domains (soft
-     * partitioning); when false the allocation fails instead (hard
-     * isolation).
-     */
-    bool crossDomainFallback = false;
 
     bool empty() const { return domains.empty(); }
 };

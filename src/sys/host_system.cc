@@ -328,22 +328,29 @@ HostSystem::configFingerprint() const
     w.f64(dram::kUnstableFlipProbability);
     w.u32(cfg.dram.fault.minThreshold);
     w.u32(cfg.dram.fault.maxThreshold);
-    w.f64(cfg.dram.fault.distanceTwoFactor);
+    // The slot of the retired Half-Double distance-two factor, written
+    // at its only value (0, no coupling) for the same reason.
+    w.f64(0.0);
     // The slots of the seven DRAM latencies that became constants,
-    // written at their values for the same reason.
+    // written at their values for the same reason; the sixth is the
+    // retired RowPress half-life, written at its last value.
     w.u64(dram::kRowHitLatency);
     w.u64(dram::kRowMissLatency);
     w.u64(dram::kRowConflictLatency);
     w.u64(dram::kRowCycle);
     w.u64(dram::kRefreshWindow);
-    w.u64(dram::kRowPressHalfLife);
+    w.u64(20);
     w.u64(dram::kPageFillCost);
     w.u64(cfg.dram.timing.pageScanCost);
     w.boolean(cfg.dram.trr.enabled);
-    w.u32(cfg.dram.trr.trackerCapacity);
-    w.boolean(cfg.dram.trr.probabilisticOverflow);
+    // The slots of the TRR tracker capacity and its probabilistic
+    // overflow, now a constant and the only behaviour, written at
+    // their values for the same reason.
+    w.u32(dram::kTrrTrackerCapacity);
+    w.boolean(true);
     w.boolean(cfg.dram.ecc.enabled);
-    w.u32(cfg.dram.ecc.correctBits);
+    // The slot of the ECC correction strength, now a constant.
+    w.u32(dram::kEccCorrectBits);
     w.u64(cfg.noise.kernelResidentPages);
     w.u64(cfg.noise.unmovableFreePages);
     w.u64(cfg.noise.pageCachePages);
@@ -359,7 +366,9 @@ HostSystem::configFingerprint() const
         w.f64(entry.probability);
         w.u64(entry.param);
     }
-    w.boolean(cfg.domains.crossDomainFallback);
+    // The slot of the retired cross-domain fallback, written as off
+    // for the same reason.
+    w.boolean(false);
     w.u64(cfg.domains.domains.size());
     for (const mm::DomainSpec &spec : cfg.domains.domains) {
         w.u64(spec.pages);

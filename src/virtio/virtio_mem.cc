@@ -124,29 +124,6 @@ VirtioMemDevice::unplugBacking(SubBlockId sb)
     devStats.releasedBlockPfns.push_back(block);
 }
 
-bool
-VirtioMemDevice::quarantineRejects(int64_t delta)
-{
-    if (!cfg.quarantine.enabled)
-        return false;
-    if (cfg.quarantine.windowRequests > 0) {
-        if (windowRequestCount >= cfg.quarantine.windowRequests) {
-            windowRequestCount = 0;
-            graceUsed = 0;
-        }
-        ++windowRequestCount;
-    }
-    if (!cfg.quarantine.suspicious(delta, requestedBytes,
-                                   pluggedBytes)) {
-        return false;
-    }
-    if (graceUsed < cfg.quarantine.graceRequests) {
-        ++graceUsed;
-        return false;
-    }
-    return true;
-}
-
 base::Status
 VirtioMemDevice::requestPlug(SubBlockId sb)
 {
@@ -155,7 +132,8 @@ VirtioMemDevice::requestPlug(SubBlockId sb)
         return base::ErrorCode::InvalidArgument;
     if (plugged[sb])
         return base::ErrorCode::Exists;
-    if (quarantineRejects(static_cast<int64_t>(kHugePageSize))) {
+    if (cfg.quarantine.rejects(static_cast<int64_t>(kHugePageSize),
+                               requestedBytes, pluggedBytes)) {
         ++devStats.nackedRequests;
         return base::ErrorCode::Denied;
     }
@@ -170,7 +148,8 @@ VirtioMemDevice::requestUnplug(SubBlockId sb)
         return base::ErrorCode::InvalidArgument;
     if (!plugged[sb])
         return base::ErrorCode::NotFound;
-    if (quarantineRejects(-static_cast<int64_t>(kHugePageSize))) {
+    if (cfg.quarantine.rejects(-static_cast<int64_t>(kHugePageSize),
+                               requestedBytes, pluggedBytes)) {
         ++devStats.nackedRequests;
         return base::ErrorCode::Denied;
     }
@@ -263,8 +242,6 @@ VirtioMemDevice::saveState(base::ArchiveWriter &w) const
     w.u64(devStats.nackedRequests);
     w.u64(devStats.deferredUnplugs);
     w.u64vec(devStats.releasedBlockPfns);
-    w.u64(graceUsed);
-    w.u64(windowRequestCount);
 }
 
 } // namespace hh::virtio

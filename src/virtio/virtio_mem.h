@@ -45,55 +45,29 @@ using SubBlockId = uint64_t;
  * T, plugged size V and a request of signed size delta, a request is
  * suspicious when it overshoots (|delta| > |T - V|) or moves away from
  * the target (delta * (T - V) < 0); the device then responds NACK.
- *
- * The mitigation layer generalizes the patch with three knobs, all
- * zero by default (which reproduces the original patch exactly):
- * `toleranceSubBlocks` widens the suspicion boundary so small
- * wrong-direction moves (the stock driver's plug-failure recovery)
- * pass; `graceRequests`/`windowRequests` forgive a budget of
- * suspicious requests per request window, trading detection latency
- * for protocol compatibility.
  */
 struct QuarantinePolicy
 {
     bool enabled = false;
-    /** Sub-blocks of slack before a move counts as suspicious. */
-    uint64_t toleranceSubBlocks = 0;
-    /** Suspicious requests forgiven per window (0 = NACK instantly). */
-    uint64_t graceRequests = 0;
-    /** Requests per grace window (0 = one never-resetting window). */
-    uint64_t windowRequests = 0;
 
-    /**
-     * Stateless core: true when the request moves suspiciously. The
-     * device layers the grace-window state machine on top of this.
-     */
+    /** True when the device NACKs the request. */
     bool
-    suspicious(int64_t delta, uint64_t target, uint64_t plugged) const
+    rejects(int64_t delta, uint64_t target, uint64_t plugged) const
     {
+        if (!enabled)
+            return false;
         const int64_t gap = static_cast<int64_t>(target)
             - static_cast<int64_t>(plugged);
         const auto magnitude = [](int64_t v) {
             return v < 0 ? static_cast<uint64_t>(-v)
                          : static_cast<uint64_t>(v);
         };
-        const uint64_t slack = toleranceSubBlocks * kHugePageSize;
-        // Overshoot: |delta| > |T - V| (+ tolerance).
-        if (magnitude(delta) > magnitude(gap) + slack)
+        // Overshoot: |delta| > |T - V|.
+        if (magnitude(delta) > magnitude(gap))
             return true;
         // Wrong direction: delta * (T - V) < 0, tested via signs to
-        // avoid overflow on byte-sized quantities. Within the slack a
-        // wrong-direction move is tolerated (plug-failure recovery).
-        if ((delta > 0 && gap < 0) || (delta < 0 && gap > 0))
-            return magnitude(delta) > slack;
-        return false;
-    }
-
-    /** The original stateless patch semantics (tests, bench E8). */
-    bool
-    rejects(int64_t delta, uint64_t target, uint64_t plugged) const
-    {
-        return enabled && suspicious(delta, target, plugged);
+        // avoid overflow on byte-sized quantities.
+        return (delta > 0 && gap < 0) || (delta < 0 && gap > 0);
     }
 };
 
@@ -223,17 +197,6 @@ class VirtioMemDevice
     uint64_t pluggedBytes = 0;
     uint64_t requestedBytes = 0;
     VirtioMemStats devStats;
-    /** Suspicious requests forgiven in the current grace window. */
-    uint64_t graceUsed = 0;
-    /** Requests seen in the current grace window. */
-    uint64_t windowRequestCount = 0;
-
-    /**
-     * The quarantine decision with the grace-window state machine
-     * layered over QuarantinePolicy::suspicious(). Mutates the window
-     * counters, so every plug/unplug request routes through here.
-     */
-    [[nodiscard]] bool quarantineRejects(int64_t delta);
 
     [[nodiscard]] base::Status plugBacking(SubBlockId sb);
     void unplugBacking(SubBlockId sb);

@@ -223,7 +223,6 @@ TEST_F(DramSystemTest, TrrBlocksSmallPatterns)
 {
     DramConfig cfg = testConfig();
     cfg.trr.enabled = true;
-    cfg.trr.trackerCapacity = 4;
     DramSystem dram(cfg, clock);
     const auto spot = findWeakSpot(dram, FlipDirection::OneToZero);
     ASSERT_TRUE(spot.has_value());
@@ -293,15 +292,12 @@ TEST(EccModel, Classification)
 
 TEST(TrrModel, SuppressionRules)
 {
-    TrrConfig cfg;
-    cfg.enabled = true;
-    cfg.trackerCapacity = 2;
-    TrrModel trr(cfg);
+    TrrModel trr(TrrConfig{true});
     EXPECT_TRUE(trr.suppresses(1, 0.99));
-    EXPECT_TRUE(trr.suppresses(2, 0.99));
+    EXPECT_TRUE(trr.suppresses(kTrrTrackerCapacity, 0.99));
     // Above capacity: probabilistic with p = capacity / aggressors.
-    EXPECT_TRUE(trr.suppresses(4, 0.49));
-    EXPECT_FALSE(trr.suppresses(4, 0.51));
+    EXPECT_TRUE(trr.suppresses(2 * kTrrTrackerCapacity, 0.49));
+    EXPECT_FALSE(trr.suppresses(2 * kTrrTrackerCapacity, 0.51));
 
     TrrModel disabled(TrrConfig{});
     EXPECT_FALSE(disabled.suppresses(1, 0.0));

@@ -133,7 +133,6 @@ TEST(Integration, TrrProtectedDimmYieldsNoProfile)
 {
     sys::SystemConfig cfg = baseConfig(13);
     cfg.dram.trr.enabled = true;
-    cfg.dram.trr.trackerCapacity = 4;
     sys::HostSystem host(cfg);
     auto machine = host.createVm(baseVm());
 

@@ -172,7 +172,6 @@ TEST_F(MmuTest, ErratumWithoutCountermeasureMachineChecks)
 {
     MmuConfig cfg;
     cfg.nxHugePages = false;
-    cfg.itlbMultihitErratum = true;
     auto mmu = makeMmu(cfg);
     ASSERT_TRUE(mmu->map2m(GuestPhysAddr(0), hostBlock()).ok());
     const base::Status status =

@@ -46,10 +46,7 @@ TEST(Trrespass, NoTrrMeansOneOrTwoRowsSuffice)
 TEST(Trrespass, TrrRaisesTheRequiredPatternSize)
 {
     base::SimClock clock;
-    dram::TrrConfig trr;
-    trr.enabled = true;
-    trr.trackerCapacity = 4;
-    auto dram = makeDram(trr, clock);
+    auto dram = makeDram(dram::TrrConfig{true}, clock);
     TrrespassConfig cfg;
     cfg.maxAggressorRows = 10;
     cfg.trialsPerSize = 32;
@@ -57,8 +54,8 @@ TEST(Trrespass, TrrRaisesTheRequiredPatternSize)
     const TrrespassResult result = finder.run();
     ASSERT_TRUE(result.foundPattern());
     // Patterns within the tracker capacity cannot flip anything.
-    EXPECT_GT(result.effectiveAggressorRows, trr.trackerCapacity);
-    for (unsigned size = 1; size <= trr.trackerCapacity; ++size)
+    EXPECT_GT(result.effectiveAggressorRows, dram::kTrrTrackerCapacity);
+    for (unsigned size = 1; size <= dram::kTrrTrackerCapacity; ++size)
         EXPECT_EQ(result.flipsBySize[size], 0u);
 }
 
