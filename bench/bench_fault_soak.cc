@@ -6,7 +6,7 @@
  * Each trial installs FaultPlan::randomized(seed_base + trial,
  * intensity) on a small S1 host, profiles, runs the campaign through
  * runAttempts() (every attempt a forked trial world, checkpointed
- * when --checkpoint-every is set), and prints one line with the
+ * when --checkpoint-path is set), and prints one line with the
  * campaign's status, retry/degradation counters and the number of
  * faults the trial injectors fired. Every line is fully reproducible
  * from its plan seed, so a failing nightly run can be replayed locally
@@ -15,7 +15,8 @@
  * A checkpointed soak killed at any moment (the nightly kill/resume
  * leg sends a real kill -9) and rerun with the same flags resumes
  * each campaign's record and prints the straight run's table byte for
- * byte.
+ * byte. How many trials each campaign restored goes to stderr, so
+ * the table stays the same.
  *
  * The exit code is non-zero only when a trial violates the degradation
  * contract (aborts instead of returning a partial-result Status); a
@@ -36,13 +37,12 @@ struct SoakOptions
     uint64_t seedBase = 1;
     /** Scales every entry's firing probability, (0, 1]. */
     double intensity = 1.0;
-    /** Checkpoint each campaign every N attempts (0 = off). */
-    uint64_t checkpointEvery = 0;
     /**
-     * Base path; campaign files get a "_s<plan seed>" suffix. A
-     * campaign resumes the record at its file.
+     * Base path of the campaigns' range records; empty = off. Campaign
+     * files get a "_s<plan seed>" suffix, and a campaign resumes the
+     * record at its file.
      */
-    std::string checkpointPath = "fault_soak.ckpt";
+    std::string checkpointPath;
     /**
      * Telemetry report (BENCH_soak.json shape) for the nightly trend
      * pipeline; empty = off. Status messages go to stderr because the
@@ -65,14 +65,10 @@ struct SoakOptions
                 base::parseNumber(argv[0], "intensity", v3,
                                   soak.intensity);
             else if (const char *v4 =
-                         flagValue(arg, "--checkpoint-every="))
-                base::parseNumber(argv[0], "checkpoint-every", v4,
-                                  soak.checkpointEvery);
-            else if (const char *v5 =
                          flagValue(arg, "--checkpoint-path="))
-                soak.checkpointPath = v5;
-            else if (const char *v6 = flagValue(arg, "--json-out="))
-                soak.jsonOut = v6;
+                soak.checkpointPath = v4;
+            else if (const char *v5 = flagValue(arg, "--json-out="))
+                soak.jsonOut = v5;
         }
         return soak;
     }
@@ -138,14 +134,16 @@ main(int argc, char **argv)
         // Attempts are pure per-index trials, so a checkpointed run
         // killed here and rerun with the same flags reproduces the
         // straight run's table bit for bit.
-        attack::CheckpointPolicy policy;
-        if (soak.checkpointEvery > 0) {
-            policy.path = soak.checkpointPath + "_s" +
-                std::to_string(plan_seed);
-            policy.everyTrials = soak.checkpointEvery;
-        }
+        const std::string record = soak.checkpointPath.empty()
+            ? std::string()
+            : soak.checkpointPath + "_s" + std::to_string(plan_seed);
         const attack::AttackResult result =
-            attack.runAttempts(opts.threads, policy);
+            attack.runAttempts(opts.threads, record);
+        if (!record.empty())
+            std::fprintf(stderr, "fault soak: plan seed %llu restored "
+                                 "%u trial(s) from '%s'\n",
+                         static_cast<unsigned long long>(plan_seed),
+                         result.resumedTrials, record.c_str());
 
         uint64_t retries = 0;
         for (const attack::AttemptOutcome &outcome : result.outcomes)

@@ -14,125 +14,17 @@
  * Monte-Carlo attack attempts on the parallel trial engine
  * (--threads=T workers, bitwise-identical results for any T).
  *
- * With --snapshot-demo it instead walks the crash-safety machinery:
- * a checkpointed campaign runs straight, then a second one resumes
- * from the record a kill after its second trial would have left and
- * must reach the same result. Worlds themselves are never saved: each
- * trial rebuilds its world from the configuration and trial index.
- *
  * Usage: vm_escape_demo [seed] [--attempts=N] [--threads=T]
- *                       [--snapshot-demo]
  * A numeric argument that does not parse whole exits 2.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <string>
-
-#include <unistd.h>
 
 #include "base/parse_number.h"
 #include "hyperhammer/hyperhammer.h"
 
 using namespace hh;
-
-namespace {
-
-int
-runSnapshotDemo(uint64_t seed)
-{
-    std::printf("== Snapshot & resume demo ==\n\n");
-    vm::VmConfig vm_cfg;
-    vm_cfg.bootMemBytes = 64_MiB;
-    vm_cfg.virtioMemRegionSize = 1_GiB;
-    vm_cfg.virtioMemPlugged = 640_MiB;
-    sys::SystemConfig host_cfg =
-        sys::SystemConfig::s1(seed).withMemory(1_GiB);
-    host_cfg.dram.fault.weakCellsPerRow *= 8; // keep the demo short
-    attack::AttackConfig atk_cfg;
-    atk_cfg.maxAttempts = 4;
-    atk_cfg.steering.exhaustMappings = 2'500;
-
-    // A record of its own: a path always resumes, and concurrent demos
-    // must neither share nor rotate each other's record.
-    attack::CheckpointPolicy policy;
-    policy.path = (std::filesystem::temp_directory_path()
-                   / ("vm_escape_demo_" + std::to_string(::getpid())
-                      + ".ckpt"))
-                      .string();
-    policy.everyTrials = 1;
-    const std::string prev = policy.path + attack::kCheckpointPrevSuffix;
-    const auto forget = [&] {
-        std::remove(policy.path.c_str());
-        std::remove(prev.c_str());
-    };
-    // Each campaign builds its own host, as a new process would.
-    const auto campaign = [&] {
-        sys::HostSystem host(host_cfg);
-        attack::HyperHammerAttack attack(host, vm_cfg,
-                                         host.dram().mapping(), atk_cfg);
-        (void)attack.profilePhase();
-        return attack.runAttempts(2, policy);
-    };
-
-    forget();
-    std::printf("[ckpt]  straight campaign of %u trials, its range "
-                "record rewritten after each...\n",
-                atk_cfg.maxAttempts);
-    const attack::AttackResult straight = campaign();
-    // What a kill -9 after trial 2 leaves: the record of the first two
-    // trials, not yet terminal.
-    constexpr unsigned kKilledAfter = 2;
-    auto record = attack::loadRangeRecord(policy.path);
-    forget();
-    if (!record || record->outcomes.size() <= kKilledAfter) {
-        std::printf("[ckpt]  the campaign ran %zu trial(s), too few to "
-                    "kill midway; try another seed\n",
-                    straight.outcomes.size());
-        return 1;
-    }
-    record->outcomes.resize(kKilledAfter);
-    record->terminal = false;
-    if (!attack::saveRangeRecord(policy.path, *record).ok()) {
-        std::printf("[ckpt]  cannot write %s\n", policy.path.c_str());
-        return 1;
-    }
-    std::printf("[ckpt]  killed after trial %u; resuming from its "
-                "record...\n",
-                kKilledAfter);
-    const attack::AttackResult resumed = campaign();
-    forget();
-    std::printf("[ckpt]  %u trial(s) restored from the record\n",
-                resumed.resumedTrials);
-
-    // resumedTrials says how the result was computed, not what it is.
-    std::string mismatches;
-    const auto expect = [&](bool same, const std::string &field) {
-        if (!same)
-            mismatches += " " + field;
-    };
-    expect(resumed.resumedTrials == kKilledAfter, "resumedTrials");
-    expect(straight.success == resumed.success, "success");
-    expect(straight.attempts == resumed.attempts, "attempts");
-    expect(straight.totalTime == resumed.totalTime, "totalTime");
-    expect(straight.status == resumed.status, "status");
-    expect(straight.degraded == resumed.degraded, "degraded");
-    expect(straight.faultsInjected == resumed.faultsInjected,
-           "faultsInjected");
-    expect(straight.outcomes == resumed.outcomes, "outcomes");
-    if (!mismatches.empty()) {
-        std::printf("[ckpt]  MISMATCH in:%s\n", mismatches.c_str());
-        return 1;
-    }
-    std::printf("[ckpt]  bitwise identical -- every attempt record "
-                "and campaign total matches\n");
-    std::printf("\nCrash-safety contract holds: kill -9 mid-campaign "
-                "loses at most one checkpoint block.\n");
-    return 0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -140,20 +32,15 @@ main(int argc, char **argv)
     uint64_t seed = 5;
     unsigned attempts = 0;
     unsigned threads = 0; // all cores
-    bool snapshot_demo = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--attempts=", 11) == 0)
             base::parseNumber(argv[0], "attempts", argv[i] + 11,
                               attempts);
         else if (std::strncmp(argv[i], "--threads=", 10) == 0)
             base::parseNumber(argv[0], "threads", argv[i] + 10, threads);
-        else if (std::strcmp(argv[i], "--snapshot-demo") == 0)
-            snapshot_demo = true;
         else
             base::parseNumber(argv[0], "seed", argv[i], seed);
     }
-    if (snapshot_demo)
-        return runSnapshotDemo(seed);
     sys::SystemConfig config =
         sys::SystemConfig::s1(seed).withMemory(2_GiB);
     sys::HostSystem host(config);

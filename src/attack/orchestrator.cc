@@ -450,7 +450,7 @@ bool
 RangeRecord::finishes(uint64_t fingerprint, uint64_t total_trials,
                       uint64_t range_begin, uint64_t range_end) const
 {
-    return terminal && complete()
+    return complete()
         && belongsTo(fingerprint, total_trials, range_begin, range_end);
 }
 
@@ -461,7 +461,6 @@ RangeRecord::saveState(base::ArchiveWriter &w) const
     w.u64(totalTrials);
     w.u64(begin);
     w.u64(end);
-    w.boolean(terminal);
     w.u64(outcomes.size());
     for (const AttemptOutcome &outcome : outcomes)
         writeOutcome(w, outcome);
@@ -475,7 +474,6 @@ RangeRecord::loadState(base::ArchiveReader &r)
     loaded.totalTrials = r.u64();
     loaded.begin = r.u64();
     loaded.end = r.u64();
-    loaded.terminal = r.boolean();
     const uint64_t n = r.count(kOutcomeBytes);
     loaded.outcomes.reserve(n);
     for (uint64_t i = 0; i < n && r.ok(); ++i)
@@ -500,7 +498,7 @@ constexpr uint64_t kRangeRecordMagic = 0x4848434b50540a01ull;
  * reinterpreted. A world's saveState() stream never leaves memory and
  * carries no version.
  */
-constexpr uint32_t kSnapshotFormatVersion = 10;
+constexpr uint32_t kSnapshotFormatVersion = 11;
 
 } // namespace
 
@@ -565,13 +563,13 @@ restoreRange(const std::string &path, const RangeRecord &range)
 TrialRangeResult
 HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
                                  unsigned threads,
-                                 const CheckpointPolicy &policy)
+                                 const std::string &record_path)
 {
     HH_ASSERT(begin <= end);
     const uint64_t total = end - begin;
     if (threads == 0)
         threads = base::ThreadPool::defaultThreads();
-    const bool persist = !policy.path.empty();
+    const bool persist = !record_path.empty();
 
     TrialRangeResult range;
     // Outcomes accumulate in the range's record as the completed
@@ -580,20 +578,19 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
     // campaign's stopping point; for a shard, mergeShards()
     // re-truncates globally).
     RangeRecord record{persist ? campaignFingerprint() : 0,
-                       cfg.maxAttempts, begin, end, false, {}};
+                       cfg.maxAttempts, begin, end, {}};
     std::vector<AttemptOutcome> &outcomes = record.outcomes;
     if (persist)
-        outcomes = restoreRange(policy.path, record);
+        outcomes = restoreRange(record_path, record);
     outcomes.reserve(total);
     range.resumedTrials = static_cast<unsigned>(outcomes.size());
 
     const auto save = [&] {
-        record.terminal = record.complete();
-        range.saved = saveRangeRecord(policy.path, record);
+        range.saved = saveRangeRecord(record_path, record);
         if (!range.saved.ok())
             base::warn("range record '%s': save failed; campaign "
                        "continues unprotected",
-                       policy.path.c_str());
+                       record_path.c_str());
     };
     // The record is written before any work only so that a range in
     // which nothing runs -- an empty range, or one restored whole --
@@ -611,10 +608,11 @@ HyperHammerAttack::runTrialRange(uint64_t begin, uint64_t end,
 
     // Run the remaining trials in blocks at their absolute trial
     // indices, so each outcome is the same pure function of
-    // (config, trial) an unchunked single-process run computes. The
-    // record is complete once every trial ran or one succeeded.
-    const uint64_t block =
-        policy.everyTrials > 0 ? policy.everyTrials : total;
+    // (config, trial) an unchunked single-process run computes. A
+    // recorded range saves after every block of one trial per
+    // worker; an unrecorded one is a single block. The record is
+    // complete once every trial ran or one succeeded.
+    const uint64_t block = persist ? threads : total;
     while (!record.complete()) {
         const uint64_t done = outcomes.size();
         const uint64_t todo = std::min<uint64_t>(block, total - done);
@@ -672,7 +670,7 @@ HyperHammerAttack::aggregateOutcomes(std::vector<AttemptOutcome> outcomes)
 
 AttackResult
 HyperHammerAttack::runAttempts(unsigned threads,
-                               const CheckpointPolicy &policy)
+                               const std::string &record_path)
 {
     if (bits.empty()) {
         AttackResult result;
@@ -681,7 +679,7 @@ HyperHammerAttack::runAttempts(unsigned threads,
         return result;
     }
     TrialRangeResult range =
-        runTrialRange(0, cfg.maxAttempts, threads, policy);
+        runTrialRange(0, cfg.maxAttempts, threads, record_path);
     AttackResult result = aggregateOutcomes(std::move(range.outcomes));
     result.resumedTrials = range.resumedTrials;
     return result;
@@ -742,11 +740,11 @@ mergeShards(std::vector<RangeRecord> records)
               });
 
     // Fold the finishing records in trial order and name every range
-    // they do not cover. An incomplete or non-terminal record
-    // contributes nothing: its *whole* range becomes a hole, because
-    // the worker that closes the hole finishes the full range into
-    // one record -- folding its prefix here and that record later
-    // would double-count on re-merge.
+    // they do not cover. An incomplete record contributes nothing:
+    // its *whole* range becomes a hole, because the worker that
+    // closes the hole finishes the full range into one record --
+    // folding its prefix here and that record later would
+    // double-count on re-merge.
     SweepReport report;
     report.campaignFingerprint = records.front().campaignFingerprint;
     report.totalTrials = records.front().totalTrials;
@@ -764,7 +762,7 @@ mergeShards(std::vector<RangeRecord> records)
         if (range.begin > next)
             addMissing(report.missing, ShardRange{next, range.begin});
         next = range.end;
-        if (!record.complete() || !record.terminal) {
+        if (!record.complete()) {
             if (!range.empty())
                 addMissing(report.missing, range);
             continue;

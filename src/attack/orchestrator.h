@@ -136,26 +136,6 @@ struct AttackResult
 inline const char *const kCheckpointPrevSuffix = ".prev";
 
 /**
- * Where and how often a trial range keeps its range record. A path is
- * the only switch: a range with one always resumes the record there
- * (DESIGN.md section 3.4).
- */
-struct CheckpointPolicy
-{
-    /**
-     * The range's record (RangeRecord), its checkpoint and its shard
-     * artifact; empty disables checkpointing entirely.
-     */
-    std::string path;
-
-    /**
-     * Write the record at range start and after every block of N
-     * trials; 0 runs the whole range as one block.
-     */
-    uint64_t everyTrials = 0;
-};
-
-/**
  * Raw product of a contiguous trial range [begin, end): the completed
  * outcome prefix (relative to @c begin, truncated at the range's first
  * success) and how many of those trials were restored from a
@@ -172,7 +152,7 @@ struct TrialRangeResult
 
 /**
  * The one persisted record of a trial range [begin, end): the range's
- * checkpoint while it runs and its shard artifact once terminal.
+ * checkpoint while it runs and its shard artifact once complete.
  * runTrialRange() writes it; resume, mergeShards() and `hh_sweep`
  * read it back through loadRangeRecord(). Two records merge only when
  * fingerprint and totalTrials agree and their ranges do not overlap.
@@ -185,16 +165,14 @@ struct RangeRecord
     uint64_t totalTrials = 0;
     uint64_t begin = 0;
     uint64_t end = 0;
-    /**
-     * The writer's final word on the range: true once it is complete.
-     * A record left by a kill or a still-running worker is
-     * non-terminal, and mergeShards() makes its whole range a hole.
-     */
-    bool terminal = true;
     /** Completed prefix of the range, cut at its own first success. */
     std::vector<AttemptOutcome> outcomes;
 
-    /** All trials ran, or the range stopped at its own success. */
+    /**
+     * All trials ran, or the range stopped at its own success. A
+     * record left by a kill or a still-running worker is incomplete,
+     * and mergeShards() makes its whole range a hole.
+     */
     bool complete() const;
 
     /** The range lies in the campaign and holds every outcome. */
@@ -211,8 +189,8 @@ struct RangeRecord
 
     /**
      * This record finishes range [range_begin, range_end) of campaign
-     * (fingerprint, total_trials): it is terminal, complete, and
-     * belongsTo() that campaign and range.
+     * (fingerprint, total_trials): it is complete and belongsTo()
+     * that campaign and range.
      */
     bool finishes(uint64_t fingerprint, uint64_t total_trials,
                   uint64_t range_begin, uint64_t range_end) const;
@@ -286,9 +264,9 @@ struct SweepReport
  * HyperHammerAttack::aggregateOutcomes -- the same pure function of
  * the outcome sequence a single-process run computes -- and names
  * every range without one in SweepReport::missing: a gap between
- * records, or the whole range of an incomplete or non-terminal
- * record. Rerunning those ranges and merging again gives the
- * bitwise-identical full result.
+ * records, or the whole range of an incomplete record. Rerunning
+ * those ranges and merging again gives the bitwise-identical full
+ * result.
  *
  * Only adversarial input is an error: InvalidArgument for no records,
  * records of different campaigns (fingerprint or totalTrials) or a
@@ -357,14 +335,14 @@ class HyperHammerAttack
      * success, exactly where a sequential loop would have stopped, so
      * the result is bitwise-identical for any thread count.
      *
-     * @p policy adds crash-safe checkpointing exactly as
-     * runTrialRange() does for the range [0, maxAttempts). Trials are
-     * pure functions of (configuration, trial index), so the merged
-     * result is bitwise-identical to an uncheckpointed run for any
-     * block size, thread count or kill/resume history.
+     * A non-empty @p record_path adds crash-safe checkpointing exactly
+     * as runTrialRange() does for the range [0, maxAttempts). Trials
+     * are pure functions of (configuration, trial index), so the
+     * merged result is bitwise-identical to an uncheckpointed run for
+     * any thread count or kill/resume history.
      */
     AttackResult runAttempts(unsigned threads,
-                             const CheckpointPolicy &policy = {});
+                             const std::string &record_path = {});
 
     /**
      * Run the contiguous trial range [begin, end) of a campaign:
@@ -375,12 +353,12 @@ class HyperHammerAttack
      * success (later trials in the range are never observable in a
      * sequential run).
      *
-     * With a policy.path, trials run in blocks of policy.everyTrials
-     * (0: the whole range is one block), and at range start and after
-     * each block the range's RangeRecord -- campaign fingerprint,
-     * campaign size (maxAttempts), range, completed prefix -- is saved
-     * at the path by saveRangeRecord(). It turns terminal when the
-     * range is complete. Before any of that the range restores the
+     * A non-empty @p record_path is where the range keeps its
+     * RangeRecord, and the only checkpoint switch. Trials then run in
+     * blocks of @p threads, one per worker, and at range start and
+     * after each block the record -- campaign fingerprint, campaign size
+     * (maxAttempts), range, completed prefix -- is saved at the path
+     * by saveRangeRecord(). Before any of that the range restores the
      * record at the path, else at path + ".prev", that
      * RangeRecord::belongsTo() this campaign and range, and re-runs
      * nothing it holds; any other record is ignored. When the call
@@ -389,6 +367,8 @@ class HyperHammerAttack
      * last finished block at the path and the one before it in
      * path + ".prev" (only that one when the kill lands between the
      * rotation and the rename); rerunning the range resumes it.
+     * Without a path the whole range is one block and nothing is
+     * written.
      *
      * This is the shard entry point -- callers merge the returned
      * outcomes through aggregateOutcomes(), or the records through
@@ -396,7 +376,7 @@ class HyperHammerAttack
      */
     TrialRangeResult
     runTrialRange(uint64_t begin, uint64_t end, unsigned threads,
-                  const CheckpointPolicy &policy);
+                  const std::string &record_path);
 
     /**
      * The sanctioned outcome -> AttackResult merge: truncates

@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <initializer_list>
 
 namespace hh::base {
 
@@ -28,30 +27,6 @@ bits(uint64_t value, unsigned hi, unsigned lo)
     if (width >= 64)
         return value >> lo;
     return (value >> lo) & ((1ull << width) - 1);
-}
-
-/** Return @p value with bit @p pos set to @p b. */
-constexpr uint64_t
-setBit(uint64_t value, unsigned pos, bool b)
-{
-    return b ? (value | (1ull << pos)) : (value & ~(1ull << pos));
-}
-
-/** Return @p value with bit @p pos flipped. */
-constexpr uint64_t
-flipBit(uint64_t value, unsigned pos)
-{
-    return value ^ (1ull << pos);
-}
-
-/** XOR-parity of the bits of @p value selected by the positions list. */
-constexpr unsigned
-xorFold(uint64_t value, std::initializer_list<unsigned> positions)
-{
-    unsigned acc = 0;
-    for (unsigned pos : positions)
-        acc ^= static_cast<unsigned>(bit(value, pos));
-    return acc;
 }
 
 /** XOR-parity of all bits of @p value that are set in @p mask. */
@@ -82,13 +57,6 @@ constexpr bool
 isPowerOfTwo(uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
-}
-
-/** Round @p v up to the next multiple of @p align (power of two). */
-constexpr uint64_t
-alignUp(uint64_t v, uint64_t align)
-{
-    return (v + align - 1) & ~(align - 1);
 }
 
 /** Round @p v down to a multiple of @p align (power of two). */

@@ -33,7 +33,6 @@ class HH_CAPABILITY("mutex") Mutex
 
     void lock() HH_ACQUIRE() { impl.lock(); }
     void unlock() HH_RELEASE() { impl.unlock(); }
-    bool tryLock() HH_TRY_ACQUIRE(true) { return impl.try_lock(); }
 
     /** Underlying mutex, for CondVar's adopt/release dance only. */
     std::mutex &native() { return impl; }

@@ -50,10 +50,6 @@
 #define HH_RELEASE(...) \
     HH_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/** Acquires the capability when returning @p __VA_ARGS__'s first arg. */
-#define HH_TRY_ACQUIRE(...) \
-    HH_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /** Caller must hold the capability for the duration of the call. */
 #define HH_REQUIRES(...) \
     HH_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))

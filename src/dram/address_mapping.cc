@@ -1,6 +1,7 @@
 #include "address_mapping.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <sstream>
 
 #include "base/bitops.h"

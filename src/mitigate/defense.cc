@@ -49,7 +49,9 @@ Defense::saveState(base::ArchiveWriter &w) const
 {
     w.u64(ovh.reservedBytes);
     w.f64(ovh.slowdownFactor);
-    w.u64(ovh.nackedRequests);
+    // The slot of the retired NACK counter, which nothing wrote,
+    // written as 0 for the same reason as Siloz's retired knobs.
+    w.u64(0);
 }
 
 // --- SilozDomains ---------------------------------------------------
@@ -249,7 +251,6 @@ DefenseSet::overhead() const
         const DefenseOverhead &one = defense->overhead();
         total.reservedBytes += one.reservedBytes;
         total.slowdownFactor *= one.slowdownFactor;
-        total.nackedRequests += one.nackedRequests;
     }
     return total;
 }

@@ -39,15 +39,12 @@ namespace hh::mitigate {
 /**
  * What a defense costs. reservedBytes counts memory permanently
  * withdrawn from the allocatable pool (guard rows); slowdownFactor is
- * a multiplicative runtime estimate (TRR sampling, ECC check bits);
- * nackedRequests counts guest requests the defense refused (filled
- * by the matrix runner from device statistics after a campaign).
+ * a multiplicative runtime estimate (TRR sampling, ECC check bits).
  */
 struct DefenseOverhead
 {
     uint64_t reservedBytes = 0;
     double slowdownFactor = 1.0;
-    uint64_t nackedRequests = 0;
 };
 
 /**

@@ -23,7 +23,8 @@ finishing record. Every dump below is byte-diffed against `single`:
   5. A foreign record (another campaign, another tiling) refuses the
      sweep or a `run` before anything is written.
   6. A numeric flag that does not parse whole, or an unknown flag, is
-     a usage error (2).
+     a usage error (2). Retired flags are unknown, so a script written
+     for an older CLI fails instead of silently running differently.
   7. Workers rebuild the sweep's exact campaign: a fault intensity
      with more than six decimals still merges to the single dump (a
      worker of a rounded campaign would leave a foreign record).
@@ -99,8 +100,7 @@ def sweep_identity(sweep, tmp):
 
     finished = shards / "shard_1.bin"
     kept = finished.read_bytes()
-    rerun = run(sweep, "run", *SEED3, "--shard=1/4", f"--out={finished}",
-                "--checkpoint-every=1")
+    rerun = run(sweep, "run", *SEED3, "--shard=1/4", f"--out={finished}")
     check(rerun.returncode == 0 and finished.read_bytes() == kept,
           "a run over its own finished record exits 0 and keeps it",
           rerun)
@@ -113,7 +113,7 @@ def landed_kill(sweep, tmp, ref):
     out = out_dir / "shard_0.bin"
     worker = subprocess.Popen(
         [sweep, "run", "--trials=16", "--threads=1", "--seed=5",
-         "--range=0:16", f"--out={out}", "--checkpoint-every=1"],
+         "--range=0:16", f"--out={out}"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     prev = out_dir / "shard_0.bin.prev"
     deadline = time.monotonic() + 50
@@ -228,11 +228,12 @@ def main():
                     "--fault-intensity=0.5x", "--shards=x", "--jobs=x"):
             usage = run(sweep, "single", bad)
             check(usage.returncode == 2, f"{bad} is a usage error", usage)
-        unknown = run(sweep, "run", *SEED3, "--shard=1/4",
-                      f"--out={tmp / 'unused.bin'}", "--stop-after=1")
-        check(unknown.returncode == 2
-              and "unknown flag --stop-after=1" in unknown.stderr,
-              "--stop-after is an unknown flag", unknown)
+        for retired in ("--stop-after=1", "--checkpoint-every=1"):
+            unknown = run(sweep, "run", *SEED3, "--shard=1/4",
+                          f"--out={tmp / 'unused.bin'}", retired)
+            check(unknown.returncode == 2
+                  and f"unknown flag {retired}" in unknown.stderr,
+                  f"{retired} is an unknown flag", unknown)
 
         # Step 7: the exact fault intensity reaches the workers.
         precise = ["--trials=2", "--threads=2", "--seed=3",

@@ -148,7 +148,6 @@ expectSameRecord(const attack::RangeRecord &actual,
     EXPECT_EQ(actual.totalTrials, expected.totalTrials);
     EXPECT_EQ(actual.begin, expected.begin);
     EXPECT_EQ(actual.end, expected.end);
-    EXPECT_EQ(actual.terminal, expected.terminal);
     EXPECT_EQ(actual.outcomes, expected.outcomes);
 }
 
@@ -207,7 +206,6 @@ TEST(ShardArtifact, RecordBytesArePinned)
     record.totalTrials = 40;
     record.begin = 16;
     record.end = 24;
-    record.terminal = false;
     record.outcomes.resize(2);
     attack::AttemptOutcome &first = record.outcomes[0];
     first.success = false;
@@ -235,14 +233,14 @@ TEST(ShardArtifact, RecordBytesArePinned)
     const std::string path = ::testing::TempDir() + "shard_pinned.bin";
     ASSERT_TRUE(attack::saveRangeRecord(path, record).ok());
     EXPECT_EQ(hexOf(fileBytes(path)),
-              // Frame: magic, format version 10, payload length 171,
+              // Frame: magic, format version 11, payload length 170,
               // FNV-1a of the payload.
-              "010a54504b434848" "0a000000" "ab00000000000000"
-              "a6b8ea3abb2b35cd"
+              "010a54504b434848" "0b000000" "aa00000000000000"
+              "989d952fc902020b"
               // Record: fingerprint, campaign size 40, range [16, 24),
-              // not terminal, 2 outcomes.
+              // 2 outcomes.
               "efcdab8967452301" "2800000000000000" "1000000000000000"
-              "1800000000000000" "00" "0200000000000000"
+              "1800000000000000" "0200000000000000"
               // Outcomes: success, bits targeted, released sub-blocks,
               // demotions, changed pages, EPTE candidates, duration,
               // retries, backoff time, faults fired.
@@ -443,7 +441,7 @@ TEST(PartialMerge, TailHoleIsReported)
     EXPECT_EQ(report->missing[0].end, 8u);
 }
 
-TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
+TEST(PartialMerge, IncompleteShardBecomesItsWholeRangeAsHole)
 {
     // An abandoned worker's partial artifact contributes nothing: its
     // WHOLE range is a hole, so a resumed sweep finishes it from the
@@ -452,7 +450,6 @@ TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
     shards.push_back(syntheticShard(1, 8, 0, 4));
     attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
     cut.outcomes.resize(2);
-    cut.terminal = false;
     shards.push_back(std::move(cut));
     const auto report = attack::mergeShards(std::move(shards));
     ASSERT_TRUE(report.ok()) << base::errorName(report.error());
@@ -462,29 +459,14 @@ TEST(PartialMerge, NonTerminalShardBecomesItsWholeRangeAsHole)
     EXPECT_EQ(report->result.attempts, 4u);
 }
 
-TEST(PartialMerge, NonTerminalCompleteShardIsStillAHole)
-{
-    // terminal=false with a full outcome vector (killed between the
-    // last trial and the final save): the flag alone decides.
-    std::vector<attack::RangeRecord> shards;
-    shards.push_back(syntheticShard(1, 8, 0, 4));
-    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
-    cut.terminal = false;
-    shards.push_back(std::move(cut));
-    const auto report = attack::mergeShards(std::move(shards));
-    ASSERT_TRUE(report.ok()) << base::errorName(report.error());
-    ASSERT_EQ(report->missing.size(), 1u);
-    EXPECT_EQ(report->missing[0].begin, 4u);
-}
-
 TEST(PartialMerge, AdjacentHolesCoalesce)
 {
-    // A gap [2, 4) flows straight into a non-terminal shard's range
+    // A gap [2, 4) flows straight into an incomplete shard's range
     // [4, 6): one hole [2, 6), not two.
     std::vector<attack::RangeRecord> shards;
     shards.push_back(syntheticShard(1, 8, 0, 2));
     attack::RangeRecord cut = syntheticShard(1, 8, 4, 6);
-    cut.terminal = false;
+    cut.outcomes.resize(1);
     shards.push_back(std::move(cut));
     shards.push_back(syntheticShard(1, 8, 6, 8));
     const auto report = attack::mergeShards(std::move(shards));
@@ -537,19 +519,6 @@ TEST(PartialMerge, FullTilingIsExactAndNotPartial)
     EXPECT_FALSE(report->partial());
     EXPECT_TRUE(report->exact);
     EXPECT_TRUE(report->missing.empty());
-}
-
-TEST(ShardArtifact, TerminalFlagRoundTrips)
-{
-    const std::string path = ::testing::TempDir() + "shard_term.bin";
-    attack::RangeRecord cut = syntheticShard(1, 8, 4, 8);
-    cut.outcomes.resize(2);
-    cut.terminal = false;
-    ASSERT_TRUE(attack::saveRangeRecord(path, cut).ok());
-    const auto loaded = attack::loadRangeRecord(path);
-    ASSERT_TRUE(loaded.ok()) << base::errorName(loaded.error());
-    EXPECT_FALSE(loaded->terminal);
-    EXPECT_FALSE(loaded->complete());
 }
 
 // ------------------------------------------------------- identity matrix
@@ -672,16 +641,15 @@ attack::RangeRecord
 cutRecord(attack::RangeRecord record, uint64_t trials)
 {
     record.outcomes.resize(trials);
-    record.terminal = false;
     return record;
 }
 
 /**
  * The kill/resume cell of campaign @p cfg. Both shards of a 4-trial
  * campaign finish their records. Shard 1's record then becomes the
- * files a kill after its first trial leaves: the record of that trial
- * at the path, and the range-start record the writer rotated to .prev
- * (Checkpoint.EveryBlockEndLeavesItsRecord). A fresh campaign object
+ * files a 1-thread worker killed after its first trial leaves: the
+ * record of that trial at the path, and the range-start record the
+ * writer rotated to .prev (Checkpoint.EveryBlockEndLeavesItsRecord). A fresh campaign object
  * -- a stand-in for a fresh OS process -- resumes them at 1 and at 4
  * threads, and each merge of the two records must equal the
  * single-process result.
@@ -702,13 +670,10 @@ expectKilledShardMergesIdentically(const sys::SystemConfig &cfg,
     const std::string stem =
         ::testing::TempDir() + "shard_kill_" + cell;
     const std::string paths[2] = {stem + "_0.bin", stem + "_1.bin"};
-    attack::CheckpointPolicy policy;
-    policy.everyTrials = 1;
     for (size_t i = 0; i < 2; ++i) {
         removeRecords(paths[i]);
-        policy.path = paths[i];
         (void)straight.attack.runTrialRange(ranges[i].begin,
-                                            ranges[i].end, 1, policy);
+                                            ranges[i].end, 1, paths[i]);
     }
     const auto finished = attack::loadRangeRecord(paths[1]);
     ASSERT_TRUE(finished.ok()) << base::errorName(finished.error());
@@ -718,7 +683,6 @@ expectKilledShardMergesIdentically(const sys::SystemConfig &cfg,
     Campaign fresh(cfg, kAttempts);
     ASSERT_EQ(fresh.attack.campaignFingerprint(),
               straight.attack.campaignFingerprint());
-    policy.path = paths[1];
     for (const unsigned threads : {1u, 4u}) {
         const std::string where =
             cell + ", " + std::to_string(threads) + " thread(s)";
@@ -731,7 +695,7 @@ expectKilledShardMergesIdentically(const sys::SystemConfig &cfg,
                         .ok());
         const attack::TrialRangeResult resumed =
             fresh.attack.runTrialRange(ranges[1].begin, ranges[1].end,
-                                       threads, policy);
+                                       threads, paths[1]);
         EXPECT_EQ(resumed.resumedTrials, kKilledAfter) << where;
 
         std::vector<attack::RangeRecord> shards;

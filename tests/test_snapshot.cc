@@ -244,54 +244,56 @@ attack::RangeRecord
 cutRecord(attack::RangeRecord record, uint64_t trials)
 {
     record.outcomes.resize(trials);
-    record.terminal = false;
     return record;
 }
 
 // A kill between two blocks leaves the newest record at the path and
-// the one before it in .prev: the writer saves after every block and
-// rotates the record it replaces. Shown on two ranges of the seed-3
-// campaign hh_sweep runs: the clean [0, 8) and a faulted [2, 6) whose
-// trials each print a record of their own.
+// the one before it in .prev: the writer saves after every block of
+// one trial per thread and rotates the record it replaces. Shown at 1
+// and 2 threads on two ranges of the seed-3 campaign hh_sweep runs:
+// the clean [0, 8) and a faulted [2, 6) whose trials each print a
+// record of their own.
 TEST(Checkpoint, EveryBlockEndLeavesItsRecord)
 {
     const std::string path = tempPath("campaign_blocks.ckpt");
     const sys::SystemConfig faulted =
         campaignHost(3).withFaults(fault::FaultPlan::randomized(99, 0.5));
-    for (const auto &[host_cfg, begin, end] :
-         {std::tuple{campaignHost(3), 0u, 8u},
-          std::tuple{faulted, 2u, 6u}}) {
-        removeRecords(path);
-        sys::HostSystem host(host_cfg);
-        attack::HyperHammerAttack attack(host, campaignVm(),
-                                         host.dram().mapping(),
-                                         campaignAttack(8));
-        (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
-        const attack::TrialRangeResult ran =
-            attack.runTrialRange(begin, end, 1, policy);
-        ASSERT_GE(ran.outcomes.size(), 2u)
-            << "[" << begin << ", " << end << ")";
+    for (const unsigned threads : {1u, 2u}) {
+        for (const auto &[host_cfg, begin, end] :
+             {std::tuple{campaignHost(3), 0u, 8u},
+              std::tuple{faulted, 2u, 6u}}) {
+            const std::string where = "[" + std::to_string(begin) + ", "
+                + std::to_string(end) + ") at "
+                + std::to_string(threads) + " thread(s)";
+            removeRecords(path);
+            sys::HostSystem host(host_cfg);
+            attack::HyperHammerAttack attack(host, campaignVm(),
+                                             host.dram().mapping(),
+                                             campaignAttack(8));
+            (void)attack.profilePhase();
+            const attack::TrialRangeResult ran =
+                attack.runTrialRange(begin, end, threads, path);
+            // Every block ran whole, so the last one holds `threads`
+            // trials.
+            ASSERT_EQ(ran.outcomes.size(), end - begin) << where;
 
-        const auto last = attack::loadRangeRecord(path);
-        const auto before = attack::loadRangeRecord(
-            path + attack::kCheckpointPrevSuffix);
-        ASSERT_TRUE(last.ok()) << base::errorName(last.error());
-        ASSERT_TRUE(before.ok()) << base::errorName(before.error());
-        EXPECT_TRUE(last->terminal);
-        EXPECT_EQ(last->outcomes, ran.outcomes);
-        const attack::RangeRecord expected =
-            cutRecord(*last, last->outcomes.size() - 1);
-        EXPECT_EQ(before->campaignFingerprint,
-                  expected.campaignFingerprint);
-        EXPECT_EQ(before->totalTrials, expected.totalTrials);
-        EXPECT_EQ(before->begin, expected.begin);
-        EXPECT_EQ(before->end, expected.end);
-        EXPECT_FALSE(before->terminal);
-        EXPECT_EQ(before->outcomes, expected.outcomes)
-            << "[" << begin << ", " << end << ")";
+            const auto last = attack::loadRangeRecord(path);
+            const auto before = attack::loadRangeRecord(
+                path + attack::kCheckpointPrevSuffix);
+            ASSERT_TRUE(last.ok()) << base::errorName(last.error());
+            ASSERT_TRUE(before.ok()) << base::errorName(before.error());
+            EXPECT_TRUE(last->complete()) << where;
+            EXPECT_EQ(last->outcomes, ran.outcomes) << where;
+            const attack::RangeRecord expected =
+                cutRecord(*last, last->outcomes.size() - threads);
+            EXPECT_EQ(before->campaignFingerprint,
+                      expected.campaignFingerprint);
+            EXPECT_EQ(before->totalTrials, expected.totalTrials);
+            EXPECT_EQ(before->begin, expected.begin);
+            EXPECT_EQ(before->end, expected.end);
+            EXPECT_FALSE(before->complete()) << where;
+            EXPECT_EQ(before->outcomes, expected.outcomes) << where;
+        }
     }
     removeRecords(path);
 }
@@ -301,11 +303,9 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
     const std::string path = tempPath("campaign.ckpt");
     removeRecords(path);
     const unsigned attempts = campaignAttack().maxAttempts;
-    attack::CheckpointPolicy policy;
-    policy.path = path;
-    policy.everyTrials = 1;
 
-    // Control: the straight campaign, its record written every trial.
+    // Control: the straight campaign, its record written after every
+    // block of two trials.
     attack::AttackResult straight;
     {
         sys::HostSystem host(faultedCampaignHost());
@@ -313,7 +313,7 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        straight = attack.runAttempts(2, policy);
+        straight = attack.runAttempts(2, path);
     }
     ASSERT_EQ(straight.outcomes.size(), attempts);
     EXPECT_TRUE(std::any_of(
@@ -324,8 +324,9 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
         << "every trial printed the same record: the outcome "
            "comparison below could not see a misplaced trial";
 
-    // What a kill after the third trial leaves: the record of three
-    // trials at the path and the record of two in .prev.
+    // What a 1-thread run killed after its third trial leaves: the
+    // record of three trials at the path and the record of two in
+    // .prev. The 2-thread rerun below resumes it all the same.
     const auto finished = attack::loadRangeRecord(path);
     ASSERT_TRUE(finished.ok()) << base::errorName(finished.error());
     removeRecords(path);
@@ -346,13 +347,17 @@ TEST(Checkpoint, KillResumeMatchesStraightRunAndSurvivesCorruption)
                                          host.dram().mapping(),
                                          campaignAttack());
         (void)attack.profilePhase();
-        resumed = attack.runAttempts(2, policy);
+        resumed = attack.runAttempts(2, path);
     }
     EXPECT_EQ(resumed.resumedTrials, 2u);
 
     EXPECT_EQ(straight.success, resumed.success);
     EXPECT_EQ(straight.attempts, resumed.attempts);
     EXPECT_EQ(straight.totalTime, resumed.totalTime);
+    EXPECT_STREQ(base::errorName(straight.status.error()),
+                 base::errorName(resumed.status.error()));
+    EXPECT_EQ(straight.degraded, resumed.degraded);
+    EXPECT_EQ(straight.faultsInjected, resumed.faultsInjected);
     EXPECT_EQ(straight.outcomes, resumed.outcomes);
     removeRecords(path);
 }
@@ -377,10 +382,7 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
                                          campaignAttack(2));
         attack.attachDefenses(&*defenses);
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
-        (void)attack.runAttempts(1, policy);
+        (void)attack.runAttempts(1, path);
     }
 
     // With a fresh stack of the same spec attached the record is
@@ -394,11 +396,8 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
                                          campaignAttack(2));
         attack.attachDefenses(&*resumed_set);
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
         const attack::AttackResult result =
-            attack.runAttempts(1, policy);
+            attack.runAttempts(1, path);
         ASSERT_FALSE(result.outcomes.empty());
         EXPECT_EQ(result.resumedTrials, result.outcomes.size());
     }
@@ -413,11 +412,8 @@ TEST(Checkpoint, DefenseAttachmentMismatchRejected)
                                          host.dram().mapping(),
                                          campaignAttack(2));
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
         const attack::AttackResult result =
-            attack.runAttempts(1, policy);
+            attack.runAttempts(1, path);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
     removeRecords(path);
@@ -435,10 +431,7 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
                                          host.dram().mapping(),
                                          campaignAttack(2));
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
-        (void)attack.runAttempts(1, policy);
+        (void)attack.runAttempts(1, path);
     }
     // ...and resume under seed 6: the fingerprint must reject it and
     // the campaign must start over rather than mix foreign outcomes.
@@ -448,11 +441,8 @@ TEST(Checkpoint, MismatchedCampaignCheckpointIgnored)
                                          host.dram().mapping(),
                                          campaignAttack(2));
         (void)attack.profilePhase();
-        attack::CheckpointPolicy policy;
-        policy.path = path;
-        policy.everyTrials = 1;
         const attack::AttackResult result =
-            attack.runAttempts(1, policy);
+            attack.runAttempts(1, path);
         EXPECT_EQ(result.resumedTrials, 0u);
     }
     removeRecords(path);
@@ -470,16 +460,13 @@ TEST(Checkpoint, RecordOfAnotherRangeStartIsIgnored)
     (void)attack.profilePhase();
 
     // Finish range [0, 2): its record starts at 0...
-    attack::CheckpointPolicy policy;
-    policy.path = path;
-    policy.everyTrials = 1;
     const attack::TrialRangeResult first =
-        attack.runTrialRange(0, 2, 1, policy);
+        attack.runTrialRange(0, 2, 1, path);
 
     // ...so range [2, 4) resuming at the same path must not take
     // trial 0's outcome for trial 2's.
     const attack::TrialRangeResult resumed =
-        attack.runTrialRange(2, 4, 1, policy);
+        attack.runTrialRange(2, 4, 1, path);
     EXPECT_EQ(resumed.resumedTrials, 0u);
     const attack::TrialRangeResult fresh =
         attack.runTrialRange(2, 4, 1, {});
@@ -505,16 +492,13 @@ TEST(Checkpoint, RecordOfAnotherEndIsIgnored)
 
     // Finish range [0, 2): its record shares the campaign and the
     // start of range [0, 4), but not its end...
-    attack::CheckpointPolicy policy;
-    policy.path = path;
-    policy.everyTrials = 1;
     const attack::TrialRangeResult shorter =
-        attack.runTrialRange(0, 2, 1, policy);
+        attack.runTrialRange(0, 2, 1, path);
     ASSERT_EQ(shorter.outcomes.size(), 2u);
 
     // ...so range [0, 4) at the same path restores none of it.
     const attack::TrialRangeResult longer =
-        attack.runTrialRange(0, 4, 1, policy);
+        attack.runTrialRange(0, 4, 1, path);
     EXPECT_EQ(longer.resumedTrials, 0u);
     removeRecords(path);
 }
@@ -532,12 +516,9 @@ TEST(Checkpoint, SecondRunResumesEverything)
 
     // A path is the only switch: the second run at the same path
     // restores the first run's finished record and runs no trial.
-    attack::CheckpointPolicy policy;
-    policy.path = path;
-    policy.everyTrials = 1;
-    const attack::AttackResult first = attack.runAttempts(1, policy);
+    const attack::AttackResult first = attack.runAttempts(1, path);
     EXPECT_EQ(first.resumedTrials, 0u);
-    const attack::AttackResult second = attack.runAttempts(1, policy);
+    const attack::AttackResult second = attack.runAttempts(1, path);
     ASSERT_FALSE(second.outcomes.empty());
     EXPECT_EQ(second.resumedTrials, second.outcomes.size());
     EXPECT_EQ(second.outcomes, first.outcomes);
@@ -558,11 +539,8 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
 
     // Finish range [0, 2), make its record the fallback file and tear
     // the primary (a torn write a crash mid-save could leave).
-    attack::CheckpointPolicy policy;
-    policy.path = path;
-    policy.everyTrials = 1;
     const attack::TrialRangeResult finished =
-        attack.runTrialRange(0, 2, 1, policy);
+        attack.runTrialRange(0, 2, 1, path);
     std::vector<uint8_t> record = readFile(path);
     ASSERT_FALSE(record.empty());
     writeFile(prev, record);
@@ -570,14 +548,14 @@ TEST(Checkpoint, TornPrimaryResumesEverythingFromCompletePrev)
     writeFile(path, record);
 
     // The resume restores every trial from the fallback and still
-    // leaves a loadable terminal record at the path.
+    // leaves a loadable complete record at the path.
     const attack::TrialRangeResult resumed =
-        attack.runTrialRange(0, 2, 1, policy);
+        attack.runTrialRange(0, 2, 1, path);
     EXPECT_EQ(resumed.resumedTrials, finished.outcomes.size());
     EXPECT_EQ(resumed.outcomes, finished.outcomes);
     const auto reloaded = attack::loadRangeRecord(path);
     ASSERT_TRUE(reloaded.ok()) << base::errorName(reloaded.error());
-    EXPECT_TRUE(reloaded->terminal);
+    EXPECT_TRUE(reloaded->complete());
     EXPECT_EQ(reloaded->outcomes, finished.outcomes);
     removeRecords(path);
 }

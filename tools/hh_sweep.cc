@@ -32,7 +32,7 @@
  *
  * Campaign flags: --trials=N --threads=N --seed=N --host-gib=N
  *   --fault-seed=N --fault-intensity=X (X > 0 installs a randomized
- *   FaultPlan) --checkpoint-every=N
+ *   FaultPlan)
  * Sweep flags: --out-dir=DIR --jobs=P (0: one worker per range)
  * A numeric flag's value must parse whole, or the run is a usage
  * error.
@@ -77,7 +77,6 @@ struct SweepOptions
     uint64_t hostGib = 0; // 0 = 1 GiB
     uint64_t faultSeed = 0;
     double faultIntensity = 0.0;
-    uint64_t checkpointEvery = 0;
     unsigned shardIndex = 0;
     unsigned shardCount = 1;
     bool haveRange = false;
@@ -125,8 +124,6 @@ struct SweepOptions
                 base::parseNumber(argv[0], name, v, opts.faultSeed);
             else if (name == "fault-intensity")
                 base::parseNumber(argv[0], name, v, opts.faultIntensity);
-            else if (name == "checkpoint-every")
-                base::parseNumber(argv[0], name, v, opts.checkpointEvery);
             else if (name == "shard")
                 halves('/', "shard (want I/K)", opts.shardIndex,
                        opts.shardCount);
@@ -308,16 +305,14 @@ cmdRun(const SweepOptions &opts)
         return 1;
 
     // The range record at --out is both the checkpoint this run
-    // resumes and the artifact merge reads.
-    attack::CheckpointPolicy policy;
-    policy.path = opts.out;
-    policy.everyTrials = opts.checkpointEvery;
+    // resumes, rewritten after every --threads trials, and the
+    // artifact merge reads.
     std::fprintf(stderr,
                  "hh_sweep: shard trials [%llu, %llu)\n",
                  static_cast<unsigned long long>(range.begin),
                  static_cast<unsigned long long>(range.end));
     const attack::TrialRangeResult ranged = campaign.attack->runTrialRange(
-        range.begin, range.end, opts.threads, policy);
+        range.begin, range.end, opts.threads, opts.out);
     if (!ranged.saved.ok()) {
         std::fprintf(stderr, "hh_sweep: cannot write shard '%s': %s\n",
                      opts.out.c_str(),
@@ -408,7 +403,7 @@ selfExe(const char *argv0)
  * Fork + exec @p exe's `run` for @p range with its record at @p out;
  * the worker's pid, or -1 when the fork fails. The worker resumes
  * whatever prefix the record holds (an absent one starts at the range
- * begin) and rewrites it every block.
+ * begin) and rewrites it after every --threads trials.
  */
 pid_t
 launchWorker(const std::string &exe, const SweepOptions &opts,
@@ -430,9 +425,6 @@ launchWorker(const std::string &exe, const SweepOptions &opts,
         "--range=" + std::to_string(range.begin) + ":"
             + std::to_string(range.end),
         "--out=" + out,
-        "--checkpoint-every="
-            + std::to_string(opts.checkpointEvery ? opts.checkpointEvery
-                                                  : 1),
         "--host-gib=" + std::to_string(opts.hostGib),
     };
     const pid_t pid = ::fork();
@@ -534,7 +526,7 @@ cmdSweep(const SweepOptions &opts, const char *argv0)
     // stands for the campaign, so the merge names all of it a hole.
     if (shards.empty())
         shards.push_back(attack::RangeRecord{fingerprint, opts.trials, 0,
-                                             opts.trials, false, {}});
+                                             opts.trials, {}});
     return printMerge(std::move(shards),
                       "degraded sweep; rerun the same sweep to launch "
                       "only the missing ranges");
@@ -559,8 +551,7 @@ usage()
         "          the ranges without a finishing record\n"
         "campaign flags: --trials=N --threads=N --seed=N "
         "--host-gib=N\n"
-        "       --fault-seed=N --fault-intensity=X "
-        "--checkpoint-every=N\n"
+        "       --fault-seed=N --fault-intensity=X\n"
         "exit: 0 ok, 1 error, 2 usage, 4 degraded "
         "(missing ranges named on stderr)\n");
 }
